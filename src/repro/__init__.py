@@ -74,14 +74,17 @@ __all__ = [
     "PlanOptions",
     "QuerySpec",
     "Remap",
+    "StreamResult",
     "Tensor",
     "build",
     "convert",
+    "convert_file",
     "default_engine",
     "evaluate_query",
     "from_dense",
     "generated_source",
     "get_format",
+    "load_result",
     "make_converter",
     "make_format",
     "parse_format_spec",

@@ -22,7 +22,7 @@ Usage::
 
 Formats are given as registry spec strings — any registered name
 (``CSR``, ``HASH``...) or a parameterized family instance (``BCSR8x8``,
-``HICOO4``).  (The evaluation harness lives under ``python -m repro.bench``.)
+``HICOO4``).  (The paper's evaluation tables live under ``python -m repro.bench``.)
 """
 
 from __future__ import annotations

@@ -1,55 +1,16 @@
-"""Benchmark harness reproducing the paper's evaluation (Section 7)."""
+"""Drivers reproducing the paper's evaluation (Section 7).
+
+Only the paper's own tables live here; the repo's performance numbers
+come from ``benchmarks/harness``.
+"""
 
 from .ablations import run_ablations, render_ablations
-from .cache import cache_json, check_warm, render_cache, run_cache
-from .fuse import (
-    FUSE_CHECK_PAIRS,
-    FUSE_PAIRS,
-    check_fuse,
-    fuse_json,
-    render_fuse,
-    run_fuse,
-)
-from .serve import render_serve, run_serve, serve_json
-from .stream import (
-    STREAM_CHECK_PAIRS,
-    STREAM_GENERATOR_VERSION,
-    STREAM_PAIRS,
-    check_stream,
-    ensure_fixture,
-    render_stream,
-    run_stream,
-    stream_json,
-)
 from .table2 import render_table2, run_table2
-from .table3 import (
-    BACKEND_COLUMNS,
-    COLUMNS,
-    applicable,
-    backends_json,
-    check_auto,
-    compare_backend_reports,
-    render_backends,
-    render_table3,
-    run_backends,
-    run_column,
-    run_table3,
-)
+from .table3 import COLUMNS, applicable, render_table3, run_column, run_table3
 from .timing import format_table, geomean, time_call
 
 __all__ = [
-    "BACKEND_COLUMNS", "COLUMNS", "FUSE_CHECK_PAIRS", "FUSE_PAIRS",
-    "STREAM_CHECK_PAIRS",
-    "STREAM_GENERATOR_VERSION", "STREAM_PAIRS", "applicable",
-    "backends_json", "cache_json", "check_auto", "check_fuse",
-    "check_stream",
-    "check_warm", "compare_backend_reports", "ensure_fixture",
-    "format_table", "fuse_json", "geomean", "render_ablations",
-    "render_backends",
-    "render_cache", "render_fuse", "render_serve", "render_stream",
-    "render_table2",
-    "render_table3", "run_ablations", "run_backends", "run_cache",
-    "run_column", "run_fuse", "run_serve", "run_stream", "run_table2",
-    "run_table3",
-    "serve_json", "stream_json", "time_call",
+    "COLUMNS", "applicable", "format_table", "geomean", "render_ablations",
+    "render_table2", "render_table3", "run_ablations", "run_column",
+    "run_table2", "run_table3", "time_call",
 ]

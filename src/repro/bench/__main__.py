@@ -1,350 +1,56 @@
-"""Command-line entry point for the evaluation harness.
+"""Command-line entry point for the paper's evaluation tables.
 
 Usage::
 
     python -m repro.bench table2 [--scale S]
     python -m repro.bench table3 [--scale S] [--repeats R] [--columns c1,c2]
-    python -m repro.bench backends [--scale S] [--repeats R] [--pairs p1,p2]
-                                   [--matrices m1,m2] [--json PATH]
-                                   [--workers N] [--native]
     python -m repro.bench ablations [--scale S] [--repeats R]
-    python -m repro.bench cache [--pairs p1,p2] [--cache-dir DIR]
-                                [--check-warm] [--json PATH]
-    python -m repro.bench serve [--scale S] [--repeats R] [--pairs p1,p2]
-                                [--matrices m1,m2] [--json PATH]
-    python -m repro.bench stream [--nnz N] [--chunk-nnz C] [--pairs p1,p2]
-                                 [--fixture-dir DIR] [--json PATH] [--check]
-    python -m repro.bench fuse [--scale S] [--repeats R] [--pairs p1,p2]
-                               [--matrices m1,m2] [--json PATH] [--check]
-    python -m repro.bench compare BASELINE.json CURRENT.json [--threshold X]
 
-``backends`` compares the scalar (loop) and vector (bulk numpy) lowering
-backends, plus scipy where it implements the conversion; ``--pairs``
-selects which conversions run (including the extra BCSR/DCSR pairs that
-have no Table 3 baselines, and the routed ``hash_csr`` pair whose fast
-cell runs the engine's multi-hop route), ``--workers N`` adds a
-``parallel`` column timing the chunked executor on an N-worker pool
-against the serial vector kernel, ``--native`` adds a ``native`` column
-timing the compiled-C backend (skipped on hosts without a C toolchain;
-``--workers`` also sets its OpenMP team size), ``--check-auto`` exits
-nonzero when
-the engine's auto-selected converter is more than ``--auto-tolerance``
-times slower than the best fixed cell for any pair, and ``--json``
-additionally writes the report as JSON (the CI smoke artifact).  ``compare`` diffs two such JSON
-reports and exits nonzero when any fast-path cell (vector, parallel or
-routed) regressed by more than ``--threshold`` (CI fails the build on
->2x regressions).  ``cache`` measures the persistent kernel cache's
-warm-vs-cold start per pair (``--check-warm`` exits nonzero when a warm
-engine still compiled anything — the CI cold-vs-warm smoke step).
-``serve`` measures the serving layer's cold (full conversion) vs warm
-(data-cache hit) request latency per pair; its JSON shares the backends
-cell layout, so ``compare`` gates the warm latency between two serve
-reports (the committed ``BENCH_serve.json`` is the ~1M-nnz reference
-run).  ``stream`` measures the out-of-core ``convert_file`` path against
-a deterministic synthetic fixture (default 20M nonzeros): each streamed
-conversion runs in a fresh subprocess so its peak RSS is its own, and
-the output is verified bit-identical to the in-memory vector backend;
-``--check`` exits nonzero when any pair's peak RSS reaches 25% of the
-source's in-memory size or identity fails (the committed
-``BENCH_stream.json`` is the 20M-nnz reference run, and its
-``streamed_seconds`` are gated by ``compare`` like the other fast
-paths).  ``fuse`` times the fusion planner's convert-and-compute
-pipelines — fused (the destination format is never materialized) vs
-materialize-then-compute vs scipy's own conversion + ``A @ x`` — and
-its ``--check`` exits nonzero when a fused result diverges, a fused
-pipeline is more than 1.1x slower than materializing, or a fused kernel
-materializes the intermediate (source scan + allocation tracing); the
-committed ``BENCH_fuse.json`` is the ~1M-nnz reference run and its
-``fused_seconds`` are gated by ``compare`` like the other fast paths.
+``table2`` prints the synthetic suite's statistics next to the paper's,
+``table3`` times the generated (scalar, paper-faithful) routines against
+the SPARSKIT / MKL / legacy-taco ports and scipy where it implements the
+pair, and ``ablations`` times the three ablated plan options.  The
+repo's own performance numbers are ``benchmarks/harness``.
 """
 
 import argparse
-import json
-import sys
+from typing import List, Optional
 
 from ..matrices.suite import suite
 from . import (
-    BACKEND_COLUMNS,
     COLUMNS,
-    FUSE_CHECK_PAIRS,
-    FUSE_PAIRS,
-    STREAM_CHECK_PAIRS,
-    STREAM_PAIRS,
-    backends_json,
-    cache_json,
-    check_auto,
-    check_fuse,
-    check_stream,
-    check_warm,
-    compare_backend_reports,
-    fuse_json,
     render_ablations,
-    render_backends,
-    render_cache,
-    render_fuse,
-    render_serve,
-    render_stream,
     render_table2,
     render_table3,
     run_ablations,
-    run_backends,
-    run_cache,
-    run_fuse,
-    run_serve,
-    run_stream,
     run_table2,
     run_table3,
-    serve_json,
-    stream_json,
 )
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(prog="python -m repro.bench")
-    parser.add_argument(
-        "report",
-        choices=["table2", "table3", "backends", "ablations", "cache",
-                 "serve", "stream", "fuse", "compare"],
-    )
-    parser.add_argument("paths", nargs="*", metavar="JSON",
-                        help="for 'compare': baseline and current report files")
+    parser.add_argument("report", choices=["table2", "table3", "ablations"])
     parser.add_argument("--scale", type=float, default=1.0,
                         help="matrix size scale factor (default 1.0)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per cell (median reported)")
     parser.add_argument("--columns", type=str, default=None,
-                        help="comma-separated Table 3 columns to run")
-    parser.add_argument("--pairs", type=str, default=None,
-                        help="comma-separated conversion pairs for the "
-                             "'backends' report (superset of --columns; "
-                             f"choose from {','.join(BACKEND_COLUMNS)})")
-    parser.add_argument("--matrices", type=str, default=None,
-                        help="comma-separated suite matrix names to run")
-    parser.add_argument("--json", type=str, default=None, metavar="PATH",
-                        help="also write the backends report as JSON")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="'backends': add a parallel column timing the "
-                             "chunked executor on an N-worker pool (0: off)")
-    parser.add_argument("--native", action="store_true",
-                        help="'backends'/'cache': add the compiled-C native "
-                             "backend (skipped without a C toolchain)")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                        help="'cache': kernel cache directory (default: a "
-                             "fresh temporary directory)")
-    parser.add_argument("--check-warm", action="store_true",
-                        help="'cache': exit nonzero when any warm engine "
-                             "still compiled (or loaded nothing from disk)")
-    parser.add_argument("--check-auto", action="store_true",
-                        help="'backends': exit nonzero when the auto-selected "
-                             "converter is more than --auto-tolerance x "
-                             "slower than the best fixed cell")
-    parser.add_argument("--auto-tolerance", type=float, default=1.1,
-                        help="'backends': allowed auto/best slowdown for "
-                             "--check-auto (default 1.1)")
-    parser.add_argument("--nnz", type=int, default=None,
-                        help="'stream': synthetic fixture size in nonzeros "
-                             "(default 20,000,000)")
-    parser.add_argument("--chunk-nnz", type=int, default=None,
-                        help="'stream': entries per streamed chunk "
-                             "(default 262,144)")
-    parser.add_argument("--fixture-dir", type=str, default=None,
-                        metavar="DIR",
-                        help="'stream': directory holding the generated "
-                             "fixture (default: a per-user temp directory; "
-                             "CI points this at its actions/cache path)")
-    parser.add_argument("--check", action="store_true",
-                        help="'stream': exit nonzero when any pair's peak "
-                             "RSS reaches 25%% of the source's in-memory "
-                             "size or its output is not bit-identical; "
-                             "'fuse': exit nonzero when a fused pipeline "
-                             "diverges, runs > 1.1x slower than "
-                             "materializing, or materializes the "
-                             "intermediate format")
-    parser.add_argument("--threshold", type=float, default=2.0,
-                        help="'compare': fail on vector times above "
-                             "threshold x baseline (default 2.0)")
-    parser.add_argument("--min-seconds", type=float, default=1e-3,
-                        help="'compare': ignore cells whose baseline vector "
-                             "time is below this (noise floor, default 1e-3)")
-    args = parser.parse_args()
-    if args.json and args.report not in ("backends", "cache", "serve",
-                                         "stream", "fuse"):
-        parser.error("--json is only produced by 'backends', 'cache', "
-                     "'serve', 'stream' and 'fuse'")
-    if args.pairs and args.report not in ("backends", "cache", "serve",
-                                          "stream", "fuse"):
-        parser.error("--pairs only filters the 'backends', 'cache', "
-                     "'serve', 'stream' and 'fuse' reports")
-    if (args.nnz is not None or args.chunk_nnz is not None
-            or args.fixture_dir) and args.report != "stream":
-        parser.error("--nnz/--chunk-nnz/--fixture-dir only apply "
-                     "to the 'stream' report")
-    if args.check and args.report not in ("stream", "fuse"):
-        parser.error("--check only applies to 'stream' and 'fuse'")
-    if args.workers and args.report != "backends":
-        parser.error("--workers only applies to the 'backends' report")
-    if args.native and args.report not in ("backends", "cache", "fuse"):
-        parser.error("--native only applies to 'backends', 'cache' and "
-                     "'fuse'")
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if (args.cache_dir or args.check_warm) and args.report != "cache":
-        parser.error("--cache-dir/--check-warm only apply to 'cache'")
-    if args.check_auto and args.report != "backends":
-        parser.error("--check-auto only applies to the 'backends' report")
-
-    if args.report == "cache":
-        pairs = args.pairs.split(",") if args.pairs else None
-        unknown = [p for p in pairs or [] if p not in BACKEND_COLUMNS]
-        if unknown:
-            parser.error(
-                f"unknown pair(s) {', '.join(unknown)}; choose from "
-                f"{', '.join(BACKEND_COLUMNS)}"
-            )
-        results = run_cache(pairs, cache_dir=args.cache_dir,
-                            native=args.native)
-        print(render_cache(results))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(cache_json(results), handle, indent=2)
-            print(f"\nwrote {args.json}")
-        if args.check_warm:
-            problems = check_warm(results)
-            if problems:
-                print(f"\n{len(problems)} warm-start violation(s):")
-                for line in problems:
-                    print(f"  {line}")
-                sys.exit(1)
-            print("\nwarm start clean: every warm engine compiled nothing")
-        return
-
-    if args.report == "stream":
-        if args.pairs:
-            pairs = args.pairs.split(",")
-            unknown = [p for p in pairs if p not in STREAM_PAIRS]
-            if unknown:
-                parser.error(
-                    f"unknown stream pair(s) {', '.join(unknown)}; choose "
-                    f"from {', '.join(STREAM_PAIRS)}"
-                )
-        else:
-            pairs = list(STREAM_CHECK_PAIRS if args.check else STREAM_PAIRS)
-        kwargs = {}
-        if args.nnz is not None:
-            kwargs["nnz"] = args.nnz
-        if args.chunk_nnz is not None:
-            kwargs["chunk_nnz"] = args.chunk_nnz
-        results = run_stream(pairs=pairs, fixture_dir=args.fixture_dir,
-                             **kwargs)
-        print(render_stream(results))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(stream_json(results), handle, indent=2)
-            print(f"\nwrote {args.json}")
-        if args.check:
-            problems = check_stream(results)
-            if problems:
-                print(f"\n{len(problems)} out-of-core violation(s):")
-                for line in problems:
-                    print(f"  {line}")
-                sys.exit(1)
-            print("\nout-of-core contract clean: every pair bit-identical "
-                  "under the RSS budget")
-        return
-
-    if args.report == "compare":
-        if len(args.paths) != 2:
-            parser.error("compare needs exactly two JSON report paths")
-        with open(args.paths[0]) as handle:
-            baseline = json.load(handle)
-        with open(args.paths[1]) as handle:
-            current = json.load(handle)
-        regressions = compare_backend_reports(
-            baseline, current, args.threshold, args.min_seconds
-        )
-        if regressions:
-            print(f"{len(regressions)} vector-backend regression(s):")
-            for line in regressions:
-                print(f"  {line}")
-            sys.exit(1)
-        print(f"no vector-backend regressions above {args.threshold:g}x")
-        return
-    if args.paths:
-        parser.error("positional JSON paths are only used by 'compare'")
-
-    matrices = suite(scale=args.scale)
-    if args.matrices:
-        wanted = set(args.matrices.split(","))
-        matrices = [m for m in matrices if {m.name, m.paper_name} & wanted]
-        if not matrices:
-            parser.error(f"no suite matrix matches {args.matrices!r}")
-
-    if args.report == "backends":
-        valid, requested = BACKEND_COLUMNS, args.pairs or args.columns
-    elif args.report == "serve":
-        valid, requested = BACKEND_COLUMNS, args.pairs
-    elif args.report == "fuse":
-        valid, requested = FUSE_PAIRS, args.pairs
-    else:
-        valid, requested = COLUMNS, args.columns
-    columns = requested.split(",") if requested else valid
-    unknown = [c for c in columns if c not in valid]
+                        help="comma-separated Table 3 columns to run "
+                             f"(choose from {','.join(COLUMNS)})")
+    args = parser.parse_args(argv)
+    columns = args.columns.split(",") if args.columns else COLUMNS
+    unknown = [c for c in columns if c not in COLUMNS]
     if unknown:
         parser.error(
-            f"unknown column(s) {', '.join(unknown)}; choose from {', '.join(valid)}"
+            f"unknown column(s) {', '.join(unknown)}; choose from {', '.join(COLUMNS)}"
         )
 
-    if args.report == "serve":
-        results = run_serve(matrices, columns, args.repeats)
-        print(render_serve(results))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(serve_json(results), handle, indent=2)
-            print(f"\nwrote {args.json}")
-        return
-
-    if args.report == "fuse":
-        if args.check and not args.pairs:
-            columns = list(FUSE_CHECK_PAIRS)
-        results = run_fuse(matrices, columns, args.repeats,
-                           backend="native" if args.native else None)
-        print(render_fuse(results))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(fuse_json(results), handle, indent=2)
-            print(f"\nwrote {args.json}")
-        if args.check:
-            problems = check_fuse(results)
-            if problems:
-                print(f"\n{len(problems)} fused-pipeline violation(s):")
-                for line in problems:
-                    print(f"  {line}")
-                sys.exit(1)
-            print("\nfused pipelines clean: results identical, no "
-                  "intermediate materialized, within 1.1x of materializing")
-        return
-
+    matrices = suite(scale=args.scale)
     if args.report == "table2":
         print(render_table2(run_table2(matrices)))
     elif args.report == "table3":
         print(render_table3(run_table3(matrices, columns, args.repeats)))
-    elif args.report == "backends":
-        results = run_backends(matrices, columns, args.repeats,
-                               workers=args.workers, native=args.native)
-        print(render_backends(results))
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(backends_json(results), handle, indent=2)
-            print(f"\nwrote {args.json}")
-        if args.check_auto:
-            problems = check_auto(results, tolerance=args.auto_tolerance)
-            if problems:
-                print(f"\n{len(problems)} auto-selection violation(s):")
-                for line in problems:
-                    print(f"  {line}")
-                sys.exit(1)
-            print(f"\nauto selection clean: every auto cell within "
-                  f"{args.auto_tolerance:g}x of the best fixed converter")
     else:
         print(render_ablations(run_ablations(matrices, args.repeats)))
 

@@ -27,23 +27,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..baselines import mkl_like, scipy_ref, sparskit, taco_legacy
-from ..convert import default_engine, make_converter, sample_features
+from ..convert import make_converter
 from ..formats.library import BCSR, COO, CSC, CSR, DCSR, DIA, ELL, HASH
 from ..matrices.suite import SuiteMatrix, suite
 from .timing import format_table, geomean, time_call
 
 COLUMNS = ["coo_csr", "coo_dia", "csr_csc", "csr_dia", "csr_ell", "csc_dia", "csc_ell"]
 
-#: Additional pairs of the ``backends`` report only (no Table 3 baselines):
-#: the formerly scalar-only formats the per-level vector lowering handles,
-#: plus the routed hash pair — its "vector" cell runs the engine's
-#: multi-hop route (bridge extraction + vectorized hop), so the CI
-#: ``compare`` gate guards routing regressions too.
-EXTRA_BACKEND_COLUMNS = ["bcsr_csr", "csr_bcsr", "dcsr_csr", "csr_dcsr", "hash_csr"]
-
-#: Every pair the ``backends`` report (and its ``--pairs`` filter) accepts.
-BACKEND_COLUMNS = COLUMNS + EXTRA_BACKEND_COLUMNS
-
+#: Pair-name vocabulary; wider than Table 3's columns because ``repro
+#: serve-bench --pairs`` resolves its pair names here too.
 _FORMATS = {
     "coo": COO,
     "csr": CSR,
@@ -98,8 +90,6 @@ def _ours(
 
 
 def _baselines(column: str, entry: SuiteMatrix) -> Dict[str, Callable[[], object]]:
-    if column not in COLUMNS:
-        return {}  # backend-only pairs have no Table 3 baselines
     nrow, ncol = entry.dims
     coo = entry.tensor(COO)
     rows_a, cols_a = coo.array(0, "crd"), coo.array(1, "crd")
@@ -208,456 +198,6 @@ def run_table3(
         column: run_column(column, matrices, repeats)
         for column in (columns or COLUMNS)
     }
-
-
-@dataclass
-class BackendCellResult:
-    """One matrix × one column: scalar vs. vector backend (and scipy).
-
-    ``route`` names the conversion path of the fast cell when the engine
-    routed it (e.g. ``"HASH -> COO -> CSR"``); ``None`` for direct
-    vector-backend cells.  ``parallel_seconds`` times the chunked
-    executor (``run_backends(..., workers=N)``); ``None`` when the
-    parallel column is off or the pair has no chunked form.
-
-    ``auto_seconds`` times the engine's fully automatic tensor-to-tensor
-    conversion (``route="auto"``: competing converters, structural
-    features, routing) and ``auto_impl`` names the implementation it
-    picked; ``best_seconds``/``best_impl`` is the fastest *fixed* choice
-    among the timed cells (scalar/vector/parallel/scipy) — the ``best``
-    column the auto policy is gated against.
-    """
-
-    matrix: str
-    nnz: int
-    scalar_seconds: float
-    vector_seconds: float
-    scipy_seconds: Optional[float]
-    route: Optional[str] = None
-    parallel_seconds: Optional[float] = None
-    auto_seconds: Optional[float] = None
-    auto_impl: Optional[str] = None
-    native_seconds: Optional[float] = None
-
-    @property
-    def speedup(self) -> float:
-        """Scalar-over-vector time ratio (higher = vector wins)."""
-        return self.scalar_seconds / self.vector_seconds
-
-    @property
-    def parallel_speedup(self) -> Optional[float]:
-        """Serial-vector-over-chunked time ratio (higher = chunked wins)."""
-        if not self.parallel_seconds:
-            return None
-        return self.vector_seconds / self.parallel_seconds
-
-    @property
-    def native_speedup(self) -> Optional[float]:
-        """Serial-vector-over-native time ratio (higher = native wins)."""
-        if not self.native_seconds:
-            return None
-        return self.vector_seconds / self.native_seconds
-
-    @property
-    def fixed_cells(self) -> Dict[str, float]:
-        """The timed fixed-choice cells (label -> seconds)."""
-        cells = {"scalar": self.scalar_seconds, "vector": self.vector_seconds}
-        if self.parallel_seconds:
-            cells["parallel"] = self.parallel_seconds
-        if self.native_seconds:
-            cells["native"] = self.native_seconds
-        if self.scipy_seconds:
-            cells["scipy"] = self.scipy_seconds
-        return cells
-
-    @property
-    def best_seconds(self) -> float:
-        """The fastest fixed choice's time."""
-        return min(self.fixed_cells.values())
-
-    @property
-    def best_impl(self) -> str:
-        """The fastest fixed choice's label (ties: scalar/vector/... order)."""
-        cells = self.fixed_cells
-        return min(cells, key=lambda label: cells[label])
-
-    @property
-    def auto_ratio(self) -> Optional[float]:
-        """Auto-over-best time ratio (1.0 = the auto policy matched the
-        best fixed choice; ``None`` when the auto cell was not timed)."""
-        if not self.auto_seconds:
-            return None
-        return self.auto_seconds / self.best_seconds
-
-
-def _routed(column: str, entry: SuiteMatrix):
-    """The engine-routed fast implementation for a cell, if routing
-    applies: ``(callable, route description)``, else ``(None, None)``.
-
-    Routed cells convert tensor-to-tensor through the engine (marshalling
-    included) — the honest cost of the multi-hop path — where direct
-    cells time the raw generated function.
-    """
-    src, dst = _pair_formats(column, entry)
-    engine = default_engine()
-    tensor = entry.tensor(src)
-    route = engine.route(src, dst, nnz=tensor.nnz_stored)
-    if not route.beats_direct:
-        return None, None
-    return (lambda: engine.convert_via(route, tensor)), str(route)
-
-
-def _ours_auto(column: str, entry: SuiteMatrix):
-    """The engine's fully automatic conversion for a cell: ``(callable,
-    implementation label)``.  Tensor-to-tensor through ``engine.convert``
-    with the default auto policies — exactly what a library user gets —
-    so the timing includes plan lookup and marshalling."""
-    src, dst = _pair_formats(column, entry)
-    engine = default_engine()
-    tensor = entry.tensor(src)
-    plan = engine.plan(
-        src, dst, nnz=tensor.nnz_stored, features=sample_features(tensor)
-    )
-    impl = "+".join(
-        f"external:{hop.converter}" if hop.kind == "external" else hop.kind
-        for hop in plan.hops
-    )
-    return (lambda: engine.run_plan(plan, tensor)), impl
-
-
-def _ours_native(column: str, entry: SuiteMatrix, workers: int = 0):
-    """The compiled-C implementation of a cell, or ``None`` when the host
-    has no working C toolchain or the pair has no native lowering.
-    ``workers`` sets the OpenMP team size (0: the runtime default)."""
-    src, dst = _pair_formats(column, entry)
-    engine = default_engine()
-    if engine.toolchain() is None:
-        return None
-    converter = engine.make_converter(src, dst, backend="native")
-    if converter.backend != "native":
-        return None
-    args = converter.arguments(entry.tensor(src))
-    return lambda: converter.func(*args, n_workers=workers)
-
-
-def _ours_parallel(column: str, entry: SuiteMatrix, workers: int):
-    """The chunked-executor implementation of a cell, or ``None`` when
-    the pair has no chunked form (scalar-only pairs)."""
-    src, dst = _pair_formats(column, entry)
-    engine = default_engine()
-    chunked = engine.make_chunked(src, dst)
-    if chunked is None:
-        return None
-    args = chunked.arguments(entry.tensor(src))
-    pool = engine.worker_pool(workers)
-    return lambda: chunked.func(*args, _pool=pool)
-
-
-def run_backends(
-    matrices: Optional[List[SuiteMatrix]] = None,
-    columns: Optional[List[str]] = None,
-    repeats: int = 3,
-    workers: int = 0,
-    native: bool = False,
-) -> Dict[str, List[BackendCellResult]]:
-    """Time the scalar vs. the vector backend (vs. scipy where it exists)
-    for every applicable (column, matrix) cell.
-
-    This is the report that turns the vector backend's advantage into a
-    number: both backends run the *same* conversion plan, differing only
-    in lowering (per-nonzero loops vs. bulk numpy operations).  With
-    ``workers > 0`` a ``parallel`` column times the chunked executor on a
-    pool of that many workers against the serial vector kernel, so
-    ``compare`` gates chunked regressions alongside vector ones.  With
-    ``native=True`` a ``native`` column times the compiled-C backend
-    (skipped silently on hosts without a C toolchain; ``workers`` also
-    sets its OpenMP team size).  Every cell also times the engine's fully
-    automatic conversion (``auto``) and reports the fastest fixed choice
-    (``best``) it competes against (see :func:`check_auto`).
-    """
-    matrices = matrices if matrices is not None else suite()
-    results: Dict[str, List[BackendCellResult]] = {}
-    for column in columns or COLUMNS:
-        cells = []
-        for entry in matrices:
-            if not applicable(column, entry):
-                continue
-            scalar = time_call(_ours(column, entry, backend="scalar"), repeats)
-            routed_fn, route = _routed(column, entry)
-            if routed_fn is not None:
-                # scalar-only pair with a multi-hop/bridge route: the fast
-                # cell is the engine's routed conversion
-                vector = time_call(routed_fn, repeats)
-            else:
-                vector = time_call(_ours(column, entry, backend="vector"), repeats)
-            parallel_s = None
-            if workers:
-                parallel_fn = _ours_parallel(column, entry, workers)
-                if parallel_fn is not None:
-                    parallel_s = time_call(parallel_fn, repeats)
-            native_s = None
-            if native:
-                native_fn = _ours_native(column, entry, workers)
-                if native_fn is not None:
-                    native_s = time_call(native_fn, repeats)
-            scipy_fn = _baselines(column, entry).get("scipy")
-            scipy_s = time_call(scipy_fn, repeats) if scipy_fn else None
-            auto_fn, auto_impl = _ours_auto(column, entry)
-            auto_s = time_call(auto_fn, repeats)
-            cells.append(
-                BackendCellResult(
-                    entry.name, entry.nnz, scalar, vector, scipy_s, route,
-                    parallel_s, auto_s, auto_impl, native_seconds=native_s,
-                )
-            )
-        results[column] = cells
-    return results
-
-
-def check_auto(
-    results: Dict[str, List[BackendCellResult]],
-    tolerance: float = 1.1,
-    min_seconds: float = 1e-3,
-) -> List[str]:
-    """The auto-policy acceptance gate: for every cell, the automatically
-    selected conversion must not be slower than ``tolerance`` times the
-    best fixed choice *available to the auto policy* at that size.
-    Returns violation descriptions (empty = the gate holds).
-
-    Two exclusions keep the gate about the routing decision:
-
-    * cells whose best fixed time is under ``min_seconds`` are skipped —
-      sub-millisecond smoke cells measure call overhead and runner
-      jitter, not converter selection;
-    * the forced-workers ``parallel`` cell only counts once the tensor
-      crosses ``PlanOptions.parallel_threshold`` — below it the auto
-      policy deliberately stays serial (worker pools are not free on
-      arbitrary shapes), so the chunked executor is not in its choice
-      set and "auto lost to a knob it refuses by design" is not a
-      selection failure.  At the 1M-nnz reference sizes the threshold
-      is crossed and the parallel cell gates normally;
-    * the forced ``native`` cell only counts once the engine's cost
-      model has *measured* native timings (``min_observations``
-      recordings) — until then the auto policy refuses to invoke the C
-      compiler by design, so the compiled kernel is not in its choice
-      set either.
-    """
-    from ..convert import PlanOptions
-
-    threshold = PlanOptions().parallel_threshold
-    model = default_engine().cost_model
-    native_eligible = (
-        model.observation_count("native") >= model.min_observations
-    )
-    problems: List[str] = []
-    for column, cells in results.items():
-        for cell in cells:
-            if cell.auto_seconds is None:
-                continue
-            eligible = dict(cell.fixed_cells)
-            if cell.nnz < threshold:
-                eligible.pop("parallel", None)
-            if not native_eligible:
-                eligible.pop("native", None)
-            best_impl = min(eligible, key=lambda label: eligible[label])
-            best = eligible[best_impl]
-            if best < min_seconds:
-                continue
-            ratio = cell.auto_seconds / best
-            if ratio > tolerance:
-                problems.append(
-                    f"{column}/{cell.matrix}: auto ({cell.auto_impl}) "
-                    f"{cell.auto_seconds * 1e3:.3f} ms vs best fixed "
-                    f"({best_impl}) {best * 1e3:.3f} ms "
-                    f"({ratio:.2f}x > {tolerance:g}x)"
-                )
-    return problems
-
-
-def render_backends(results: Dict[str, List[BackendCellResult]]) -> str:
-    """Text rendering of the backend comparison (times in ms).
-
-    The ``parallel`` columns (chunked-executor time and its speedup over
-    the serial vector kernel) appear when the run produced them
-    (``run_backends(..., workers=N)``).
-    """
-    has_parallel = any(
-        cell.parallel_seconds for cells in results.values() for cell in cells
-    )
-    has_native = any(
-        cell.native_seconds for cells in results.values() for cell in cells
-    )
-    has_auto = any(
-        cell.auto_seconds for cells in results.values() for cell in cells
-    )
-    out = []
-    for column, cells in results.items():
-        headers = ["matrix", "nnz", "scalar (ms)", "vector (ms)", "speedup"]
-        if has_parallel:
-            headers += ["parallel (ms)", "par"]
-        if has_native:
-            headers += ["native (ms)", "nat"]
-        headers += ["scipy (ms)"]
-        if has_auto:
-            headers += ["auto (ms)", "best"]
-        headers += ["route"]
-        rows = []
-        for cell in cells:
-            row = [
-                cell.matrix,
-                str(cell.nnz),
-                f"{cell.scalar_seconds * 1e3:.2f}",
-                f"{cell.vector_seconds * 1e3:.2f}",
-                f"{cell.speedup:.1f}x",
-            ]
-            if has_parallel:
-                row += [
-                    f"{cell.parallel_seconds * 1e3:.2f}"
-                    if cell.parallel_seconds else "",
-                    f"{cell.parallel_speedup:.1f}x"
-                    if cell.parallel_speedup else "",
-                ]
-            if has_native:
-                row += [
-                    f"{cell.native_seconds * 1e3:.2f}"
-                    if cell.native_seconds else "",
-                    f"{cell.native_speedup:.1f}x"
-                    if cell.native_speedup else "",
-                ]
-            row += [
-                f"{cell.scipy_seconds * 1e3:.2f}" if cell.scipy_seconds else "",
-            ]
-            if has_auto:
-                row += [
-                    f"{cell.auto_seconds * 1e3:.2f}"
-                    if cell.auto_seconds else "",
-                    f"{cell.best_impl} ({cell.best_seconds * 1e3:.2f})",
-                ]
-            row += [cell.route or "direct"]
-            rows.append(row)
-        mean = geomean([cell.speedup for cell in cells])
-        means = ["Geomean", "", "", "", f"{mean:.1f}x" if mean else ""]
-        if has_parallel:
-            par_mean = geomean([cell.parallel_speedup for cell in cells])
-            means += ["", f"{par_mean:.1f}x" if par_mean else ""]
-        if has_native:
-            nat_mean = geomean([cell.native_speedup for cell in cells])
-            means += ["", f"{nat_mean:.1f}x" if nat_mean else ""]
-        means += [""]
-        if has_auto:
-            auto_mean = geomean([cell.auto_ratio for cell in cells])
-            means += [f"{auto_mean:.2f}x of best" if auto_mean else "", ""]
-        means += [""]
-        rows.append(means)
-        out.append(f"== {column} ==\n{format_table(headers, rows)}")
-    return "\n\n".join(out)
-
-
-def backends_json(results: Dict[str, List[BackendCellResult]]) -> Dict:
-    """JSON-serializable form of the backend comparison (CI artifact)."""
-    report = {}
-    for column, cells in results.items():
-        report[column] = {
-            "geomean_speedup": geomean([cell.speedup for cell in cells]),
-            "cells": [
-                {
-                    "matrix": cell.matrix,
-                    "nnz": cell.nnz,
-                    "scalar_seconds": cell.scalar_seconds,
-                    "vector_seconds": cell.vector_seconds,
-                    "speedup": cell.speedup,
-                    "scipy_seconds": cell.scipy_seconds,
-                    "route": cell.route,
-                    "parallel_seconds": cell.parallel_seconds,
-                    "parallel_speedup": cell.parallel_speedup,
-                    "native_seconds": cell.native_seconds,
-                    "native_speedup": cell.native_speedup,
-                    "auto_seconds": cell.auto_seconds,
-                    "auto_impl": cell.auto_impl,
-                    "best_seconds": (
-                        cell.best_seconds if cell.auto_seconds else None
-                    ),
-                    "best_impl": (
-                        cell.best_impl if cell.auto_seconds else None
-                    ),
-                }
-                for cell in cells
-            ],
-        }
-    return report
-
-
-def _comparable_cells(report_entry) -> Optional[List[Dict]]:
-    """The gateable cells of one report column, or ``None``.
-
-    Reports carry more than benchmark columns (metadata keys, and newer
-    column shapes older builds don't know) — anything without a
-    ``cells`` list of ``{"matrix": ...}`` dicts is not comparable and
-    must be skipped, not crash ``compare`` with a ``KeyError``.
-    """
-    if not isinstance(report_entry, dict):
-        return None
-    cells = report_entry.get("cells")
-    if not isinstance(cells, list):
-        return None
-    return [c for c in cells if isinstance(c, dict) and "matrix" in c]
-
-
-def compare_backend_reports(
-    baseline: Dict, current: Dict, threshold: float = 2.0,
-    min_seconds: float = 1e-3,
-) -> List[str]:
-    """Diff two ``backends_json`` reports; returns regression descriptions.
-
-    A cell regresses when its vector-backend (or chunked-executor
-    ``parallel``) time exceeds ``threshold`` times the baseline's for the
-    same (pair, matrix).  Cells present in only one report are ignored
-    (pairs/matrices may be added or removed between runs), as are cells
-    whose baseline is below ``min_seconds`` — sub-millisecond smoke
-    timings vary more than ``threshold`` across shared CI runners on
-    noise alone.  Only the fast paths are gated — scalar times are
-    reference measurements.  Serve reports (``serve_json``) share the
-    cell layout, so their ``warm_seconds`` (the data-cache-hit latency)
-    is gated here too; cold serve times include one full conversion and
-    are reference-only.  Fuse reports (``fuse_json``) likewise share the
-    layout and have their ``fused_seconds`` gated; materialized and
-    scipy pipeline times are reference measurements.
-    """
-    regressions: List[str] = []
-    for column, current_report in current.items():
-        current_cells = _comparable_cells(current_report)
-        if current_cells is None:
-            continue  # metadata or a differently-shaped report entry
-        baseline_report = baseline.get(column)
-        if not baseline_report:
-            continue  # column new in this run: nothing to gate against
-        base_cells = _comparable_cells(baseline_report)
-        if base_cells is None:
-            continue  # baseline predates this column's cell layout
-        baseline_cells = {c["matrix"]: c for c in base_cells}
-        for cell in current_cells:
-            base = baseline_cells.get(cell["matrix"])
-            if not base:
-                continue
-            for field, label in (
-                ("vector_seconds", "vector"),
-                ("parallel_seconds", "parallel"),
-                ("native_seconds", "native"),
-                ("auto_seconds", "auto"),
-                ("warm_seconds", "serve-warm"),
-                ("streamed_seconds", "streamed"),
-                ("fused_seconds", "fused"),
-            ):
-                base_s, cur_s = base.get(field), cell.get(field)
-                if not base_s or not cur_s or base_s < min_seconds:
-                    continue
-                if cur_s > threshold * base_s:
-                    regressions.append(
-                        f"{column}/{cell['matrix']}: {label} "
-                        f"{cur_s * 1e3:.3f} ms vs baseline "
-                        f"{base_s * 1e3:.3f} ms (> {threshold:g}x)"
-                    )
-    return regressions
 
 
 def render_table3(results: Dict[str, List[CellResult]]) -> str:

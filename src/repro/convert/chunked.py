@@ -31,8 +31,7 @@ the full pair matrix.  Chunks execute on an engine-owned
 kernels, so chunks overlap on multi-core hosts); on top of thread
 parallelism, the chunk runtime recognizes sorted parent runs — contiguous
 chunks of a lexicographic gather — and replaces global sorts with run
-arithmetic, which is where the single-core speedup of the ``parallel``
-bench column comes from.
+arithmetic.
 
 The rewrite is an :mod:`ast` source-to-source pass over the generated
 kernel, so the chunked source stays inspectable::
@@ -89,8 +88,8 @@ def chunkable(src_format: Format, dst_format: Format,
 class _ChunkRewriter(ast.NodeTransformer):
     """AST pass turning a serial vector kernel into a chunked kernel.
 
-    Counts the rewritten sites per kind in ``sites`` so callers (tests,
-    the bench) can see whether a kernel actually has a parallel section.
+    Counts the rewritten sites per kind in ``sites`` so tests can see
+    whether a kernel actually has a parallel section.
     """
 
     def __init__(self) -> None:

@@ -235,9 +235,9 @@ class ConversionEngine:
         ``"vector"``).
     cost_model:
         Routing :class:`~repro.convert.router.CostModel`; defaults to the
-        bench-seeded constants.  A path string loads one instead
+        seeded constants.  A path string loads one instead
         (:meth:`CostModel.load` — a saved cost-model file restores the
-        measured rates, a ``BENCH_*.json`` report seeds a fresh model).
+        measured rates).
         The engine records the wall time of every executed hop back into
         the model, so routing costs become *measured* on this host; see
         :meth:`save_cost_model`.
@@ -944,7 +944,7 @@ class ConversionEngine:
 
     # -- cost-model persistence -----------------------------------------
     def save_cost_model(self, path: Union[str, os.PathLike]) -> None:
-        """Persist the engine's cost model — bench seeds plus the rates
+        """Persist the engine's cost model — seeds plus the rates
         *measured* from this engine's own executed hops — as JSON.
         ``ConversionEngine(cost_model=path)`` (or
         :meth:`CostModel.load`) restores it, so a fresh process routes

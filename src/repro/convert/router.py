@@ -11,8 +11,8 @@ through an intermediate format whose hops are bulk numpy operations::
     the hash table            conversion routine
 
 Routing is cost-driven: :class:`CostModel` holds per-nonzero throughput
-estimates for each hop kind, seeded from the ``BENCH_*.json`` backend
-reports the CI smoke publishes (see :meth:`CostModel.from_bench_report`).
+estimates for each hop kind — constant seeds until the engine has
+measured the kind on this host.
 :func:`find_route` runs Dijkstra over the registered formats and returns a
 :class:`ConversionRoute` whose ``explain()`` transcript shows the decision.
 
@@ -30,7 +30,6 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
-from statistics import median
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,11 +75,10 @@ PUBLISH_DRIFT = 0.25
 class CostModel:
     """Per-hop conversion cost estimates, linear in the stored size.
 
-    The *seeded* defaults come from the repository's CI
-    ``BENCH_smoke.json`` reports (scalar loops run ~1.5 µs per stored
-    component on the GitHub runners; the vector backend ~40 ns at 100k+
-    nnz; the chunked executor ~20 ns at 1M+ nnz — sorted-run detection
-    plus thread overlap).  ``hop_overhead`` charges each hop's fixed cost
+    The *seeded* defaults are plain constants (scalar loops ~1.5 µs per
+    stored component, the vector backend ~40 ns, the chunked executor
+    ~20 ns) that only have to rank the kinds until measurements replace
+    them.  ``hop_overhead`` charges each hop's fixed cost
     (dispatch, array allocation, tensor marshalling) so short routes win
     ties and tiny tensors stay direct.
 
@@ -89,10 +87,8 @@ class CostModel:
     per-kind EWMA of the per-nonzero rate.  Once a kind has at least
     ``min_observations`` recordings, :meth:`cost` prefers the measured
     rate over the seeded one — routing decisions then reflect *this*
-    host, not the CI runners — and ``ConversionRoute.explain()`` labels
-    each edge ``seeded`` or ``measured``.  Models persist to JSON
-    (:meth:`save` / :meth:`load`; ``load`` also accepts a ``BENCH_*.json``
-    backend report and seeds from it).
+    host — and ``ConversionRoute.explain()`` labels each edge ``seeded``
+    or ``measured``.  Models persist to JSON (:meth:`save` / :meth:`load`).
     """
 
     scalar_per_nnz: float = 1.5e-6
@@ -100,9 +96,7 @@ class CostModel:
     bridge_per_nnz: float = 2.0e-8
     chunked_per_nnz: float = 2.0e-8
     #: The compiled-C backend streams nonzeros with no interpreter or
-    #: numpy dispatch in the loop; the seed sits below chunked (one
-    #: compiled pass beats thread-overlapped numpy at the reference
-    #: sizes — see ``BENCH_native.json``).
+    #: numpy dispatch in the loop; the seed sits below chunked.
     native_per_nnz: float = 1.2e-8
     hop_overhead: float = 5.0e-5
     #: Seeded rate/overhead of registered external converters (the scipy
@@ -325,10 +319,10 @@ class CostModel:
     def load(cls, path: Union[str, "os.PathLike"]) -> "CostModel":
         """Load a model from ``path``.
 
-        Accepts either a file written by :meth:`save` (seeds + measured
-        table restored exactly) or a ``BENCH_*.json`` backend report
-        (seeded through :meth:`from_bench_report`).  A file that is
-        neither degrades to the default model with a single warning.
+        Accepts a file written by :meth:`save` (seeds + measured table
+        restored exactly).  Anything else — unreadable, not JSON, or JSON
+        of another kind — degrades to the default model with a single
+        warning.
         """
         try:
             with open(path) as handle:
@@ -343,7 +337,13 @@ class CostModel:
             return cls()
         if isinstance(data, dict) and data.get("kind") == "repro-cost-model":
             return cls._from_saved(data, os.fspath(path))
-        return cls.from_bench_report(data)
+        warnings.warn(
+            f"{os.fspath(path)!r} is not a cost-model file "
+            "(kind != 'repro-cost-model'); using the default seeds",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return cls()
 
     @classmethod
     def _from_saved(cls, data: Dict, origin: str) -> "CostModel":
@@ -380,82 +380,6 @@ class CostModel:
                 stacklevel=3,
             )
             return cls()
-
-    @classmethod
-    def from_bench_report(cls, report: Dict) -> "CostModel":
-        """Seed a model from a ``backends_json`` report (``BENCH_*.json``).
-
-        Takes the median per-nonzero scalar, vector and parallel (chunked)
-        times over every cell; bridge extraction is estimated at half the
-        vector rate (it is a single mask/gather pass).  Falls back to the
-        defaults for rates the report cannot support, and a malformed
-        report (wrong shapes, non-numeric cells) degrades to the default
-        model with a single warning instead of raising deep inside
-        routing.
-        """
-        scalar_rates: List[float] = []
-        vector_rates: List[float] = []
-        parallel_rates: List[float] = []
-        native_rates: List[float] = []
-        scipy_rates: List[float] = []
-        malformed = False
-        columns = report.values() if isinstance(report, dict) else ()
-        if not isinstance(report, dict):
-            malformed = True
-        for column in columns:
-            if not isinstance(column, dict):
-                malformed = True
-                continue
-            cells = column.get("cells", ())
-            if not isinstance(cells, (list, tuple)):
-                malformed = True
-                continue
-            for cell in cells:
-                if not isinstance(cell, dict):
-                    malformed = True
-                    continue
-                try:
-                    nnz = float(cell.get("nnz") or 0)
-                    if nnz <= 0:
-                        continue
-                    for field_name, rates in (
-                        ("scalar_seconds", scalar_rates),
-                        ("vector_seconds", vector_rates),
-                        ("parallel_seconds", parallel_rates),
-                        ("native_seconds", native_rates),
-                        ("scipy_seconds", scipy_rates),
-                    ):
-                        seconds = cell.get(field_name)
-                        if seconds:
-                            rates.append(float(seconds) / nnz)
-                except (TypeError, ValueError):
-                    malformed = True
-        if malformed:
-            warnings.warn(
-                "malformed BENCH report passed to CostModel.from_bench_report; "
-                "ignoring the unreadable cells and keeping default seeds for "
-                "any rate they would have supplied",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        model = cls()
-        if scalar_rates:
-            model = replace(model, scalar_per_nnz=median(scalar_rates))
-        if vector_rates:
-            vector = median(vector_rates)
-            model = replace(
-                model, vector_per_nnz=vector, bridge_per_nnz=vector / 2
-            )
-        if parallel_rates:
-            model = replace(model, chunked_per_nnz=median(parallel_rates))
-        if native_rates:
-            model = replace(model, native_per_nnz=median(native_rates))
-        if scipy_rates:
-            # the bench's scipy baseline times the raw scipy call; the
-            # registered converters additionally marshal tensors across
-            # the library boundary, worth roughly 3x on bulk streams
-            model = replace(model, external_per_nnz=median(scipy_rates) * 3)
-        return model
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +447,7 @@ class Hop:
 
     ``cost`` is the estimated seconds of this hop at the route's planning
     size, ``provenance`` whether the estimate came from the cost model's
-    bench seeds (``"seeded"``) or from this host's own measured hop
+    constant seeds (``"seeded"``) or from this host's own measured hop
     timings (``"measured"``).  ``converter`` names the registered
     converter that won the hop when ``kind`` is ``"external"`` — the
     plan schema pins it, so replays run the same implementation.
@@ -580,8 +504,8 @@ class ConversionRoute:
         """True when executing this route is preferable to the plain
         direct conversion: a multi-hop path, a direct bridge extraction,
         or a direct registered converter that beat the generated kernel.
-        This is *the* engage-routing predicate — the engine, the CLI
-        display and the bench all consult it."""
+        This is *the* engage-routing predicate — the engine and the CLI
+        display both consult it."""
         return not self.is_direct or self.hops[0].kind in (
             "bridge", "external"
         )

@@ -22,8 +22,7 @@ Two source formats are supported, sniffed by :func:`open_stream`:
 * The **binary wire format** (``REPROCOO1``): a fixed header followed by
   columnar little-endian ``int64`` coordinate sections and a ``float64``
   value section.  This is the fast path — chunked reads are plain
-  ``np.fromfile`` slices — and the format the bench fixture generator
-  and :func:`write_stream` produce.
+  ``np.fromfile`` slices — and the format :func:`write_stream` produces.
 
 Every malformed input — bad header, truncated payload (mid-chunk EOF),
 an entry count disagreeing with the header — raises :class:`StreamError`

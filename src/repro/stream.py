@@ -78,7 +78,7 @@ class StreamResult:
     against.  ``peak_rss_bytes`` is the process-lifetime high-water
     mark, so it includes whatever ran before the conversion; benchmarks
     wanting a clean number run the conversion in a fresh process
-    (:mod:`repro.bench.stream` does).
+    (``benchmarks/harness`` does).
     """
 
     out_dir: str

@@ -1,30 +1,18 @@
-"""Tests for the benchmark harness itself (inclusion rules, rendering)."""
+"""Tests for the paper-table drivers (inclusion rules, rendering)."""
 
 from repro.baselines import scipy_ref
 from repro.bench import (
-    BACKEND_COLUMNS,
-    COLUMNS,
     applicable,
-    backends_json,
-    check_auto,
-    compare_backend_reports,
     format_table,
     geomean,
     render_ablations,
-    render_backends,
     render_table2,
     render_table3,
-    run_backends,
     run_table2,
     time_call,
 )
 from repro.bench.ablations import AblationResult
-from repro.bench.table3 import (
-    BackendCellResult,
-    CellResult,
-    _baselines,
-    _ours,
-)
+from repro.bench.table3 import CellResult, _baselines, _ours
 from repro.matrices.suite import get_matrix, suite
 
 
@@ -87,175 +75,12 @@ def test_symmetric_csc_casts_to_csr():
     assert set(impls) == expected
 
 
-def test_run_backends_reports_speedup():
-    matrices = [get_matrix("jnlbrng1", scale=0.1)]
-    results = run_backends(matrices, columns=["coo_csr"], repeats=1)
-    (cell,) = results["coo_csr"]
-    assert cell.scalar_seconds > 0 and cell.vector_seconds > 0
-    assert cell.speedup == cell.scalar_seconds / cell.vector_seconds
-    text = render_backends(results)
-    assert "speedup" in text and "jnlbrng1_s" in text
-    report = backends_json(results)
-    assert report["coo_csr"]["cells"][0]["matrix"] == "jnlbrng1_s"
-    assert report["coo_csr"]["geomean_speedup"] > 0
-
-
-def test_backend_columns_include_per_level_pairs():
-    assert set(COLUMNS) < set(BACKEND_COLUMNS)
-    assert {"bcsr_csr", "dcsr_csr"} <= set(BACKEND_COLUMNS)
-    entry = get_matrix("jnlbrng1", scale=0.1)
-    # backend-only pairs execute (and have no Table 3 baselines)
-    for column in ("bcsr_csr", "dcsr_csr"):
-        _ours(column, entry, backend="vector")()
-        assert _baselines(column, entry) == {}
-
-
 def test_extra_backend_pairs_resolve_to_vector():
     from repro.convert import resolve_backend
     from repro.bench.table3 import _FORMATS
 
     assert resolve_backend(_FORMATS["bcsr"], _FORMATS["csr"]) == "vector"
     assert resolve_backend(_FORMATS["dcsr"], _FORMATS["csr"]) == "vector"
-
-
-def test_run_backends_parallel_column():
-    """``workers=N`` adds the chunked-executor column for chunkable pairs
-    and leaves it empty for routed/scalar-only ones."""
-    matrices = [get_matrix("jnlbrng1", scale=0.1)]
-    results = run_backends(
-        matrices, columns=["coo_csr", "hash_csr"], repeats=1, workers=2
-    )
-    (coo_cell,) = results["coo_csr"]
-    assert coo_cell.parallel_seconds and coo_cell.parallel_seconds > 0
-    assert coo_cell.parallel_speedup == (
-        coo_cell.vector_seconds / coo_cell.parallel_seconds
-    )
-    (hash_cell,) = results["hash_csr"]
-    assert hash_cell.parallel_seconds is None  # no chunked form for HASH
-    text = render_backends(results)
-    assert "parallel (ms)" in text
-    report = backends_json(results)
-    assert report["coo_csr"]["cells"][0]["parallel_seconds"] > 0
-    # without workers the column stays out of the rendering
-    plain = run_backends(matrices, columns=["coo_csr"], repeats=1)
-    assert "parallel (ms)" not in render_backends(plain)
-
-
-def test_run_backends_times_auto_cell():
-    matrices = [get_matrix("jnlbrng1", scale=0.1)]
-    results = run_backends(matrices, columns=["coo_csr"], repeats=1)
-    (cell,) = results["coo_csr"]
-    assert cell.auto_seconds and cell.auto_seconds > 0
-    assert cell.auto_impl  # names the implementation the engine picked
-    assert cell.best_impl in cell.fixed_cells
-    assert cell.best_seconds == min(cell.fixed_cells.values())
-    assert cell.auto_ratio == cell.auto_seconds / cell.best_seconds
-    text = render_backends(results)
-    assert "auto (ms)" in text and "best" in text
-    report = backends_json(results)
-    recorded = report["coo_csr"]["cells"][0]
-    assert recorded["auto_seconds"] > 0
-    assert recorded["auto_impl"] == cell.auto_impl
-    assert recorded["best_impl"] == cell.best_impl
-    assert recorded["best_seconds"] == cell.best_seconds
-
-
-def test_check_auto_flags_slow_auto_cells():
-    fast = BackendCellResult("m", 100, 0.5, 0.010, None,
-                             auto_seconds=0.0105, auto_impl="vector")
-    slow = BackendCellResult("m", 100, 0.5, 0.010, None,
-                             auto_seconds=0.020, auto_impl="vector")
-    assert check_auto({"coo_csr": [fast]}) == []
-    problems = check_auto({"coo_csr": [slow]})
-    assert len(problems) == 1
-    assert "coo_csr/m" in problems[0] and "2.00x" in problems[0]
-    # sub-noise-floor cells never gate; cells without an auto time either
-    assert check_auto({"coo_csr": [slow]}, min_seconds=1.0) == []
-    bare = BackendCellResult("m", 100, 0.5, 0.010, None)
-    assert check_auto({"coo_csr": [bare]}) == []
-
-
-def _report(vector_seconds, parallel_seconds=None, auto_seconds=None):
-    return {
-        "coo_csr": {
-            "geomean_speedup": 10.0,
-            "cells": [
-                {
-                    "matrix": "jnlbrng1_s",
-                    "nnz": 100,
-                    "scalar_seconds": 0.5,
-                    "vector_seconds": vector_seconds,
-                    "speedup": 0.5 / vector_seconds,
-                    "scipy_seconds": None,
-                    "parallel_seconds": parallel_seconds,
-                    "auto_seconds": auto_seconds,
-                }
-            ],
-        }
-    }
-
-
-def test_compare_backend_reports_flags_regressions():
-    baseline = _report(0.010)
-    assert compare_backend_reports(baseline, _report(0.015), 2.0) == []
-    regressions = compare_backend_reports(baseline, _report(0.025), 2.0)
-    assert len(regressions) == 1
-    assert "coo_csr/jnlbrng1_s" in regressions[0]
-    # unmatched columns/matrices are ignored, not regressions
-    assert compare_backend_reports({}, _report(0.025), 2.0) == []
-    other = {"csr_csc": _report(0.001)["coo_csr"]}
-    assert compare_backend_reports(other, _report(0.025), 2.0) == []
-    # sub-noise-floor baselines never gate (shared-runner jitter exceeds 2x)
-    assert compare_backend_reports(_report(0.0004), _report(0.5), 2.0) == []
-    assert compare_backend_reports(_report(0.0004), _report(0.5), 2.0,
-                                   min_seconds=0.0001) != []
-
-
-def test_compare_backend_reports_tolerates_new_and_odd_columns():
-    """A current report with columns the baseline lacks — or entries that
-    are not cell tables at all (metadata, the stream report's shape) —
-    must be skipped with no KeyError; only shared columns are gated."""
-    baseline = _report(0.010)
-    current = _report(0.015)
-    # new benchmark column absent from the baseline: tolerated
-    current["stream"] = {"nnz": 20_000_000, "peak_rss_bytes": 1}
-    assert compare_backend_reports(baseline, current, 2.0) == []
-    # metadata entries present in BOTH reports (no "cells" list)
-    baseline2 = dict(baseline, generated_at="2026-08-01", stream={"v": 1})
-    current2 = dict(current, generated_at="2026-08-08")
-    assert compare_backend_reports(baseline2, current2, 2.0) == []
-    # a baseline column predating the cell layout (scalar, not a dict)
-    baseline3 = dict(baseline, stream="unstructured")
-    assert compare_backend_reports(baseline3, current, 2.0) == []
-    # cells missing the "matrix" key are skipped, not crashes
-    broken = _report(0.025)
-    del broken["coo_csr"]["cells"][0]["matrix"]
-    assert compare_backend_reports(baseline, broken, 2.0) == []
-    # ...and shared well-formed columns still gate regressions
-    regressions = compare_backend_reports(baseline, _report(0.025), 2.0)
-    assert len(regressions) == 1
-
-
-def test_compare_backend_reports_gates_parallel_cells():
-    baseline = _report(0.010, parallel_seconds=0.005)
-    ok = _report(0.010, parallel_seconds=0.006)
-    assert compare_backend_reports(baseline, ok, 2.0) == []
-    bad = _report(0.010, parallel_seconds=0.050)
-    regressions = compare_backend_reports(baseline, bad, 2.0)
-    assert len(regressions) == 1 and "parallel" in regressions[0]
-    # reports without the parallel column (older baselines) never gate it
-    assert compare_backend_reports(_report(0.010), bad, 2.0) == []
-
-
-def test_compare_backend_reports_gates_auto_cells():
-    baseline = _report(0.010, auto_seconds=0.010)
-    ok = _report(0.010, auto_seconds=0.012)
-    assert compare_backend_reports(baseline, ok, 2.0) == []
-    bad = _report(0.010, auto_seconds=0.050)
-    regressions = compare_backend_reports(baseline, bad, 2.0)
-    assert len(regressions) == 1 and "auto" in regressions[0]
-    # schema-1 reports without the auto cell (older baselines) never gate it
-    assert compare_backend_reports(_report(0.010), bad, 2.0) == []
 
 
 def test_render_table3_includes_geomean():
@@ -276,46 +101,3 @@ def test_render_ablations():
         {"A1": [AblationResult("m", 0.01, 2.0), AblationResult("n", 0.01, 8.0)]}
     )
     assert "4.00" in text
-
-
-def test_run_backends_routed_hash_column():
-    matrices = [get_matrix("jnlbrng1", scale=0.1)]
-    results = run_backends(matrices, columns=["hash_csr"], repeats=1)
-    (cell,) = results["hash_csr"]
-    # the fast cell is the engine's multi-hop route, and says so
-    assert cell.route == "HASH -> COO -> CSR"
-    assert cell.scalar_seconds > 0 and cell.vector_seconds > 0
-    text = render_backends(results)
-    assert "HASH -> COO -> CSR" in text
-    report = backends_json(results)
-    assert report["hash_csr"]["cells"][0]["route"] == "HASH -> COO -> CSR"
-    # direct vector cells stay unrouted
-    direct = run_backends(matrices, columns=["coo_csr"], repeats=1)
-    assert direct["coo_csr"][0].route is None
-
-
-def test_run_cache_warm_vs_cold(tmp_path):
-    from repro.bench import cache_json, check_warm, render_cache, run_cache
-
-    results = run_cache(["coo_csr"], cache_dir=str(tmp_path / "kernels"))
-    (cell,) = results
-    assert cell.pair == "coo_csr"
-    assert cell.cold_seconds > 0 and cell.warm_seconds > 0
-    assert cell.warm_compiles == 0
-    assert cell.warm_disk_hits > 0
-    assert check_warm(results) == []
-    text = render_cache(results)
-    assert "coo_csr" in text and "warm" in text
-    report = cache_json(results)
-    assert report["coo_csr"]["warm_compiles"] == 0
-
-
-def test_check_warm_flags_violations():
-    from repro.bench import check_warm
-    from repro.bench.cache import CacheCellResult
-
-    dirty = CacheCellResult("coo_csr", 1.0, 0.5, warm_compiles=2,
-                            warm_disk_hits=0)
-    problems = check_warm([dirty])
-    assert len(problems) == 2
-    assert "compiled" in problems[0] and "disk" in problems[1]

@@ -277,17 +277,6 @@ def test_cost_model_knows_the_parallel_path():
     assert model.cost("chunked", 10**6) < model.cost("vector", 10**6)
     assert model.cost("vector", 10**6, workers=4) == model.cost("chunked", 10**6)
     assert model.cost("vector", 10**6, workers=1) > model.cost("chunked", 10**6)
-    report = {
-        "coo_csr": {
-            "geomean_speedup": 2.0,
-            "cells": [{
-                "matrix": "m", "nnz": 10**6, "scalar_seconds": 1.0,
-                "vector_seconds": 0.05, "parallel_seconds": 0.02,
-            }],
-        }
-    }
-    seeded = CostModel.from_bench_report(report)
-    assert seeded.chunked_per_nnz == pytest.approx(0.02 / 10**6)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Adaptive cost model: measured hop timings, provenance, persistence,
-route re-planning, and robustness against malformed BENCH reports."""
+route re-planning, and robustness against malformed model files."""
 
 import json
 import random
-import warnings
 
 import pytest
 
@@ -195,7 +194,8 @@ def test_engine_save_cost_model_and_path_constructor(tmp_path):
     assert warm.cost_model.observation_count("vector") >= 3
 
 
-def test_load_accepts_bench_report(tmp_path):
+def test_load_rejects_bench_report_with_single_warning(tmp_path):
+    """``load`` reads one format; a bench-shaped JSON is not it."""
     report = {
         "coo_csr": {
             "cells": [
@@ -203,11 +203,12 @@ def test_load_accepts_bench_report(tmp_path):
             ]
         }
     }
-    path = tmp_path / "BENCH_x.json"
+    path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
-    model = CostModel.load(path)
-    assert model.scalar_per_nnz == pytest.approx(1e-6)
-    assert model.vector_per_nnz == pytest.approx(5e-8)
+    with pytest.warns(RuntimeWarning, match="not a cost-model file") as caught:
+        model = CostModel.load(path)
+    assert len(caught) == 1
+    assert model == CostModel()
 
 
 def test_load_missing_or_unparsable_file_degrades_with_warning(tmp_path):
@@ -230,55 +231,6 @@ def test_load_malformed_saved_model_degrades_with_warning(tmp_path):
     with pytest.warns(RuntimeWarning, match="malformed cost-model"):
         model = CostModel.load(path)
     assert model.scalar_per_nnz == CostModel().scalar_per_nnz
-
-
-# ----------------------------------------------------------------------
-# from_bench_report robustness (a bad report must degrade, not raise)
-
-
-def test_from_bench_report_empty_and_missing_columns_keep_defaults():
-    defaults = CostModel()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # well-formed: no warning at all
-        assert CostModel.from_bench_report({}).scalar_per_nnz == defaults.scalar_per_nnz
-        sparse = CostModel.from_bench_report(
-            {"coo_csr": {"cells": [{"nnz": 100}]}}  # no timing columns
-        )
-    assert sparse.vector_per_nnz == defaults.vector_per_nnz
-
-
-@pytest.mark.parametrize(
-    "report",
-    [
-        "not a dict at all",
-        {"coo_csr": "not a column"},
-        {"coo_csr": {"cells": "not a list"}},
-        {"coo_csr": {"cells": ["not a cell"]}},
-        {"coo_csr": {"cells": [{"nnz": "three", "scalar_seconds": 1e-3}]}},
-        {"coo_csr": {"cells": [{"nnz": 100, "scalar_seconds": "fast"}]}},
-    ],
-    ids=["not-dict", "bad-column", "bad-cells", "bad-cell", "bad-nnz",
-         "bad-seconds"],
-)
-def test_from_bench_report_malformed_degrades_with_single_warning(report):
-    with pytest.warns(RuntimeWarning, match="malformed BENCH report") as caught:
-        model = CostModel.from_bench_report(report)
-    assert len(caught) == 1
-    assert model.scalar_per_nnz == CostModel().scalar_per_nnz
-
-
-def test_from_bench_report_salvages_good_cells_next_to_bad_ones():
-    report = {
-        "coo_csr": {
-            "cells": [
-                "garbage",
-                {"nnz": 1000, "scalar_seconds": 2e-3},
-            ]
-        }
-    }
-    with pytest.warns(RuntimeWarning):
-        model = CostModel.from_bench_report(report)
-    assert model.scalar_per_nnz == pytest.approx(2e-6)
 
 
 def test_sub_overhead_observations_are_discarded():

@@ -298,19 +298,6 @@ def test_cost_model_native_seed_roundtrips(tmp_path):
     assert loaded.cost_detail("native", 10_000)[1] == "seeded"
 
 
-def test_cost_model_seeds_native_from_bench_report():
-    report = {
-        "coo_csr": {
-            "cells": [
-                {"nnz": 1_000_000, "native_seconds": 0.004,
-                 "scalar_seconds": 1.5, "vector_seconds": 0.04},
-            ]
-        }
-    }
-    model = CostModel.from_bench_report(report)
-    assert model.native_per_nnz == pytest.approx(4e-9)
-
-
 @needs_cc
 def test_auto_routing_gates_native_on_measured_observations(engine):
     nnz = 2_000_000

@@ -144,23 +144,6 @@ def test_check_route_rejects_broken_chains():
 # cost model
 
 
-def test_cost_model_from_bench_report():
-    report = {
-        "coo_csr": {
-            "cells": [
-                {"nnz": 1000, "scalar_seconds": 1e-3, "vector_seconds": 5e-5},
-                {"nnz": 2000, "scalar_seconds": 2e-3, "vector_seconds": 1e-4},
-            ]
-        }
-    }
-    model = CostModel.from_bench_report(report)
-    assert model.scalar_per_nnz == pytest.approx(1e-6)
-    assert model.vector_per_nnz == pytest.approx(5e-8)
-    assert model.bridge_per_nnz == pytest.approx(2.5e-8)
-    # degenerate report: defaults survive
-    assert CostModel.from_bench_report({}).scalar_per_nnz == CostModel().scalar_per_nnz
-
-
 def test_cost_model_orders_backends():
     model = CostModel()
     nnz = DEFAULT_ROUTE_NNZ

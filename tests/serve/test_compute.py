@@ -94,7 +94,10 @@ def test_different_operands_do_not_coalesce():
             service.submit_compute(tensor, "spmv", "CSR", x=_x(seed=6)),
             service.submit_compute(tensor, "spmv", "CSR", x=_x(seed=7)),
         )
-        assert sorted([a.status, b.status]) == ["computed", "computed"]
+        # the slower request may resume from the CSR the faster one just
+        # cached ("prefix"); what it must never do is share its answer
+        assert {a.status, b.status} <= {"computed", "prefix"}
+        assert engine.cache_stats()["compute_runs"] == 2
         assert not np.allclose(a.result, b.result)
 
     _run(_with_service(body))

@@ -197,3 +197,10 @@ def test_plan_load_rejects_conflicting_arguments(tmp_path, capsys):
         main(["plan", "--load", path, "--nnz", "5000000"])
     with pytest.raises(SystemExit, match="cannot be combined"):
         main(["plan", "--load", path, "--backend", "vector"])
+
+
+def test_top_level_exports():
+    import repro
+
+    assert {"StreamResult", "convert_file", "load_result"} <= set(repro.__all__)
+    assert all(hasattr(repro, name) for name in repro.__all__)
