@@ -11,7 +11,7 @@ Usage::
     python -m repro plan --load plan.json       # replay a saved plan
     python -m repro convert in.mtx --to DIA     # convert a Matrix Market file
     python -m repro convert in.mtx --to CSR --parallel 8   # chunked executor
-    python -m repro convert in.mtx --to CSR --cache-dir .kernels  # warm starts
+    python -m repro convert in.mtx --to CSR --backend native --cache-dir .kernels
     python -m repro convert-file big.mtx --to CSR --out big_csr/  # out-of-core
     python -m repro route HASH CSR --explain    # show the conversion route
     python -m repro stats in.mtx                # attribute-query statistics
@@ -35,11 +35,12 @@ from .convert import (
     ConversionPlan,
     default_engine,
     generated_source,
+    sample_features,
 )
 from .convert.context import PlanError
 from .convert.verify import verify_conversion
 from .formats import UnknownFormatError, available_formats, get_format
-from .io import read_tensor
+from .io import MatrixMarketError, read_tensor
 from .query import evaluate_query, parse_queries
 from .remap import apply_remap, parse_remap
 
@@ -104,90 +105,124 @@ def _parallel_arg(spec: str):
     return workers
 
 
-def _cmd_plan(args) -> None:
-    engine = (
-        ConversionEngine(cache_dir=args.cache_dir)
-        if args.cache_dir
-        else default_engine()
-    )
+def _engine_arg(args) -> ConversionEngine:
+    """The engine a verb runs on: one persisting native kernels under
+    ``--cache-dir`` when given, the process default otherwise."""
+    if args.cache_dir:
+        return ConversionEngine(cache_dir=args.cache_dir)
+    return default_engine()
+
+
+def _read_input(path: str, fmt=None):
+    """Read a Matrix Market input file into a tensor, turning a missing
+    or malformed file into a one-line exit."""
+    try:
+        return read_tensor(path, fmt)
+    except (OSError, MatrixMarketError) as exc:
+        raise SystemExit(f"cannot read input: {exc}") from exc
+
+
+def _resolve_plan(args, plan_type, engine, pinned: str, build, explain):
+    """The plan a ``plan`` / ``compute`` invocation works on: loaded from
+    ``--load FILE`` (replayed as-is, so ``pinned`` — the planning
+    arguments, when any was given — is an error) or built by ``build()``;
+    then saved (``--save FILE``) and printed (``--json`` or the
+    ``explain(plan)`` transcript)."""
     if args.load:
-        if args.src or args.dst or args.nnz is not None or args.backend:
+        if pinned:
             raise SystemExit(
                 "--load replays the stored plan as-is; it cannot be "
-                "combined with SRC/DST, --nnz or --backend"
+                f"combined with {pinned}"
             )
         try:
             with open(args.load) as handle:
-                plan = ConversionPlan.from_json(handle.read(), engine=engine)
+                plan = plan_type.from_json(handle.read(), engine=engine)
         except (OSError, PlanError) as exc:
             raise SystemExit(f"cannot load plan: {exc}") from exc
     else:
-        if not (args.src and args.dst):
-            raise SystemExit("plan needs SRC and DST (or --load FILE)")
-        plan = engine.plan(
-            _format_arg(args.src),
-            _format_arg(args.dst),
-            nnz=args.nnz,
-            backend=args.backend,
-        )
+        try:
+            plan = build()
+        except (ValueError, PlanError) as exc:
+            raise SystemExit(str(exc)) from exc
     if args.save:
         with open(args.save, "w") as handle:
             handle.write(plan.to_json(indent=2) + "\n")
         print(f"wrote {args.save}")
-    if args.json:
-        print(plan.to_json(indent=2))
-    else:
-        print(plan.explain())
+    print(plan.to_json(indent=2) if args.json else explain(plan))
+    return plan
+
+
+def _print_sources(plan: ConversionPlan) -> None:
+    """What each hop of ``plan`` executes: the generated source, or a
+    note for hops that are library calls rather than generated code."""
+    for hop, source in zip(plan.hops, plan.sources()):
+        if source is not None:
+            print("\n" + source)
+        elif hop.kind == "external":
+            print(f"\n# {hop}: registered converter "
+                  f"{hop.converter!r}, no generated source")
+        else:
+            print(f"\n# {hop}: bulk extraction, no generated source")
+
+
+def _print_levels(tensor) -> None:
+    for (k, name), array in sorted(tensor.arrays.items()):
+        print(f"  B{k + 1}_{name}: {len(array)} entries")
+    for (k, name), value in sorted(tensor.metadata.items()):
+        print(f"  B{k + 1}_{name} = {value}")
+
+
+def _cmd_plan(args) -> None:
+    engine = _engine_arg(args)
+
+    def build():
+        if not (args.src and args.dst):
+            raise SystemExit("plan needs SRC and DST (or --load FILE)")
+        return engine.plan(
+            _format_arg(args.src), _format_arg(args.dst),
+            nnz=args.nnz, backend=args.backend,
+        )
+
+    pinned = args.src or args.dst or args.nnz is not None or args.backend
+    plan = _resolve_plan(
+        args, ConversionPlan, engine,
+        "SRC/DST, --nnz or --backend" if pinned else "",
+        build, ConversionPlan.explain,
+    )
     if args.show_code:
-        for hop, source in zip(plan.hops, plan.sources()):
-            if source is not None:
-                print("\n" + source)
-            elif hop.kind == "external":
-                print(f"\n# {hop}: registered converter "
-                      f"{hop.converter!r}, no generated source")
-            else:
-                print(f"\n# {hop}: bulk extraction, no generated source")
+        _print_sources(plan)
 
 
 def _cmd_convert(args) -> None:
     src_fmt = _format_arg(args.source_format)
     dst_fmt = _format_arg(args.to)
     parallel = _parallel_arg(args.parallel)
-    tensor = read_tensor(args.input, src_fmt)
-    engine = (
-        ConversionEngine(cache_dir=args.cache_dir)
-        if args.cache_dir
-        else default_engine()
-    )
-    # Routing engages only under the auto policies (mirrors engine.convert):
-    # an explicit backend request always runs the direct conversion.
-    route = None
-    if args.route in (None, "auto") and args.backend == "auto":
-        found = engine.route(src_fmt, dst_fmt, nnz=tensor.nnz_stored)
-        if found.beats_direct:
-            route = found
-    parallel_before = engine.cache_stats()["parallel_conversions"]
-    start = time.perf_counter()
+    tensor = _read_input(args.input, src_fmt)
+    engine = _engine_arg(args)
     try:
-        out = engine.convert(tensor, dst_fmt, backend=args.backend,
-                             route=args.route, parallel=parallel)
+        # one decision, made once: the plan engine.convert() would build
+        # for this tensor is the plan that runs and the plan reported
+        plan = engine.plan(
+            src_fmt, dst_fmt, backend=args.backend, route=args.route,
+            parallel=parallel, nnz=tensor.nnz_stored,
+            features=sample_features(tensor),
+        )
+        start = time.perf_counter()
+        out = plan.run(tensor)
     except (ValueError, PlanError) as exc:
         raise SystemExit(str(exc)) from exc
     elapsed = (time.perf_counter() - start) * 1e3
-    parallel_ran = engine.cache_stats()["parallel_conversions"] > parallel_before
     out.check()
     print(
         f"{args.input}: {tensor.dims[0]}x{tensor.dims[1]}, {tensor.nnz} nonzeros"
     )
-    print(f"{src_fmt.name} -> {dst_fmt.name} in {elapsed:.2f} ms (generated routine)")
-    if parallel_ran:
-        print("  chunked executor: ran chunk-parallel")
-    elif route is not None:
-        print(f"  routed: {route}")
-    for (k, name), array in sorted(out.arrays.items()):
-        print(f"  B{k + 1}_{name}: {len(array)} entries")
-    for (k, name), value in sorted(out.metadata.items()):
-        print(f"  B{k + 1}_{name} = {value}")
+    print(f"{src_fmt.name} -> {dst_fmt.name} in {elapsed:.2f} ms")
+    if plan.backend_per_hop == ("chunked",):
+        how = f"chunked executor ({plan.workers} workers)"
+    else:  # the engine's own telemetry split (ConversionPlan.routed)
+        how = "routed" if plan.routed else "direct"
+    print(f"  {how}: " + ", ".join(str(hop) for hop in plan.hops))
+    _print_levels(out)
     print(f"  B_vals: {len(out.vals)} entries ({out.nnz} nonzero)")
     if args.cache_dir:
         stats = engine.cache_stats()
@@ -198,26 +233,7 @@ def _cmd_convert(args) -> None:
             f"{stats['compiles']} compile(s)"
         )
     if args.show_code:
-        if parallel_ran:
-            print("\n" + engine.make_chunked(src_fmt, dst_fmt).source)
-        elif route is not None:
-            # show what actually ran: the generated source of every
-            # codegen hop (bridges and registered converters are library
-            # calls, not generated code)
-            for hop in route.hops:
-                if hop.kind == "bridge":
-                    print(f"\n# {hop}: bulk extraction, no generated source")
-                elif hop.kind == "external":
-                    print(f"\n# {hop}: registered converter "
-                          f"{hop.converter!r}, no generated source")
-                else:
-                    print("\n" + engine.make_converter(
-                        hop.src, hop.dst, backend=hop.kind
-                    ).source)
-        else:
-            print("\n" + engine.make_converter(
-                src_fmt, dst_fmt, backend=args.backend
-            ).source)
+        _print_sources(plan)
 
 
 def _cmd_convert_file(args) -> None:
@@ -249,10 +265,7 @@ def _cmd_convert_file(args) -> None:
     )
     if args.show:
         tensor = result.load()
-        for (k, name), array in sorted(tensor.arrays.items()):
-            print(f"  B{k + 1}_{name}: {len(array)} entries")
-        for (k, name), value in sorted(tensor.metadata.items()):
-            print(f"  B{k + 1}_{name} = {value}")
+        _print_levels(tensor)
         print(f"  B_vals: {len(tensor.vals)} entries")
 
 
@@ -275,7 +288,7 @@ def _cmd_route(args) -> None:
 
 
 def _cmd_stats(args) -> None:
-    tensor = read_tensor(args.input)
+    tensor = _read_input(args.input)
     dims, coords = tensor.dims, list(tensor.to_coo())
     per_row = evaluate_query(
         parse_queries("select [i] -> count(j) as n", dim_names=["i", "j"])[0],
@@ -312,50 +325,32 @@ def _cmd_compute(args) -> None:
 
     from .compute.plan import ComputePlan
 
-    engine = (
-        ConversionEngine(cache_dir=args.cache_dir)
-        if args.cache_dir
-        else default_engine()
-    )
-    if args.load:
-        if args.op or args.src or args.to or args.nnz is not None:
-            raise SystemExit(
-                "--load replays the stored pipeline as-is; it cannot be "
-                "combined with OP/SRC, --to or --nnz"
-            )
-        try:
-            with open(args.load) as handle:
-                plan = ComputePlan.from_json(handle.read(), engine=engine)
-        except (OSError, PlanError) as exc:
-            raise SystemExit(f"cannot load compute plan: {exc}") from exc
-    else:
+    engine = _engine_arg(args)
+
+    def build():
         if not (args.op and args.src):
             raise SystemExit("compute needs OP and SRC (or --load FILE)")
-        try:
-            plan = engine.plan_compute(
-                _format_arg(args.src),
-                args.op,
-                _format_arg(args.to) if args.to else None,
-                fuse=args.fuse,
-                backend=args.backend,
-                nnz=args.nnz,
-            )
-        except (ValueError, PlanError) as exc:
-            raise SystemExit(str(exc)) from exc
-    if args.save:
-        with open(args.save, "w") as handle:
-            handle.write(plan.to_json(indent=2) + "\n")
-        print(f"wrote {args.save}")
-    if args.json:
-        print(plan.to_json(indent=2))
-    else:
-        print(plan.explain(engine.cost_model))
+        return engine.plan_compute(
+            _format_arg(args.src),
+            args.op,
+            _format_arg(args.to) if args.to else None,
+            fuse=args.fuse,
+            backend=args.backend,
+            nnz=args.nnz,
+        )
+
+    pinned = args.op or args.src or args.to or args.nnz is not None
+    plan = _resolve_plan(
+        args, ComputePlan, engine,
+        "OP/SRC, --to or --nnz" if pinned else "",
+        build, lambda plan: plan.explain(engine.cost_model),
+    )
     if args.show_code:
         for label, source in plan.sources().items():
             print(f"\n# {label}")
             print(source)
     if args.input:
-        tensor = read_tensor(args.input, plan.src)
+        tensor = _read_input(args.input, plan.src)
         x = None
         if plan.op.name == "spmv":
             rng = np.random.default_rng(args.seed)
@@ -504,6 +499,26 @@ def _cmd_serve_bench(args) -> None:
           "response bit-identical to direct convert()")
 
 
+def _add_plan_flags(parser) -> None:
+    """The load / save / print flags the ``plan`` and ``compute`` verbs
+    share (consumed by :func:`_resolve_plan`)."""
+    parser.add_argument("--json", action="store_true",
+                        help="print the plan as JSON instead of the transcript")
+    parser.add_argument("--save", metavar="FILE", default=None,
+                        help="write the plan JSON to FILE")
+    parser.add_argument("--load", metavar="FILE", default=None,
+                        help="load the plan from FILE instead of planning it")
+    parser.add_argument("--nnz", type=int, default=None,
+                        help="stored-component count the plan is costed at "
+                             "(default: bulk sizes)")
+    parser.add_argument("--show-code", action="store_true",
+                        help="also print the generated source of every hop")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="persistent kernel cache directory the plan's "
+                             "engine builds native kernels into / binds "
+                             "them from")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -524,23 +539,10 @@ def main(argv=None) -> None:
     )
     plan.add_argument("src", nargs="?", default=None)
     plan.add_argument("dst", nargs="?", default=None)
-    plan.add_argument("--json", action="store_true",
-                      help="print the plan as JSON instead of the transcript")
-    plan.add_argument("--save", metavar="FILE", default=None,
-                      help="write the plan JSON to FILE")
-    plan.add_argument("--load", metavar="FILE", default=None,
-                      help="load a plan from FILE instead of planning SRC DST")
-    plan.add_argument("--nnz", type=int, default=None,
-                      help="stored-component count the plan is costed at "
-                           "(default: bulk sizes)")
     plan.add_argument("--backend",
                       choices=["auto", "scalar", "vector", "native"],
                       default=None, help="lowering backend policy")
-    plan.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="persistent kernel cache directory the plan's "
-                           "engine compiles into / loads from")
-    plan.add_argument("--show-code", action="store_true",
-                      help="also print the generated source of every hop")
+    _add_plan_flags(plan)
 
     convert = sub.add_parser("convert", help="convert a Matrix Market file")
     convert.add_argument("input")
@@ -559,9 +561,9 @@ def main(argv=None) -> None:
                          help="chunked executor: 'auto' (size threshold), "
                               "'off', or a worker count (default: auto)")
     convert.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persistent kernel cache: compiled kernels are "
-                              "written here and loaded on the next run, so "
-                              "warm starts compile nothing")
+                         help="persistent kernel cache: native (compiled C) "
+                              "kernels are written here and bound on the "
+                              "next run, so warm starts invoke no compiler")
 
     convert_file = sub.add_parser(
         "convert-file",
@@ -622,17 +624,7 @@ def main(argv=None) -> None:
     compute.add_argument("--backend",
                          choices=["auto", "scalar", "vector", "native"],
                          default=None, help="compute-kernel lowering backend")
-    compute.add_argument("--nnz", type=int, default=None,
-                         help="stored-component count the pipeline is "
-                              "costed at (default: bulk sizes)")
-    compute.add_argument("--json", action="store_true",
-                         help="print the plan as JSON instead of the "
-                              "transcript")
-    compute.add_argument("--save", metavar="FILE", default=None,
-                         help="write the compute-plan JSON to FILE")
-    compute.add_argument("--load", metavar="FILE", default=None,
-                         help="load a compute plan from FILE instead of "
-                              "planning OP SRC")
+    _add_plan_flags(compute)
     compute.add_argument("--input", metavar="MTX", default=None,
                          help="also run the pipeline on a Matrix Market "
                               "file (spmv uses a seeded random operand)")
@@ -640,10 +632,6 @@ def main(argv=None) -> None:
                          help="scalar for the 'scale' op")
     compute.add_argument("--seed", type=int, default=0,
                          help="seed for the spmv operand vector")
-    compute.add_argument("--show-code", action="store_true",
-                         help="also print the generated source of every hop")
-    compute.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persistent kernel cache directory")
 
     serve_bench = sub.add_parser(
         "serve-bench",

@@ -40,18 +40,18 @@ lives in the engine's kernel key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..convert.context import ConversionContext, PlanError
+from ..convert.engine import CompiledConversion
 from ..convert.iterate import SourceLoopEmitter
 from ..convert.planner import (
     ConversionPlanner,
     GeneratedConversion,
     PlanOptions,
     _sanitize,
-    structural_key,
 )
 from ..formats.format import Format
 from ..ir import builder as b
@@ -525,54 +525,26 @@ def fusable(
 
 
 @dataclass
-class CompiledCompute:
-    """A ready-to-run compute kernel for one (format, op) pair."""
+class CompiledCompute(CompiledConversion):
+    """A ready-to-run compute kernel for one (format, op) pair: a
+    :class:`~repro.convert.engine.CompiledConversion` whose routine also
+    takes the op's dense operand."""
 
-    generated: GeneratedConversion
-    func: Callable
     op: ComputeOp
 
-    @property
-    def source(self) -> str:
-        return self.generated.source
-
-    @property
-    def backend(self) -> str:
-        return self.generated.backend
-
-    @property
-    def src_format(self) -> Format:
-        return self.generated.src_format
-
-    @property
-    def dst_format(self) -> Format:
-        return self.generated.dst_format
-
-    # ------------------------------------------------------------------
     def arguments(
         self, tensor: Tensor, x=None, alpha: Optional[float] = None
     ) -> List:
         """Marshal the tensor and operand into kernel arguments."""
-        args = []
-        for side, k, name in self.generated.params:
-            if (side, k, name) == _X_PARAM:
-                args.append(x)
-            elif (side, k, name) == _ALPHA_PARAM:
-                args.append(alpha)
-            elif side == "src_array":
-                args.append(tensor.vals if k == -1 else tensor.array(k, name))
-            elif side == "src_meta":
-                args.append(tensor.meta(k, name))
-            else:  # dimension size
-                args.append(tensor.dims[k])
-        return args
+        operands = {_X_PARAM: x, _ALPHA_PARAM: alpha}
+        return [
+            operands[param] if param in operands
+            else self._argument(tensor, *param)
+            for param in self.generated.params
+        ]
 
     def _check_operands(self, tensor: Tensor, x, alpha):
-        if structural_key(tensor.format) != structural_key(self.src_format):
-            raise ValueError(
-                f"compute kernel expects {self.src_format.name}, "
-                f"got {tensor.format.name}"
-            )
+        self._check_source(tensor)
         if self.op.operand == "vector":
             if x is None:
                 raise ValueError(f"op {self.op.name!r} needs an operand vector x")
@@ -587,23 +559,6 @@ class CompiledCompute:
                 raise ValueError(f"op {self.op.name!r} needs a scalar alpha")
             alpha = float(alpha)
         return x, alpha
-
-    def _build_tensor(self, tensor: Tensor, results) -> Tensor:
-        if not isinstance(results, tuple):
-            results = (results,)
-        arrays = {}
-        meta = {}
-        vals = None
-        for (side, k, name), value in zip(self.generated.outputs, results):
-            if side == "dst_array" and k == -1:
-                vals = value
-            elif side == "dst_array":
-                arrays[(k, name)] = value
-            else:
-                meta[(k, name)] = int(value)
-        if vals is None:
-            raise RuntimeError("generated routine returned no values array")
-        return Tensor(self.dst_format, tensor.dims, arrays, meta, vals)
 
     def __call__(
         self,
@@ -623,4 +578,4 @@ class CompiledCompute:
         if self.op.produces == "dense":
             out = results if not isinstance(results, tuple) else results[0]
             return np.asarray(out, dtype=np.float64)
-        return self._build_tensor(tensor, results)
+        return self._build_result(tensor, results)

@@ -25,18 +25,21 @@ than this reader" instead of silently running the hops without the op.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..convert.context import PlanError
 from ..convert.features import StructuralFeatures
 from ..convert.plan import (
     _PLAN_HOP_KINDS,
-    format_record,
-    resolve_format_record,
+    ConversionPlan,
+    _hop_cost_kind,
+    check_plan_header,
+    parse_plan_json,
+    plan_document,
+    read_plan_fields,
 )
-from ..convert.planner import PlanOptions, structural_key
+from ..convert.planner import PlanOptions
 from ..convert.router import Hop
 from ..formats.format import Format
 from .ops import ComputeOp, ComputeOpError, get_op
@@ -108,8 +111,6 @@ class ComputePlan:
     # -- inspection ------------------------------------------------------
     def estimated_cost(self, model) -> float:
         """Estimated seconds under ``model`` at the plan's ``nnz``."""
-        from ..convert.plan import _hop_cost_kind
-
         total = 0.0
         for hop in self.conversion_hops:
             total += model.cost(
@@ -172,12 +173,8 @@ class ComputePlan:
         return out
 
     # -- execution -------------------------------------------------------
-    def _engine(self):
-        if self.engine is not None:
-            return self.engine
-        from ..convert.engine import default_engine
-
-        return default_engine()
+    #: the bound engine, else the process default at call time
+    _engine = ConversionPlan._engine
 
     def run(self, tensor, x=None, alpha=None, workers: Optional[int] = None):
         """Execute the pipeline on ``tensor``; returns the op's result."""
@@ -187,53 +184,25 @@ class ComputePlan:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:
-        """JSON snapshot (schema :data:`COMPUTE_PLAN_SCHEMA`)."""
-        hops = []
-        for hop in self.hops:
-            record = {
-                "src": format_record(hop.src),
-                "dst": format_record(hop.dst),
-                "kind": hop.kind,
-            }
-            if hop.converter is not None:
-                record["converter"] = hop.converter
-            hops.append(record)
-        data = {
-            "schema": COMPUTE_PLAN_SCHEMA,
-            "kind": "repro-compute-plan",
-            "op": self.op.name,
-            "backend": self.backend,
-            "fuse": self.fuse,
-            "hops": hops,
-            "options": self.options.to_dict(),
-            "workers": self.workers,
-            "nnz": self.nnz,
-            "routed": self.routed,
-        }
-        if self.features is not None:
-            data["features"] = self.features.to_dict()
+        """JSON snapshot (schema :data:`COMPUTE_PLAN_SCHEMA`): the
+        conversion-plan document plus the op and fusion fields."""
+        data = plan_document(self, COMPUTE_PLAN_SCHEMA, "repro-compute-plan")
+        data.update(op=self.op.name, backend=self.backend, fuse=self.fuse)
         return data
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    to_json = ConversionPlan.to_json
 
     @classmethod
     def from_dict(cls, data: Dict, engine=None) -> "ComputePlan":
         """Rebuild a compute plan from :meth:`to_dict` output.
 
-        Mirrors the conversion-plan loader's verification (registry
-        lookup + structural-key check per format) and rejects newer
-        schemas loudly; conversion-plan documents (schema <= 2, no
-        ``op``) are rejected as the wrong plan family.
+        The hops and shared fields go through the conversion-plan reader
+        (:func:`~repro.convert.plan.read_plan_fields`: registry lookup +
+        structural-key check per format, chain and pinned-converter
+        checks); newer schemas are rejected loudly, and conversion-plan
+        documents (schema <= 2, no ``op``) as the wrong plan family.
         """
-        if not isinstance(data, dict) or "hops" not in data:
-            raise PlanError("not a serialized ComputePlan")
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > COMPUTE_PLAN_SCHEMA:
-            raise PlanError(
-                f"plan schema {schema!r} is newer than this reader "
-                f"(supports <= {COMPUTE_PLAN_SCHEMA}); upgrade to load it"
-            )
+        schema = check_plan_header(data, "ComputePlan", COMPUTE_PLAN_SCHEMA)
         if schema < COMPUTE_PLAN_SCHEMA or "op" not in data:
             raise PlanError(
                 f"schema {schema!r} document is a conversion plan, not a "
@@ -243,52 +212,17 @@ class ComputePlan:
             op = get_op(data["op"])
         except ComputeOpError as exc:
             raise PlanError(str(exc)) from None
-        hop_records = data["hops"]
-        if not isinstance(hop_records, list) or not hop_records:
-            raise PlanError(f"malformed compute plan hops: {hop_records!r}")
-        hops: List[Hop] = []
-        for record in hop_records:
-            if not isinstance(record, dict):
-                raise PlanError(f"malformed plan hop record: {record!r}")
-            kind = record.get("kind")
-            if kind not in _COMPUTE_HOP_KINDS:
-                raise PlanError(f"unknown compute plan hop kind {kind!r}")
-            src = resolve_format_record(record.get("src", {}))
-            dst = resolve_format_record(record.get("dst", {}))
-            hops.append(
-                Hop(src=src, dst=dst, kind=kind, converter=record.get("converter"))
-            )
-        for first, second in zip(hops, hops[1:]):
-            if structural_key(first.dst) != structural_key(second.src):
-                raise PlanError(
-                    f"plan hops do not chain: {first.dst.name} then "
-                    f"{second.src.name}"
-                )
         backend = data.get("backend", "scalar")
         if not isinstance(backend, str):
             raise PlanError(f"malformed compute plan backend: {backend!r}")
-        fuse = data.get("fuse", "materialize")
-        options = PlanOptions.from_dict(data.get("options", {}))
-        features = None
-        if isinstance(data.get("features"), dict):
-            features = StructuralFeatures.from_dict(data["features"])
         return cls(
             op=op,
-            hops=tuple(hops),
             backend=backend,
-            options=options,
-            workers=int(data.get("workers", 0)),
-            nnz=int(data.get("nnz", 0)),
-            fuse=str(fuse),
-            routed=bool(data.get("routed", False)),
-            features=features,
+            fuse=str(data.get("fuse", "materialize")),
             engine=engine,
+            **read_plan_fields(data, _COMPUTE_HOP_KINDS),
         )
 
     @classmethod
     def from_json(cls, text: str, engine=None) -> "ComputePlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise PlanError(f"not a JSON compute plan: {exc}") from None
-        return cls.from_dict(data, engine=engine)
+        return cls.from_dict(parse_plan_json(text), engine=engine)

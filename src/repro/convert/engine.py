@@ -6,8 +6,9 @@ It owns everything the old module-level functions kept in hidden globals:
 * a **thread-safe, LRU-bounded kernel cache** (generated + compiled
   routines, keyed structurally so renamed format twins share kernels) and
   a converter cache (keyed by exact format signatures), with exact
-  telemetry via :meth:`cache_stats`; with ``cache_dir`` set, kernels also
-  persist **on disk** so a warm process start compiles nothing;
+  telemetry via :meth:`cache_stats`; with ``cache_dir`` set, native
+  (compiled C) kernels also persist **on disk** so a warm process start
+  invokes no compiler;
 * **first-class plans** (:meth:`plan` → :class:`~repro.convert.plan.
   ConversionPlan`): every conversion is decided by a plan — ``convert``
   builds and runs one — and plans can be inspected, compiled ahead of
@@ -102,7 +103,7 @@ from .router import (
     rebind_endpoints,
 )
 
-#: Schema version of on-disk kernel-cache records; part of the disk key,
+#: Schema version of on-disk native-kernel records; part of the disk key,
 #: so a layout change simply stops hitting old records instead of
 #: misreading them.
 KERNEL_CACHE_SCHEMA = 1
@@ -113,7 +114,7 @@ _FINGERPRINT_LOCK = threading.Lock()
 
 def _codegen_fingerprint() -> str:
     """Digest of the installed package's Python sources, part of every
-    disk-cache key.
+    native-kernel disk key.
 
     A kernel record is only valid for the exact code generator that
     produced it; keying on the package sources means a cache directory
@@ -179,15 +180,18 @@ class CompiledConversion:
     # ------------------------------------------------------------------
     def arguments(self, tensor: Tensor) -> List:
         """Marshal a source tensor into the generated function's arguments."""
-        args = []
-        for side, k, name in self.generated.params:
-            if side == "src_array":
-                args.append(tensor.vals if k == -1 else tensor.array(k, name))
-            elif side == "src_meta":
-                args.append(tensor.meta(k, name))
-            else:  # dimension size
-                args.append(tensor.dims[k])
-        return args
+        return [
+            self._argument(tensor, side, k, name)
+            for side, k, name in self.generated.params
+        ]
+
+    @staticmethod
+    def _argument(tensor: Tensor, side: str, k: int, name: str):
+        if side == "src_array":
+            return tensor.vals if k == -1 else tensor.array(k, name)
+        if side == "src_meta":
+            return tensor.meta(k, name)
+        return tensor.dims[k]  # dimension size
 
     def _check_source(self, tensor: Tensor) -> None:
         if structural_key(tensor.format) != structural_key(self.src_format):
@@ -247,13 +251,16 @@ class ConversionEngine:
         requests get a pool of exactly that size regardless.
     cache_dir:
         Directory of the **persistent kernel cache**.  When set, every
-        compiled kernel's record (generated source + calling convention,
-        keyed by structural pair, plan options, backend and
-        :data:`KERNEL_CACHE_SCHEMA`) is written there, and kernel-cache
-        misses try a disk load *before* generating code — a warm process
-        start compiles nothing (``cache_stats()['disk_hits']``).  The
-        directory is shared safely between processes (atomic writes;
-        records are content-addressed by key).
+        native (compiled C) kernel's record (C source + calling
+        convention) and its built ``.so`` are written there, keyed by
+        structural pair, plan options, :data:`KERNEL_CACHE_SCHEMA` and
+        the codegen + compiler fingerprints, and native kernel-cache
+        misses try a disk load *before* planning or compiling — a warm
+        process start invokes no compiler
+        (``cache_stats()['native_disk_hits']``).  Python kernels are not
+        persisted: regenerating one costs about what reading it back
+        did.  The directory is shared safely between processes (atomic
+        writes; records are content-addressed by key).
     """
 
     def __init__(
@@ -509,8 +516,8 @@ class ConversionEngine:
         kernels (the compute kernels of :mod:`repro.compute`): it must
         return a :class:`GeneratedConversion`-shaped record whose source
         matches ``resolved`` (C for ``"native"``, Python otherwise).
-        The cache layers — in-memory LRU, disk records, the native
-        ``.so`` flow — are shared unchanged."""
+        The cache layers — in-memory LRU, the native ``.so`` flow and
+        its disk records — are shared unchanged."""
         while True:
             with self._lock:
                 entry = self._kernels.get(kernel_key)
@@ -533,22 +540,14 @@ class ConversionEngine:
                 continue
             try:
                 if resolved == "native":
-                    # native kernels have their own disk flow: the record
+                    # native kernels persist under cache_dir: the record
                     # carries the C source, the built .so sits beside it,
                     # and both are keyed by the compiler fingerprint
                     entry = self._native_obtain(
                         kernel_key, src_format, dst_format, options,
                         plan_fn=plan_fn,
                     )
-                    with self._lock:
-                        self._kernels[kernel_key] = entry
-                        self._kernels.move_to_end(kernel_key)
-                        while len(self._kernels) > self.capacity:
-                            self._kernels.popitem(last=False)
-                            self._stats["evictions"] += 1
-                    return entry
-                entry = self._disk_load(kernel_key, src_format, dst_format)
-                if entry is None:
+                else:
                     started = time.perf_counter()
                     if plan_fn is not None:
                         generated = plan_fn()
@@ -568,7 +567,6 @@ class ConversionEngine:
                     func = compile_source(generated.source, generated.func_name)
                     elapsed = time.perf_counter() - started
                     entry = (generated, func)
-                    self._disk_store(kernel_key, generated)
                     with self._lock:
                         self._stats["compile_seconds"] += elapsed
                         self._stats["compiles"] += 1
@@ -583,93 +581,6 @@ class ConversionEngine:
                 with self._lock:
                     self._inflight.pop(kernel_key, None)
                 event.set()
-
-    # -- the persistent (on-disk) kernel cache ---------------------------
-    def _disk_path(self, kernel_key: Tuple) -> str:
-        """Content-addressed record path for a kernel key.
-
-        The key already contains both structural format keys, the
-        codegen-affecting plan options and the resolved backend; the
-        record-schema version and the package-source fingerprint
-        (:func:`_codegen_fingerprint`) join it, so layout changes *and*
-        code-generator changes miss cleanly instead of serving kernels
-        generated by old code.
-        """
-        digest = hashlib.sha256(
-            repr(
-                (KERNEL_CACHE_SCHEMA, _codegen_fingerprint(), kernel_key)
-            ).encode()
-        ).hexdigest()
-        return os.path.join(self.cache_dir, f"kernel-{digest[:32]}.json")
-
-    def _disk_load(
-        self, kernel_key: Tuple, src_format: Format, dst_format: Format
-    ) -> Optional[Tuple[GeneratedConversion, Callable]]:
-        """Load a kernel record written by a previous process, if any.
-
-        A hit skips code generation entirely (the dominant cost of a cold
-        start); the stored source still passes through
-        :func:`~repro.ir.runtime.compile_source` so tracebacks and
-        ``__source__`` behave exactly like freshly generated kernels.
-        Unreadable or mismatched records are ignored (and rewritten).
-        """
-        if self.cache_dir is None:
-            return None
-        path = self._disk_path(kernel_key)
-        try:
-            with open(path) as handle:
-                record = json.load(handle)
-            if record.get("schema") != KERNEL_CACHE_SCHEMA:
-                return None
-            if record.get("key") != key_to_json(kernel_key):
-                return None  # 128-bit digest collision, or a tampered file
-            generated = GeneratedConversion(
-                func=None,
-                source=record["source"],
-                func_name=record["func_name"],
-                params=[tuple(p) for p in record["params"]],
-                outputs=[tuple(o) for o in record["outputs"]],
-                src_format=src_format,
-                dst_format=dst_format,
-                backend=record["backend"],
-            )
-            func = compile_source(generated.source, generated.func_name)
-        except (OSError, ValueError, KeyError, TypeError, SyntaxError):
-            return None
-        with self._lock:
-            self._stats["disk_hits"] += 1
-        return generated, func
-
-    def _disk_store(self, kernel_key: Tuple,
-                    generated: GeneratedConversion) -> None:
-        """Persist a freshly generated kernel (atomic rename, so a
-        concurrent process never reads a half-written record)."""
-        if self.cache_dir is None:
-            return
-        path = self._disk_path(kernel_key)
-        record = {
-            "schema": KERNEL_CACHE_SCHEMA,
-            "key": key_to_json(kernel_key),
-            "pair": [generated.src_format.name, generated.dst_format.name],
-            "backend": generated.backend,
-            "func_name": generated.func_name,
-            "params": [list(p) for p in generated.params],
-            "outputs": [list(o) for o in generated.outputs],
-            "source": generated.source,
-        }
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump(record, handle, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        with self._lock:
-            self._stats["disk_writes"] += 1
 
     # -- the native (compiled C) kernel flow -----------------------------
     def _native_build_dir(self) -> str:
@@ -819,8 +730,9 @@ class ConversionEngine:
     def _native_store(self, record_path: str, kernel_key: Tuple,
                       generated: GeneratedConversion, toolchain,
                       so_path: str) -> None:
-        """Persist a native kernel record (atomic rename, mirroring
-        :meth:`_disk_store`; the ``.so`` was already placed atomically by
+        """Persist a native kernel record (atomic rename, so a
+        concurrent process never reads a half-written record; the
+        ``.so`` was already placed atomically by
         :func:`~repro.ir.native.build_shared`).  The record carries the
         checksum of the built ``.so`` — warm loads verify it before
         dlopen, because loading a corrupt shared object can crash the
@@ -1085,21 +997,20 @@ class ConversionEngine:
 
     def convert_via(self, route: ConversionRoute, tensor: Tensor,
                     workers: int = 0) -> Tensor:
-        """Execute an explicit route on ``tensor``.
+        """Execute an explicit route on ``tensor``: :meth:`run_plan` of
+        the route's :meth:`plan`, so it is validated, counted and timed
+        exactly like ``convert(tensor, route.dst, route=route)``.
 
         With ``workers > 0`` the generated hops that have a chunked form
         run on the engine's chunk pool (bridges are single bulk passes
         and stay as they are) — a routed huge conversion parallelizes hop
-        by hop.  Hop wall times are recorded into the engine's cost
-        model (:meth:`CostModel.observe`), so executed routes sharpen
-        future routing decisions.
+        by hop.
         """
-        check_route(route)
-        if structural_key(tensor.format) != structural_key(route.src):
-            raise ValueError(
-                f"route starts at {route.src.name}, got {tensor.format.name}"
-            )
-        return self._execute_hops(route.hops, tensor, route.options, workers)
+        plan = self.plan(
+            tensor.format, route.dst, route=route,
+            parallel=workers or None, nnz=tensor.nnz_stored,
+        )
+        return self.run_plan(plan, tensor)
 
     # -- hop observation -------------------------------------------------
     def add_hop_observer(
@@ -1149,12 +1060,21 @@ class ConversionEngine:
                     )
 
     def _execute_hops(self, hops: Sequence[Hop], tensor: Tensor,
-                      options: PlanOptions, workers: int) -> Tensor:
-        """Run a hop sequence, timing each hop into the cost model.
+                      options: PlanOptions, workers: int,
+                      routed: bool) -> Tensor:
+        """Count one executed conversion and run its hop sequence,
+        timing each hop into the cost model — the one executor body
+        behind :meth:`run_plan` and :meth:`run_compute_plan`.
 
         The hop executable is resolved (and, on a cold cache, compiled)
         *before* the timer starts, so recorded rates measure conversion
         throughput, never codegen."""
+        self._record_conversion(
+            (hops[0].src.name, hops[-1].dst.name), routed=routed,
+            parallel=bool(workers) and len(hops) == 1 and (
+                hops[0].kind == "chunked"
+            ),
+        )
         for hop in hops:
             run, kind = self._hop_executable(hop, options, workers, tensor)
             nnz = tensor.nnz_stored
@@ -1392,14 +1312,9 @@ class ConversionEngine:
             raise ValueError(
                 f"plan starts at {plan.src.name}, got {tensor.format.name}"
             )
-        hops = plan.hops
-        parallel = bool(plan.workers) and len(hops) == 1 and (
-            hops[0].kind == "chunked"
+        return self._execute_hops(
+            plan.hops, tensor, plan.options, plan.workers, plan.routed
         )
-        self._record_conversion(
-            (plan.src.name, plan.dst.name), routed=plan.routed, parallel=parallel
-        )
-        return self._execute_hops(hops, tensor, plan.options, plan.workers)
 
     def convert(
         self,
@@ -1484,8 +1399,8 @@ class ConversionEngine:
     ):
         """Fetch or compile the compute kernel consuming ``src_format``.
 
-        Shares the conversion kernel caches (in-flight events, LRU, disk
-        records, the native ``.so`` flow) through
+        Shares the conversion kernel caches (in-flight events, LRU, the
+        native ``.so`` flow and its disk records) through
         :meth:`_obtain_kernel`'s ``plan_fn`` seam; the kernel key leads
         with a ``"compute"`` tag plus the op name, so compute and
         conversion records never collide.
@@ -1664,9 +1579,9 @@ class ConversionEngine:
     ):
         """Execute a :class:`~repro.compute.plan.ComputePlan` on ``tensor``.
 
-        Conversion hops run through :meth:`run_plan` (feeding the same
-        telemetry, hop observers and cost-model observations as plain
-        conversions); the terminal hop's wall time is recorded under its
+        Conversion hops run through the executor body of :meth:`run_plan`
+        (feeding the same telemetry, hop observers and cost-model
+        observations as plain conversions); the terminal hop's wall time is recorded under its
         own cost-model kind (``fused`` / ``compute``), which is what
         eventually lets ``fuse="auto"`` prefer fusion on hosts where it
         measures faster.  Returns a dense float64 vector for reductions,
@@ -1683,14 +1598,11 @@ class ConversionEngine:
                 f"plan starts at {plan.src.name}, got {tensor.format.name}"
             )
         current = tensor
-        conversion_hops = plan.conversion_hops
-        if conversion_hops:
-            prefix = ConversionPlan(
-                hops=conversion_hops, options=plan.options,
-                workers=plan.workers, nnz=plan.nnz, routed=plan.routed,
-                features=plan.features, engine=self,
+        if plan.conversion_hops:
+            current = self._execute_hops(
+                plan.conversion_hops, tensor, plan.options, plan.workers,
+                plan.routed,
             )
-            current = self.run_plan(prefix, current)
 
         terminal = plan.terminal
         op = plan.op

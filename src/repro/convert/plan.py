@@ -46,7 +46,7 @@ from .context import PlanError
 from .converters import converter_named
 from .features import StructuralFeatures
 from .planner import PlanOptions, structural_key
-from .router import Hop
+from .router import HOP_KIND_DETAIL, Hop
 
 #: Version of the plan JSON schema.  Bump when the layout changes;
 #: loaders reject plans from a newer schema with a clear error.
@@ -113,6 +113,138 @@ def resolve_format_record(record: Dict) -> Format:
 def _hop_cost_kind(hop: Hop) -> str:
     """The cost-model row a hop charges (per-converter for externals)."""
     return f"external:{hop.converter}" if hop.kind == "external" else hop.kind
+
+
+# ----------------------------------------------------------------------
+# the plan codec: one writer and one reader for every plan family
+# (conversion plans here, compute plans in :mod:`repro.compute.plan`)
+
+
+def plan_document(plan, schema: int, kind: str) -> Dict:
+    """The JSON snapshot of the fields every plan family carries —
+    ``hops`` / ``options`` / ``workers`` / ``nnz`` / ``routed`` and, when
+    recorded, ``features`` — under the family's ``schema`` and ``kind``."""
+    hops = []
+    for hop in plan.hops:
+        record = {
+            "src": format_record(hop.src),
+            "dst": format_record(hop.dst),
+            "kind": hop.kind,
+        }
+        if hop.converter is not None:
+            record["converter"] = hop.converter
+        hops.append(record)
+    data = {
+        "schema": schema,
+        "kind": kind,
+        "hops": hops,
+        "options": plan.options.to_dict(),
+        "workers": plan.workers,
+        "nnz": plan.nnz,
+        "routed": plan.routed,
+    }
+    if plan.features is not None:
+        data["features"] = plan.features.to_dict()
+    return data
+
+
+def parse_plan_json(text: Union[str, bytes, Dict]) -> Dict:
+    """A plan document from JSON text (an already parsed dict passes
+    through); unparsable text raises :class:`PlanError`."""
+    if not isinstance(text, (str, bytes)):
+        return text
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise PlanError(f"plan JSON does not parse: {exc}") from exc
+
+
+def check_plan_header(data, what: str, newest: int) -> int:
+    """Verify ``data`` is a plan document this reader can load and
+    return its schema number; a newer schema raises :class:`PlanError`."""
+    if not isinstance(data, dict) or "hops" not in data:
+        raise PlanError(f"not a serialized {what}")
+    schema = data.get("schema")
+    if not isinstance(schema, int) or schema > newest:
+        raise PlanError(
+            f"plan schema {schema!r} is newer than this reader "
+            f"(supports <= {newest}); upgrade to load it"
+        )
+    return schema
+
+
+def read_plan_fields(data: Dict, hop_kinds: Tuple[str, ...]) -> Dict:
+    """Parse and verify the fields :func:`plan_document` wrote, as
+    constructor keywords (``hops``, ``options``, ``workers``, ``nnz``,
+    ``routed``, ``features``).
+
+    Formats resolve through this host's registry and are verified
+    against the recorded structural keys; hops must be of ``hop_kinds``
+    and chain; an ``external`` hop pins the registered converter that
+    won the edge by name, and loading fails loudly when that converter
+    is not registered on this host (e.g. a scipy-delegated plan replayed
+    where scipy is absent) rather than silently running a different
+    implementation.  Every violation raises :class:`PlanError`.
+    """
+    hop_records = data["hops"]
+    if not isinstance(hop_records, list):
+        raise PlanError(f"plan hops must be a list, got {hop_records!r}")
+    hops: List[Hop] = []
+    for record in hop_records:
+        if not isinstance(record, dict):
+            raise PlanError(f"malformed plan hop record: {record!r}")
+        kind = record.get("kind")
+        if kind not in hop_kinds:
+            raise PlanError(f"unknown plan hop kind {kind!r}")
+        src = resolve_format_record(record.get("src", {}))
+        dst = resolve_format_record(record.get("dst", {}))
+        converter = record.get("converter")
+        if kind == "external":
+            if not isinstance(converter, str):
+                raise PlanError(
+                    f"external plan hop {src.name} -> {dst.name} does "
+                    "not name its converter"
+                )
+            if converter_named(src, dst, converter) is None:
+                raise PlanError(
+                    f"plan pins converter {converter!r} for "
+                    f"{src.name} -> {dst.name}, which is not registered "
+                    "on this host; register it (repro.convert."
+                    "register_converter) before loading the plan"
+                )
+        hops.append(
+            Hop(
+                src=src,
+                dst=dst,
+                kind=kind,
+                converter=converter if kind == "external" else None,
+            )
+        )
+    if not hops:
+        raise PlanError("plan has no hops")
+    for prev, nxt in zip(hops, hops[1:]):
+        if structural_key(prev.dst) != structural_key(nxt.src):
+            raise PlanError(f"plan hops do not chain: {prev} then {nxt}")
+    try:
+        options = PlanOptions.from_dict(data.get("options", {}))
+        workers = int(data.get("workers", 0))
+        nnz = int(data.get("nnz", 0))
+        recorded = data.get("features")
+        features = (
+            StructuralFeatures.from_dict(recorded)
+            if isinstance(recorded, dict)
+            else None
+        )
+    except (TypeError, ValueError, KeyError) as exc:
+        raise PlanError(f"malformed plan fields: {exc}") from exc
+    return {
+        "hops": tuple(hops),
+        "options": options,
+        "workers": workers,
+        "nnz": nnz,
+        "routed": bool(data.get("routed", len(hops) > 1)),
+        "features": features,
+    }
 
 
 @dataclass(frozen=True)
@@ -236,13 +368,6 @@ class ConversionPlan:
         ]
         if self.features is not None:
             lines.append(f"  structural features: {self.features.describe()}")
-        detail = {
-            "scalar": "generated per-nonzero loop nest",
-            "vector": "generated bulk-numpy routine",
-            "native": "generated native (compiled C) routine",
-            "bridge": "bulk extraction (mask/gather, no codegen)",
-            "chunked": "chunk-parallel rewrite of the vector routine",
-        }
         model = self._engine().cost_model
         for n, hop in enumerate(self.hops, 1):
             cost, provenance = model.cost_detail(
@@ -254,7 +379,7 @@ class ConversionPlan:
                     f"registered converter {hop.converter!r} won this edge"
                 )
             else:
-                what = detail[hop.kind]
+                what = HOP_KIND_DETAIL[hop.kind]
             lines.append(
                 f"  {n}. {hop} {what} "
                 f"(est {cost * 1e3:.3f} ms, {provenance} cost)"
@@ -297,28 +422,7 @@ class ConversionPlan:
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:
         """JSON-serializable snapshot (versioned; see :data:`PLAN_SCHEMA`)."""
-        hops = []
-        for hop in self.hops:
-            record = {
-                "src": format_record(hop.src),
-                "dst": format_record(hop.dst),
-                "kind": hop.kind,
-            }
-            if hop.converter is not None:
-                record["converter"] = hop.converter
-            hops.append(record)
-        data = {
-            "schema": PLAN_SCHEMA,
-            "kind": "repro-conversion-plan",
-            "hops": hops,
-            "options": self.options.to_dict(),
-            "workers": self.workers,
-            "nnz": self.nnz,
-            "routed": self.routed,
-        }
-        if self.features is not None:
-            data["features"] = self.features.to_dict()
-        return data
+        return plan_document(self, PLAN_SCHEMA, "repro-conversion-plan")
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """The plan as a JSON document (see the module docstring)."""
@@ -328,97 +432,20 @@ class ConversionPlan:
     def from_dict(cls, data: Dict, engine=None) -> "ConversionPlan":
         """Rebuild a plan from :meth:`to_dict` output.
 
-        Formats resolve through this host's registry and are verified
-        against the recorded structural keys; an unknown name, diverged
-        structure, unknown hop kind or newer schema raises
-        :class:`~repro.convert.context.PlanError`.  An ``external`` hop
-        pins the registered converter that won the edge by name: loading
-        fails loudly when that converter is not registered on this host
-        (e.g. a scipy-delegated plan replayed where scipy is absent),
-        rather than silently running a different implementation.
+        An unknown format name, diverged structure, unknown hop kind,
+        unregistered pinned converter or newer schema raises
+        :class:`~repro.convert.context.PlanError` (see
+        :func:`read_plan_fields`).
         """
-        if not isinstance(data, dict) or "hops" not in data:
-            raise PlanError("not a serialized ConversionPlan")
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema > PLAN_SCHEMA:
-            raise PlanError(
-                f"plan schema {schema!r} is newer than this reader "
-                f"(supports <= {PLAN_SCHEMA}); upgrade to load it"
-            )
-        hop_records = data["hops"]
-        if not isinstance(hop_records, list):
-            raise PlanError(f"plan hops must be a list, got {hop_records!r}")
-        hops: List[Hop] = []
-        for record in hop_records:
-            if not isinstance(record, dict):
-                raise PlanError(f"malformed plan hop record: {record!r}")
-            kind = record.get("kind")
-            if kind not in _PLAN_HOP_KINDS:
-                raise PlanError(f"unknown plan hop kind {kind!r}")
-            src = resolve_format_record(record.get("src", {}))
-            dst = resolve_format_record(record.get("dst", {}))
-            converter = record.get("converter")
-            if kind == "external":
-                if not isinstance(converter, str):
-                    raise PlanError(
-                        f"external plan hop {src.name} -> {dst.name} does "
-                        "not name its converter"
-                    )
-                if converter_named(src, dst, converter) is None:
-                    raise PlanError(
-                        f"plan pins converter {converter!r} for "
-                        f"{src.name} -> {dst.name}, which is not registered "
-                        "on this host; register it (repro.convert."
-                        "register_converter) before loading the plan"
-                    )
-            hops.append(
-                Hop(
-                    src=src,
-                    dst=dst,
-                    kind=kind,
-                    converter=converter if kind == "external" else None,
-                )
-            )
-        if not hops:
-            raise PlanError("plan has no hops")
-        for prev, nxt in zip(hops, hops[1:]):
-            if structural_key(prev.dst) != structural_key(nxt.src):
-                raise PlanError(f"plan hops do not chain: {prev} then {nxt}")
-        try:
-            options = PlanOptions.from_dict(data.get("options", {}))
-            workers = int(data.get("workers", 0))
-            nnz = int(data.get("nnz", 0))
-            recorded = data.get("features")
-            features = (
-                StructuralFeatures.from_dict(recorded)
-                if isinstance(recorded, dict)
-                else None
-            )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise PlanError(f"malformed plan fields: {exc}") from exc
-        return cls(
-            hops=tuple(hops),
-            options=options,
-            workers=workers,
-            nnz=nnz,
-            routed=bool(data.get("routed", len(hops) > 1)),
-            features=features,
-            engine=engine,
-        )
+        check_plan_header(data, "ConversionPlan", PLAN_SCHEMA)
+        return cls(engine=engine, **read_plan_fields(data, _PLAN_HOP_KINDS))
 
     @classmethod
     def from_json(cls, text: Union[str, bytes, Dict],
                   engine=None) -> "ConversionPlan":
         """Rebuild a plan from :meth:`to_json` output (or an already
         parsed dict), bound to ``engine`` (default: the process engine)."""
-        if isinstance(text, (str, bytes)):
-            try:
-                data = json.loads(text)
-            except ValueError as exc:
-                raise PlanError(f"plan JSON does not parse: {exc}") from exc
-        else:
-            data = text
-        return cls.from_dict(data, engine=engine)
+        return cls.from_dict(parse_plan_json(text), engine=engine)
 
     def __str__(self) -> str:
         return " -> ".join(fmt.name for fmt in self.formats)

@@ -441,6 +441,18 @@ def _register_builtin_bridges() -> None:
 # routes
 
 
+#: What each hop kind executes, as ``explain()`` transcripts word it
+#: (routes and plans share the table).
+HOP_KIND_DETAIL = {
+    "scalar": "generated per-nonzero loop nest",
+    "vector": "generated bulk-numpy routine",
+    "native": "generated native (compiled C) routine",
+    "bridge": "bulk extraction (mask/gather, no codegen)",
+    "chunked": "chunk-parallel rewrite of the vector routine",
+    "external": "registered converter (external implementation)",
+}
+
+
 @dataclass(frozen=True)
 class Hop:
     """One edge of a conversion route.
@@ -531,16 +543,8 @@ class ConversionRoute:
         if self.features is not None:
             lines.append(f"  structural features: {self.features.describe()}")
         for n, hop in enumerate(self.hops, 1):
-            detail = {
-                "scalar": "generated per-nonzero loop nest",
-                "vector": "generated bulk-numpy routine",
-                "native": "generated native (compiled C) routine",
-                "bridge": "bulk extraction (mask/gather, no codegen)",
-                "chunked": "chunk-parallel rewrite of the vector routine",
-                "external": "registered converter (external implementation)",
-            }[hop.kind]
             lines.append(
-                f"  {n}. {hop} {detail} "
+                f"  {n}. {hop} {HOP_KIND_DETAIL[hop.kind]} "
                 f"(est {hop.cost * 1e3:.3f} ms, {hop.provenance} cost)"
             )
         if self.is_direct:

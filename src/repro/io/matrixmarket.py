@@ -9,21 +9,15 @@ gzipped, so ``.mtx.gz`` paths are read (and written) transparently.
 
 from __future__ import annotations
 
-import gzip
 from typing import List, Optional, Sequence, Tuple
 
 from ..formats.format import Format
+from .stream import MatrixMarketStream, StreamError, _open_text
 
-
-class MatrixMarketError(ValueError):
-    """Raised for malformed Matrix Market content."""
-
-
-def _open_text(path, mode: str):
-    """Open ``path`` for text I/O, through gzip for ``.gz`` paths."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+#: Raised for malformed Matrix Market content.  There is one Matrix
+#: Market parser (:class:`repro.io.stream.MatrixMarketStream`), so this
+#: is its error type under the in-memory reader's historical name.
+MatrixMarketError = StreamError
 
 
 def read_matrix_market(path) -> Tuple[Tuple[int, int], List[Tuple[int, int]], List[float]]:
@@ -32,42 +26,18 @@ def read_matrix_market(path) -> Tuple[Tuple[int, int], List[Tuple[int, int]], Li
 
     Returns ``(dims, coords, vals)`` with zero-based coordinates.
     Symmetric and skew-symmetric storage is expanded to general form.
+    The file is drained through the streaming reader, so it is validated
+    the same way: a malformed header or entry, an out-of-bounds
+    coordinate, or an entry count disagreeing with the header raises
+    :class:`MatrixMarketError`.
     """
-    with _open_text(path, "r") as handle:
-        header = handle.readline().strip().split()
-        if len(header) < 4 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
-            raise MatrixMarketError(f"{path}: not a Matrix Market matrix file")
-        layout, field = header[2].lower(), header[3].lower()
-        symmetry = header[4].lower() if len(header) > 4 else "general"
-        if layout != "coordinate":
-            raise MatrixMarketError(f"{path}: only coordinate layout is supported")
-        if field not in ("real", "integer", "pattern"):
-            raise MatrixMarketError(f"{path}: unsupported field {field!r}")
-        if symmetry not in ("general", "symmetric", "skew-symmetric"):
-            raise MatrixMarketError(f"{path}: unsupported symmetry {symmetry!r}")
-
-        line = handle.readline()
-        while line.startswith("%"):
-            line = handle.readline()
-        try:
-            nrows, ncols, nnz = (int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise MatrixMarketError(f"{path}: bad size line {line!r}") from exc
-
-        coords: List[Tuple[int, int]] = []
-        vals: List[float] = []
-        for _ in range(nnz):
-            tokens = handle.readline().split()
-            if len(tokens) < 2:
-                raise MatrixMarketError(f"{path}: truncated entry list")
-            i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
-            value = 1.0 if field == "pattern" else float(tokens[2])
-            coords.append((i, j))
-            vals.append(value)
-            if symmetry != "general" and i != j:
-                coords.append((j, i))
-                vals.append(-value if symmetry == "skew-symmetric" else value)
-    return (nrows, ncols), coords, vals
+    stream = MatrixMarketStream(path)
+    coords: List[Tuple[int, int]] = []
+    vals: List[float] = []
+    for rows, cols, values in stream.chunks():
+        coords.extend(zip(rows.tolist(), cols.tolist()))
+        vals.extend(values.tolist())
+    return stream.dims, coords, vals
 
 
 def write_matrix_market(path, dims, coords: Sequence[Tuple[int, int]], vals) -> None:

@@ -13,12 +13,13 @@ re-iterable — both readers re-open the file on every ``chunks()`` call.
 
 Two source formats are supported, sniffed by :func:`open_stream`:
 
-* **Matrix Market** coordinate files (``.mtx`` / ``.mtx.gz``), the same
-  subset :func:`repro.io.matrixmarket.read_matrix_market` accepts
-  (real/integer/pattern, general/symmetric/skew-symmetric).  Mirrored
-  entries of symmetric files are emitted in the in-memory reader's exact
-  order (each mirror directly after its stored entry), so a streamed
-  conversion is bit-identical to converting ``read_tensor(path)``.
+* **Matrix Market** coordinate files (``.mtx`` / ``.mtx.gz``):
+  real/integer/pattern, general/symmetric/skew-symmetric.  This is the
+  package's one Matrix Market parser —
+  :func:`repro.io.matrixmarket.read_matrix_market` drains it — so a
+  streamed conversion is bit-identical to converting
+  ``read_tensor(path)``; each mirrored entry of a symmetric file follows
+  its stored entry directly.
 * The **binary wire format** (``REPROCOO1``): a fixed header followed by
   columnar little-endian ``int64`` coordinate sections and a ``float64``
   value section.  This is the fast path — chunked reads are plain
@@ -32,7 +33,6 @@ with the offending path in the message, never a numpy shape error.
 from __future__ import annotations
 
 import gzip
-import io
 import os
 import struct
 from typing import Iterator, List, Sequence, Tuple
@@ -69,10 +69,11 @@ class StreamError(ValueError):
     """A coordinate stream could not be parsed or validated."""
 
 
-def _open_text(path):
+def _open_text(path, mode: str = "r"):
+    """Open ``path`` for text I/O, through gzip for ``.gz`` paths."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
+        return gzip.open(path, mode + "t")
+    return open(path, mode)
 
 
 class CoordinateStream:

@@ -29,7 +29,7 @@ import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -148,13 +148,11 @@ class _Tenant:
 
 @dataclass
 class _Job:
-    tensor: Tensor
-    dst_name: str
-    digest: str
-    policy: TenantPolicy
-    future: "asyncio.Future[ServeResult]"
-    tenant: str
-    flight_key: Optional[Tuple] = None
+    """One engine-side execution: ``execute()`` runs on a worker thread
+    and its outcome resolves ``future`` back on the loop."""
+
+    future: "asyncio.Future"
+    execute: Callable[[], object]
 
 
 @dataclass
@@ -266,12 +264,22 @@ class ConversionService:
         Raises :class:`QuotaError` when the tenant's policy rejects the
         request; any conversion failure propagates to the caller.
         """
+        dst = get_format(dst_format)
+        return await self._request(
+            tensor, tenant,
+            lambda policy: self._serve(tensor, dst, policy, tenant),
+        )
+
+    async def _request(self, tensor: Tensor, tenant: str, serve,
+                       family: str = ""):
+        """The one request path behind ``/convert`` and ``/compute``:
+        tenant admission, in-flight accounting around ``serve(policy)``,
+        and the request / error / latency metrics (labelled
+        ``<family>_<status>`` for a non-conversion family)."""
         if self._closed:
             raise RuntimeError("service is closed")
         started = time.perf_counter()
-        dst = get_format(dst_format)
         record = self._tenant(tenant)
-        policy = record.policy
         nbytes = tensor_nbytes(tensor)
         try:
             self._admit(record, nbytes)
@@ -279,11 +287,13 @@ class ConversionService:
             self.metrics.incr("quota_rejections")
             raise
         self.metrics.incr("requests")
+        if family:
+            self.metrics.incr(f"{family}_requests")
         self.metrics.incr_tenant(tenant)
         record.inflight += 1
         record.inflight_bytes += nbytes
         try:
-            result = await self._serve(tensor, dst, policy, tenant)
+            result = await serve(record.policy)
         except Exception:
             self.metrics.incr("errors")
             raise
@@ -293,7 +303,9 @@ class ConversionService:
         elapsed = time.perf_counter() - started
         result = dataclasses.replace(result, seconds=elapsed)
         self.metrics.incr("responses")
-        self.metrics.observe_latency(result.status, elapsed)
+        self.metrics.observe_latency(
+            f"{family}_{result.status}" if family else result.status, elapsed
+        )
         return result
 
     async def _serve(self, tensor: Tensor, dst, policy: TenantPolicy,
@@ -311,11 +323,23 @@ class ConversionService:
         if cached is not None:
             self.metrics.incr("data_hits")
             return ServeResult(cached, "cached", pair, tenant, digest)
-        flight_key = (
-            digest, structural_key(dst),
+        knobs = (
             options.key() if options is not None else None,
             policy.backend, policy.parallel,
         )
+        bucket_key = (structural_key(tensor.format), structural_key(dst)) + knobs
+        return await self._single_flight(
+            (digest, structural_key(dst)) + knobs, tenant,
+            lambda future: self._enqueue(bucket_key, _Job(
+                future,
+                lambda: self._execute_job(tensor, dst, digest, policy, tenant),
+            )),
+        )
+
+    async def _single_flight(self, flight_key: Tuple, tenant: str, launch):
+        """Await the in-flight execution registered under ``flight_key``,
+        or register a future, ``launch(future)`` its execution and await
+        that — identical concurrent requests share one execution."""
         inflight = self._inflight.get(flight_key)
         if inflight is not None:
             self.metrics.incr("coalesced")
@@ -323,11 +347,9 @@ class ConversionService:
             return dataclasses.replace(
                 result, status="coalesced", tenant=tenant
             )
-        future: "asyncio.Future[ServeResult]" = self._loop.create_future()
+        future: "asyncio.Future" = self._loop.create_future()
         self._inflight[flight_key] = future
-        job = _Job(tensor, dst.name, digest, policy, future, tenant,
-                   flight_key)
-        self._enqueue(job)
+        launch(future)
         try:
             return await asyncio.shield(future)
         finally:
@@ -335,13 +357,7 @@ class ConversionService:
                 del self._inflight[flight_key]
 
     # -- batching --------------------------------------------------------
-    def _enqueue(self, job: _Job) -> None:
-        bucket_key = (
-            structural_key(job.tensor.format),
-            structural_key(get_format(job.dst_name)),
-            job.policy.options.key() if job.policy.options is not None else None,
-            job.policy.backend, job.policy.parallel,
-        )
+    def _enqueue(self, bucket_key: Tuple, job: _Job) -> None:
         batch = self._batches.get(bucket_key)
         if batch is None:
             batch = self._batches[bucket_key] = _Batch()
@@ -388,49 +404,48 @@ class ConversionService:
         outcomes = []
         for job in jobs:
             try:
-                outcomes.append((job, self._execute_job(job), None))
+                outcomes.append((job, job.execute(), None))
             except Exception as exc:  # delivered to the awaiting caller
                 outcomes.append((job, None, exc))
         return outcomes
 
-    def _execute_job(self, job: _Job) -> ServeResult:
-        tensor, policy = job.tensor, job.policy
-        pair = (tensor.format.name, job.dst_name)
+    def _resume(self, hops, tensor: Tensor, digest: str,
+                options: Optional[PlanOptions]) -> Tuple[int, Tensor]:
+        """``(k, checkpoint)``: how many leading ``hops`` the data cache
+        makes skippable for this payload and the cached tensor execution
+        resumes from — ``(0, tensor)`` when no prefix is cached (or the
+        checkpoint was evicted between the probe and the fetch)."""
+        prefix = longest_cached_prefix(
+            hops, lambda fmt: self.cache.contains(digest, fmt, options)
+        )
+        if prefix > 0:
+            checkpoint = self.cache.get(digest, hops[prefix - 1].dst, options)
+            if checkpoint is not None:
+                return prefix, checkpoint
+        return 0, tensor
+
+    def _execute_job(self, tensor: Tensor, dst, digest: str,
+                     policy: TenantPolicy, tenant: str) -> ServeResult:
+        pair = (tensor.format.name, dst.name)
         plan = self.engine.plan(
-            tensor.format, job.dst_name,
+            tensor.format, dst,
             options=policy.options, backend=policy.backend,
             parallel=policy.parallel, nnz=tensor.nnz_stored,
             features=sample_features(tensor),
         )
-        prefix = longest_cached_prefix(
-            plan.hops,
-            lambda fmt: self.cache.contains(job.digest, fmt, policy.options),
+        skipped, current = self._resume(
+            plan.hops, tensor, digest, policy.options
         )
-        if prefix == len(plan.hops):
-            cached = self.cache.get(job.digest, plan.dst, policy.options)
-            if cached is not None:  # raced in since the loop-side probe
-                self.metrics.incr("data_hits")
-                return ServeResult(cached, "cached", pair, job.tenant,
-                                   job.digest)
-            prefix = 0
-        if prefix > 0:
-            checkpoint = self.cache.get(
-                job.digest, plan.hops[prefix - 1].dst, policy.options
-            )
-            if checkpoint is not None:
-                resumed = dataclasses.replace(plan, hops=plan.hops[prefix:])
-                result = self.engine.run_plan(resumed, checkpoint)
-                self.metrics.incr("prefix_hits")
-                return ServeResult(
-                    result, "prefix", pair, job.tenant, job.digest,
-                    hops_executed=len(resumed.hops), hops_skipped=prefix,
-                )
-            # checkpoint evicted between probe and fetch: run it all
-        result = self.engine.run_plan(plan, tensor)
-        self.metrics.incr("full_conversions")
+        if skipped == len(plan.hops):  # raced in since the loop-side probe
+            self.metrics.incr("data_hits")
+            return ServeResult(current, "cached", pair, tenant, digest)
+        if skipped:
+            plan = dataclasses.replace(plan, hops=plan.hops[skipped:])
+        result = self.engine.run_plan(plan, current)
+        self.metrics.incr("prefix_hits" if skipped else "full_conversions")
         return ServeResult(
-            result, "converted", pair, job.tenant, job.digest,
-            hops_executed=len(plan.hops),
+            result, "prefix" if skipped else "converted", pair, tenant,
+            digest, hops_executed=len(plan.hops), hops_skipped=skipped,
         )
 
     # -- fused convert-and-compute (the /compute endpoint) ---------------
@@ -446,48 +461,24 @@ class ConversionService:
     ) -> ComputeResult:
         """Serve one convert-and-compute pipeline (service loop only).
 
-        Reuses the conversion machinery end to end: admission runs the
-        same tenant quotas, the payload seeds the data cache, identical
-        in-flight pipelines coalesce on one execution, and conversion
-        hops resume from cached intermediates.  Hop outputs land in the
-        cache through the engine's hop observer exactly like ``/convert``
-        traffic, so a ``/compute`` request warms the cache for a later
-        ``/convert`` and vice versa.  The fusion decision itself is the
-        engine's (:meth:`ConversionEngine.plan_compute
+        This is the conversion request path end to end: admission runs
+        the same tenant quotas, the payload seeds the data cache,
+        identical in-flight pipelines coalesce on one execution, and
+        conversion hops resume from cached intermediates.  Hop outputs
+        land in the cache through the engine's hop observer exactly like
+        ``/convert`` traffic, so a ``/compute`` request warms the cache
+        for a later ``/convert`` and vice versa.  The fusion decision
+        itself is the engine's (:meth:`ConversionEngine.plan_compute
         <repro.convert.engine.ConversionEngine.plan_compute>`).
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        started = time.perf_counter()
         dst = get_format(dst_format) if dst_format is not None else None
-        record = self._tenant(tenant)
-        policy = record.policy
-        nbytes = tensor_nbytes(tensor)
-        try:
-            self._admit(record, nbytes)
-        except QuotaError:
-            self.metrics.incr("quota_rejections")
-            raise
-        self.metrics.incr("requests")
-        self.metrics.incr("compute_requests")
-        self.metrics.incr_tenant(tenant)
-        record.inflight += 1
-        record.inflight_bytes += nbytes
-        try:
-            result = await self._serve_compute(
+        return await self._request(
+            tensor, tenant,
+            lambda policy: self._serve_compute(
                 tensor, op, dst, policy, tenant, x, alpha, fuse
-            )
-        except Exception:
-            self.metrics.incr("errors")
-            raise
-        finally:
-            record.inflight -= 1
-            record.inflight_bytes -= nbytes
-        elapsed = time.perf_counter() - started
-        result = dataclasses.replace(result, seconds=elapsed)
-        self.metrics.incr("responses")
-        self.metrics.observe_latency(f"compute_{result.status}", elapsed)
-        return result
+            ),
+            family="compute",
+        )
 
     async def _serve_compute(self, tensor: Tensor, op: str, dst,
                              policy: TenantPolicy, tenant: str,
@@ -504,39 +495,16 @@ class ConversionService:
             options.key() if options is not None else None,
             policy.backend,
         )
-        inflight = self._inflight.get(flight_key)
-        if inflight is not None:
-            self.metrics.incr("coalesced")
-            result = await asyncio.shield(inflight)
-            return dataclasses.replace(
-                result, status="coalesced", tenant=tenant
-            )
-        future: "asyncio.Future[ComputeResult]" = self._loop.create_future()
-        self._inflight[flight_key] = future
-        self._loop.create_task(self._run_compute(
-            future, tensor, op, dst, digest, policy, tenant, x, alpha, fuse
-        ))
-        try:
-            return await asyncio.shield(future)
-        finally:
-            if self._inflight.get(flight_key) is future:
-                del self._inflight[flight_key]
-
-    async def _run_compute(self, future, tensor, op, dst, digest,
-                           policy, tenant, x, alpha, fuse) -> None:
-        try:
-            result = await self._loop.run_in_executor(
-                self._executor,
+        # pipelines skip the same-pair batcher: a batch of one
+        return await self._single_flight(
+            flight_key, tenant,
+            lambda future: self._loop.create_task(self._run_batch([_Job(
+                future,
                 lambda: self._execute_compute(
                     tensor, op, dst, digest, policy, tenant, x, alpha, fuse
                 ),
-            )
-        except Exception as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-        else:
-            if not future.cancelled():
-                future.set_result(result)
+            )])),
+        )
 
     def _execute_compute(self, tensor, op, dst, digest,
                          policy: TenantPolicy, tenant: str,
@@ -553,31 +521,19 @@ class ConversionService:
             options=policy.options, backend=policy.backend,
             nnz=tensor.nnz_stored, features=sample_features(tensor),
         )
-        status = "computed"
-        current = tensor
-        skipped = 0
-        conversion_hops = plan.conversion_hops
-        if conversion_hops:
-            prefix = longest_cached_prefix(
-                conversion_hops,
-                lambda fmt: self.cache.contains(digest, fmt, policy.options),
-            )
-            if prefix > 0:
-                checkpoint = self.cache.get(
-                    digest, conversion_hops[prefix - 1].dst, policy.options
-                )
-                if checkpoint is not None:  # may have been evicted since
-                    plan = dataclasses.replace(plan, hops=plan.hops[prefix:])
-                    current = checkpoint
-                    skipped = prefix
-                    status = "prefix"
-                    self.metrics.incr("prefix_hits")
+        skipped, current = self._resume(
+            plan.conversion_hops, tensor, digest, policy.options
+        )
+        if skipped:
+            plan = dataclasses.replace(plan, hops=plan.hops[skipped:])
+            self.metrics.incr("prefix_hits")
         value = self.engine.run_compute_plan(plan, current, x=x, alpha=alpha)
         if plan.fused:
             self.metrics.incr("fused_serves")
         self.metrics.incr("computations")
         return ComputeResult(
-            value, status, plan.op.name, plan.fuse, pair, tenant, digest,
+            value, "prefix" if skipped else "computed", plan.op.name,
+            plan.fuse, pair, tenant, digest,
             hops_executed=len(plan.hops), hops_skipped=skipped,
         )
 

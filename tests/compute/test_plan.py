@@ -90,6 +90,27 @@ def test_compute_reader_rejects_newer_schema(engine):
         ComputePlan.from_dict(doc, engine=engine)
 
 
+def test_compute_reader_rejects_unregistered_pinned_converter(engine):
+    """One codec: an ``external`` hop pinning a converter this host does
+    not have fails at load, as it does for a conversion plan — not later
+    at run time."""
+    doc = engine.plan_compute(COO, "spmv", CSR, fuse=False).to_dict()
+    doc["hops"][0]["kind"] = "external"
+    doc["hops"][0]["converter"] = "no-such-converter"
+    with pytest.raises(PlanError, match="not registered"):
+        ComputePlan.from_dict(doc, engine=engine)
+    del doc["hops"][0]["converter"]
+    with pytest.raises(PlanError, match="does not name its converter"):
+        ComputePlan.from_dict(doc, engine=engine)
+
+
+def test_compute_reader_wraps_malformed_fields(engine):
+    doc = engine.plan_compute(COO, "spmv", CSR).to_dict()
+    doc["workers"] = "many"
+    with pytest.raises(PlanError, match="malformed plan fields"):
+        ComputePlan.from_dict(doc, engine=engine)
+
+
 def test_terminal_kind_is_validated(engine):
     mat = engine.plan_compute(COO, "spmv", CSR, fuse=False)
     assert mat.conversion_hops  # COO -> CSR materializes at least one hop

@@ -17,9 +17,14 @@ from repro.convert import (
     make_converter,
 )
 from repro.formats import BCSR, COO, CSC, CSR, DIA, ELL, make_format
+from repro.ir.native import detect_toolchain
 from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.storage.build import reference_build
+
+
+HAVE_CC = detect_toolchain() is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 
 
 def small_coo():
@@ -306,7 +311,7 @@ def test_failed_route_validation_leaves_counters_untouched():
 
 
 # ----------------------------------------------------------------------
-# the persistent (on-disk) kernel cache
+# the persistent (on-disk) kernel cache: native kernels only
 
 
 def test_engine_without_cache_dir_reports_zero_disk_stats():
@@ -316,33 +321,50 @@ def test_engine_without_cache_dir_reports_zero_disk_stats():
     assert stats["disk_hits"] == 0 and stats["disk_writes"] == 0
 
 
+def test_python_kernels_are_not_persisted(tmp_path):
+    """cache_dir persists native kernels only: a Python kernel costs
+    about as much to regenerate as to read back, so it leaves no record
+    and a second engine on the same directory simply compiles it."""
+    cache = tmp_path / "kernels"
+    for _ in range(2):
+        engine = ConversionEngine(cache_dir=str(cache))
+        engine.make_converter(COO, CSR, backend="vector")
+        engine.make_converter(COO, CSR, backend="scalar")
+        stats = engine.cache_stats()
+        assert stats["compiles"] == 2
+        assert stats["disk_hits"] == 0 and stats["disk_writes"] == 0
+    assert list(cache.iterdir()) == []
+
+
+@needs_cc
 def test_disk_cache_writes_then_serves_a_warm_engine(tmp_path):
     cache = str(tmp_path / "kernels")
     cold = ConversionEngine(cache_dir=cache)
-    cold.make_converter(COO, CSR)
-    cold.make_converter(CSR, CSC)
+    cold.make_converter(COO, CSR, backend="native")
+    cold.make_converter(CSR, CSC, backend="native")
     cold_stats = cold.cache_stats()
     assert cold_stats["compiles"] == 2
     assert cold_stats["disk_writes"] == 2
     assert cold_stats["disk_hits"] == 0
 
     warm = ConversionEngine(cache_dir=cache)
-    out = warm.convert(small_coo(), CSR)
+    out = warm.convert(small_coo(), CSR, backend="native")
     assert out.to_coo() == small_coo().to_coo()
-    warm.make_converter(CSR, CSC)
+    warm.make_converter(CSR, CSC, backend="native")
     warm_stats = warm.cache_stats()
     assert warm_stats["compiles"] == 0
     assert warm_stats["disk_hits"] == 2
     assert warm_stats["disk_writes"] == 0
 
 
+@needs_cc
 def test_disk_cache_results_bit_identical_to_fresh_compile(tmp_path):
     cache = str(tmp_path / "kernels")
     tensor = small_coo()
     cold = ConversionEngine(cache_dir=cache)
-    a = cold.convert(tensor, DIA)
+    a = cold.convert(tensor, DIA, backend="native")
     warm = ConversionEngine(cache_dir=cache)
-    b = warm.convert(tensor, DIA)
+    b = warm.convert(tensor, DIA, backend="native")
     assert warm.cache_stats()["compiles"] == 0
     for key in a.arrays:
         assert np.array_equal(a.arrays[key], b.arrays[key])
@@ -350,29 +372,31 @@ def test_disk_cache_results_bit_identical_to_fresh_compile(tmp_path):
     assert a.metadata == b.metadata
 
 
+@needs_cc
 def test_disk_cache_keyed_by_options_and_backend(tmp_path):
     cache = str(tmp_path / "kernels")
     cold = ConversionEngine(cache_dir=cache)
-    cold.make_converter(COO, CSR, backend="scalar")
+    cold.make_converter(COO, CSR, backend="native")
     warm = ConversionEngine(cache_dir=cache)
-    warm.make_converter(COO, CSR, backend="vector")  # different record
+    warm.make_converter(COO, CSR, backend="vector")  # never a record
     assert warm.cache_stats()["compiles"] == 1
     warm.make_converter(
         COO, CSR, options=PlanOptions(force_unsequenced_edges=True),
-        backend="scalar",
+        backend="native",
     )  # different options: also a fresh compile
     assert warm.cache_stats()["compiles"] == 2
-    warm.make_converter(COO, CSR, backend="scalar")  # the cold record
+    warm.make_converter(COO, CSR, backend="native")  # the cold record
     stats = warm.cache_stats()
     assert stats["compiles"] == 2 and stats["disk_hits"] == 1
 
 
+@needs_cc
 def test_corrupt_disk_records_are_ignored_and_rewritten(tmp_path):
     import os
 
     cache = str(tmp_path / "kernels")
     cold = ConversionEngine(cache_dir=cache)
-    cold.make_converter(COO, CSR)
+    cold.make_converter(COO, CSR, backend="native")
     (record,) = [
         os.path.join(cache, name) for name in os.listdir(cache)
         if name.endswith(".json")
@@ -380,17 +404,18 @@ def test_corrupt_disk_records_are_ignored_and_rewritten(tmp_path):
     with open(record, "w") as handle:
         handle.write("{ definitely not a kernel record")
     warm = ConversionEngine(cache_dir=cache)
-    out = warm.convert(small_coo(), CSR)
+    out = warm.convert(small_coo(), CSR, backend="native")
     assert out.to_coo() == small_coo().to_coo()
     stats = warm.cache_stats()
     assert stats["compiles"] == 1  # recompiled past the corrupt record
     assert stats["disk_writes"] == 1  # and healed the cache
 
 
+@needs_cc
 def test_structural_twins_share_disk_records(tmp_path):
     cache = str(tmp_path / "kernels")
     cold = ConversionEngine(cache_dir=cache)
-    cold.make_converter(COO, CSR)
+    cold.make_converter(COO, CSR, backend="native")
     twin = make_format(
         "DISKTWIN_CSR",
         "(i,j) -> (i, j)",
@@ -398,11 +423,11 @@ def test_structural_twins_share_disk_records(tmp_path):
         inverse_text="(i,j) -> (i, j)",
     )
     warm = ConversionEngine(cache_dir=cache)
-    converter = warm.make_converter(COO, twin)
+    converter = warm.make_converter(COO, twin, backend="native")
     assert warm.cache_stats()["compiles"] == 0
     assert warm.cache_stats()["disk_hits"] == 1
     assert converter.dst_format is twin  # re-tagged to the requested twin
-    out = warm.convert(small_coo(), twin)
+    out = warm.convert(small_coo(), twin, backend="native")
     assert out.format is twin
 
 
@@ -520,4 +545,6 @@ def test_engine_cache_dir_creates_nested_parents(tmp_path):
     out = engine.convert(small_coo(), CSR)
     assert out.format is CSR
     assert deep.is_dir()
-    assert engine.cache_stats()["disk_writes"] >= 1
+    if HAVE_CC:  # native kernels are what the directory persists
+        engine.convert(small_coo(), CSR, backend="native")
+        assert engine.cache_stats()["disk_writes"] >= 1

@@ -235,6 +235,31 @@ def test_engine_convert_explicit_route_object():
     assert_identical(out, engine.convert(tensor, CSC, route="direct"))
 
 
+def test_convert_via_and_route_call_count_like_convert():
+    """convert_via is run_plan of the route's plan: it feeds the same
+    counters as convert(..., route=route) (it used to bypass them)."""
+    rng = random.Random(13)
+    cells, vals = random_cells(rng, (16, 16), 60)
+    tensor = reference_build(HASH, (16, 16), cells, vals)
+    reference = ConversionEngine()
+    route = reference.route(HASH, CSC)
+    expected = reference.convert(tensor, CSC, route=route)
+    for run in (
+        lambda engine: engine.convert_via(route, tensor),
+        lambda engine: route(tensor, engine),
+    ):
+        engine = ConversionEngine()
+        assert_identical(run(engine), expected)
+        stats, want = engine.cache_stats(), reference.cache_stats()
+        for counter in ("conversions", "routed_conversions",
+                        "parallel_conversions"):
+            assert stats[counter] == want[counter], counter
+        assert stats["conversions"] == stats["routed_conversions"] == 1
+        assert engine.pair_counts() == reference.pair_counts() == {
+            ("HASH", "CSC"): 1
+        }
+
+
 def test_route_caching_by_structural_pair():
     engine = ConversionEngine()
     assert engine.route(HASH, CSR) is engine.route(HASH, CSR)

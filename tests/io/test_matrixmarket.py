@@ -84,6 +84,32 @@ def test_errors(tmp_path):
         read_matrix_market(bad)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "999 1 2.0\n",         # row beyond the declared 3 rows
+        "0 1 2.0\n",           # Matrix Market is 1-based: row -1
+        "1 1 2.0\n2 2 3.0\n",  # more entries than the header declares
+        "1 2\n",               # real field with no value token
+        "x 1 2.0\n",           # non-numeric coordinate
+    ],
+    ids=["row-too-big", "row-zero", "extra-entry", "no-value", "garbage"],
+)
+def test_malformed_entries_raise_typed_error_from_read_tensor(tmp_path, entries):
+    """The in-memory reader drains the streaming parser, so it rejects
+    what that rejects — it used to accept the first two (failing later
+    inside a generated kernel), drop the third silently and raise bare
+    IndexError / ValueError for the last two."""
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 3 1\n" + entries
+    )
+    with pytest.raises(MatrixMarketError):
+        read_tensor(bad)
+    with pytest.raises(MatrixMarketError):
+        read_matrix_market(bad)
+
+
 def test_gzip_roundtrip(tmp_path):
     """SuiteSparse distributes gzipped files; .mtx.gz reads and writes."""
     path = tmp_path / "m.mtx.gz"

@@ -1,10 +1,13 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import random
+
 import pytest
 
 from repro.__main__ import _format_arg, main
 from repro.convert import scipy_available
 from repro.io import write_matrix_market
+from repro.ir.native import detect_toolchain
 
 # With scipy importable its registered converter wins the bulk COO->CSR
 # edge; the no-scipy leg keeps the generated vector kernel.
@@ -57,6 +60,52 @@ def test_convert_from_format(mtx, capsys):
     main(["convert", mtx, "--from", "CSR", "--to", "CSC"])
     out = capsys.readouterr().out
     assert "CSR -> CSC" in out
+
+
+def _bulk_coo_mtx(path, swap):
+    """A 12k-entry sorted COO file — big enough that the nnz-only route
+    prefers the scipy delegate — optionally with two entries swapped."""
+    rng = random.Random(0)
+    cells = sorted(
+        {(rng.randrange(200), rng.randrange(200)) for _ in range(30_000)}
+    )[:12_000]
+    if swap:
+        cells[10], cells[5000] = cells[5000], cells[10]
+    write_matrix_market(path, (200, 200), cells, [1.0] * len(cells))
+    return str(path)
+
+
+def test_convert_reports_the_hop_that_ran(tmp_path, capsys):
+    """One out-of-order row fails the scipy delegate's sortedness
+    predicate, so the engine runs the generated vector kernel.  The verb
+    must report that hop and that source: it used to route a second time
+    *without* the tensor's features and print the scipy converter."""
+    unsorted = _bulk_coo_mtx(tmp_path / "unsorted.mtx", swap=True)
+    main(["convert", unsorted, "--to", "CSR", "--show-code"])
+    out = capsys.readouterr().out
+    assert "direct: COO -> CSR [vector]" in out
+    assert "routed:" not in out and "scipy-coo-csr" not in out
+    assert "def convert_COO_to_CSR__vector" in out
+    if EXT == "external":
+        ordered = _bulk_coo_mtx(tmp_path / "sorted.mtx", swap=False)
+        main(["convert", ordered, "--to", "CSR", "--show-code"])
+        out = capsys.readouterr().out
+        assert "direct: COO -> CSR [external:scipy-coo-csr]" in out
+        assert "registered converter 'scipy-coo-csr'" in out
+
+
+def test_unreadable_input_is_a_one_line_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 3 1\n999 1 2.0\n")
+    missing = str(tmp_path / "missing.mtx")
+    for path in (str(bad), missing):
+        with pytest.raises(SystemExit, match="cannot read input"):
+            main(["convert", path, "--to", "CSR"])
+        with pytest.raises(SystemExit, match="cannot read input"):
+            main(["stats", path])
+        with pytest.raises(SystemExit, match="cannot read input"):
+            main(["compute", "spmv", "COO", "--input", path])
 
 
 def test_convert_route_direct_option(mtx, capsys):
@@ -177,12 +226,17 @@ def test_plan_command_requires_pair_or_load():
         main(["plan", "--load", "/no/such/plan.json"])
 
 
+@pytest.mark.skipif(detect_toolchain() is None, reason="no C toolchain")
 def test_convert_cache_dir_warm_start(mtx, tmp_path, capsys):
+    """--cache-dir persists native kernels: the second run binds the
+    first run's .so and compiles nothing."""
     cache = str(tmp_path / "kernels")
-    main(["convert", mtx, "--to", "CSR", "--cache-dir", cache])
+    argv = ["convert", mtx, "--to", "CSR", "--backend", "native",
+            "--cache-dir", cache]
+    main(argv)
     cold = capsys.readouterr().out
-    assert "0 disk hit(s)" in cold
-    main(["convert", mtx, "--to", "CSR", "--cache-dir", cache])
+    assert "0 disk hit(s)" in cold and "1 compile(s)" in cold
+    main(argv)
     warm = capsys.readouterr().out
     assert "0 compile(s)" in warm and "1 disk hit(s)" in warm
 
