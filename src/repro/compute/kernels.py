@@ -15,7 +15,7 @@ three backends as conversions:
   (``np.bincount`` over the canonical row stream);
 * **native** — the scalar IR printed as C by
   :func:`repro.ir.native.emit_c` and built/bound by the engine's native
-  kernel flow (OpenMP toolchain, serial reduction loop).
+  kernel flow (one serial C loop nest).
 
 Because the kernel consumes the *source* format directly, running it on
 a conversion's input **is** the fused convert-and-compute pipeline: the
@@ -560,21 +560,11 @@ class CompiledCompute(CompiledConversion):
             alpha = float(alpha)
         return x, alpha
 
-    def __call__(
-        self,
-        tensor: Tensor,
-        x=None,
-        alpha: Optional[float] = None,
-        workers: int = 0,
-    ):
+    def __call__(self, tensor: Tensor, x=None, alpha: Optional[float] = None):
         """Run the kernel; returns a dense float64 vector (reductions) or
         a :class:`Tensor` in the destination format (``scale``)."""
         x, alpha = self._check_operands(tensor, x, alpha)
-        args = self.arguments(tensor, x=x, alpha=alpha)
-        if self.backend == "native":
-            results = self.func(*args, n_workers=workers)
-        else:
-            results = self.func(*args)
+        results = self.func(*self.arguments(tensor, x=x, alpha=alpha))
         if self.op.produces == "dense":
             out = results if not isinstance(results, tuple) else results[0]
             return np.asarray(out, dtype=np.float64)

@@ -176,11 +176,9 @@ class ComputePlan:
     #: the bound engine, else the process default at call time
     _engine = ConversionPlan._engine
 
-    def run(self, tensor, x=None, alpha=None, workers: Optional[int] = None):
+    def run(self, tensor, x=None, alpha=None):
         """Execute the pipeline on ``tensor``; returns the op's result."""
-        return self._engine().run_compute_plan(
-            self, tensor, x=x, alpha=alpha, workers=workers
-        )
+        return self._engine().run_compute_plan(self, tensor, x=x, alpha=alpha)
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:

@@ -352,8 +352,8 @@ class ConversionEngine:
         """The detected host C toolchain for the native backend, or
         ``None`` when no working compiler was found.  Memoized per
         ``$CC`` value (:func:`repro.ir.native.detect_toolchain`), so the
-        probe — one tiny compile plus an OpenMP check — runs once per
-        process, not per engine."""
+        probe — one tiny compile — runs once per process, not per
+        engine."""
         from ..ir.native import detect_toolchain
 
         return detect_toolchain()
@@ -411,13 +411,9 @@ class ConversionEngine:
         dst_format = get_format(dst_format)
         options, backend = self._effective(options, backend)
         resolved = self._resolve_backend(src_format, dst_format, options, backend)
-        if resolved == "native":
-            from .native import NativeConversion
-
-            cls: type = NativeConversion
-        else:
-            cls = CompiledConversion
-        return self._lookup_or_build(src_format, dst_format, options, resolved, cls)
+        return self._lookup_or_build(
+            src_format, dst_format, options, resolved, CompiledConversion
+        )
 
     def make_chunked(
         self,
@@ -880,8 +876,12 @@ class ConversionEngine:
         multi-worker pool (``workers`` defaults to the host CPU count, so
         single-core hosts never self-engage); an explicit int always
         engages with exactly that many workers, even ``1`` (useful to
-        compare the chunked path against the serial kernel).
+        compare the chunked path against the serial kernel).  A
+        ``native`` request never engages: native kernels are serial C and
+        run on no chunk pool.
         """
+        if backend == "native":
+            return 0
         if isinstance(parallel, int):
             return parallel
         if backend not in ("auto", "vector"):
@@ -1134,11 +1134,7 @@ class ConversionEngine:
                     "backend='auto'"
                 )
             conv = self.make_converter(hop.src, hop.dst, options, "native")
-            if conv.backend != "native":  # pair lost native capability
-                return conv, conv.backend
-            if workers:
-                return (lambda t: conv(t, workers)), "native"
-            return conv, "native"
+            return conv, conv.backend  # not "native": pair lost capability
         if workers and hop.kind in ("vector", "chunked"):
             chunked = self.make_chunked(hop.src, hop.dst, options)
             if chunked is not None:
@@ -1217,7 +1213,7 @@ class ConversionEngine:
                 hops=aligned.hops, options=aligned.options, workers=workers,
                 nnz=nnz, routed=True, features=features, engine=self,
             )
-        if workers and backend != "native":
+        if workers:
             from .chunked import chunkable
 
             if chunkable(src_format, dst_format, options):
@@ -1575,7 +1571,6 @@ class ConversionEngine:
         tensor: Tensor,
         x=None,
         alpha: Optional[float] = None,
-        workers: Optional[int] = None,
     ):
         """Execute a :class:`~repro.compute.plan.ComputePlan` on ``tensor``.
 
@@ -1640,7 +1635,7 @@ class ConversionEngine:
                 current.format, op, dst_for_kernel, plan.options, "scalar"
             )
         started = time.perf_counter()
-        result = kernel(current, x=x, alpha=alpha, workers=workers or 0)
+        result = kernel(current, x=x, alpha=alpha)
         elapsed = time.perf_counter() - started
         self.cost_model.observe(
             terminal.kind, current.nnz_stored, 1, elapsed

@@ -5,7 +5,9 @@ scalar IR for a pair, print it as C, and wrap the bound kernel in the
 engine's converter protocol.  Planning (IR + C emission) is pure and
 toolchain-free — ``repro codegen --backend native`` and plan-JSON
 ``sources()`` work on hosts with no compiler; only the engine's build
-step needs one.
+step needs one.  The engine binds the built kernel as a plain
+:class:`~repro.convert.engine.CompiledConversion`: a native kernel takes
+the same positional arguments as the generated Python kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, Optional, Tuple
 
 from ..formats.format import Format
 from ..ir.native import NativeUnsupported, emit_c
-from .engine import CompiledConversion
 from .planner import (
     ConversionPlanner,
     GeneratedConversion,
@@ -111,19 +112,3 @@ def native_capable(
         return False
     return True
 
-
-class NativeConversion(CompiledConversion):
-    """A bound native kernel behind the engine's converter protocol.
-
-    ``self.func`` is the ctypes wrapper from
-    :func:`repro.ir.native.load_kernel`; it accepts the same positional
-    arguments as the generated Python kernels plus an ``n_workers``
-    keyword that sets the OpenMP team size (``0`` leaves the runtime
-    default).
-    """
-
-    def __call__(self, tensor, workers: int = 0):
-        self._check_source(tensor)
-        return self._build_result(
-            tensor, self.func(*self.arguments(tensor), n_workers=workers)
-        )

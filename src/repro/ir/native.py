@@ -14,8 +14,7 @@ IR layer stays self-contained:
 * :func:`emit_c` — the C printer.  Fixed calling convention (every
   scalar is ``int64_t``, every values array ``double``)::
 
-      int64_t <name>(int64_t n_workers,
-                     void **in_arrays, const int64_t *in_scalars,
+      int64_t <name>(void **in_arrays, const int64_t *in_scalars,
                      void **out_arrays, int64_t *out_lens,
                      int64_t *out_scalars);
 
@@ -24,12 +23,8 @@ IR layer stays self-contained:
   packed densely).  The routine returns non-zero only on allocation
   failure; output arrays are malloc'd by the kernel and owned by the
   caller, who releases them through the exported ``repro_native_free``.
-  Embarrassingly parallel loops — analysis counting passes and
-  injective init/scatter loops — get ``#pragma omp parallel for`` (with
-  ``omp atomic`` on commutative integer count bumps, so results stay
-  bit-identical at any worker count); loops with loop-carried state
-  (prefix sums, sequenced scatters) stay serial.  Constructs the
-  printer cannot translate raise :class:`NativeUnsupported`.
+  Every IR loop prints as one serial C loop.  Constructs the printer
+  cannot translate raise :class:`NativeUnsupported`.
 
 * :func:`detect_toolchain` — memoized compiler probe (honours ``$CC``),
   returning a :class:`Toolchain` whose ``fingerprint`` keys the kernel
@@ -40,8 +35,7 @@ IR layer stays self-contained:
   ``os.replace``d into place, so concurrent builds of the same kernel
   never clobber each other) and bind the entry point through ctypes
   behind a wrapper with the same calling convention as the generated
-  Python kernels (``func(*args) -> value or tuple``), plus an
-  ``n_workers=`` keyword that sets the OpenMP team size.
+  Python kernels (``func(*args) -> value or tuple``).
 """
 
 from __future__ import annotations
@@ -83,7 +77,6 @@ from .nodes import (
     UnOp,
     Var,
     While,
-    free_vars,
 )
 
 
@@ -95,10 +88,6 @@ class NativeBuildError(RuntimeError):
     """The host compiler failed to build a generated translation unit."""
 
 
-#: Loop trip count below which a parallel region is not worth forking
-#: (the ``if()`` clause on every emitted ``parallel for``).
-_OMP_MIN_TRIP = 4096
-
 #: C type spellings of the two-letter internal type codes.
 _CTYPE = {"i": "int64_t", "f": "double"}
 
@@ -106,8 +95,8 @@ _CTYPE = {"i": "int64_t", "f": "double"}
 #: would shadow the ABI parameters or the runtime helpers).
 _RESERVED = frozenset(
     {
-        "n_workers", "in_arrays", "in_scalars", "out_arrays", "out_lens",
-        "out_scalars", "repro_par", "repro_alloc", "repro_native_free",
+        "in_arrays", "in_scalars", "out_arrays", "out_lens",
+        "out_scalars", "repro_alloc", "repro_native_free",
         "repro_floordiv",
         "repro_floormod", "repro_min_i", "repro_max_i", "repro_min_f",
         "repro_max_f", "repro_next_pow2",
@@ -123,9 +112,6 @@ _RESERVED = frozenset(
 _PREAMBLE = """\
 #include <stdint.h>
 #include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #define REPRO_EXPORT __attribute__((visibility("default")))
 
@@ -406,179 +392,12 @@ class _CEmitter:
             )
         raise NativeUnsupported(f"cannot print {expr!r}")
 
-    # -- parallelism analysis -------------------------------------------
-    def _simple_affine(self, index: Expr, var: str) -> bool:
-        """True when ``index`` is injective in ``var`` by construction:
-        the loop variable itself, optionally offset by a var-free term.
-        (Deliberately conservative — a scaled index could collapse when
-        the runtime scale is zero, so only offsets qualify.)"""
-        if isinstance(index, Var):
-            return index.name == var
-        if isinstance(index, BinOp) and index.op in ("+", "-"):
-            in_lhs = var in free_vars(index.lhs)
-            in_rhs = var in free_vars(index.rhs)
-            if in_lhs and not in_rhs:
-                return self._simple_affine(index.lhs, var)
-            if in_rhs and not in_lhs and index.op == "+":
-                return self._simple_affine(index.rhs, var)
-        return False
-
-    def _parallel_info(self, loop: For) -> Optional[List[str]]:
-        """If ``loop`` is safely parallelizable, return the scalars its
-        body assigns (the OpenMP ``private`` list); else ``None``.
-
-        Sound by construction: every statement must be a pure scalar
-        assignment whose reads are assigned-before-read within the
-        iteration, a store through an index injective in the loop
-        variable, a commutative integer ``+=`` bump (emitted atomic), or
-        a nested counted loop of the same shape.  Anything else —
-        loop-carried scalars, prefix sums, sequenced scatters, while
-        loops, allocation — keeps the loop serial.
-        """
-        body_assigned: Set[str] = set()
-        loaded: Set[str] = set()
-        stored: Dict[str, List[Expr]] = {}
-        atomics: Set[str] = set()
-
-        def collect(stmt: Stmt) -> bool:
-            if isinstance(stmt, Block):
-                return all(collect(child) for child in stmt.stmts)
-            if isinstance(stmt, (Comment, Pass)):
-                return True
-            if isinstance(stmt, Assign):
-                if isinstance(stmt.value, Call):
-                    return False
-                body_assigned.add(stmt.target.name)
-                self._collect_loads(stmt.value, loaded)
-                return True
-            if isinstance(stmt, Store):
-                if not isinstance(stmt.array, Var):
-                    return False
-                stored.setdefault(stmt.array.name, []).append(stmt.index)
-                self._collect_loads(stmt.index, loaded)
-                self._collect_loads(stmt.value, loaded)
-                return True
-            if isinstance(stmt, AugStore):
-                if (
-                    stmt.op != "+"
-                    or not isinstance(stmt.array, Var)
-                    or self.arrays.get(stmt.array.name) != "i"
-                ):
-                    return False
-                atomics.add(stmt.array.name)
-                self._collect_loads(stmt.index, loaded)
-                self._collect_loads(stmt.value, loaded)
-                return True
-            if isinstance(stmt, If):
-                self._collect_loads(stmt.cond, loaded)
-                if not collect(stmt.then):
-                    return False
-                return stmt.orelse is None or collect(stmt.orelse)
-            if isinstance(stmt, For):
-                body_assigned.add(stmt.var.name)
-                self._collect_loads(stmt.lo, loaded)
-                self._collect_loads(stmt.hi, loaded)
-                return collect(stmt.body)
-            return False  # While, Alloc, AugAssign, ExprStmt, Return
-
-        if not collect(loop.body):
-            return None
-        # array role separation: a written array is never read, a plain
-        # store never mixes with an atomic bump
-        if (set(stored) | atomics) & loaded or set(stored) & atomics:
-            return None
-        for name, indices in stored.items():
-            if not all(self._simple_affine(idx, loop.var.name) for idx in indices):
-                return None
-        # every scalar read inside an iteration must have been assigned
-        # earlier in that same iteration (no loop-carried values)
-        if not self._reads_follow_writes(loop.body, {loop.var.name},
-                                         body_assigned):
-            return None
-        # only function-scope scalars need an explicit private() entry;
-        # nested loop variables are declared in their for-init and are
-        # automatically private
-        privates = sorted(
-            name for name in body_assigned if not self._is_loop_only(name)
-        )
-        if loop.var.name in self.shared_loop_vars:
-            privates.append(loop.var.name)
-        return privates
-
-    def _collect_loads(self, expr: Expr, out: Set[str]) -> None:
-        if isinstance(expr, Load) and isinstance(expr.array, Var):
-            out.add(expr.array.name)
-            self._collect_loads(expr.index, out)
-            return
-        from .nodes import expr_children
-
-        for child in expr_children(expr):
-            self._collect_loads(child, out)
-
-    def _reads_follow_writes(
-        self, stmt: Stmt, assigned: Set[str], body_assigned: Set[str]
-    ) -> bool:
-        """Linear walk: every read of a body-assigned scalar must be
-        preceded (in the same iteration) by its assignment."""
-
-        def reads_ok(expr: Expr, assigned: Set[str]) -> bool:
-            for name in free_vars(expr):
-                if name in body_assigned and name not in assigned:
-                    return False
-            return True
-
-        def walk(stmt: Stmt, assigned: Set[str]) -> Optional[Set[str]]:
-            if isinstance(stmt, Block):
-                for child in stmt.stmts:
-                    result = walk(child, assigned)
-                    if result is None:
-                        return None
-                    assigned = result
-                return assigned
-            if isinstance(stmt, (Comment, Pass)):
-                return assigned
-            if isinstance(stmt, Assign):
-                if not reads_ok(stmt.value, assigned):
-                    return None
-                return assigned | {stmt.target.name}
-            if isinstance(stmt, (Store, AugStore)):
-                if reads_ok(stmt.index, assigned) and reads_ok(
-                    stmt.value, assigned
-                ):
-                    return assigned
-                return None
-            if isinstance(stmt, If):
-                if not reads_ok(stmt.cond, assigned):
-                    return None
-                then = walk(stmt.then, set(assigned))
-                if then is None:
-                    return None
-                if stmt.orelse is None:
-                    return assigned
-                orelse = walk(stmt.orelse, set(assigned))
-                if orelse is None:
-                    return None
-                return then & orelse
-            if isinstance(stmt, For):
-                if not (reads_ok(stmt.lo, assigned) and reads_ok(stmt.hi, assigned)):
-                    return None
-                inner = walk(stmt.body, assigned | {stmt.var.name})
-                if inner is None:
-                    return None
-                return assigned  # zero-trip loops assign nothing
-            return None
-
-        return walk(stmt, set(assigned)) is not None
-
     # -- statement printing ---------------------------------------------
-    def cstmt(self, stmt: Stmt, mode: str) -> None:
-        """Print one statement.  ``mode`` is ``"auto"`` (may open new
-        parallel regions), ``"par"`` (inside a parallel region: count
-        bumps need ``omp atomic``) or ``"ser"`` (the serial twin of a
-        parallelized loop: no atomics, no nested regions)."""
+    def cstmt(self, stmt: Stmt) -> None:
+        """Print one statement."""
         if isinstance(stmt, Block):
             for child in stmt.stmts:
-                self.cstmt(child, mode)
+                self.cstmt(child)
         elif isinstance(stmt, Comment):
             for line in stmt.text.splitlines():
                 self.emit(f"/* {line} */")
@@ -629,32 +448,30 @@ class _CEmitter:
                 value = self.cexpr(stmt.value)
                 self.emit(f"{target} = ({target}) ? ({target}) : ({value});")
             elif stmt.op in ("+", "-", "*"):
-                if mode == "par" and stmt.op == "+":
-                    self.emit("#pragma omp atomic")
                 self.emit(f"{target} {stmt.op}= {self.cexpr(stmt.value)};")
             else:
                 raise NativeUnsupported(f"augmented store op {stmt.op!r}")
         elif isinstance(stmt, For):
-            self._emit_for(stmt, mode)
+            self._emit_for(stmt)
         elif isinstance(stmt, While):
             self.emit(f"while ({self.cexpr(stmt.cond, as_bool=True)}) {{")
             self.indent += 1
-            self.cstmt(stmt.body, mode)
+            self.cstmt(stmt.body)
             self.indent -= 1
             self.emit("}")
         elif isinstance(stmt, If):
             self.emit(f"if ({self.cexpr(stmt.cond, as_bool=True)}) {{")
             self.indent += 1
-            self.cstmt(stmt.then, mode)
+            self.cstmt(stmt.then)
             self.indent -= 1
             if stmt.orelse is not None:
                 self.emit("} else {")
                 self.indent += 1
-                self.cstmt(stmt.orelse, mode)
+                self.cstmt(stmt.orelse)
                 self.indent -= 1
             self.emit("}")
         elif isinstance(stmt, Alloc):
-            self._emit_alloc(stmt, mode)
+            self._emit_alloc(stmt)
         elif isinstance(stmt, ExprStmt):
             self._emit_effect_call(stmt.expr)
         elif isinstance(stmt, Return):
@@ -667,50 +484,17 @@ class _CEmitter:
             raise NativeUnsupported(f"store into unknown array {array!r}")
         return f"{array.name}[{self.cexpr(index)}]"
 
-    def _emit_for(self, loop: For, mode: str) -> None:
+    def _emit_for(self, loop: For) -> None:
         var = loop.var.name
         lo, hi = self.cexpr(loop.lo), self.cexpr(loop.hi)
-        privates = self._parallel_info(loop) if mode == "auto" else None
         decl = "" if var in self.shared_loop_vars else "int64_t "
-        header = f"for ({decl}{var} = {lo}; {var} < {hi}; ++{var}) {{"
-        if privates is None:
-            self.emit(header)
-            self.indent += 1
-            self.cstmt(loop.body, mode)
-            self.indent -= 1
-            self.emit("}")
-            return
-        # Two copies of the loop, chosen by the runtime team size: the
-        # OpenMP version pays for atomics only when threads can actually
-        # race; the serial twin is the plain loop (an unconditional
-        # `omp atomic` would cost a locked add per nonzero even on one
-        # thread, which is exactly the scipy-vs-us margin).
-        clause = f" private({', '.join(privates)})" if privates else ""
-        self.emit("#ifdef _OPENMP")
-        self.emit(f"if (repro_par && ({hi}) - ({lo}) >= {_OMP_MIN_TRIP}) {{")
+        self.emit(f"for ({decl}{var} = {lo}; {var} < {hi}; ++{var}) {{")
         self.indent += 1
-        self.emit(f"#pragma omp parallel for{clause}")
-        self.emit(header)
-        self.indent += 1
-        self.cstmt(loop.body, "par")
-        self.indent -= 1
-        self.emit("}")
-        self.indent -= 1
-        self.emit("} else")
-        self.emit("#endif")
-        self.emit("{")
-        self.indent += 1
-        self.emit(header)
-        self.indent += 1
-        self.cstmt(loop.body, "ser")
-        self.indent -= 1
-        self.emit("}")
+        self.cstmt(loop.body)
         self.indent -= 1
         self.emit("}")
 
-    def _emit_alloc(self, stmt: Alloc, mode: str) -> None:
-        if mode == "par":
-            raise NativeUnsupported("allocation inside a parallel region")
+    def _emit_alloc(self, stmt: Alloc) -> None:
         name = stmt.target.name
         ctype = _CTYPE[self.arrays[name]]
         zero = 1 if stmt.init == "zeros" else 0
@@ -787,19 +571,11 @@ class _CEmitter:
             out.append(" */")
         out.append(
             f"REPRO_EXPORT int64_t {self.func.name}(\n"
-            "    int64_t n_workers, void **in_arrays,\n"
-            "    const int64_t *in_scalars, void **out_arrays,\n"
-            "    int64_t *out_lens, int64_t *out_scalars)\n{"
+            "    void **in_arrays, const int64_t *in_scalars,\n"
+            "    void **out_arrays, int64_t *out_lens,\n"
+            "    int64_t *out_scalars)\n{"
         )
         self.lines = []
-        self.emit("int repro_par = 0;")
-        self.emit("#ifdef _OPENMP")
-        self.emit("if (n_workers > 0) omp_set_num_threads((int)n_workers);")
-        self.emit("repro_par = (n_workers != 1) && (omp_get_max_threads() > 1);")
-        self.emit("#else")
-        self.emit("(void)n_workers;")
-        self.emit("#endif")
-        self.emit("(void)repro_par;")
         self.emit("(void)out_scalars;")
         array_slot = 0
         scalar_slot = 0
@@ -836,7 +612,7 @@ class _CEmitter:
             ctype = _CTYPE[self.scalars[name]]
             init = "0.0" if self.scalars[name] == "f" else "0"
             self.emit(f"{ctype} {name} = {init};")
-        self.cstmt(self.func.body, mode="auto")
+        self.cstmt(self.func.body)
         if not self._returned:
             raise NativeUnsupported("kernel body has no return")
         if self.alloc_order:
@@ -850,7 +626,7 @@ class _CEmitter:
 
     def _is_loop_only(self, name: str) -> bool:
         """Scalars that only ever appear as For variables are declared in
-        their for-init (making them OpenMP-private for free)."""
+        their for-init."""
         loop_only = getattr(self, "_loop_only_memo", None)
         if loop_only is None:
             loop_vars: Set[str] = set()
@@ -902,14 +678,13 @@ class Toolchain:
     """A working host C compiler and the flags the backend builds with.
 
     ``fingerprint`` digests the resolved compiler path, its version
-    banner and the OpenMP verdict; it joins every native kernel-cache
+    banner and the flags; it joins every native kernel-cache
     key so records built by one compiler are never loaded under another
     (a stale-ABI ``.so`` is a cache miss, not a crash).
     """
 
     cc: str
     flags: Tuple[str, ...]
-    openmp: bool
     fingerprint: str
 
 
@@ -919,21 +694,16 @@ _TOOLCHAINS: Dict[Optional[str], Optional[Toolchain]] = {}
 _TOOLCHAIN_LOCK = threading.Lock()
 
 _PROBE_SOURCE = "int repro_probe(int x) { return x + 1; }\n"
-_OMP_PROBE_SOURCE = (
-    "#include <omp.h>\n"
-    "int repro_probe(void) { return omp_get_max_threads(); }\n"
-)
 
 
-def _try_compile(cc: str, flags: Sequence[str], source: str,
-                 workdir: str, stem: str) -> bool:
-    c_path = os.path.join(workdir, f"{stem}.c")
-    so_path = os.path.join(workdir, f"{stem}.so")
+def _try_compile(cc: str, workdir: str) -> bool:
+    c_path = os.path.join(workdir, "probe.c")
+    so_path = os.path.join(workdir, "probe.so")
     with open(c_path, "w") as handle:
-        handle.write(source)
+        handle.write(_PROBE_SOURCE)
     try:
         result = subprocess.run(
-            [cc, *flags, "-o", so_path, c_path],
+            [cc, *_BASE_FLAGS, "-o", so_path, c_path],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             timeout=60,
@@ -963,14 +733,8 @@ def detect_toolchain() -> Optional[Toolchain]:
         if resolved is None:
             continue
         with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as workdir:
-            if not _try_compile(resolved, _BASE_FLAGS, _PROBE_SOURCE,
-                                workdir, "probe"):
+            if not _try_compile(resolved, workdir):
                 continue
-            openmp = _try_compile(
-                resolved, (*_BASE_FLAGS, "-fopenmp"), _OMP_PROBE_SOURCE,
-                workdir, "omp",
-            )
-        flags = _BASE_FLAGS + (("-fopenmp",) if openmp else ())
         try:
             banner = subprocess.run(
                 [resolved, "--version"],
@@ -982,10 +746,10 @@ def detect_toolchain() -> Optional[Toolchain]:
             banner = []
         version = banner[0].decode("utf-8", "replace") if banner else "?"
         fingerprint = hashlib.sha256(
-            repr((resolved, version, flags)).encode()
+            repr((resolved, version, _BASE_FLAGS)).encode()
         ).hexdigest()[:16]
         toolchain = Toolchain(
-            cc=resolved, flags=flags, openmp=openmp, fingerprint=fingerprint
+            cc=resolved, flags=_BASE_FLAGS, fingerprint=fingerprint
         )
         break
     with _TOOLCHAIN_LOCK:
@@ -1048,7 +812,6 @@ def build_shared(source: str, so_path: str, toolchain: Toolchain) -> None:
 
 
 _ENTRY_ARGTYPES = [
-    ctypes.c_int64,
     ctypes.POINTER(ctypes.c_void_p),
     ctypes.POINTER(ctypes.c_int64),
     ctypes.POINTER(ctypes.c_void_p),
@@ -1063,7 +826,7 @@ def load_kernel(
     params: Sequence[Tuple[str, int, str]],
     outputs: Sequence[Tuple[str, int, str]],
 ):
-    """Bind a built kernel; returns ``func(*args, n_workers=0)``.
+    """Bind a built kernel; returns ``func(*args)``.
 
     The wrapper speaks the generated-Python calling convention — one
     positional argument per kernel parameter, returning the kernel's
@@ -1101,7 +864,7 @@ def load_kernel(
     n_out_arrays = sum(1 for kind, _ in output_kinds if kind == "array")
     n_out_scalars = len(output_kinds) - n_out_arrays
 
-    def func(*args, n_workers: int = 0):
+    def func(*args):
         if len(args) != len(param_kinds):
             raise TypeError(
                 f"{entry_name} takes {len(param_kinds)} arguments, "
@@ -1124,10 +887,7 @@ def load_kernel(
         out_arrays = (ctypes.c_void_p * max(n_out_arrays, 1))()
         out_lens = (ctypes.c_int64 * max(n_out_arrays, 1))()
         out_scalars = (ctypes.c_int64 * max(n_out_scalars, 1))()
-        status = entry(
-            ctypes.c_int64(int(n_workers)), in_arrays, in_scalars,
-            out_arrays, out_lens, out_scalars,
-        )
+        status = entry(in_arrays, in_scalars, out_arrays, out_lens, out_scalars)
         if status != 0:
             raise MemoryError(
                 f"native kernel {entry_name} failed to allocate"

@@ -15,6 +15,7 @@ compiler invocations on a warm cache directory.
 import json
 import os
 import random
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,13 @@ EXTENDED = [BCSR(2, 2), DCSR, HICOO(2), HASH]
 
 HAVE_CC = detect_toolchain() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+
+#: the entry point's parameter list: no team-size slot
+FIVE_SLOT_SIGNATURE = (
+    "    void **in_arrays, const int64_t *in_scalars,\n"
+    "    void **out_arrays, int64_t *out_lens,\n"
+    "    int64_t *out_scalars)\n{"
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,16 +125,14 @@ def test_native_bit_identical_third_order(pair, engine):
     ids=lambda p: f"{p[0].name}_{p[1].name}",
 )
 def test_native_bit_identical_on_suite_matrix(pair, engine):
-    """Suite-size inputs cross the OpenMP trip threshold, so the
-    parallel twins of the emitted loops run and must stay bit-identical
-    at every team size (1 worker runs the serial twins)."""
+    """Suite-size inputs stay bit-identical through the one serial C
+    body of every emitted loop."""
     src, dst = pair
     entry = get_matrix("chem_master1", scale=2.0)
     tensor = entry.tensor(src)
     scalar = convert(tensor, dst, backend="scalar")
     native = engine.make_converter(src, dst, backend="native")
-    for workers in (0, 1, 4):
-        assert_tensors_bit_identical(scalar, native(tensor, workers))
+    assert_tensors_bit_identical(scalar, native(tensor))
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +208,7 @@ def test_codegen_is_pure_and_needs_no_toolchain(no_compiler, capsys):
     main(["codegen", "COO", "CSR", "--backend", "native"])
     out = capsys.readouterr().out
     assert "#include <stdint.h>" in out
-    assert "int64_t n_workers" in out
+    assert FIVE_SLOT_SIGNATURE in out
 
 
 # ----------------------------------------------------------------------
@@ -387,18 +393,92 @@ def test_seeded_chunked_auto_still_engages():
 def test_emitted_c_declares_the_fixed_abi():
     source = plan_native(COO, CSR).source
     assert "REPRO_EXPORT int64_t" in source
-    assert "int64_t n_workers" in source
-    assert "void **in_arrays" in source
-    assert "int64_t *out_lens" in source
+    assert FIVE_SLOT_SIGNATURE in source
     assert "repro_native_free" in source
 
 
-def test_parallel_pairs_emit_openmp_guarded_twins():
-    source = plan_native(COO, CSR).source
-    assert "#ifdef _OPENMP" in source
-    assert "#pragma omp parallel for" in source
-    # the serial twin must exist for single-threaded hosts/builds
-    assert "repro_par" in source
+TABLE3_PAIRS = [
+    (COO, CSR), (CSR, CSC), (COO, DIA), (CSR, DIA), (CSC, DIA), (CSR, ELL),
+    (CSC, ELL),
+]
+
+
+def test_emitted_c_is_one_serial_body():
+    """No OpenMP twin, team-size slot or run-time parallel switch is
+    emitted for the Table-3 pairs or the fused COO SpMV kernel."""
+    from repro.compute import plan_compute_kernel
+
+    sources = [plan_native(src, dst).source for src, dst in TABLE3_PAIRS]
+    sources.append(plan_compute_kernel(COO, "spmv", backend="native").source)
+    for source in sources:
+        for word in ("omp", "_OPENMP", "repro_par", "n_workers"):
+            assert not re.search(rf"\b{word}\b", source), word
+
+
+@needs_cc
+def test_toolchain_builds_without_openmp():
+    assert "-fopenmp" not in detect_toolchain().flags
+
+
+@needs_cc
+def test_bound_kernel_takes_no_team_size(engine):
+    conv = engine.make_converter(COO, CSR, backend="native")
+    tensor = reference_build(COO, (4, 5), [(1, 2), (3, 0)], [2.5, 1.5])
+    with pytest.raises(TypeError):
+        conv.func(*conv.arguments(tensor), n_workers=2)
+
+
+def _every_small_pattern():
+    """Every sparsity pattern of every 2-D shape up to 3x3 (682 in all,
+    the empty pattern of each shape included)."""
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            cells = [(i, j) for i in range(m) for j in range(n)]
+            for mask in range(1 << len(cells)):
+                picked = [c for k, c in enumerate(cells) if mask >> k & 1]
+                yield (m, n), picked, [k + 0.5 for k in range(len(picked))]
+
+
+SMALL_PATTERNS = list(_every_small_pattern())
+
+
+@pytest.mark.parametrize("backend", ["vector", "native"])
+def test_small_scope_exhaustion_table3_pairs(backend, engine):
+    """Empty rows, full rows, single entries and empty tensors, all of
+    them: bit-identical to scalar for the seven Table-3 pairs."""
+    if backend == "native" and not HAVE_CC:
+        pytest.skip("no C toolchain")
+    assert len(SMALL_PATTERNS) == 682
+    sources = {
+        src.name: [reference_build(src, dims, cells, vals)
+                   for dims, cells, vals in SMALL_PATTERNS]
+        for src in (COO, CSR, CSC)
+    }
+    for src, dst in TABLE3_PAIRS:
+        scalar = engine.make_converter(src, dst, backend="scalar")
+        other = engine.make_converter(src, dst, backend=backend)
+        assert other.backend == backend
+        for tensor in sources[src.name]:
+            assert_tensors_bit_identical(scalar(tensor), other(tensor))
+
+
+def test_native_plan_reports_no_chunk_workers():
+    """A native hop runs on no chunk pool, so even an explicit
+    ``parallel=`` count plans zero workers."""
+    eng = ConversionEngine()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # compiler-less hosts degrade
+            plan = eng.plan(COO, CSR, backend="native", parallel=4)
+        assert plan.workers == 0
+        assert "chunk workers" not in plan.explain()
+        tensor = reference_build(
+            COO, (6, 7), [(0, 1), (2, 3), (2, 6), (5, 0)], [1.5, 2.0, 3.0, 4.0]
+        )
+        ref = convert(tensor, CSR, backend="scalar")
+        assert_tensors_bit_identical(ref, plan.run(tensor))
+    finally:
+        eng.shutdown()
 
 
 def test_plan_options_reach_the_emitted_c():
