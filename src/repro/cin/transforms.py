@@ -152,9 +152,7 @@ class ConversionInfo:
         if self.src_format.padded:
             return False
         for level in self.src_format.levels[m:]:
-            if level.name not in ("compressed", "singleton"):
-                return False
-            if level.stores_explicit_zeros:
+            if not level.composes_widths or level.stores_explicit_zeros:
                 return False
         return True
 

@@ -50,6 +50,7 @@ from dataclasses import replace
 from typing import Dict, Optional
 
 from ..formats.format import Format
+from ..levels.hashed import HashedLevel
 from ..storage.tensor import Tensor
 from .engine import CompiledConversion
 from .planner import GeneratedConversion, PlanOptions
@@ -78,7 +79,7 @@ def chunkable(src_format: Format, dst_format: Format,
     from ..ir.vector import vectorizable
 
     if any(
-        level.name == "hashed"
+        isinstance(level, HashedLevel)
         for level in (*src_format.levels, *dst_format.levels)
     ):
         return False

@@ -255,17 +255,8 @@ class DstView:
     def meta(self, k: int, name: str) -> Var:
         return self._ctx.dst_meta(k, name)
 
-    def meta_var(self, k: int, name: str) -> Var:
-        return self._ctx.dst_meta(k, name)
-
     def dim_lo(self, k: int) -> Expr:
         return self._ctx.dst_dim_lo(k)
-
-    def dim_hi(self, k: int) -> Expr:
-        return self._ctx.dst_dim_hi(k)
-
-    def dim_extent(self, k: int) -> Expr:
-        return self._ctx.dst_dim_extent(k)
 
     def dim_size(self, k: int) -> Expr:
         return self._ctx.dst_dim_extent(k)

@@ -124,27 +124,15 @@ class SourceLoopEmitter:
     def emit_total_paths(self) -> Expr:
         """Total number of stored paths in the source tensor.
 
-        Range composition from the root: every level maps the position
-        range contiguously (compressed/banded through ``pos``, dense and
-        sliced/squeezed by scaling, singleton/offset unchanged).  Used to
-        size the per-pass position memo of staged (multi-group) assembly.
+        Every level's ``get_size`` maps its parent's position-space size
+        to its own, so the leaf size is the composition from the root.
+        Used to size the per-pass position memo of staged (multi-group)
+        assembly.
         """
         end: Expr = Const(1)
         for k, level in enumerate(self.levels):
-            if level.name in ("compressed", "banded"):
-                end = Load(self.ctx.src_array(k, "pos"), end)
-            elif level.name in ("singleton", "offset"):
-                continue
-            elif level.name == "dense":
-                end = b.mul(end, self.ctx.src.dim_size(k))
-            elif level.name in ("sliced", "squeezed"):
-                end = b.mul(end, self.ctx.src_meta(k, "K"))
-            elif level.name == "hashed":
-                end = b.mul(end, self.ctx.src_meta(k, "W"))
-            else:
-                raise PlanError(
-                    f"cannot size the position memo through a {level.name} level"
-                )
+            stmts, end = level.emit_get_size(self.ctx.src, k, end)
+            assert not stmts, "a source level's get_size must be an expression"
         return simplify_expr(end)
 
     def emit_width(self, nlevels: int, prefix_pos: Expr) -> Tuple[List[Stmt], Expr]:
@@ -159,17 +147,9 @@ class SourceLoopEmitter:
         start: Expr = prefix_pos
         end: Expr = simplify_expr(b.add(prefix_pos, 1))
         for k in range(nlevels, len(self.levels)):
-            level = self.levels[k]
-            if level.name == "compressed":
-                pos_arr = self.ctx.src_array(k, "pos")
-                start = Load(pos_arr, start)
-                end = Load(pos_arr, end)
-            elif level.name == "singleton":
-                continue
-            else:
-                raise PlanError(
-                    f"cannot compute widths through a {level.name} level"
-                )
+            if not self.levels[k].composes_widths:
+                raise PlanError(f"source level {k} cannot compose widths")
+            start, end = self.levels[k].width_step(self.ctx.src, k, start, end)
         return [], simplify_expr(b.sub(end, start))
 
 

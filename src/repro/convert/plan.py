@@ -36,7 +36,7 @@ thin shims that build and run a plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..formats.format import Format
@@ -414,10 +414,6 @@ class ConversionPlan:
         return self._engine().run_plan(self, tensor)
 
     __call__ = run
-
-    def with_engine(self, engine) -> "ConversionPlan":
-        """The same plan bound to a different engine."""
-        return replace(self, engine=engine)
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:

@@ -553,11 +553,13 @@ class ConversionRoute:
                 "intermediate beats it"
             )
         else:
+            direct = resolve_backend(self.src, self.dst, self.options, "auto")
             lines.append(
-                f"  chosen over the direct scalar conversion "
-                f"(est {self.direct_cost * 1e3:.3f} ms): every hop is a "
-                f"bulk operation, the direct pair only lowers to scalar "
-                f"loops"
+                f"  chosen over the direct {direct} conversion "
+                f"(est {self.direct_cost * 1e3:.3f} ms): " + (
+                    "every hop is a bulk operation, the direct pair only "
+                    "lowers to scalar loops" if direct == "scalar"
+                    else "the route is estimated cheaper")
             )
         return "\n".join(lines)
 

@@ -315,9 +315,7 @@ def _prefix_pass(em: VectorEmitter, nlevels: int):
     start: Expr = Const(0) if frontier.at_root() else frontier.pos_array()
     end: Expr = simplify_expr(b.add(start, 1))
     for k in range(nlevels, len(ctx.src_format.levels)):
-        start, end = ctx.src_format.levels[k].vector_width_step(
-            em, ctx.src, k, start, end
-        )
+        start, end = ctx.src_format.levels[k].width_step(ctx.src, k, start, end)
     return frontier, simplify_expr(b.sub(end, start))
 
 

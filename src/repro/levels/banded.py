@@ -16,6 +16,7 @@ from ..ir.nodes import Alloc, Assign, ExprStmt, For, Store, Var
 from ..ir.simplify import simplify_expr
 from ..query.spec import QuerySpec
 from .base import Level
+from .compressed import check_pos
 
 
 class BandedLevel(Level):
@@ -85,8 +86,8 @@ class BandedLevel(Level):
         for pos in range(int(pos_arr[parent_pos]), end):
             yield pos, ancestors[k - 1] + pos - end + 1
 
-    def size(self, view, k, parent_size):
-        return int(view.array(k, "pos")[parent_size])
+    def check(self, view, k, parent_size):
+        return int(check_pos(view, k, parent_size)[parent_size])
 
     # -- assembly -------------------------------------------------------------
     def queries(self, k, ndims):

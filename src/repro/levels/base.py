@@ -2,16 +2,18 @@
 
 A *level format* stores one dimension (level) of a coordinate hierarchy
 (Section 2).  Every tensor format is a composition of level formats plus a
-coordinate remapping.  Each level implements up to three facets:
+coordinate remapping.  Each level implements up to four facets:
 
 1. **properties** — ``full``/``ordered``/``unique``/``branchless``/
    ``compact`` from Chou et al. [17], plus ``stores_explicit_zeros``
    (the new property Table 1's caption introduces) and ``has_edges``
    (whether assembling the level requires an edge-insertion phase);
 2. **iteration** — code generation (``emit_iteration``) and host-side
-   interpretation (``iterate``/``size``) of the level functions
+   interpretation (``iterate``) of the level functions
    ``pos_bounds``/``pos_access``, ``coord_bounds``/``coord_access`` and
-   ``locate`` of Chou et al.;
+   ``locate`` of Chou et al.; ``check`` validates the level's stored
+   arrays and returns its size, and ``width_step`` composes a position
+   range through the level (the simplify-width-count rewrite);
 3. **assembly** — the new level functions of Section 6.1: ``get_size``,
    sequenced/unsequenced edge insertion, ``init_coords``,
    ``get_pos``/``yield_pos`` (+ init/finalize) and ``insert_coord``,
@@ -107,9 +109,18 @@ class Level:
         """Host-side mirror of :meth:`emit_iteration`: yields (pos, coord)."""
         raise LevelFunctionError(f"{self.name} level does not support iteration")
 
-    def size(self, view, k: int, parent_size: int) -> int:
-        """Host-side ``get_size``: number of positions given the parent's."""
+    def check(self, view, k: int, parent_size: int) -> int:
+        """Host-side ``get_size``: validate the level's arrays (raising
+        ``FormatError``) and return its size given the parent's."""
         raise LevelFunctionError(f"{self.name} level does not define size")
+
+    #: True if :meth:`width_step` composes position ranges (simplify-width-count).
+    composes_widths: bool = False
+
+    def width_step(self, view, k: int, start: Expr, end: Expr) -> Tuple[Expr, Expr]:
+        """Map the parent position range ``[start, end)`` to this level's
+        (scalar ``emit_width`` and the vector prefix pass both call it)."""
+        raise LevelFunctionError(f"{self.name} level does not compose widths")
 
     # ------------------------------------------------------------------
     # assembly facet
@@ -199,12 +210,6 @@ class Level:
         coordinate array to ``frontier.coords`` and updates
         ``frontier.pos``."""
         raise LevelFunctionError(f"{self.name} level does not vector-iterate")
-
-    def vector_width_step(self, em, view, k: int, start: Expr, end: Expr):
-        """Compose a position range ``[start, end)`` through this level —
-        the bulk mirror of the simplify-width-count composition of
-        :meth:`~repro.convert.iterate.SourceLoopEmitter.emit_width`."""
-        raise LevelFunctionError(f"{self.name} level does not compose widths")
 
     def vector_edges(self, em, ctx, k: int, parents, parent_size: Expr) -> None:
         """Bulk edge insertion: build the level's ``pos`` array from the

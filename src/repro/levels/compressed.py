@@ -9,6 +9,7 @@ nonzero).
 
 from __future__ import annotations
 
+import numpy as np
 
 from ..ir import builder as b
 from ..ir.nodes import Alloc, Assign, ExprStmt, For, Store, Var
@@ -28,6 +29,7 @@ class CompressedLevel(Level):
     pos_kind = "yield"
     explicit_coords = True
     vector_capable = True
+    composes_widths = True
 
     def __init__(self, unique: bool = True, ordered: bool = True) -> None:
         self.unique = unique
@@ -39,7 +41,7 @@ class CompressedLevel(Level):
             flags.append("¬unique")
         if not self.ordered:
             flags.append("¬ordered")
-        return "compressed" + ("{" + ",".join(flags) + "}" if flags else "")
+        return self.name + ("{" + ",".join(flags) + "}" if flags else "")
 
     # -- iteration ----------------------------------------------------------
     def emit_iteration(self, ctx, k, parent_pos, ancestors, body):
@@ -61,8 +63,13 @@ class CompressedLevel(Level):
         for pos in range(pos_arr[parent_pos], pos_arr[parent_pos + 1]):
             yield pos, int(crd_arr[pos])
 
-    def size(self, view, k, parent_size):
-        return int(view.array(k, "pos")[parent_size])
+    def check(self, view, k, parent_size):
+        from ..formats.format import FormatError
+
+        pos = check_pos(view, k, parent_size)
+        if len(view.array(k, "crd")) < pos[-1]:
+            raise FormatError(f"level {k}: crd shorter than pos[-1]")
+        return int(pos[parent_size])
 
     # -- vector emission ------------------------------------------------------
     def vector_iterate(self, em, view, k, frontier):
@@ -72,7 +79,7 @@ class CompressedLevel(Level):
         )
         frontier.coords.append(coord)
 
-    def vector_width_step(self, em, view, k, start, end):
+    def width_step(self, view, k, start, end):
         pos_arr = view.array(k, "pos")
         return b.load(pos_arr, start), b.load(pos_arr, end)
 
@@ -100,11 +107,11 @@ class CompressedLevel(Level):
             else:
                 key = em.assign(
                     "key",
-                    f"{parent.name} * {em.atom(ctx.dim_extent(k))}"
+                    f"{parent.name} * {em.atom(ctx.dim_size(k))}"
                     f" + {em.atom(shifted)}",
                 )
             first = em.assign("first", f"unique_first({key.name})")
-            table_size = simplify_expr(b.mul(em.parent_size, ctx.dim_extent(k)))
+            table_size = simplify_expr(b.mul(em.parent_size, ctx.dim_size(k)))
             table = em.assign(
                 f"B{k + 1}_lookup",
                 f"np.empty({em.atom(table_size)}, dtype=np.int64)",
@@ -208,3 +215,17 @@ class CompressedLevel(Level):
 
     def emit_insert_coord(self, ctx, k, pos, coords):
         return [Store(ctx.array(k, "crd"), pos, coords[k])]
+
+
+def check_pos(view, k, parent_size):
+    """Validate the ``pos`` array shared by compressed and banded levels."""
+    from ..formats.format import FormatError
+
+    pos = view.array(k, "pos")
+    if len(pos) != parent_size + 1:
+        raise FormatError(f"level {k}: pos length {len(pos)} != {parent_size + 1}")
+    if pos[0] != 0:
+        raise FormatError(f"level {k}: pos[0] == {pos[0]} != 0")
+    if np.any(np.diff(pos) < 0):
+        raise FormatError(f"level {k}: pos not monotone")
+    return pos

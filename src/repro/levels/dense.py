@@ -38,7 +38,7 @@ class DenseLevel(Level):
         for coord in range(size):
             yield parent_pos * size + coord, coord
 
-    def size(self, view, k, parent_size):
+    def check(self, view, k, parent_size):
         return parent_size * view.dim_size(k)
 
     # -- vector emission ------------------------------------------------------
@@ -49,8 +49,8 @@ class DenseLevel(Level):
 
     # -- assembly -------------------------------------------------------------
     def emit_get_size(self, ctx, k, parent_size):
-        return [], simplify_expr(b.mul(parent_size, ctx.dim_extent(k)))
+        return [], simplify_expr(b.mul(parent_size, ctx.dim_size(k)))
 
     def emit_pos(self, ctx, k, parent_pos, coords):
         shifted = simplify_expr(b.sub(coords[k], ctx.dim_lo(k)))
-        return [], simplify_expr(b.add(b.mul(parent_pos, ctx.dim_extent(k)), shifted))
+        return [], simplify_expr(b.add(b.mul(parent_pos, ctx.dim_size(k)), shifted))

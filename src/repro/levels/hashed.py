@@ -77,7 +77,7 @@ class HashedLevel(Level):
             if coord >= 0:
                 yield parent_pos * width + slot, coord
 
-    def size(self, view, k, parent_size):
+    def check(self, view, k, parent_size):
         return parent_size * view.meta(k, "W")
 
     # -- vector emission ------------------------------------------------------
@@ -94,7 +94,7 @@ class HashedLevel(Level):
         frontier.coords.append(coord)
 
     def vector_init_coords(self, em, ctx, k, parent_size):
-        width = ctx.meta_var(k, "W")
+        width = ctx.meta(k, "W")
         crd_arr = ctx.array(k, "crd")
         handle = ctx.query(k, "nir")
         if handle.is_scalar:
@@ -112,7 +112,7 @@ class HashedLevel(Level):
         """Bulk ``get_pos``: open-addressing insertion of every nonzero
         through :func:`repro.ir.runtime.hashed_bulk_insert`, which fills
         the table and returns positions in sequential probe order."""
-        width = ctx.meta_var(k, "W")
+        width = ctx.meta(k, "W")
         crd_arr = ctx.array(k, "crd")
         shifted = simplify_expr(b.sub(coords[k], ctx.dim_lo(k)))
         home = em.assign("home", f"{em.atom(shifted)} % {width.name}")
@@ -133,7 +133,7 @@ class HashedLevel(Level):
         return (QuerySpec(tuple(range(k)), "count", (k,), "nir"),)
 
     def emit_init_coords(self, ctx, k, parent_size):
-        width = ctx.meta_var(k, "W")
+        width = ctx.meta(k, "W")
         crd_arr = ctx.array(k, "crd")
         peak = Var(ctx.ng.fresh("peak"))
         handle = ctx.query(k, "nir")
@@ -145,7 +145,7 @@ class HashedLevel(Level):
             idx = Var(ctx.ng.fresh("i"))
             total = b.to_expr(1)
             for key in handle.keys:
-                total = b.mul(total, ctx.dim_extent(key.dim))
+                total = b.mul(total, ctx.dim_size(key.dim))
             from ..ir.nodes import For
 
             stmts.append(
@@ -165,10 +165,10 @@ class HashedLevel(Level):
         return stmts
 
     def emit_get_size(self, ctx, k, parent_size):
-        return [], simplify_expr(b.mul(parent_size, ctx.meta_var(k, "W")))
+        return [], simplify_expr(b.mul(parent_size, ctx.meta(k, "W")))
 
     def emit_pos(self, ctx, k, parent_pos, coords):
-        width = ctx.meta_var(k, "W")
+        width = ctx.meta(k, "W")
         crd_arr = ctx.array(k, "crd")
         base = Var(ctx.ng.fresh("base"))
         slot = Var(ctx.ng.fresh("slot"))

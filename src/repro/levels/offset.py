@@ -34,7 +34,7 @@ class OffsetLevel(Level):
         self.offset_level = offset_level
 
     def signature(self) -> str:
-        return f"offset({self.base_level}+{self.offset_level})"
+        return f"{self.name}({self.base_level}+{self.offset_level})"
 
     # -- iteration ----------------------------------------------------------
     def emit_iteration(self, ctx, k, parent_pos, ancestors, body):
@@ -47,7 +47,7 @@ class OffsetLevel(Level):
     def iterate(self, view, k, parent_pos, ancestors):
         yield parent_pos, ancestors[self.base_level] + ancestors[self.offset_level]
 
-    def size(self, view, k, parent_size):
+    def check(self, view, k, parent_size):
         return parent_size
 
     # -- vector emission ------------------------------------------------------

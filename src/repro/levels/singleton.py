@@ -23,6 +23,7 @@ class SingletonLevel(Level):
     pos_kind = "get"
     explicit_coords = True
     vector_capable = True
+    composes_widths = True
 
     def __init__(self, unique: bool = True, ordered: bool = True) -> None:
         self.unique = unique
@@ -34,7 +35,7 @@ class SingletonLevel(Level):
             flags.append("¬unique")
         if not self.ordered:
             flags.append("¬ordered")
-        return "singleton" + ("{" + ",".join(flags) + "}" if flags else "")
+        return self.name + ("{" + ",".join(flags) + "}" if flags else "")
 
     # -- iteration ----------------------------------------------------------
     def emit_iteration(self, ctx, k, parent_pos, ancestors, body):
@@ -47,7 +48,11 @@ class SingletonLevel(Level):
     def iterate(self, view, k, parent_pos, ancestors):
         yield parent_pos, int(view.array(k, "crd")[parent_pos])
 
-    def size(self, view, k, parent_size):
+    def check(self, view, k, parent_size):
+        from ..formats.format import FormatError
+
+        if len(view.array(k, "crd")) < parent_size:
+            raise FormatError(f"level {k}: crd shorter than parent size")
         return parent_size
 
     # -- vector emission ------------------------------------------------------
@@ -57,7 +62,7 @@ class SingletonLevel(Level):
         )
         frontier.coords.append(coord)
 
-    def vector_width_step(self, em, view, k, start, end):
+    def width_step(self, view, k, start, end):
         return start, end
 
     # -- assembly -------------------------------------------------------------

@@ -46,7 +46,7 @@ class SlicedLevel(Level):
         for coord in range(size):
             yield parent_pos * size + coord, coord
 
-    def size(self, view, k, parent_size):
+    def check(self, view, k, parent_size):
         return parent_size * view.meta(k, "K")
 
     # -- assembly -------------------------------------------------------------
@@ -56,12 +56,12 @@ class SlicedLevel(Level):
         return (QuerySpec((), "max", (k,), "max_crd"),)
 
     def emit_init_coords(self, ctx, k, parent_size):
-        size = ctx.meta_var(k, "K")
+        size = ctx.meta(k, "K")
         return [Assign(size, simplify_expr(b.add(ctx.query(k, "max_crd").at(()), 1)))]
 
     def emit_get_size(self, ctx, k, parent_size):
-        return [], simplify_expr(b.mul(parent_size, ctx.meta_var(k, "K")))
+        return [], simplify_expr(b.mul(parent_size, ctx.meta(k, "K")))
 
     def emit_pos(self, ctx, k, parent_pos, coords):
-        size = ctx.meta_var(k, "K")
+        size = ctx.meta(k, "K")
         return [], simplify_expr(b.add(b.mul(parent_pos, size), coords[k]))

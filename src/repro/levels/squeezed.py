@@ -9,6 +9,8 @@ offsets), so auxiliary arrays are indexed with a shift of ``-lo``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..ir import builder as b
 from ..ir.nodes import Alloc, Assign, AugAssign, For, If, Store, Var
 from ..ir.simplify import simplify_expr
@@ -42,7 +44,7 @@ class SqueezedLevel(Level):
         set bits of the ``nz`` query, read off with ``flatnonzero`` —
         identical to the scalar coordinate-order scan."""
         perm = ctx.array(k, "perm")
-        count = ctx.meta_var(k, "K")
+        count = ctx.meta(k, "K")
         nz = ctx.query(k, "nz")
         lo = em.atom(ctx.dim_lo(k))
         em.emit(f"{perm.name} = np.flatnonzero({nz.var.name}) + {lo}")
@@ -53,11 +55,11 @@ class SqueezedLevel(Level):
         from ..ir.nodes import Var as IRVar
 
         perm = ctx.array(k, "perm")
-        count = ctx.meta_var(k, "K")
+        count = ctx.meta(k, "K")
         rperm = IRVar(ctx.ng.fresh(f"B{k + 1}_rperm"))
         ctx.scratch[(k, "rperm")] = rperm
         em.emit(
-            f"{rperm.name} = np.empty({em.atom(ctx.dim_extent(k))}, dtype=np.int64)"
+            f"{rperm.name} = np.empty({em.atom(ctx.dim_size(k))}, dtype=np.int64)"
         )
         em.emit(
             f"{rperm.name}[{perm.name} - {em.atom(ctx.dim_lo(k))}]"
@@ -80,8 +82,16 @@ class SqueezedLevel(Level):
         for position in range(size):
             yield parent_pos * size + position, int(perm[position])
 
-    def size(self, view, k, parent_size):
-        return parent_size * view.meta(k, "K")
+    def check(self, view, k, parent_size):
+        from ..formats.format import FormatError
+
+        perm = view.array(k, "perm")
+        count = view.meta(k, "K")
+        if len(perm) != count:
+            raise FormatError(f"level {k}: perm length != K")
+        if np.any(np.diff(perm) <= 0):
+            raise FormatError(f"level {k}: perm not strictly increasing")
+        return parent_size * count
 
     # -- assembly -------------------------------------------------------------
     def queries(self, k, ndims):
@@ -92,10 +102,10 @@ class SqueezedLevel(Level):
     def emit_init_coords(self, ctx, k, parent_size):
         """Scan the nz bit set in coordinate order, building ``perm``
         (Figure 6a lines 9-14)."""
-        extent = ctx.dim_extent(k)
+        extent = ctx.dim_size(k)
         lo = ctx.dim_lo(k)
         perm = ctx.array(k, "perm")
-        count = ctx.meta_var(k, "K")
+        count = ctx.meta(k, "K")
         i = Var(ctx.ng.fresh("i"))
         nz = ctx.query(k, "nz")
         scan = For(
@@ -121,11 +131,11 @@ class SqueezedLevel(Level):
         ]
 
     def emit_get_size(self, ctx, k, parent_size):
-        return [], simplify_expr(b.mul(parent_size, ctx.meta_var(k, "K")))
+        return [], simplify_expr(b.mul(parent_size, ctx.meta(k, "K")))
 
     def emit_init_pos(self, ctx, k, parent_size):
         """Build the reverse permutation (Figure 6a lines 16-19)."""
-        extent = ctx.dim_extent(k)
+        extent = ctx.dim_size(k)
         lo = ctx.dim_lo(k)
         perm = ctx.array(k, "perm")
         rperm = Var(ctx.ng.fresh(f"B{k + 1}_rperm"))
@@ -134,7 +144,7 @@ class SqueezedLevel(Level):
         fill = For(
             i,
             b.const(0),
-            ctx.meta_var(k, "K"),
+            ctx.meta(k, "K"),
             Store(rperm, simplify_expr(b.sub(b.load(perm, i), lo)), i),
         )
         return [Alloc(rperm, extent, "int64", "empty"), fill]
@@ -144,5 +154,5 @@ class SqueezedLevel(Level):
         shifted = simplify_expr(b.sub(coords[k], lo))
         position = b.load(ctx.scratch[(k, "rperm")], shifted)
         return [], simplify_expr(
-            b.add(b.mul(parent_pos, ctx.meta_var(k, "K")), position)
+            b.add(b.mul(parent_pos, ctx.meta(k, "K")), position)
         )

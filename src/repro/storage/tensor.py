@@ -293,31 +293,7 @@ class Tensor:
         """Validate structural invariants of every level; raises on failure."""
         size = 1
         for k, level in enumerate(self.format.levels):
-            name = level.name
-            if name in ("compressed", "banded"):
-                pos = self.array(k, "pos")
-                if len(pos) != size + 1:
-                    raise FormatError(f"level {k}: pos length {len(pos)} != {size + 1}")
-                if pos[0] != 0:
-                    raise FormatError(f"level {k}: pos[0] == {pos[0]} != 0")
-                if np.any(np.diff(pos) < 0):
-                    raise FormatError(f"level {k}: pos not monotone")
-                if name == "compressed":
-                    crd = self.array(k, "crd")
-                    if len(crd) < pos[-1]:
-                        raise FormatError(f"level {k}: crd shorter than pos[-1]")
-            elif name == "singleton":
-                crd = self.array(k, "crd")
-                if len(crd) < size:
-                    raise FormatError(f"level {k}: crd shorter than parent size")
-            elif name == "squeezed":
-                perm = self.array(k, "perm")
-                count = self.meta(k, "K")
-                if len(perm) != count:
-                    raise FormatError(f"level {k}: perm length != K")
-                if np.any(np.diff(perm) <= 0):
-                    raise FormatError(f"level {k}: perm not strictly increasing")
-            size = level.size(self, k, size)
+            size = level.check(self, k, size)
         if len(self.vals) != size:
             raise FormatError(f"vals length {len(self.vals)} != leaf size {size}")
 

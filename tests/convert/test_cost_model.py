@@ -18,18 +18,25 @@ COO_CSR_KEY = "external:scipy-coo-csr" if scipy_available() else "vector"
 
 
 @pytest.fixture
-def only_generated_coo_csr():
-    """Temporarily unregister COO->CSR competitors so the generated
-    kernels win deterministically (scipy-present and -absent legs)."""
+def only_generated_kernels():
+    """Temporarily unregister every registered converter so the generated
+    kernels win deterministically (scipy-present and -absent legs).
+    Removing only the COO->CSR competitors is not enough: the router then
+    detours COO->CSC->CSR through two seeded scipy hops."""
     from repro.convert import (
         converters_for,
         register_converter,
         unregister_converter,
     )
+    from repro.formats import available_formats
 
-    removed = list(converters_for(COO, CSR))
-    for conv in removed:
-        unregister_converter(COO, CSR, conv.name)
+    formats = list(available_formats().values())
+    removed = []
+    for src in formats:
+        for dst in formats:
+            for conv in converters_for(src, dst):
+                if unregister_converter(src, dst, conv.name):
+                    removed.append(conv)
     yield
     for conv in removed:
         register_converter(
@@ -123,7 +130,7 @@ def test_injected_slow_bridge_flips_the_route():
 
 
 def test_engine_route_explains_measured_after_enough_conversions(
-    only_generated_coo_csr,
+    only_generated_kernels,
 ):
     """After >= K recorded conversions of a pair at bulk sizes, the
     engine's route explanation labels that pair's hop costs as measured

@@ -121,6 +121,23 @@ def test_route_explain_transcript():
     assert "direct conversion is the estimated optimum" in direct_text
 
 
+def test_route_explain_names_a_vector_direct_hop():
+    """A detour around a pair that lowers to vector code (the COO -> CSC
+    -> CSR route cheap external hops can win) names the vector kind and
+    does not claim the direct pair only lowers to scalar loops."""
+    detour = ConversionRoute(
+        hops=(Hop(COO, CSC, "external", 4.5e-4, converter="scipy-coo-csc"),
+              Hop(CSC, CSR, "external", 4.5e-4, converter="scipy-csc-csr")),
+        cost=9e-4,
+        direct_cost=1.2e-3,
+        nnz=100_000,
+        options=PlanOptions(),
+    )
+    text = detour.explain()
+    assert "chosen over the direct vector conversion (est 1.200 ms)" in text
+    assert "scalar" not in text
+
+
 def test_explicit_intermediates_restrict_the_graph():
     route = find_route(HASH, CSR, intermediates=[DIA])
     # no COO available: DIA cannot be reached by bridge, hops stay scalar,

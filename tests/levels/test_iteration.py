@@ -35,7 +35,7 @@ def test_dense_level_iterates_full_range():
 
 def test_dense_level_size():
     tensor = _tensor(CSR)
-    assert CSR.levels[0].size(tensor, 0, 1) == 4
+    assert CSR.levels[0].check(tensor, 0, 1) == 4
 
 
 def test_compressed_level_iterates_row_segment():
@@ -43,7 +43,7 @@ def test_compressed_level_iterates_row_segment():
     # row 2 has columns 0, 2, 3 (positions 4..6 in Figure 2b's layout)
     entries = list(CSR.levels[1].iterate(tensor, 1, 2, (2,)))
     assert [coord for _, coord in entries] == [0, 2, 3]
-    assert CSR.levels[1].size(tensor, 1, 4) == 10
+    assert CSR.levels[1].check(tensor, 1, 4) == 10
 
 
 def test_singleton_level_yields_one_entry():
@@ -57,7 +57,7 @@ def test_squeezed_level_iterates_stored_diagonals():
     tensor = _tensor(DIA)
     entries = list(DIA.levels[0].iterate(tensor, 0, 0, ()))
     assert [coord for _, coord in entries] == [-2, 0, 1]  # Figure 2c's perm
-    assert DIA.levels[0].size(tensor, 0, 1) == 3
+    assert DIA.levels[0].check(tensor, 0, 1) == 3
 
 
 def test_offset_level_derives_column():
@@ -112,7 +112,7 @@ def test_abstract_level_raises():
     with pytest.raises(LevelFunctionError):
         list(level.iterate(None, 0, 0, ()))
     with pytest.raises(LevelFunctionError):
-        level.size(None, 0, 1)
+        level.check(None, 0, 1)
     with pytest.raises(LevelFunctionError):
         level.emit_pos(None, 0, None, ())
     with pytest.raises(LevelFunctionError):
