@@ -122,12 +122,12 @@ def _read_input(path: str, fmt=None):
         raise SystemExit(f"cannot read input: {exc}") from exc
 
 
-def _resolve_plan(args, plan_type, engine, pinned: str, build, explain):
+def _resolve_plan(args, engine, pinned: str, build):
     """The plan a ``plan`` / ``compute`` invocation works on: loaded from
     ``--load FILE`` (replayed as-is, so ``pinned`` — the planning
     arguments, when any was given — is an error) or built by ``build()``;
     then saved (``--save FILE``) and printed (``--json`` or the
-    ``explain(plan)`` transcript)."""
+    ``explain()`` transcript)."""
     if args.load:
         if pinned:
             raise SystemExit(
@@ -136,7 +136,7 @@ def _resolve_plan(args, plan_type, engine, pinned: str, build, explain):
             )
         try:
             with open(args.load) as handle:
-                plan = plan_type.from_json(handle.read(), engine=engine)
+                plan = ConversionPlan.from_json(handle.read(), engine=engine)
         except (OSError, PlanError) as exc:
             raise SystemExit(f"cannot load plan: {exc}") from exc
     else:
@@ -148,7 +148,7 @@ def _resolve_plan(args, plan_type, engine, pinned: str, build, explain):
         with open(args.save, "w") as handle:
             handle.write(plan.to_json(indent=2) + "\n")
         print(f"wrote {args.save}")
-    print(plan.to_json(indent=2) if args.json else explain(plan))
+    print(plan.to_json(indent=2) if args.json else plan.explain())
     return plan
 
 
@@ -185,9 +185,7 @@ def _cmd_plan(args) -> None:
 
     pinned = args.src or args.dst or args.nnz is not None or args.backend
     plan = _resolve_plan(
-        args, ConversionPlan, engine,
-        "SRC/DST, --nnz or --backend" if pinned else "",
-        build, ConversionPlan.explain,
+        args, engine, "SRC/DST, --nnz or --backend" if pinned else "", build
     )
     if args.show_code:
         _print_sources(plan)
@@ -323,8 +321,6 @@ def _cmd_verify(args) -> None:
 def _cmd_compute(args) -> None:
     import numpy as np
 
-    from .compute.plan import ComputePlan
-
     engine = _engine_arg(args)
 
     def build():
@@ -341,14 +337,15 @@ def _cmd_compute(args) -> None:
 
     pinned = args.op or args.src or args.to or args.nnz is not None
     plan = _resolve_plan(
-        args, ComputePlan, engine,
-        "OP/SRC, --to or --nnz" if pinned else "",
-        build, lambda plan: plan.explain(engine.cost_model),
+        args, engine, "OP/SRC, --to or --nnz" if pinned else "", build
     )
+    if plan.op is None:
+        raise SystemExit(
+            f"{args.load} is a conversion plan with no op to compute; "
+            "replay it with 'repro plan --load'"
+        )
     if args.show_code:
-        for label, source in plan.sources().items():
-            print(f"\n# {label}")
-            print(source)
+        _print_sources(plan)
     if args.input:
         tensor = _read_input(args.input, plan.src)
         x = None
@@ -356,9 +353,7 @@ def _cmd_compute(args) -> None:
             rng = np.random.default_rng(args.seed)
             x = rng.uniform(0.5, 1.5, tensor.dims[1])
         start = time.perf_counter()
-        result = engine.run_compute_plan(
-            plan, tensor, x=x, alpha=args.alpha
-        )
+        result = plan.run(tensor, x=x, alpha=args.alpha)
         elapsed = (time.perf_counter() - start) * 1e3
         print(
             f"\n{args.input}: {plan.op.name} over {plan.src.name} "

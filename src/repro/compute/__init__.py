@@ -11,14 +11,18 @@ lowered two ways from one description:
   -remap passes with the consuming op so the intermediate format's
   ``pos``/``crd``/``vals`` arrays are never allocated.
 
-``engine.plan_compute(src, op, dst)`` returns a :class:`ComputePlan`
+``engine.plan_compute(src, op, dst)`` returns a compute plan — a
+:class:`~repro.convert.plan.ConversionPlan` whose last hop runs the op —
 choosing between them with the engine's measured :class:`CostModel
 <repro.convert.router.CostModel>`; ``Tensor.spmv(x, via="CSR")`` is the
-one-line entry point.  See ``docs/fusion.md``.
+one-line entry point.  See ``docs/fusion.md``.  ``ComputePlan`` and
+``COMPUTE_PLAN_SCHEMA`` remain importable as plain aliases of
+``ConversionPlan`` and ``PLAN_SCHEMA``.
 """
 
+from ..convert.plan import PLAN_SCHEMA as COMPUTE_PLAN_SCHEMA
+from ..convert.plan import ConversionPlan as ComputePlan
 from .kernels import (
-    COMPUTE_BACKENDS,
     CompiledCompute,
     ComputeLoweringError,
     compute_native_capable,
@@ -36,7 +40,6 @@ from .ops import (
     ComputeOpError,
     get_op,
 )
-from .plan import COMPUTE_PLAN_SCHEMA, ComputePlan
 from .reference import (
     row_reduce_reference,
     scale_reference,
@@ -44,7 +47,6 @@ from .reference import (
 )
 
 __all__ = [
-    "COMPUTE_BACKENDS",
     "COMPUTE_OPS",
     "COMPUTE_PLAN_SCHEMA",
     "CompiledCompute",

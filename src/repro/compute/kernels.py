@@ -71,9 +71,6 @@ from ..ir.simplify import simplify_stmt
 from ..storage.tensor import Tensor
 from .ops import ComputeOp, ComputeOpError, get_op
 
-#: Backend identifiers accepted by the compute planner.
-COMPUTE_BACKENDS = ("auto", "scalar", "vector", "native")
-
 #: Operand parameter triples (see ``CompiledCompute.arguments``): the
 #: dense vector rides as a float64 array (``level == -1`` marks float in
 #: the native ABI), the scalar as a non-native metadata parameter.
@@ -434,19 +431,16 @@ def resolve_compute_backend(
 ) -> str:
     """Resolve ``"auto"`` to the best available compute backend.
 
-    Mirrors :func:`repro.convert.planner.resolve_backend`: explicit
-    requests are honored (and fail loudly when incapable), ``"auto"``
-    picks vector when the pair gathers in bulk, scalar otherwise.
+    Mirrors :func:`repro.convert.planner.resolve_backend` for a backend
+    the engine's :class:`~repro.convert.request.ConversionRequest` has
+    validated: explicit requests are honored (an incapable one falls
+    back to the scalar kernel at run time), ``"auto"`` picks vector when
+    the pair gathers in bulk, scalar otherwise.
     """
-    if backend not in COMPUTE_BACKENDS:
-        known = ", ".join(COMPUTE_BACKENDS)
-        raise ComputeLoweringError(
-            f"unknown compute backend {backend!r} (known: {known})"
-        )
-    op = get_op(op)
-    options = options or PlanOptions()
     if backend != "auto":
         return backend
+    op = get_op(op)
+    options = options or PlanOptions()
     if compute_vector_capable(src_format, op, dst_format, options):
         return "vector"
     return "scalar"

@@ -88,7 +88,7 @@ from .planner import (
 from .context import PlanError
 from .converters import converter_named, registry_version, run_converter
 from .features import StructuralFeatures, sample_features
-from .plan import ConversionPlan, _hop_cost_kind, key_to_json
+from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
 from .router import (
     DEFAULT_ROUTE_NNZ,
@@ -364,12 +364,14 @@ class ConversionEngine:
         dst_format: Format,
         options: PlanOptions,
         backend: str,
+        resolve: Callable[..., str] = resolve_backend,
     ) -> str:
-        """Engine-level backend resolution: the planner's pure
-        :func:`resolve_backend` plus the toolchain reality check — a
-        ``native`` verdict on a host with no compiler degrades to the
-        auto resolution (warning once per engine) instead of failing."""
-        resolved = resolve_backend(src_format, dst_format, options, backend)
+        """Engine-level backend resolution: the pure ``resolve`` (the
+        planner's :func:`resolve_backend`, or a compute op's) plus the
+        toolchain reality check — a ``native`` verdict on a host with no
+        compiler degrades to the auto resolution (warning once per
+        engine) instead of failing."""
+        resolved = resolve(src_format, dst_format, options, backend)
         if resolved == "native" and self.toolchain() is None:
             with self._lock:
                 warned, self._native_warned = self._native_warned, True
@@ -381,7 +383,7 @@ class ConversionEngine:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            return resolve_backend(src_format, dst_format, options, "auto")
+            return resolve(src_format, dst_format, options, "auto")
         return resolved
 
     # -- compilation & caching ------------------------------------------
@@ -1064,7 +1066,7 @@ class ConversionEngine:
                       routed: bool) -> Tensor:
         """Count one executed conversion and run its hop sequence,
         timing each hop into the cost model — the one executor body
-        behind :meth:`run_plan` and :meth:`run_compute_plan`.
+        behind :meth:`run_plan`.
 
         The hop executable is resolved (and, on a cold cache, compiled)
         *before* the timer starts, so recorded rates measure conversion
@@ -1293,7 +1295,8 @@ class ConversionEngine:
             routed=False, features=features, engine=self,
         )
 
-    def run_plan(self, plan: ConversionPlan, tensor: Tensor) -> Tensor:
+    def run_plan(self, plan: ConversionPlan, tensor: Tensor, x=None,
+                 alpha: Optional[float] = None):
         """Execute a :class:`ConversionPlan` on ``tensor``.
 
         The executed-conversion counters and per-hop cost-model
@@ -1303,14 +1306,50 @@ class ConversionEngine:
         format; results are bit-identical to the direct conversion for
         every plan shape (routed hops and the chunked executor both
         preserve bit-identity by construction).
+
+        A compute plan (see :meth:`plan_compute`) then runs its op over
+        the converted tensor with the operand ``x`` or ``alpha``, timing
+        the terminal under its own cost-model kind (``fused`` /
+        ``compute``, which lets ``fuse="auto"`` learn), and returns a
+        dense float64 vector for reductions, a :class:`Tensor` for
+        materializing ops.
         """
         if structural_key(tensor.format) != structural_key(plan.src):
             raise ValueError(
                 f"plan starts at {plan.src.name}, got {tensor.format.name}"
             )
-        return self._execute_hops(
-            plan.hops, tensor, plan.options, plan.workers, plan.routed
+        if plan.conversion_hops:
+            tensor = self._execute_hops(
+                plan.conversion_hops, tensor, plan.options, plan.workers,
+                plan.routed,
+            )
+        if plan.op is None:
+            return tensor
+        kernel = self._op_kernel(plan)
+        started = time.perf_counter()
+        if kernel is None:
+            if alpha is None:
+                raise ValueError("op 'scale' needs a scalar alpha")
+            result = Tensor(
+                tensor.format, tensor.dims, dict(tensor.arrays),
+                dict(tensor.metadata),
+                np.asarray(tensor.vals, dtype=np.float64) * float(alpha),
+            )
+        else:
+            result = kernel(tensor, x=x, alpha=alpha)
+        elapsed = time.perf_counter() - started
+        self.cost_model.observe(
+            plan.terminal.kind, tensor.nnz_stored, 1, elapsed
         )
+        with self._lock:
+            self._stats["compute_runs"] += 1
+            if plan.fused:
+                self._stats["fused_runs"] += 1
+        return result
+
+    #: the name the compute callers (serve, the CLI, ``repro.verify``)
+    #: use for :meth:`run_plan`
+    run_compute_plan = run_plan
 
     def convert(
         self,
@@ -1385,46 +1424,57 @@ class ConversionEngine:
         )
 
     # -- fused convert-and-compute (repro.compute) ----------------------
-    def _obtain_compute(
-        self,
-        src_format: Format,
-        op,
-        dst_format: Optional[Format],
-        options: PlanOptions,
-        resolved: str,
-    ):
-        """Fetch or compile the compute kernel consuming ``src_format``.
+    def _op_kernel(self, plan: ConversionPlan):
+        """The compiled kernel of a compute plan's terminal op, or
+        ``None`` for a materialized ``scale`` (a value-stream multiply:
+        no codegen) — what :meth:`run_plan` executes and
+        :meth:`ConversionPlan.compile` warms.
 
         Shares the conversion kernel caches (in-flight events, LRU, the
         native ``.so`` flow and its disk records) through
         :meth:`_obtain_kernel`'s ``plan_fn`` seam; the kernel key leads
         with a ``"compute"`` tag plus the op name, so compute and
-        conversion records never collide.
+        conversion records never collide.  When the plan's backend
+        cannot lower the op for this format (e.g. a vector gather that
+        fails to lower), the always-available scalar kernel runs.
         """
         from ..compute.kernels import (
             CompiledCompute,
+            ComputeLoweringError,
             plan_compute_kernel,
         )
-        from ..compute.ops import get_op
+        from ..ir.native import NativeUnsupported
 
-        op = get_op(op)
-        kernel_key = (
-            "compute",
-            op.name,
-            structural_key(src_format),
-            structural_key(dst_format) if dst_format is not None else (),
-            options.key(),
-            resolved,
-        )
-        generated, func = self._obtain_kernel(
-            kernel_key, src_format,
-            dst_format if dst_format is not None else src_format,
-            options, resolved,
-            plan_fn=lambda: plan_compute_kernel(
-                src_format, op, dst_format, options, resolved
-            ),
-        )
-        return CompiledCompute(generated, func, op)
+        op, terminal, options = plan.op, plan.terminal, plan.options
+        if op.name == "scale" and terminal.kind == "compute":
+            return None
+        src = terminal.src
+        dst = terminal.dst if op.needs_destination else None
+
+        def obtain(backend: str):
+            kernel_key = (
+                "compute",
+                op.name,
+                structural_key(src),
+                structural_key(dst) if dst is not None else (),
+                options.key(),
+                backend,
+            )
+            generated, func = self._obtain_kernel(
+                kernel_key, src, dst if dst is not None else src,
+                options, backend,
+                plan_fn=lambda: plan_compute_kernel(
+                    src, op, dst, options, backend
+                ),
+            )
+            return CompiledCompute(generated, func, op)
+
+        try:
+            return obtain(plan.backend)
+        except (ComputeLoweringError, NativeUnsupported):
+            if plan.backend == "scalar":
+                raise
+            return obtain("scalar")
 
     def plan_compute(
         self,
@@ -1437,8 +1487,9 @@ class ConversionEngine:
         backend: Optional[str] = None,
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
-    ) -> "ComputePlan":
-        """The full fused-pipeline decision for ``op`` over a format.
+    ) -> ConversionPlan:
+        """The full fused-pipeline decision for ``op`` over a format: a
+        :class:`ConversionPlan` whose last hop runs the op.
 
         With ``dst_format`` given, the pipeline the engine would run for
         ``tensor.to(dst).op(...)`` is planned end to end — the
@@ -1459,20 +1510,20 @@ class ConversionEngine:
         the op cannot consume the source), ``fuse=False`` pins
         materialize-then-compute.  Without ``dst_format`` the op consumes
         the source format directly (a single ``compute`` hop).
+
+        The knobs are validated as for :meth:`plan`; a pinned
+        ``backend`` pins every hop, the conversion's and the op's.
         """
-        from ..compute.kernels import (
-            fusable,
-            resolve_compute_backend,
-        )
+        from ..compute.kernels import fusable, resolve_compute_backend
         from ..compute.ops import get_op
-        from ..compute.plan import ComputePlan
 
         op = get_op(op)
-        src = get_format(src_format)
-        dst = get_format(dst_format) if dst_format is not None else None
-        options, requested = self._effective(options, backend)
-        if nnz is None:
-            nnz = DEFAULT_ROUTE_NNZ
+        request = ConversionRequest.build(
+            src_format, dst_format if dst_format is not None else src_format,
+            options=options, backend=backend, nnz=nnz, features=features,
+            default_options=self.options, default_backend=self.backend,
+        )
+        src, dst, options = request.src, request.dst, request.options
         op.validate_order(src.order)
         if isinstance(fuse, bool):
             fuse = "fused" if fuse else "materialize"
@@ -1481,170 +1532,59 @@ class ConversionEngine:
                 f"fuse must be 'auto', 'fused', 'materialize' or a bool, "
                 f"got {fuse!r}"
             )
-        model = self.cost_model
-        if dst is None or structural_key(dst) == structural_key(src):
-            target = dst if dst is not None else src
-            if op.needs_destination and dst is None:
+        if dst_format is None or structural_key(dst) == structural_key(src):
+            if op.needs_destination and dst_format is None:
                 raise PlanError(
                     f"op {op.name!r} materializes a destination; pass "
                     "dst_format"
                 )
-            resolved = resolve_compute_backend(
-                src, op, target if op.needs_destination else None,
-                options, requested if requested != "auto" else "auto",
-            )
-            cost, provenance = model.cost_detail("compute", nnz)
-            hop = Hop(src, target, "compute", cost=cost, provenance=provenance)
-            return ComputePlan(
-                op=op, hops=(hop,), backend=resolved, options=options,
-                nnz=nnz, fuse="materialize", routed=False,
-                features=features, engine=self,
-            )
-
-        conversion = self.plan(
-            src, dst, options=options, nnz=nnz, features=features,
-        )
-        pivot = conversion.hops[-1].src
-        compute_cost, compute_prov = model.cost_detail("compute", nnz)
-        fused_cost, fused_prov = model.cost_detail("fused", nnz)
-        materialize_cost = sum(
-            model.cost(_hop_cost_kind(hop), nnz, conversion.workers,
-                       conversion.features)
-            for hop in conversion.hops
-        ) + compute_cost
-        fused_total = sum(
-            model.cost(_hop_cost_kind(hop), nnz, conversion.workers,
-                       conversion.features)
-            for hop in conversion.hops[:-1]
-        ) + fused_cost
-
-        can_fuse = fusable(pivot, op, dst, options)
-        if fuse == "fused" and not can_fuse:
-            raise PlanError(
-                f"op {op.name!r} cannot consume {pivot.name} directly "
-                "(no inverse mapping or incompatible order); fusion is "
-                "not available for this pipeline"
-            )
-        if fuse == "auto":
-            # seeds never select fusion: require measured fused timings
-            # (and a measured win) before skipping materialization
-            measured = (
-                model.observation_count("fused") >= model.min_observations
-            )
-            decision = (
-                "fused"
-                if can_fuse and measured and fused_total < materialize_cost
-                else "materialize"
+            plan = ConversionPlan(
+                hops=(Hop(src, dst, "compute"),), options=options,
+                nnz=request.nnz, features=features, op=op, engine=self,
             )
         else:
-            decision = fuse
-
-        if decision == "fused":
-            resolved = resolve_compute_backend(
-                pivot, op, dst, options,
-                requested if requested != "auto" else "auto",
+            conversion = self.plan(
+                src, dst, options=options, backend=backend,
+                nnz=request.nnz, features=features,
             )
-            terminal = Hop(
-                pivot, dst, "fused", cost=fused_cost, provenance=fused_prov
+            pivot = conversion.hops[-1].src
+            can_fuse = fusable(pivot, op, dst, options)
+            if fuse == "fused" and not can_fuse:
+                raise PlanError(
+                    f"op {op.name!r} cannot consume {pivot.name} directly "
+                    "(no inverse mapping or incompatible order); fusion "
+                    "is not available for this pipeline"
+                )
+            materialized = replace(
+                conversion, op=op,
+                hops=conversion.hops + (Hop(dst, dst, "compute"),),
             )
-            hops = conversion.hops[:-1] + (terminal,)
-        else:
-            resolved = resolve_compute_backend(
-                dst, op, dst if op.needs_destination else None, options,
-                requested if requested != "auto" else "auto",
+            fused = replace(
+                conversion, op=op,
+                hops=conversion.hops[:-1] + (Hop(pivot, dst, "fused"),),
             )
-            terminal = Hop(
-                dst, dst, "compute", cost=compute_cost,
-                provenance=compute_prov,
-            )
-            hops = conversion.hops + (terminal,)
-        return ComputePlan(
-            op=op, hops=hops, backend=resolved, options=options,
-            workers=conversion.workers, nnz=nnz, fuse=decision,
-            routed=conversion.routed, features=conversion.features,
-            engine=self,
-        )
-
-    def run_compute_plan(
-        self,
-        plan: "ComputePlan",
-        tensor: Tensor,
-        x=None,
-        alpha: Optional[float] = None,
-    ):
-        """Execute a :class:`~repro.compute.plan.ComputePlan` on ``tensor``.
-
-        Conversion hops run through the executor body of :meth:`run_plan`
-        (feeding the same telemetry, hop observers and cost-model
-        observations as plain conversions); the terminal hop's wall time is recorded under its
-        own cost-model kind (``fused`` / ``compute``), which is what
-        eventually lets ``fuse="auto"`` prefer fusion on hosts where it
-        measures faster.  Returns a dense float64 vector for reductions,
-        a :class:`Tensor` for materializing ops.
-        """
-        from ..compute.kernels import ComputeLoweringError
-        from ..compute.plan import ComputePlan as _ComputePlan
-        from ..ir.native import NativeUnsupported
-
-        if not isinstance(plan, _ComputePlan):
-            raise TypeError(f"expected a ComputePlan, got {type(plan).__name__}")
-        if structural_key(tensor.format) != structural_key(plan.src):
-            raise ValueError(
-                f"plan starts at {plan.src.name}, got {tensor.format.name}"
-            )
-        current = tensor
-        if plan.conversion_hops:
-            current = self._execute_hops(
-                plan.conversion_hops, tensor, plan.options, plan.workers,
-                plan.routed,
-            )
-
+            if fuse == "auto":
+                # seeds never select fusion: require measured fused
+                # timings (and a measured win) before skipping
+                # materialization
+                model = self.cost_model
+                measured = (
+                    model.observation_count("fused") >= model.min_observations
+                )
+                fuse = (
+                    "fused"
+                    if can_fuse and measured
+                    and fused.estimated_cost() < materialized.estimated_cost()
+                    else "materialize"
+                )
+            plan = fused if fuse == "fused" else materialized
         terminal = plan.terminal
-        op = plan.op
-        if op.name == "scale" and terminal.kind == "compute":
-            # materialized scale is a value-stream multiply; no codegen
-            if alpha is None:
-                raise ValueError("op 'scale' needs a scalar alpha")
-            started = time.perf_counter()
-            result = Tensor(
-                current.format, current.dims, dict(current.arrays),
-                dict(current.metadata),
-                np.asarray(current.vals, dtype=np.float64) * float(alpha),
-            )
-            elapsed = time.perf_counter() - started
-            self.cost_model.observe(
-                "compute", current.nnz_stored, 1, elapsed
-            )
-            with self._lock:
-                self._stats["compute_runs"] += 1
-            return result
-
-        resolved = plan.backend
-        dst_for_kernel = plan.dst if op.needs_destination else None
-        try:
-            kernel = self._obtain_compute(
-                current.format, op, dst_for_kernel, plan.options, resolved
-            )
-        except (ComputeLoweringError, NativeUnsupported):
-            if resolved == "scalar":
-                raise
-            # the resolved backend lost capability for this pair (e.g. a
-            # vector gather that fails to lower); the scalar compute
-            # kernel is always available
-            kernel = self._obtain_compute(
-                current.format, op, dst_for_kernel, plan.options, "scalar"
-            )
-        started = time.perf_counter()
-        result = kernel(current, x=x, alpha=alpha)
-        elapsed = time.perf_counter() - started
-        self.cost_model.observe(
-            terminal.kind, current.nnz_stored, 1, elapsed
+        resolved = self._resolve_backend(
+            terminal.src, terminal.dst if op.needs_destination else None,
+            options, request.backend,
+            resolve=lambda s, d, o, b: resolve_compute_backend(s, op, d, o, b),
         )
-        with self._lock:
-            self._stats["compute_runs"] += 1
-            if terminal.kind == "fused":
-                self._stats["fused_runs"] += 1
-        return result
+        return replace(plan, backend=resolved)
 
     def spmv(
         self,
@@ -1658,7 +1598,8 @@ class ConversionEngine:
 
         ``via`` names the compute format the pipeline targets (default
         CSR, the paper's motivating consumer); ``via=None`` computes
-        directly in the tensor's own format.
+        directly in the tensor's own format.  A pinned ``backend`` pins
+        every hop of the pipeline, the conversion's and the op's.
         """
         plan = self.plan_compute(
             tensor.format, "spmv",
@@ -1666,7 +1607,7 @@ class ConversionEngine:
             fuse=fuse, backend=backend, nnz=tensor.nnz_stored,
             features=sample_features(tensor),
         )
-        return self.run_compute_plan(plan, tensor, x=x)
+        return self.run_plan(plan, tensor, x=x)
 
     def _record_conversion(self, pair: Tuple[str, str], routed: bool,
                            parallel: bool = False) -> None:

@@ -30,14 +30,16 @@ kernel cache (``ConversionEngine(cache_dir=...)``): a replayed plan on a
 warm cache directory compiles nothing.
 
 ``convert``/``make_converter`` remain the stable entry points; they are
-thin shims that build and run a plan.
+thin shims that build and run a plan.  A compute plan
+(``engine.plan_compute``) is a :class:`ConversionPlan` whose last hop
+runs an op, so one writer and one reader serve both.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..formats.format import Format
 from ..formats.registry import UnknownFormatError, get_format
@@ -48,21 +50,27 @@ from .features import StructuralFeatures
 from .planner import PlanOptions, structural_key
 from .router import HOP_KIND_DETAIL, Hop
 
-#: Version of the plan JSON schema.  Bump when the layout changes;
-#: loaders reject plans from a newer schema with a clear error.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..compute.ops import ComputeOp
+
+#: Newest plan JSON schema this reader loads.  Bump when the layout
+#: changes; loaders reject plans from a newer schema with a clear error.
 #: Schema 2 (competing converters): hop records may carry ``kind:
 #: "external"`` plus a ``converter`` name pinning the registered
 #: implementation, and plans may record the structural ``features`` the
 #: decision was made against.  Schema-1 documents still load.  ``native``
 #: hops ride on schema 2: they add an enum value, not a layout change, so
 #: plans without native hops stay interchangeable with older readers
-#: (which reject a native hop loudly as an unknown kind).
-PLAN_SCHEMA = 2
+#: (which reject a native hop loudly as an unknown kind).  Schema 3 adds
+#: the terminal op of a compute plan (``op`` / ``backend`` / ``fuse`` and
+#: the ``fused`` / ``compute`` hop kinds).  The writer stamps the oldest
+#: schema that expresses the plan — 2 without an op, 3 with one — so
+#: schema-2 readers keep loading conversion plans and reject a compute
+#: plan loudly instead of replaying its hops without the op.
+PLAN_SCHEMA = 3
 
-#: Hop kinds a serialized plan may carry.
-_PLAN_HOP_KINDS = (
-    "scalar", "vector", "native", "bridge", "chunked", "external"
-)
+#: Hop kinds that run a compute plan's op; only the last hop may be one.
+TERMINAL_KINDS = ("fused", "compute")
 
 
 def key_to_json(key) -> List:
@@ -115,138 +123,6 @@ def _hop_cost_kind(hop: Hop) -> str:
     return f"external:{hop.converter}" if hop.kind == "external" else hop.kind
 
 
-# ----------------------------------------------------------------------
-# the plan codec: one writer and one reader for every plan family
-# (conversion plans here, compute plans in :mod:`repro.compute.plan`)
-
-
-def plan_document(plan, schema: int, kind: str) -> Dict:
-    """The JSON snapshot of the fields every plan family carries —
-    ``hops`` / ``options`` / ``workers`` / ``nnz`` / ``routed`` and, when
-    recorded, ``features`` — under the family's ``schema`` and ``kind``."""
-    hops = []
-    for hop in plan.hops:
-        record = {
-            "src": format_record(hop.src),
-            "dst": format_record(hop.dst),
-            "kind": hop.kind,
-        }
-        if hop.converter is not None:
-            record["converter"] = hop.converter
-        hops.append(record)
-    data = {
-        "schema": schema,
-        "kind": kind,
-        "hops": hops,
-        "options": plan.options.to_dict(),
-        "workers": plan.workers,
-        "nnz": plan.nnz,
-        "routed": plan.routed,
-    }
-    if plan.features is not None:
-        data["features"] = plan.features.to_dict()
-    return data
-
-
-def parse_plan_json(text: Union[str, bytes, Dict]) -> Dict:
-    """A plan document from JSON text (an already parsed dict passes
-    through); unparsable text raises :class:`PlanError`."""
-    if not isinstance(text, (str, bytes)):
-        return text
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise PlanError(f"plan JSON does not parse: {exc}") from exc
-
-
-def check_plan_header(data, what: str, newest: int) -> int:
-    """Verify ``data`` is a plan document this reader can load and
-    return its schema number; a newer schema raises :class:`PlanError`."""
-    if not isinstance(data, dict) or "hops" not in data:
-        raise PlanError(f"not a serialized {what}")
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema > newest:
-        raise PlanError(
-            f"plan schema {schema!r} is newer than this reader "
-            f"(supports <= {newest}); upgrade to load it"
-        )
-    return schema
-
-
-def read_plan_fields(data: Dict, hop_kinds: Tuple[str, ...]) -> Dict:
-    """Parse and verify the fields :func:`plan_document` wrote, as
-    constructor keywords (``hops``, ``options``, ``workers``, ``nnz``,
-    ``routed``, ``features``).
-
-    Formats resolve through this host's registry and are verified
-    against the recorded structural keys; hops must be of ``hop_kinds``
-    and chain; an ``external`` hop pins the registered converter that
-    won the edge by name, and loading fails loudly when that converter
-    is not registered on this host (e.g. a scipy-delegated plan replayed
-    where scipy is absent) rather than silently running a different
-    implementation.  Every violation raises :class:`PlanError`.
-    """
-    hop_records = data["hops"]
-    if not isinstance(hop_records, list):
-        raise PlanError(f"plan hops must be a list, got {hop_records!r}")
-    hops: List[Hop] = []
-    for record in hop_records:
-        if not isinstance(record, dict):
-            raise PlanError(f"malformed plan hop record: {record!r}")
-        kind = record.get("kind")
-        if kind not in hop_kinds:
-            raise PlanError(f"unknown plan hop kind {kind!r}")
-        src = resolve_format_record(record.get("src", {}))
-        dst = resolve_format_record(record.get("dst", {}))
-        converter = record.get("converter")
-        if kind == "external":
-            if not isinstance(converter, str):
-                raise PlanError(
-                    f"external plan hop {src.name} -> {dst.name} does "
-                    "not name its converter"
-                )
-            if converter_named(src, dst, converter) is None:
-                raise PlanError(
-                    f"plan pins converter {converter!r} for "
-                    f"{src.name} -> {dst.name}, which is not registered "
-                    "on this host; register it (repro.convert."
-                    "register_converter) before loading the plan"
-                )
-        hops.append(
-            Hop(
-                src=src,
-                dst=dst,
-                kind=kind,
-                converter=converter if kind == "external" else None,
-            )
-        )
-    if not hops:
-        raise PlanError("plan has no hops")
-    for prev, nxt in zip(hops, hops[1:]):
-        if structural_key(prev.dst) != structural_key(nxt.src):
-            raise PlanError(f"plan hops do not chain: {prev} then {nxt}")
-    try:
-        options = PlanOptions.from_dict(data.get("options", {}))
-        workers = int(data.get("workers", 0))
-        nnz = int(data.get("nnz", 0))
-        recorded = data.get("features")
-        features = (
-            StructuralFeatures.from_dict(recorded)
-            if isinstance(recorded, dict)
-            else None
-        )
-    except (TypeError, ValueError, KeyError) as exc:
-        raise PlanError(f"malformed plan fields: {exc}") from exc
-    return {
-        "hops": tuple(hops),
-        "options": options,
-        "workers": workers,
-        "nnz": nnz,
-        "routed": bool(data.get("routed", len(hops) > 1)),
-        "features": features,
-    }
-
-
 @dataclass(frozen=True)
 class ConversionPlan:
     """A complete, replayable conversion decision.
@@ -259,6 +135,14 @@ class ConversionPlan:
     conversions.  Instances are immutable; ``engine`` is the
     :class:`~repro.convert.engine.ConversionEngine` that compiles and
     runs the hops (``None``: the process default engine at call time).
+
+    A **compute plan** (``engine.plan_compute``, :mod:`repro.compute`)
+    is the same object with an ``op``: its last hop is a *terminal* hop
+    that runs the op instead of converting.  A ``fused`` terminal
+    consumes its source directly through a generated compute kernel
+    (the destination's ``pos``/``crd``/``vals`` arrays are never
+    allocated); a ``compute`` terminal runs the op over the destination
+    the preceding hops materialized.
     """
 
     hops: Tuple[Hop, ...]
@@ -269,7 +153,25 @@ class ConversionPlan:
     #: Structural features of the tensor the plan was decided against
     #: (None when planned from a bare nnz).
     features: Optional[StructuralFeatures] = None
+    #: The op the terminal hop runs (None: a conversion plan).
+    op: Optional["ComputeOp"] = None
+    #: Resolved lowering backend of the terminal op's kernel.
+    backend: Optional[str] = None
     engine: Optional[object] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.hops:
+            raise PlanError("plan has no hops")
+        last = self.hops[-1].kind
+        if self.op is None and last in TERMINAL_KINDS:
+            raise PlanError(f"a {last!r} hop runs an op; the plan names none")
+        if self.op is not None and last not in TERMINAL_KINDS:
+            raise PlanError(
+                f"compute plan must end in a compute hop, got {last!r}"
+            )
+        for hop in self.hops[:-1]:
+            if hop.kind in TERMINAL_KINDS:
+                raise PlanError("compute hops may only terminate a plan")
 
     # -- structure -------------------------------------------------------
     @property
@@ -278,6 +180,8 @@ class ConversionPlan:
 
     @property
     def dst(self) -> Format:
+        """The destination (for a fused compute plan: the format the op
+        consumes in place of materializing it)."""
         return self.hops[-1].dst
 
     @property
@@ -286,13 +190,37 @@ class ConversionPlan:
 
     @property
     def formats(self) -> Tuple[Format, ...]:
-        """The visited formats, source first."""
-        return (self.hops[0].src,) + tuple(hop.dst for hop in self.hops)
+        """The visited (materialized) formats, source first."""
+        return (self.hops[0].src,) + tuple(
+            hop.dst for hop in self.conversion_hops
+        )
 
     @property
     def backend_per_hop(self) -> Tuple[str, ...]:
         """The lowering kind of every hop, in execution order."""
         return tuple(hop.kind for hop in self.hops)
+
+    @property
+    def conversion_hops(self) -> Tuple[Hop, ...]:
+        """The hops that convert: every hop but a compute plan's terminal."""
+        return self.hops if self.op is None else self.hops[:-1]
+
+    @property
+    def terminal(self) -> Optional[Hop]:
+        """The hop that runs the op (None for a conversion plan)."""
+        return None if self.op is None else self.hops[-1]
+
+    @property
+    def fused(self) -> bool:
+        return self.hops[-1].kind == "fused"
+
+    @property
+    def fuse(self) -> Optional[str]:
+        """A compute plan's fusion decision, ``"fused"`` or
+        ``"materialize"`` (None for a conversion plan)."""
+        if self.op is None:
+            return None
+        return "fused" if self.fused else "materialize"
 
     def _engine(self):
         if self.engine is not None:
@@ -328,11 +256,11 @@ class ConversionPlan:
         were inspected is already warm.  A ``chunked`` hop whose pair has
         no chunked form on this host (a replayed plan from elsewhere)
         shows the serial vector kernel — the same fallback :meth:`run`
-        executes.
+        executes.  A compute plan's last entry is its op kernel.
         """
         engine = self._engine()
         out: List[Optional[str]] = []
-        for hop in self.hops:
+        for hop in self.conversion_hops:
             if hop.kind in ("bridge", "external"):
                 out.append(None)
                 continue
@@ -354,13 +282,25 @@ class ConversionPlan:
                     hop.src, hop.dst, self.options, kind
                 ).source
             )
+        if self.op is not None:
+            from ..compute.kernels import plan_compute_kernel
+
+            terminal = self.terminal
+            out.append(plan_compute_kernel(
+                terminal.src, self.op,
+                terminal.dst if self.op.needs_destination else None,
+                self.options, self.backend,
+            ).source)
         return out
 
     def explain(self) -> str:
         """Human-readable transcript of the plan."""
         path = " -> ".join(fmt.name for fmt in self.formats)
+        target = self.dst.name if self.op is None else (
+            f"{self.op.name}({self.dst.name})"
+        )
         lines = [
-            f"plan {self.src.name} -> {self.dst.name}: {path} "
+            f"plan {self.src.name} -> {target}: {path} "
             f"({len(self.hops)} hop{'s' if len(self.hops) != 1 else ''}, "
             f"est {self.estimated_cost() * 1e3:.3f} ms at {self.nnz} "
             "stored components"
@@ -380,6 +320,11 @@ class ConversionPlan:
                 )
             else:
                 what = HOP_KIND_DETAIL[hop.kind]
+            if hop.kind == "fused":
+                what += (f" ({self.op.name}, {self.backend}; "
+                         f"{hop.dst.name} never materialized)")
+            elif hop.kind == "compute":
+                what += f" ({self.op.name}, {self.backend})"
             lines.append(
                 f"  {n}. {hop} {what} "
                 f"(est {cost * 1e3:.3f} ms, {provenance} cost)"
@@ -388,13 +333,13 @@ class ConversionPlan:
 
     # -- execution -------------------------------------------------------
     def compile(self) -> "CompiledPlan":
-        """Compile (or disk-load) every generated hop now and return a
-        ready-to-run handle, so the first :meth:`run` pays no compile.
-        Hops warm exactly what :meth:`run` will execute, including the
-        serial-vector fallback for ``chunked`` hops without a chunked
-        form on this host."""
+        """Compile (or disk-load) every generated hop — and a compute
+        plan's op kernel — now and return a ready-to-run handle, so the
+        first :meth:`run` pays no compile.  Hops warm exactly what
+        :meth:`run` will execute, including the serial-vector fallback
+        for ``chunked`` hops without a chunked form on this host."""
         engine = self._engine()
-        for hop in self.hops:
+        for hop in self.conversion_hops:
             if hop.kind in ("bridge", "external"):
                 # library code, nothing to compile; an external hop whose
                 # predicate refuses the tensor at run time compiles its
@@ -406,19 +351,48 @@ class ConversionPlan:
                     continue
             kind = "vector" if hop.kind == "chunked" else hop.kind
             engine.make_converter(hop.src, hop.dst, self.options, kind)
+        if self.op is not None:
+            engine._op_kernel(self)
         return CompiledPlan(self)
 
-    def run(self, tensor: Tensor) -> Tensor:
+    def run(self, tensor: Tensor, x=None, alpha: Optional[float] = None):
         """Execute the plan on ``tensor`` (which must be structurally in
-        the plan's source format)."""
-        return self._engine().run_plan(self, tensor)
+        the plan's source format); a compute plan's op takes the dense
+        operand ``x`` (``spmv``) or the scalar ``alpha`` (``scale``)."""
+        return self._engine().run_plan(self, tensor, x=x, alpha=alpha)
 
     __call__ = run
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:
         """JSON-serializable snapshot (versioned; see :data:`PLAN_SCHEMA`)."""
-        return plan_document(self, PLAN_SCHEMA, "repro-conversion-plan")
+        hops = []
+        for hop in self.hops:
+            record = {
+                "src": format_record(hop.src),
+                "dst": format_record(hop.dst),
+                "kind": hop.kind,
+            }
+            if hop.converter is not None:
+                record["converter"] = hop.converter
+            hops.append(record)
+        data = {
+            "schema": 2 if self.op is None else PLAN_SCHEMA,
+            "kind": (
+                "repro-conversion-plan" if self.op is None
+                else "repro-compute-plan"
+            ),
+            "hops": hops,
+            "options": self.options.to_dict(),
+            "workers": self.workers,
+            "nnz": self.nnz,
+            "routed": self.routed,
+        }
+        if self.features is not None:
+            data["features"] = self.features.to_dict()
+        if self.op is not None:
+            data.update(op=self.op.name, backend=self.backend, fuse=self.fuse)
+        return data
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """The plan as a JSON document (see the module docstring)."""
@@ -426,22 +400,117 @@ class ConversionPlan:
 
     @classmethod
     def from_dict(cls, data: Dict, engine=None) -> "ConversionPlan":
-        """Rebuild a plan from :meth:`to_dict` output.
+        """Rebuild a plan — conversion or compute — from :meth:`to_dict`
+        output.
 
-        An unknown format name, diverged structure, unknown hop kind,
-        unregistered pinned converter or newer schema raises
-        :class:`~repro.convert.context.PlanError` (see
-        :func:`read_plan_fields`).
+        Formats resolve through this host's registry and are verified
+        against the recorded structural keys; hops must be of a known
+        kind and chain; an ``external`` hop pins the registered converter
+        that won the edge by name, and loading fails loudly when that
+        converter is not registered on this host (e.g. a scipy-delegated
+        plan replayed where scipy is absent) rather than silently running
+        a different implementation.  A compute plan's ``op`` must be a
+        registered op and its ``backend`` a lowering backend; the fusion
+        decision is read off the terminal hop.  Every violation, and a
+        newer schema, raises :class:`~repro.convert.context.PlanError`.
         """
-        check_plan_header(data, "ConversionPlan", PLAN_SCHEMA)
-        return cls(engine=engine, **read_plan_fields(data, _PLAN_HOP_KINDS))
+        if not isinstance(data, dict) or "hops" not in data:
+            raise PlanError("not a serialized plan")
+        schema = data.get("schema")
+        if not isinstance(schema, int) or schema > PLAN_SCHEMA:
+            raise PlanError(
+                f"plan schema {schema!r} is newer than this reader "
+                f"(supports <= {PLAN_SCHEMA}); upgrade to load it"
+            )
+        hop_records = data["hops"]
+        if not isinstance(hop_records, list):
+            raise PlanError(f"plan hops must be a list, got {hop_records!r}")
+        hops: List[Hop] = []
+        for record in hop_records:
+            if not isinstance(record, dict):
+                raise PlanError(f"malformed plan hop record: {record!r}")
+            kind = record.get("kind")
+            if kind not in HOP_KIND_DETAIL:
+                raise PlanError(f"unknown plan hop kind {kind!r}")
+            src = resolve_format_record(record.get("src", {}))
+            dst = resolve_format_record(record.get("dst", {}))
+            converter = record.get("converter")
+            if kind == "external":
+                if not isinstance(converter, str):
+                    raise PlanError(
+                        f"external plan hop {src.name} -> {dst.name} does "
+                        "not name its converter"
+                    )
+                if converter_named(src, dst, converter) is None:
+                    raise PlanError(
+                        f"plan pins converter {converter!r} for "
+                        f"{src.name} -> {dst.name}, which is not registered "
+                        "on this host; register it (repro.convert."
+                        "register_converter) before loading the plan"
+                    )
+            hops.append(
+                Hop(
+                    src=src,
+                    dst=dst,
+                    kind=kind,
+                    converter=converter if kind == "external" else None,
+                )
+            )
+        for prev, nxt in zip(hops, hops[1:]):
+            if structural_key(prev.dst) != structural_key(nxt.src):
+                raise PlanError(f"plan hops do not chain: {prev} then {nxt}")
+        op, backend = data.get("op"), None
+        if op is not None:
+            from ..compute.ops import ComputeOpError, get_op
+
+            if not isinstance(op, str):
+                raise PlanError(f"malformed plan op: {op!r}")
+            try:
+                op = get_op(op)
+            except ComputeOpError as exc:
+                raise PlanError(str(exc)) from None
+            backend = data.get("backend", "scalar")
+            if backend not in ("scalar", "vector", "native"):
+                raise PlanError(f"malformed plan backend: {backend!r}")
+        try:
+            options = PlanOptions.from_dict(data.get("options", {}))
+            workers = int(data.get("workers", 0))
+            nnz = int(data.get("nnz", 0))
+            if workers < 0 or nnz < 0:
+                raise ValueError(
+                    f"workers and nnz must be >= 0, got {workers}, {nnz}"
+                )
+            recorded = data.get("features")
+            features = (
+                StructuralFeatures.from_dict(recorded)
+                if isinstance(recorded, dict)
+                else None
+            )
+        except (TypeError, ValueError, KeyError) as exc:
+            raise PlanError(f"malformed plan fields: {exc}") from exc
+        return cls(
+            hops=tuple(hops),
+            options=options,
+            workers=workers,
+            nnz=nnz,
+            routed=bool(data.get("routed", len(hops) > 1)),
+            features=features,
+            op=op,
+            backend=backend,
+            engine=engine,
+        )
 
     @classmethod
     def from_json(cls, text: Union[str, bytes, Dict],
                   engine=None) -> "ConversionPlan":
         """Rebuild a plan from :meth:`to_json` output (or an already
         parsed dict), bound to ``engine`` (default: the process engine)."""
-        return cls.from_dict(parse_plan_json(text), engine=engine)
+        if isinstance(text, (str, bytes)):
+            try:
+                text = json.loads(text)
+            except ValueError as exc:
+                raise PlanError(f"plan JSON does not parse: {exc}") from exc
+        return cls.from_dict(text, engine=engine)
 
     def __str__(self) -> str:
         return " -> ".join(fmt.name for fmt in self.formats)
@@ -477,8 +546,9 @@ class CompiledPlan:
         """Generated source per hop (``None`` for bridge hops)."""
         return self.plan.sources()
 
-    def __call__(self, tensor: Tensor) -> Tensor:
-        return self.plan.run(tensor)
+    def __call__(self, tensor: Tensor, x=None,
+                 alpha: Optional[float] = None):
+        return self.plan.run(tensor, x=x, alpha=alpha)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -41,14 +41,6 @@ from .converters import converters_for
 from .features import StructuralFeatures
 from .planner import PlanOptions, resolve_backend, structural_key
 
-#: Hop kinds, in the cost model's vocabulary.  ``scalar``, ``vector``
-#: and ``native`` are the generated-code backends (``native`` is the
-#: compiled-C backend); ``bridge`` is a registered bulk extraction
-#: (below); ``external`` is a registered competing converter (see
-#: :mod:`repro.convert.converters`) — its cost-table rows are keyed
-#: ``"external:<name>"`` per converter.
-HOP_KINDS = ("scalar", "vector", "native", "bridge", "external")
-
 #: Reference nonzero count used when no tensor is at hand (``engine.route``
 #: without ``nnz``): large enough that throughput, not per-hop overhead,
 #: dominates the decision.
@@ -442,7 +434,13 @@ def _register_builtin_bridges() -> None:
 
 
 #: What each hop kind executes, as ``explain()`` transcripts word it
-#: (routes and plans share the table).
+#: (routes and plans share the table).  The keys are the hop kinds: the
+#: generated-code backends ``scalar`` / ``vector`` / ``native`` (the
+#: compiled-C backend), a registered bulk extraction (``bridge``), the
+#: chunk-parallel executor, a registered competing converter
+#: (``external``, see :mod:`repro.convert.converters`; its cost-table
+#: rows are keyed ``"external:<name>"`` per converter), and the two
+#: terminal kinds of a compute plan.
 HOP_KIND_DETAIL = {
     "scalar": "generated per-nonzero loop nest",
     "vector": "generated bulk-numpy routine",
@@ -450,6 +448,8 @@ HOP_KIND_DETAIL = {
     "bridge": "bulk extraction (mask/gather, no codegen)",
     "chunked": "chunk-parallel rewrite of the vector routine",
     "external": "registered converter (external implementation)",
+    "fused": "generated compute kernel reading the hop's source directly",
+    "compute": "generated compute kernel over the materialized format",
 }
 
 
@@ -467,7 +467,7 @@ class Hop:
 
     src: Format
     dst: Format
-    kind: str  # "scalar" | "vector" | "native" | "bridge" | "chunked" | "external"
+    kind: str  # a key of HOP_KIND_DETAIL
     cost: float = 0.0
     provenance: str = SEEDED
     converter: Optional[str] = None

@@ -1,4 +1,5 @@
-"""Engine execution surface: run_compute_plan, spmv sugar, stats."""
+"""Engine execution surface: run_compute_plan, spmv sugar, stats, and the
+backend pin shared with conversion plans."""
 
 import numpy as np
 import pytest
@@ -108,8 +109,42 @@ def test_terminal_timings_feed_the_cost_model(engine):
     assert engine.cost_model.observation_count("fused") == 1
 
 
-def test_rejects_non_compute_plans(engine, problem):
-    tensor, _ = problem
-    conv = engine.plan(COO, CSR)
-    with pytest.raises(TypeError, match="expected a ComputePlan"):
-        engine.run_compute_plan(conv, tensor)
+def test_native_pin_without_compiler_degrades_every_hop(monkeypatch, problem):
+    """A ``native`` pin on a host with no C compiler degrades the whole
+    pipeline — conversion hops and the op kernel — with one warning,
+    exactly as ``plan(COO, CSR, backend="native")`` does."""
+    import warnings
+
+    from repro.ir.native import _clear_toolchain_cache
+
+    tensor, x = problem
+    monkeypatch.setenv("CC", "/bin/false")
+    _clear_toolchain_cache()
+    eng = ConversionEngine()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = eng.plan_compute(COO, "spmv", CSR, backend="native")
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert plan.backend != "native"
+        assert "native" not in plan.backend_per_hop
+        y = tensor.spmv(x, backend="native", engine=eng)
+        np.testing.assert_allclose(
+            y, spmv_reference(tensor, x), rtol=1e-9, atol=1e-12
+        )
+    finally:
+        eng.shutdown()
+        monkeypatch.delenv("CC", raising=False)
+        _clear_toolchain_cache()
+
+
+def test_compile_warms_the_op_kernel(engine, problem):
+    tensor, x = problem
+    for fuse in (True, False):
+        runner = engine.plan_compute(COO, "spmv", CSR, fuse=fuse).compile()
+        before = engine.cache_stats()["compiles"]
+        y = runner(tensor, x=x)
+        assert engine.cache_stats()["compiles"] == before
+        np.testing.assert_allclose(
+            y, spmv_reference(tensor, x), rtol=1e-9, atol=1e-12
+        )

@@ -302,6 +302,8 @@ def test_plan_from_dict_malformed_records_raise_planerror():
         lambda d: d["hops"][0].update(src="not a format record"),
         lambda d: d["hops"][0].pop("src"),
         lambda d: d.update(workers="lots"),
+        lambda d: d.update(workers=-2),
+        lambda d: d.update(nnz=-1),
         lambda d: d.update(nnz=[1, 2]),
         lambda d: d.update(options="not options"),
     ):
@@ -315,10 +317,9 @@ def test_chunked_plan_degrades_gracefully_without_chunked_form():
     """A replayed plan carrying a 'chunked' hop for a pair with no
     chunked form on this host falls back to the serial vector kernel —
     consistently across sources()/compile()/run()."""
-    from repro.convert.plan import _PLAN_HOP_KINDS
-    from repro.convert.router import Hop
+    from repro.convert.router import HOP_KIND_DETAIL, Hop
 
-    assert "chunked" in _PLAN_HOP_KINDS
+    assert "chunked" in HOP_KIND_DETAIL
     engine = ConversionEngine()
     plan = ConversionPlan(
         hops=(Hop(COO, CSR, "chunked"),),
