@@ -112,15 +112,21 @@ def test_compute_reader_rejects_unregistered_pinned_converter(engine):
         ComputePlan.from_dict(doc, engine=engine)
 
 
+def test_compute_reader_wraps_malformed_fields(engine):
+    doc = engine.plan_compute(COO, "spmv", CSR).to_dict()
+    doc["workers"] = "many"
+    with pytest.raises(PlanError, match="malformed plan fields"):
+        ComputePlan.from_dict(doc, engine=engine)
+
+
 @pytest.mark.parametrize("field, value, match", [
-    ("workers", "many", "malformed plan fields"),
     ("workers", -1, "malformed plan fields"),
     ("nnz", -5, "malformed plan fields"),
     ("op", ["spmv"], "malformed plan op"),
     ("op", "transpose", "unknown"),
     ("backend", "gpu", "malformed plan backend"),
 ])
-def test_compute_reader_wraps_malformed_fields(engine, field, value, match):
+def test_compute_reader_rejects_bad_field_values(engine, field, value, match):
     doc = engine.plan_compute(COO, "spmv", CSR).to_dict()
     doc[field] = value
     with pytest.raises(PlanError, match=match):
