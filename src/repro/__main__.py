@@ -4,13 +4,11 @@ Usage::
 
     python -m repro formats                     # list registered formats
     python -m repro codegen CSR DIA             # print the generated routine
-    python -m repro codegen COO CSR --backend chunked   # chunk-parallel form
     python -m repro codegen COO CSR --backend native    # compiled-C form
     python -m repro plan HASH CSR               # show the conversion plan
     python -m repro plan HASH CSR --json --save plan.json   # serialize it
     python -m repro plan --load plan.json       # replay a saved plan
     python -m repro convert in.mtx --to DIA     # convert a Matrix Market file
-    python -m repro convert in.mtx --to CSR --parallel 8   # chunked executor
     python -m repro convert in.mtx --to CSR --backend native --cache-dir .kernels
     python -m repro convert-file big.mtx --to CSR --out big_csr/  # out-of-core
     python -m repro route HASH CSR --explain    # show the conversion route
@@ -76,33 +74,7 @@ def _cmd_codegen(args) -> None:
                 f"{exc}"
             ) from exc
         return
-    if args.backend == "chunked":
-        chunked = default_engine().make_chunked(src_fmt, dst_fmt)
-        if chunked is None:
-            raise SystemExit(
-                f"{src_fmt.name} -> {dst_fmt.name} has no chunked lowering "
-                "(the pair is not vectorizable)"
-            )
-        print(chunked.source)
-        return
     print(generated_source(src_fmt, dst_fmt, backend=args.backend))
-
-
-def _parallel_arg(spec: str):
-    """Resolve a CLI ``--parallel`` value (auto/off/worker count)."""
-    if spec == "auto":
-        return "auto"
-    if spec == "off":
-        return None
-    try:
-        workers = int(spec)
-    except ValueError:
-        raise SystemExit(
-            f"--parallel expects 'auto', 'off' or a worker count, got {spec!r}"
-        ) from None
-    if workers < 1:
-        raise SystemExit(f"--parallel worker count must be >= 1, got {workers}")
-    return workers
 
 
 def _engine_arg(args) -> ConversionEngine:
@@ -194,7 +166,6 @@ def _cmd_plan(args) -> None:
 def _cmd_convert(args) -> None:
     src_fmt = _format_arg(args.source_format)
     dst_fmt = _format_arg(args.to)
-    parallel = _parallel_arg(args.parallel)
     tensor = _read_input(args.input, src_fmt)
     engine = _engine_arg(args)
     try:
@@ -202,7 +173,7 @@ def _cmd_convert(args) -> None:
         # for this tensor is the plan that runs and the plan reported
         plan = engine.plan(
             src_fmt, dst_fmt, backend=args.backend, route=args.route,
-            parallel=parallel, nnz=tensor.nnz_stored,
+            nnz=tensor.nnz_stored,
             features=sample_features(tensor),
         )
         start = time.perf_counter()
@@ -215,10 +186,8 @@ def _cmd_convert(args) -> None:
         f"{args.input}: {tensor.dims[0]}x{tensor.dims[1]}, {tensor.nnz} nonzeros"
     )
     print(f"{src_fmt.name} -> {dst_fmt.name} in {elapsed:.2f} ms")
-    if plan.backend_per_hop == ("chunked",):
-        how = f"chunked executor ({plan.workers} workers)"
-    else:  # the engine's own telemetry split (ConversionPlan.routed)
-        how = "routed" if plan.routed else "direct"
+    # the engine's own telemetry split (ConversionPlan.routed)
+    how = "routed" if plan.routed else "direct"
     print(f"  {how}: " + ", ".join(str(hop) for hop in plan.hops))
     _print_levels(out)
     print(f"  B_vals: {len(out.vals)} entries ({out.nnz} nonzero)")
@@ -524,8 +493,7 @@ def main(argv=None) -> None:
     codegen.add_argument("src")
     codegen.add_argument("dst")
     codegen.add_argument("--backend",
-                         choices=["auto", "scalar", "vector", "chunked",
-                                  "native"],
+                         choices=["auto", "scalar", "vector", "native"],
                          default="scalar",
                          help="lowering backend (default: scalar, the paper's loops)")
 
@@ -552,9 +520,6 @@ def main(argv=None) -> None:
                          help="multi-hop routing policy (default: auto; an "
                               "explicit --route auto conflicts with an "
                               "explicit non-auto --backend)")
-    convert.add_argument("--parallel", default="auto", metavar="auto|off|N",
-                         help="chunked executor: 'auto' (size threshold), "
-                              "'off', or a worker count (default: auto)")
     convert.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent kernel cache: native (compiled C) "
                               "kernels are written here and bound on the "

@@ -1,7 +1,6 @@
 """Conversion engine: planner, code generation, public API (Sections 3, 6)."""
 
 from .api import CompiledConversion, convert, generated_source, make_converter, plan
-from .chunked import ChunkedConversion, chunkable, plan_chunked
 from .context import ConversionContext, PlanError, QueryResultHandle
 from .converters import (
     Converter,
@@ -40,6 +39,7 @@ from .router import (
 from .streamed import (
     StreamedConversion,
     StreamPlanError,
+    chunkable,
     plan_streamed,
     streamable,
 )
@@ -48,7 +48,6 @@ from .verify import VerificationError, verify_all_pairs, verify_conversion
 __all__ = [
     "BACKENDS",
     "PLAN_SCHEMA",
-    "ChunkedConversion",
     "CompiledConversion",
     "CompiledPlan",
     "ConversionContext",
@@ -82,7 +81,6 @@ __all__ = [
     "longest_cached_prefix",
     "make_converter",
     "plan",
-    "plan_chunked",
     "plan_conversion",
     "plan_streamed",
     "rebind_endpoints",

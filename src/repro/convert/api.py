@@ -72,7 +72,6 @@ def convert(
     options: Optional[PlanOptions] = None,
     backend: str = "auto",
     route: Union[str, ConversionRoute, None] = None,
-    parallel: Union[str, int, None] = "auto",
 ) -> Tensor:
     """Convert ``tensor`` to ``dst_format`` with a generated routine.
 
@@ -87,21 +86,11 @@ def convert(
     ``ValueError`` (the backend pins the direct conversion, so there is
     nothing for routing to decide).
 
-    ``parallel="auto"`` (default) runs huge conversions on the chunked
-    executor (:mod:`repro.convert.chunked`) once the tensor crosses
-    ``PlanOptions.parallel_threshold`` stored components on a multi-core
-    host; an ``int`` forces that many workers at any size, ``None`` stays
-    serial.  Chunked results are bit-identical to the serial vector
-    backend.
-
     Example::
 
         csr = convert(coo, "CSR")                  # auto backend + routing
-        csr = convert(coo, "CSR", parallel=8)      # force the chunked path
     """
-    return default_engine().convert(
-        tensor, dst_format, options, backend, route, parallel
-    )
+    return default_engine().convert(tensor, dst_format, options, backend, route)
 
 
 def plan(
@@ -111,7 +100,6 @@ def plan(
     options: Optional[PlanOptions] = None,
     backend: Optional[str] = None,
     route: Union[str, ConversionRoute, None] = None,
-    parallel: Union[str, int, None] = "auto",
     nnz: Optional[int] = None,
 ) -> ConversionPlan:
     """The default engine's conversion plan for a format pair.
@@ -130,7 +118,7 @@ def plan(
     """
     return default_engine().plan(
         src_format, dst_format, options=options, backend=backend,
-        route=route, parallel=parallel, nnz=nnz,
+        route=route, nnz=nnz,
     )
 
 

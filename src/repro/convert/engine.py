@@ -22,12 +22,6 @@ It owns everything the old module-level functions kept in hidden globals:
 * **multi-hop routing** (:mod:`repro.convert.router`): ``route="auto"``
   conversions go through a cheaper intermediate when the direct pair only
   lowers to scalar loops (``HASH -> COO -> CSR``), bit-identically;
-* the **worker pools** behind the chunked executor
-  (:mod:`repro.convert.chunked`): ``convert(..., parallel="auto")``
-  splits huge conversions into stream chunks on an engine-owned
-  :class:`~repro.ir.runtime.WorkerPool` once they cross
-  ``PlanOptions.parallel_threshold``; ``parallel=<int>`` forces a worker
-  count, ``parallel=None`` stays serial;
 * **per-pair conversion counters** and :meth:`warmup` precompilation.
 
 The module-level :func:`repro.convert.convert` / ``make_converter`` /
@@ -39,7 +33,6 @@ Typical use::
     engine = ConversionEngine(capacity=256)
     engine.warmup([("COO", "CSR"), ("CSR", "CSC")])
     csr = engine.convert(tensor, "CSR")
-    big = engine.convert(huge, "CSR", parallel=8)   # chunked executor
     print(engine.route("HASH", "CSR").explain())
     print(engine.cache_stats())
 """
@@ -72,7 +65,7 @@ import numpy as np
 
 from ..formats.format import Format
 from ..formats.registry import FormatSpec, get_format
-from ..ir.runtime import WorkerPool, compile_source
+from ..ir.runtime import compile_source
 from ..storage.tensor import Tensor
 # Import order matters: .planner pulls in repro.cin, whose compiler module
 # in turn imports .context — importing .context first would hit it
@@ -146,10 +139,10 @@ def _codegen_fingerprint() -> str:
             _CODEGEN_FINGERPRINT = digest.hexdigest()
     return _CODEGEN_FINGERPRINT
 
-# Validation of the route/parallel/backend knobs lives in
-# ConversionRequest (repro.convert.request); these re-exports keep the
-# historical import path working.
-from .request import PARALLEL_MODES, ROUTE_MODES  # noqa: E402,F401
+# Validation of the route/backend knobs lives in ConversionRequest
+# (repro.convert.request); this re-export keeps the historical import
+# path working.
+from .request import ROUTE_MODES  # noqa: E402,F401
 
 
 @dataclass
@@ -245,10 +238,6 @@ class ConversionEngine:
         The engine records the wall time of every executed hop back into
         the model, so routing costs become *measured* on this host; see
         :meth:`save_cost_model`.
-    workers:
-        Worker count of the default chunk pool (``parallel="auto"``);
-        defaults to the host CPU count.  Explicit ``parallel=<int>``
-        requests get a pool of exactly that size regardless.
     cache_dir:
         Directory of the **persistent kernel cache**.  When set, every
         native (compiled C) kernel's record (C source + calling
@@ -269,7 +258,6 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         backend: str = "auto",
         cost_model: Union[CostModel, str, os.PathLike, None] = None,
-        workers: Optional[int] = None,
         cache_dir: Union[str, os.PathLike, None] = None,
     ) -> None:
         if capacity < 1:
@@ -284,17 +272,9 @@ class ConversionEngine:
         if isinstance(cost_model, (str, os.PathLike)):
             cost_model = CostModel.load(cost_model)
         self.cost_model = cost_model or CostModel()
-        self.workers = max(1, int(workers if workers is not None
-                                  else (os.cpu_count() or 1)))
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             os.makedirs(self.cache_dir, exist_ok=True)
-        #: chunk pools by worker count, created lazily (threads start on
-        #: first multi-chunk use); see :meth:`worker_pool`.
-        self._pools: Dict[int, WorkerPool] = {}
-        #: pairs an explicit ``parallel=<int>`` request already warned
-        #: about (non-chunkable pairs run the standard paths instead).
-        self._parallel_warned: set = set()
         self._lock = threading.RLock()
         #: kernel keys currently compiling (kernel_key -> done event):
         #: concurrent requests for the same pair wait on the event instead
@@ -413,38 +393,7 @@ class ConversionEngine:
         dst_format = get_format(dst_format)
         options, backend = self._effective(options, backend)
         resolved = self._resolve_backend(src_format, dst_format, options, backend)
-        return self._lookup_or_build(
-            src_format, dst_format, options, resolved, CompiledConversion
-        )
-
-    def make_chunked(
-        self,
-        src_format: FormatSpec,
-        dst_format: FormatSpec,
-        options: Optional[PlanOptions] = None,
-    ) -> Optional["ChunkedConversion"]:
-        """The chunked (chunk-parallel) routine for a format pair, or
-        ``None`` when the pair has no chunked form (scalar-only pairs).
-
-        Chunked kernels are AST rewrites of the vector kernels
-        (:mod:`repro.convert.chunked`) and are cached exactly like them,
-        under the ``"chunked"`` backend tag.  The returned
-        :class:`~repro.convert.chunked.ChunkedConversion` takes the
-        tensor plus a :class:`~repro.ir.runtime.WorkerPool`::
-
-            conv = engine.make_chunked("COO", "CSR")
-            out = conv(tensor, engine.worker_pool(4))
-        """
-        from .chunked import ChunkedConversion, chunkable
-
-        src_format = get_format(src_format)
-        dst_format = get_format(dst_format)
-        options, _ = self._effective(options, None)
-        if not chunkable(src_format, dst_format, options):
-            return None
-        return self._lookup_or_build(
-            src_format, dst_format, options, "chunked", ChunkedConversion
-        )
+        return self._lookup_or_build(src_format, dst_format, options, resolved)
 
     def _lookup_or_build(
         self,
@@ -452,7 +401,6 @@ class ConversionEngine:
         dst_format: Format,
         options: PlanOptions,
         resolved: str,
-        cls: type,
     ) -> CompiledConversion:
         key = (
             src_format.signature(),
@@ -484,7 +432,7 @@ class ConversionEngine:
             generated = replace(
                 generated, src_format=src_format, dst_format=dst_format
             )
-        converter = cls(generated, func)
+        converter = CompiledConversion(generated, func)
         with self._lock:
             # another thread may have built the same converter while we
             # compiled; keep the first one so callers share the object
@@ -549,15 +497,6 @@ class ConversionEngine:
                     started = time.perf_counter()
                     if plan_fn is not None:
                         generated = plan_fn()
-                    elif resolved == "chunked":
-                        from .chunked import plan_chunked
-
-                        generated = plan_chunked(src_format, dst_format, options)
-                        if generated is None:
-                            raise PlanError(
-                                f"{src_format.name} -> {dst_format.name} has no "
-                                "chunked lowering (the pair is not vectorizable)"
-                            )
                     else:
                         generated = plan_conversion(
                             src_format, dst_format, options, resolved
@@ -783,7 +722,6 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
         routes: bool = True,
-        parallel: bool = False,
     ) -> int:
         """Precompile the converters for ``pairs``.
 
@@ -795,14 +733,12 @@ class ConversionEngine:
 
         With ``routes=True`` (default) the auto-route of each pair is
         resolved too and its generated hops are compiled, so the first
-        routed conversion pays no compile either; ``parallel=True`` also
-        compiles the chunked kernels of chunkable pairs (the ones
-        ``convert(..., parallel=...)`` would run).  Returns the number of
+        routed conversion pays no compile either.  Returns the number of
         pairs warmed.
 
         Example::
 
-            engine.warmup([("COO", "CSR"), ("HASH", "CSR")], parallel=True)
+            engine.warmup([("COO", "CSR"), ("HASH", "CSR")])
         """
         resolved = [(get_format(src), get_format(dst)) for src, dst in pairs]
         for src, dst in resolved:
@@ -817,40 +753,11 @@ class ConversionEngine:
                         self.make_converter(hop.src, hop.dst, options, "auto")
                     elif hop.kind != "bridge":
                         self.make_converter(hop.src, hop.dst, options, hop.kind)
-            if parallel:
-                self.make_chunked(src, dst, options)
         return len(resolved)
 
-    # -- parallel execution ---------------------------------------------
-    def worker_pool(self, workers: Optional[int] = None) -> WorkerPool:
-        """The engine-owned chunk pool for ``workers`` threads.
-
-        Pools are created lazily, cached per worker count (``None``: the
-        engine's default ``workers``), and shared by every conversion the
-        engine runs — the engine owns the threads, not the call sites.
-        :meth:`shutdown` joins them.
-        """
-        workers = self.workers if workers is None else max(1, int(workers))
-        with self._lock:
-            pool = self._pools.get(workers)
-            if pool is None:
-                pool = WorkerPool(workers)
-                self._pools[workers] = pool
-        return pool
-
     def shutdown(self) -> None:
-        """Join all chunk-pool threads.
-
-        Idempotent and safe to call at any time — repeated calls (or a
-        call racing another) are no-ops, and the engine stays usable:
-        pools restart lazily on the next chunked conversion.  The process
-        default engine registers this with :mod:`atexit`, so interpreter
-        exit never hangs on live worker threads.
-        """
-        with self._lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            pool.shutdown()
+        """A no-op, kept so callers that release engines keep working:
+        the engine owns no threads.  Idempotent."""
 
     # -- cost-model persistence -----------------------------------------
     def save_cost_model(self, path: Union[str, os.PathLike]) -> None:
@@ -862,36 +769,6 @@ class ConversionEngine:
         """
         self.cost_model.save(path)
 
-    def _parallel_workers(
-        self,
-        parallel: Union[str, int, None],
-        nnz: int,
-        options: PlanOptions,
-        backend: str,
-    ) -> int:
-        """Resolve a *normalized* ``parallel`` value (``"auto"``, ``0``
-        or a worker count — :meth:`ConversionRequest.build` validated it)
-        to the worker count this conversion runs with (0: serial).
-
-        ``"auto"`` engages the engine's default pool once the tensor
-        crosses ``options.parallel_threshold`` and the engine has a
-        multi-worker pool (``workers`` defaults to the host CPU count, so
-        single-core hosts never self-engage); an explicit int always
-        engages with exactly that many workers, even ``1`` (useful to
-        compare the chunked path against the serial kernel).  A
-        ``native`` request never engages: native kernels are serial C and
-        run on no chunk pool.
-        """
-        if backend == "native":
-            return 0
-        if isinstance(parallel, int):
-            return parallel
-        if backend not in ("auto", "vector"):
-            return 0  # an explicit scalar request keeps the scalar path
-        if nnz < options.parallel_threshold:
-            return 0
-        return self.workers if self.workers > 1 else 0
-
     # -- routing --------------------------------------------------------
     def route(
         self,
@@ -899,20 +776,16 @@ class ConversionEngine:
         dst_format: FormatSpec,
         options: Optional[PlanOptions] = None,
         nnz: Optional[int] = None,
-        workers: int = 0,
         features: Optional[StructuralFeatures] = None,
     ) -> ConversionRoute:
         """The cost-optimal conversion route for a pair.
 
         ``nnz`` is the expected stored-component count (defaults to
         ``DEFAULT_ROUTE_NNZ``); tiny tensors route direct because per-hop
-        overhead dominates.  ``workers > 1`` plans for chunk-parallel
-        execution: vectorizable hops are costed at the cost model's
-        chunked throughput instead of the serial vector rate.
-        ``features`` (the source tensor's structural facts) gate and
-        price the registered competing converters — ``convert()`` passes
-        them automatically.  Routes are cached per (structural pair,
-        options, nnz magnitude, parallel flag, quantized features,
+        overhead dominates.  ``features`` (the source tensor's
+        structural facts) gate the registered competing converters —
+        ``convert()`` passes them automatically.  Routes are cached per
+        (structural pair, options, nnz magnitude, quantized features,
         cost-model version, converter-registry version) — once the
         engine's recorded hop timings change a measured rate
         meaningfully, or a converter is (un)registered, cached routes
@@ -935,7 +808,6 @@ class ConversionEngine:
             structural_key(dst_format),
             options.key(),
             max(nnz, 1).bit_length(),
-            workers > 1,
             features.key() if features is not None else None,
             native_ok,
         )
@@ -952,7 +824,6 @@ class ConversionEngine:
                 options=options,
                 cost_model=self.cost_model,
                 nnz=nnz,
-                workers=workers,
                 features=features,
                 native_ok=native_ok,
             )
@@ -992,25 +863,17 @@ class ConversionEngine:
             options or self.options,
             self.cost_model,
             nnz,
-            1,
             features,
             native_ok=self.toolchain() is not None,
         )
 
-    def convert_via(self, route: ConversionRoute, tensor: Tensor,
-                    workers: int = 0) -> Tensor:
+    def convert_via(self, route: ConversionRoute, tensor: Tensor) -> Tensor:
         """Execute an explicit route on ``tensor``: :meth:`run_plan` of
         the route's :meth:`plan`, so it is validated, counted and timed
         exactly like ``convert(tensor, route.dst, route=route)``.
-
-        With ``workers > 0`` the generated hops that have a chunked form
-        run on the engine's chunk pool (bridges are single bulk passes
-        and stay as they are) — a routed huge conversion parallelizes hop
-        by hop.
         """
         plan = self.plan(
-            tensor.format, route.dst, route=route,
-            parallel=workers or None, nnz=tensor.nnz_stored,
+            tensor.format, route.dst, route=route, nnz=tensor.nnz_stored,
         )
         return self.run_plan(plan, tensor)
 
@@ -1062,8 +925,7 @@ class ConversionEngine:
                     )
 
     def _execute_hops(self, hops: Sequence[Hop], tensor: Tensor,
-                      options: PlanOptions, workers: int,
-                      routed: bool) -> Tensor:
+                      options: PlanOptions, routed: bool) -> Tensor:
         """Count one executed conversion and run its hop sequence,
         timing each hop into the cost model — the one executor body
         behind :meth:`run_plan`.
@@ -1073,30 +935,23 @@ class ConversionEngine:
         throughput, never codegen."""
         self._record_conversion(
             (hops[0].src.name, hops[-1].dst.name), routed=routed,
-            parallel=bool(workers) and len(hops) == 1 and (
-                hops[0].kind == "chunked"
-            ),
         )
         for hop in hops:
-            run, kind = self._hop_executable(hop, options, workers, tensor)
+            run, kind = self._hop_executable(hop, options, tensor)
             nnz = tensor.nnz_stored
             started = time.perf_counter()
             source, tensor = tensor, run(tensor)
             elapsed = time.perf_counter() - started
-            self.cost_model.observe(
-                kind, nnz, workers if kind == "chunked" else 1, elapsed,
-            )
+            self.cost_model.observe(kind, nnz, elapsed)
             self._notify_hop(hop, source, tensor, options, elapsed)
         return tensor
 
     def _hop_executable(
-        self, hop: Hop, options: PlanOptions, workers: int,
+        self, hop: Hop, options: PlanOptions,
         tensor: Optional[Tensor] = None,
     ) -> Tuple[Callable[[Tensor], Tensor], str]:
         """Resolve one hop to a ready callable plus the cost-model kind
-        that will actually execute (a ``vector`` hop under ``workers``
-        runs ``chunked``; a ``chunked`` hop without workers runs the
-        serial vector kernel; an ``external`` hop whose converter
+        that will actually execute (an ``external`` hop whose converter
         predicate refuses ``tensor``'s actual structural features runs
         the generated kernel — bit-identity never rides on a
         planning-time guess)."""
@@ -1137,13 +992,7 @@ class ConversionEngine:
                 )
             conv = self.make_converter(hop.src, hop.dst, options, "native")
             return conv, conv.backend  # not "native": pair lost capability
-        if workers and hop.kind in ("vector", "chunked"):
-            chunked = self.make_chunked(hop.src, hop.dst, options)
-            if chunked is not None:
-                pool = self.worker_pool(workers)
-                return (lambda t: chunked(t, pool)), "chunked"
-        kind = "vector" if hop.kind == "chunked" else hop.kind
-        return self.make_converter(hop.src, hop.dst, options, kind), kind
+        return self.make_converter(hop.src, hop.dst, options, hop.kind), hop.kind
 
     # -- planning & conversion ------------------------------------------
     @staticmethod
@@ -1164,7 +1013,7 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
         route: Union[str, ConversionRoute, None] = None,
-        parallel: Union[str, int, None] = "auto",
+        parallel: Optional[object] = None,
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
     ) -> ConversionPlan:
@@ -1173,18 +1022,22 @@ class ConversionEngine:
 
         This is exactly the decision :meth:`convert` makes — competing
         converters and multi-hop routing under the auto policies, the
-        chunked executor once ``nnz`` (default: bulk sizes) crosses the
-        parallel threshold, the resolved lowering backend otherwise —
-        reified into an object that can be inspected (``explain()``,
-        ``sources()``, ``estimated_cost()``), compiled ahead of time
-        (``compile()``), executed (``run(tensor)``) and serialized
-        (``to_json()`` / ``ConversionPlan.from_json``) for replay in
-        another process or on another host.  An explicit
-        :class:`ConversionRoute` (or a serialized plan's hops) pins the
-        decision instead.  The knobs are validated through
+        resolved lowering backend otherwise — reified into an object
+        that can be inspected (``explain()``, ``sources()``,
+        ``estimated_cost()``), compiled ahead of time (``compile()``),
+        executed (``run(tensor)``) and serialized (``to_json()`` /
+        ``ConversionPlan.from_json``) for replay in another process or
+        on another host.  An explicit :class:`ConversionRoute` (or a
+        serialized plan's hops) pins the decision instead.  The knobs
+        are validated through
         :class:`~repro.convert.request.ConversionRequest`; ``features``
         (sampled automatically by :meth:`convert`) let predicated
         converters compete on the tensor's actual structure.
+
+        ``parallel`` is ignored: it selected the deleted chunked
+        executor, and a non-``None`` value raises a
+        ``DeprecationWarning``.  It stays only until the benchmark
+        harness stops passing it (ROADMAP item 2).
 
         Example::
 
@@ -1192,19 +1045,23 @@ class ConversionEngine:
             print(plan.explain())
             csr = plan.run(tensor)
         """
+        if parallel is not None:
+            warnings.warn(
+                "plan(parallel=...) is ignored: the chunked executor was "
+                "deleted (the sorted-run fast path now runs in every "
+                "vector kernel); the keyword goes with ROADMAP item 2",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         request = ConversionRequest.build(
             src_format, dst_format,
             options=options, backend=backend, route=route,
-            parallel=parallel, nnz=nnz, features=features,
+            nnz=nnz, features=features,
             default_options=self.options, default_backend=self.backend,
         )
         src_format, dst_format = request.src, request.dst
         options, backend, nnz = request.options, request.backend, request.nnz
         features = request.features
-        pair = (src_format.name, dst_format.name)
-        workers = self._parallel_workers(
-            request.parallel, nnz, options, backend
-        )
         if isinstance(request.route, ConversionRoute):
             # validates both endpoints structurally and re-tags renamed
             # twins, so the result comes back in the requested format; an
@@ -1212,78 +1069,20 @@ class ConversionEngine:
             aligned = rebind_endpoints(request.route, src_format, dst_format)
             check_route(aligned)
             return ConversionPlan(
-                hops=aligned.hops, options=aligned.options, workers=workers,
+                hops=aligned.hops, options=aligned.options,
                 nnz=nnz, routed=True, features=features, engine=self,
             )
-        if workers:
-            from .chunked import chunkable
-
-            if chunkable(src_format, dst_format, options):
-                chunked_plan = ConversionPlan(
-                    hops=(Hop(src_format, dst_format, "chunked"),),
-                    options=options, workers=workers, nnz=nnz,
-                    routed=False, features=features, engine=self,
-                )
-                if (
-                    isinstance(request.parallel, int)
-                    or request.route != "auto"
-                    or backend != "auto"
-                ):
-                    # an explicit worker count (or a pinned route/backend)
-                    # pins the chunked executor
-                    return chunked_plan
-                chunked_cost, chunked_prov = self.cost_model.cost_detail(
-                    "chunked", nnz, workers, features
-                )
-                serial_kind = resolve_backend(
-                    src_format, dst_format, options, "auto"
-                )
-                serial_cost = self.cost_model.cost(
-                    serial_kind, nnz, 1, features
-                )
-                if chunked_prov == "measured" and chunked_cost >= serial_cost:
-                    # this host has *measured* the chunked executor as not
-                    # winning for this kind (e.g. the 0.997x CSR->CSC
-                    # cell): run the serial paths below instead of paying
-                    # chunking overhead for nothing
-                    workers = 0
-                else:
-                    # parallel="auto": the chunked executor competes with
-                    # the best route (e.g. a measured-faster external
-                    # converter)
-                    found = self.route(
-                        src_format, dst_format, options=options,
-                        nnz=nnz, workers=workers, features=features,
-                    )
-                    if not found.beats_direct or chunked_cost <= found.cost:
-                        return chunked_plan
-                    return ConversionPlan(
-                        hops=found.hops, options=options, workers=workers,
-                        nnz=nnz, routed=self._is_routed(found),
-                        features=features, engine=self,
-                    )
-            elif isinstance(request.parallel, int) and (
-                pair not in self._parallel_warned
-            ):
-                self._parallel_warned.add(pair)
-                warnings.warn(
-                    f"no chunked lowering for {pair[0]}->{pair[1]} (the pair "
-                    "is not vectorizable); running the standard conversion "
-                    "paths",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         if request.route == "auto" and backend == "auto":
             found = self.route(
                 src_format, dst_format, options=options,
-                nnz=nnz, workers=workers, features=features,
+                nnz=nnz, features=features,
             )
             if found.beats_direct:
                 # a direct hop won by an external converter is still a
                 # direct conversion; leaving the generated direct path (a
                 # bridge or a multi-hop chain) counts as *routed*
                 return ConversionPlan(
-                    hops=found.hops, options=options, workers=workers,
+                    hops=found.hops, options=options,
                     nnz=nnz, routed=self._is_routed(found),
                     features=features, engine=self,
                 )
@@ -1291,7 +1090,7 @@ class ConversionEngine:
                                          backend)
         return ConversionPlan(
             hops=(Hop(src_format, dst_format, resolved),),
-            options=options, workers=workers, nnz=nnz,
+            options=options, nnz=nnz,
             routed=False, features=features, engine=self,
         )
 
@@ -1304,8 +1103,8 @@ class ConversionEngine:
         ``convert(t, ...)`` (which builds and runs a plan) feed the same
         telemetry.  The tensor must be structurally in the plan's source
         format; results are bit-identical to the direct conversion for
-        every plan shape (routed hops and the chunked executor both
-        preserve bit-identity by construction).
+        every plan shape (routed hops preserve bit-identity by
+        construction).
 
         A compute plan (see :meth:`plan_compute`) then runs its op over
         the converted tensor with the operand ``x`` or ``alpha``, timing
@@ -1320,8 +1119,7 @@ class ConversionEngine:
             )
         if plan.conversion_hops:
             tensor = self._execute_hops(
-                plan.conversion_hops, tensor, plan.options, plan.workers,
-                plan.routed,
+                plan.conversion_hops, tensor, plan.options, plan.routed,
             )
         if plan.op is None:
             return tensor
@@ -1339,7 +1137,7 @@ class ConversionEngine:
             result = kernel(tensor, x=x, alpha=alpha)
         elapsed = time.perf_counter() - started
         self.cost_model.observe(
-            plan.terminal.kind, tensor.nnz_stored, 1, elapsed
+            plan.terminal.kind, tensor.nnz_stored, elapsed
         )
         with self._lock:
             self._stats["compute_runs"] += 1
@@ -1358,7 +1156,6 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
         route: Union[str, ConversionRoute, None] = None,
-        parallel: Union[str, int, None] = "auto",
     ) -> Tensor:
         """Convert ``tensor`` to ``dst_format`` (object or spec string).
 
@@ -1367,8 +1164,8 @@ class ConversionEngine:
         predicated converters compete on the actual structure), builds
         the :class:`~repro.convert.plan.ConversionPlan` for the pair at
         the tensor's actual stored size and runs it (see :meth:`plan` /
-        :meth:`run_plan`).  The ``backend``/``route``/``parallel`` knobs
-        are validated together through
+        :meth:`run_plan`).  The ``backend``/``route`` knobs are
+        validated together through
         :class:`~repro.convert.request.ConversionRequest`.
 
         ``route=None`` (default) applies the auto policy: when the
@@ -1384,21 +1181,10 @@ class ConversionEngine:
         checking it actually ends at ``dst_format`` (an explicit route
         carries its own per-hop backends and plan options, so the
         ``options``/``backend`` arguments do not apply to it).
-
-        ``parallel`` selects the chunked executor
-        (:mod:`repro.convert.chunked`) for vectorizable pairs:
-        ``"auto"`` (default) engages it once ``tensor`` has at least
-        ``PlanOptions.parallel_threshold`` stored components and the host
-        is multi-core; an ``int`` forces a worker count at any size;
-        ``None``/``"off"`` stays serial.  Chunked results are
-        bit-identical to the serial vector backend; pairs without a
-        chunked form (hashed levels, non-default options) fall back to
-        the standard paths — warning once per pair when the worker count
-        was explicit.
         """
         plan = self.plan(
             tensor.format, get_format(dst_format),
-            options=options, backend=backend, route=route, parallel=parallel,
+            options=options, backend=backend, route=route,
             nnz=tensor.nnz_stored, features=sample_features(tensor),
         )
         return self.run_plan(plan, tensor)
@@ -1609,14 +1395,11 @@ class ConversionEngine:
         )
         return self.run_plan(plan, tensor, x=x)
 
-    def _record_conversion(self, pair: Tuple[str, str], routed: bool,
-                           parallel: bool = False) -> None:
+    def _record_conversion(self, pair: Tuple[str, str], routed: bool) -> None:
         with self._lock:
             self._stats["conversions"] += 1
             if routed:
                 self._stats["routed_conversions"] += 1
-            if parallel:
-                self._stats["parallel_conversions"] += 1
             self._pair_counts[pair] = self._pair_counts.get(pair, 0) + 1
 
     # -- telemetry ------------------------------------------------------
@@ -1628,8 +1411,10 @@ class ConversionEngine:
         a structurally-shared kernel; ``compiles`` are actual plan+compile
         runs with their total ``compile_seconds``; ``evictions`` /
         ``converter_evictions`` count LRU drops; ``conversions`` /
-        ``routed_conversions`` / ``parallel_conversions`` count executed
-        conversions (and how many ran routed / on the chunked executor);
+        ``routed_conversions`` count executed conversions (and how many
+        ran routed); ``parallel_conversions`` always reads 0 (the chunked
+        executor it counted was deleted; the key goes with ROADMAP item
+        2);
         ``disk_hits`` / ``disk_writes`` count persistent-cache records
         loaded / written under ``cache_dir`` (a disk hit skips codegen,
         so a fully warm start shows ``compiles == 0``).
@@ -1667,23 +1452,6 @@ class ConversionEngine:
 
 _DEFAULT_ENGINE: Optional[ConversionEngine] = None
 _DEFAULT_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
-
-
-def _shutdown_default_engine() -> None:
-    """atexit hook: join the default engine's worker-pool threads so
-    interpreter exit never hangs on live chunk workers."""
-    with _DEFAULT_LOCK:
-        engine = _DEFAULT_ENGINE
-    if engine is not None:
-        engine.shutdown()
-
-
-def _register_atexit_locked() -> None:
-    global _ATEXIT_REGISTERED
-    if not _ATEXIT_REGISTERED:
-        atexit.register(_shutdown_default_engine)
-        _ATEXIT_REGISTERED = True
 
 
 def default_engine() -> ConversionEngine:
@@ -1692,17 +1460,12 @@ def default_engine() -> ConversionEngine:
     with _DEFAULT_LOCK:
         if _DEFAULT_ENGINE is None:
             _DEFAULT_ENGINE = ConversionEngine()
-            _register_atexit_locked()
         return _DEFAULT_ENGINE
 
 
 def set_default_engine(engine: ConversionEngine) -> Optional[ConversionEngine]:
-    """Replace the default engine; returns the previous one (if any).
-    The atexit shutdown hook follows the replacement (it always joins the
-    engine that is default at interpreter exit)."""
+    """Replace the default engine; returns the previous one (if any)."""
     global _DEFAULT_ENGINE
     with _DEFAULT_LOCK:
         previous, _DEFAULT_ENGINE = _DEFAULT_ENGINE, engine
-        if engine is not None:
-            _register_atexit_locked()
     return previous

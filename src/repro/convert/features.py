@@ -1,6 +1,6 @@
 """Cheap structural features of a stored tensor, used by the router.
 
-The cost of a conversion is data-dependent: the chunked runtime has a
+The cost of a conversion is data-dependent: ``group_ranks`` has a
 sorted-run fast path, and scipy's COO compressors canonicalize (sort
 within rows) so they are only bit-identical to the generated kernels
 when the coordinate stream is already sorted.  :func:`sample_features`

@@ -4,8 +4,8 @@ The paper's core artifact is a *generated routine*; this module makes the
 plan that produces it a public object instead of an engine internal.
 :meth:`ConversionEngine.plan <repro.convert.engine.ConversionEngine.plan>`
 returns a :class:`ConversionPlan` — the full decision the engine would
-make for a ``convert()`` call (route hops, lowering backend per hop,
-chunk-parallel worker count) — which can be inspected (:meth:`~
+make for a ``convert()`` call (route hops, lowering backend per hop) —
+which can be inspected (:meth:`~
 ConversionPlan.explain`, :meth:`~ConversionPlan.sources`,
 :meth:`~ConversionPlan.estimated_cost`), compiled ahead of time
 (:meth:`~ConversionPlan.compile`), executed (:meth:`~ConversionPlan.run`),
@@ -129,8 +129,7 @@ class ConversionPlan:
 
     ``hops`` is the executed sequence (single direct hop, or a routed
     multi-hop path); ``options`` the :class:`PlanOptions` every generated
-    hop honours; ``workers`` the chunk-pool size the plan executes with
-    (``0``: serial); ``nnz`` the stored-component count the plan was
+    hop honours; ``nnz`` the stored-component count the plan was
     costed at; ``routed`` whether the engine counts executions as routed
     conversions.  Instances are immutable; ``engine`` is the
     :class:`~repro.convert.engine.ConversionEngine` that compiles and
@@ -147,7 +146,6 @@ class ConversionPlan:
 
     hops: Tuple[Hop, ...]
     options: PlanOptions
-    workers: int = 0
     nnz: int = 0
     routed: bool = False
     #: Structural features of the tensor the plan was decided against
@@ -230,17 +228,15 @@ class ConversionPlan:
         return default_engine()
 
     # -- inspection ------------------------------------------------------
-    def estimated_cost(self, nnz: Optional[int] = None,
-                       workers: Optional[int] = None) -> float:
+    def estimated_cost(self, nnz: Optional[int] = None) -> float:
         """Estimated seconds to execute the plan on ``nnz`` stored
-        components with ``workers`` chunk workers (defaults: the plan's
-        own planning size and worker count).  Uses the engine's cost
-        model, so measured hop timings sharpen the estimate over time."""
+        components (default: the plan's own planning size).  Uses the
+        engine's cost model, so measured hop timings sharpen the estimate
+        over time."""
         nnz = self.nnz if nnz is None else int(nnz)
-        workers = self.workers if workers is None else int(workers)
         model = self._engine().cost_model
         return sum(
-            model.cost(_hop_cost_kind(hop), nnz, workers or 1, self.features)
+            model.cost(_hop_cost_kind(hop), nnz)
             for hop in self.hops
         )
 
@@ -253,10 +249,8 @@ class ConversionPlan:
         translation unit (printing needs no toolchain — only executing
         does).  Looking up a Python source compiles (or disk-loads) the
         hop's kernel through the engine cache, so a plan whose sources
-        were inspected is already warm.  A ``chunked`` hop whose pair has
-        no chunked form on this host (a replayed plan from elsewhere)
-        shows the serial vector kernel — the same fallback :meth:`run`
-        executes.  A compute plan's last entry is its op kernel.
+        were inspected is already warm.  A compute plan's last entry is
+        its op kernel.
         """
         engine = self._engine()
         out: List[Optional[str]] = []
@@ -271,15 +265,9 @@ class ConversionPlan:
                     plan_native(hop.src, hop.dst, self.options).source
                 )
                 continue
-            if hop.kind == "chunked":
-                chunked = engine.make_chunked(hop.src, hop.dst, self.options)
-                if chunked is not None:
-                    out.append(chunked.source)
-                    continue
-            kind = "vector" if hop.kind == "chunked" else hop.kind
             out.append(
                 engine.make_converter(
-                    hop.src, hop.dst, self.options, kind
+                    hop.src, hop.dst, self.options, hop.kind
                 ).source
             )
         if self.op is not None:
@@ -303,17 +291,13 @@ class ConversionPlan:
             f"plan {self.src.name} -> {target}: {path} "
             f"({len(self.hops)} hop{'s' if len(self.hops) != 1 else ''}, "
             f"est {self.estimated_cost() * 1e3:.3f} ms at {self.nnz} "
-            "stored components"
-            + (f", {self.workers} chunk workers)" if self.workers else ")")
+            "stored components)"
         ]
         if self.features is not None:
             lines.append(f"  structural features: {self.features.describe()}")
         model = self._engine().cost_model
         for n, hop in enumerate(self.hops, 1):
-            cost, provenance = model.cost_detail(
-                _hop_cost_kind(hop), self.nnz, self.workers or 1,
-                self.features,
-            )
+            cost, provenance = model.cost_detail(_hop_cost_kind(hop), self.nnz)
             if hop.kind == "external":
                 what = (
                     f"registered converter {hop.converter!r} won this edge"
@@ -335,9 +319,7 @@ class ConversionPlan:
     def compile(self) -> "CompiledPlan":
         """Compile (or disk-load) every generated hop — and a compute
         plan's op kernel — now and return a ready-to-run handle, so the
-        first :meth:`run` pays no compile.  Hops warm exactly what
-        :meth:`run` will execute, including the serial-vector fallback
-        for ``chunked`` hops without a chunked form on this host."""
+        first :meth:`run` pays no compile."""
         engine = self._engine()
         for hop in self.conversion_hops:
             if hop.kind in ("bridge", "external"):
@@ -345,12 +327,7 @@ class ConversionPlan:
                 # predicate refuses the tensor at run time compiles its
                 # generated fallback lazily
                 continue
-            if hop.kind == "chunked" or (hop.kind == "vector" and self.workers):
-                chunked = engine.make_chunked(hop.src, hop.dst, self.options)
-                if chunked is not None:
-                    continue
-            kind = "vector" if hop.kind == "chunked" else hop.kind
-            engine.make_converter(hop.src, hop.dst, self.options, kind)
+            engine.make_converter(hop.src, hop.dst, self.options, hop.kind)
         if self.op is not None:
             engine._op_kernel(self)
         return CompiledPlan(self)
@@ -384,7 +361,6 @@ class ConversionPlan:
             ),
             "hops": hops,
             "options": self.options.to_dict(),
-            "workers": self.workers,
             "nnz": self.nnz,
             "routed": self.routed,
         }
@@ -413,6 +389,10 @@ class ConversionPlan:
         registered op and its ``backend`` a lowering backend; the fusion
         decision is read off the terminal hop.  Every violation, and a
         newer schema, raises :class:`~repro.convert.context.PlanError`.
+
+        Plans written before the chunked executor's deletion still load:
+        a ``chunked`` hop runs as the ``vector`` hop it rewrote, and the
+        ``workers`` count it ran with is checked and ignored.
         """
         if not isinstance(data, dict) or "hops" not in data:
             raise PlanError("not a serialized plan")
@@ -430,6 +410,8 @@ class ConversionPlan:
             if not isinstance(record, dict):
                 raise PlanError(f"malformed plan hop record: {record!r}")
             kind = record.get("kind")
+            if kind == "chunked":
+                kind = "vector"
             if kind not in HOP_KIND_DETAIL:
                 raise PlanError(f"unknown plan hop kind {kind!r}")
             src = resolve_format_record(record.get("src", {}))
@@ -474,7 +456,7 @@ class ConversionPlan:
                 raise PlanError(f"malformed plan backend: {backend!r}")
         try:
             options = PlanOptions.from_dict(data.get("options", {}))
-            workers = int(data.get("workers", 0))
+            workers = int(data.get("workers", 0))  # older writers only
             nnz = int(data.get("nnz", 0))
             if workers < 0 or nnz < 0:
                 raise ValueError(
@@ -491,7 +473,6 @@ class ConversionPlan:
         return cls(
             hops=tuple(hops),
             options=options,
-            workers=workers,
             nnz=nnz,
             routed=bool(data.get("routed", len(hops) > 1)),
             features=features,

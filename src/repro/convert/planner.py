@@ -72,21 +72,15 @@ class PlanOptions:
     optimization of Section 4.2 (ablation A1).
     ``disable_width_count`` turns off the simplify-width-count rewrite of
     Table 1, forcing analyses back to nonzero passes (ablation A2).
-    ``parallel_threshold`` is the stored-component count above which
-    ``convert(..., parallel="auto")`` engages the chunked executor
-    (:mod:`repro.convert.chunked`); it tunes *execution*, not code
-    generation, so it is deliberately **not** part of :meth:`key` — two
-    engines differing only in threshold share every cached kernel.
     """
 
     force_unsequenced_edges: bool = False
     skip_src_zeros: Optional[bool] = None
     force_counter_arrays: bool = False
     disable_width_count: bool = False
-    parallel_threshold: int = 1 << 20
 
     def key(self) -> Tuple:
-        """Cache-key tuple of the codegen-affecting options only."""
+        """Cache-key tuple of the options."""
         return (
             self.force_unsequenced_edges,
             self.skip_src_zeros,
@@ -95,20 +89,19 @@ class PlanOptions:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (every option, including the
-        execution-only ``parallel_threshold``)."""
+        """JSON-serializable snapshot of every option."""
         return {
             "force_unsequenced_edges": self.force_unsequenced_edges,
             "skip_src_zeros": self.skip_src_zeros,
             "force_counter_arrays": self.force_counter_arrays,
             "disable_width_count": self.disable_width_count,
-            "parallel_threshold": self.parallel_threshold,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PlanOptions":
-        """Inverse of :meth:`to_dict`; unknown keys (from a newer schema)
-        are ignored so old readers can still replay new plans."""
+        """Inverse of :meth:`to_dict`; unknown keys (from a newer schema,
+        or options an older writer recorded) are ignored, so plans replay
+        across versions."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in dict(data).items() if k in known})
 

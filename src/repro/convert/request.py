@@ -1,10 +1,10 @@
 """One validated request object behind ``convert(...)``'s knobs.
 
-``convert``/``plan`` historically validated ``backend=``, ``route=`` and
-``parallel=`` in three different places with three different error
-styles, and silently preferred the backend when a caller pinned both a
-backend and ``route="auto"``.  :class:`ConversionRequest` normalizes the
-overlapping knobs once, with one documented message per mistake:
+``convert``/``plan`` historically validated ``backend=`` and ``route=``
+in different places with different error styles, and silently preferred
+the backend when a caller pinned both a backend and ``route="auto"``.
+:class:`ConversionRequest` normalizes the overlapping knobs once, with
+one documented message per mistake:
 
 * ``backend`` — ``None`` (engine default), ``"auto"``, ``"scalar"``,
   ``"vector"``; anything else raises
@@ -17,8 +17,6 @@ overlapping knobs once, with one documented message per mistake:
   direct conversion, so there is nothing for routing to decide) and now
   raises ``ValueError`` instead of silently preferring one; omit either
   knob, or pass ``route="direct"`` to keep the pinned backend.
-* ``parallel`` — ``"auto"``, ``"off"``/``None`` (serial), or a worker
-  count ``>= 1``; anything else raises ``ValueError``.
 
 Every public entry point (``engine.convert``/``engine.plan``, the
 module-level shims, ``Tensor.to``, the CLI) funnels through
@@ -44,18 +42,13 @@ __all__ = ["ConversionRequest"]
 #: an explicit :class:`ConversionRoute`).
 ROUTE_MODES = ("auto", "direct")
 
-#: ``parallel=`` values besides worker counts: ``"auto"`` (threshold
-#: policy), ``None``/``"off"`` (serial).
-PARALLEL_MODES = ("auto", "off")
-
 
 @dataclass(frozen=True)
 class ConversionRequest:
     """A fully validated, normalized conversion request.
 
     ``route`` is normalized (``None`` becomes ``"auto"``) with
-    ``route_explicit`` recording whether the caller actually asked;
-    ``parallel`` is ``"auto"``, ``0`` (serial) or a worker count.
+    ``route_explicit`` recording whether the caller actually asked.
     """
 
     src: Format
@@ -64,7 +57,6 @@ class ConversionRequest:
     backend: str
     route: Union[str, ConversionRoute]
     route_explicit: bool
-    parallel: Union[str, int]
     nnz: int
     features: Optional[StructuralFeatures] = None
 
@@ -77,7 +69,6 @@ class ConversionRequest:
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
         route: Union[str, ConversionRoute, None] = None,
-        parallel: Union[str, int, None] = "auto",
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
         default_options: Optional[PlanOptions] = None,
@@ -122,24 +113,6 @@ class ConversionRequest:
                 "choose"
             )
 
-        if parallel is None or parallel == "off":
-            parallel = 0
-        elif isinstance(parallel, bool):
-            raise ValueError(
-                f"parallel expects one of {PARALLEL_MODES}, None or a "
-                f"worker count, got {parallel!r}"
-            )
-        elif isinstance(parallel, int):
-            if parallel < 1:
-                raise ValueError(
-                    f"parallel worker count must be >= 1, got {parallel}"
-                )
-        elif parallel != "auto":
-            raise ValueError(
-                f"unknown parallel mode {parallel!r}; expected one of "
-                f"{PARALLEL_MODES}, None or a worker count"
-            )
-
         if nnz is None:
             nnz = (
                 features.nnz if features is not None else DEFAULT_ROUTE_NNZ
@@ -156,7 +129,6 @@ class ConversionRequest:
             backend=backend,
             route=route,
             route_explicit=route_explicit,
-            parallel=parallel,
             nnz=nnz,
             features=features,
         )

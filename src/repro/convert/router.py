@@ -68,11 +68,11 @@ class CostModel:
     """Per-hop conversion cost estimates, linear in the stored size.
 
     The *seeded* defaults are plain constants (scalar loops ~1.5 µs per
-    stored component, the vector backend ~40 ns, the chunked executor
-    ~20 ns) that only have to rank the kinds until measurements replace
-    them.  ``hop_overhead`` charges each hop's fixed cost
-    (dispatch, array allocation, tensor marshalling) so short routes win
-    ties and tiny tensors stay direct.
+    stored component, the vector backend ~40 ns, compiled C ~12 ns) that
+    only have to rank the kinds until measurements replace them.
+    ``hop_overhead`` charges each hop's fixed cost (dispatch, array
+    allocation, tensor marshalling) so short routes win ties and tiny
+    tensors stay direct.
 
     On top of the seeds the model keeps a **measured** table: the engine
     records the wall time of every executed hop (:meth:`observe`) into a
@@ -86,18 +86,16 @@ class CostModel:
     scalar_per_nnz: float = 1.5e-6
     vector_per_nnz: float = 4.0e-8
     bridge_per_nnz: float = 2.0e-8
-    chunked_per_nnz: float = 2.0e-8
     #: The compiled-C backend streams nonzeros with no interpreter or
-    #: numpy dispatch in the loop; the seed sits below chunked.
+    #: numpy dispatch in the loop; the seed sits below the bridge.
     native_per_nnz: float = 1.2e-8
     hop_overhead: float = 5.0e-5
     #: Seeded rate/overhead of registered external converters (the scipy
     #: delegates, or user registrations without measured history).  The
-    #: rate sits between chunked and vector — external implementations
-    #: beat the serial vector kernel on bulk streams but not the
-    #: chunk-parallel executor — and the overhead charges the tensor
-    #: marshalling at the library boundary, which keeps tiny tensors on
-    #: the generated kernels.
+    #: rate sits below vector — external implementations beat the
+    #: vector kernel on bulk streams — and the overhead charges the
+    #: tensor marshalling at the library boundary, which keeps tiny
+    #: tensors on the generated kernels.
     external_per_nnz: float = 2.2e-8
     external_overhead: float = 2.0e-4
     #: Fused convert-and-compute hops (:mod:`repro.compute`): one pass
@@ -149,16 +147,8 @@ class CostModel:
         with self._lock:
             return self._version
 
-    @staticmethod
-    def effective_kind(kind: str, workers: int = 1) -> str:
-        """The cost-table row a hop charges: ``vector`` hops executed
-        chunk-parallel charge (and record) the ``chunked`` rate."""
-        if kind == "chunked" or (kind == "vector" and workers > 1):
-            return "chunked"
-        return kind
-
     def _overhead(self, key: str) -> float:
-        """Fixed per-hop cost of an effective kind: external converters
+        """Fixed per-hop cost of a kind: external converters
         pay the marshalling overhead, everything else the hop overhead."""
         return (
             self.external_overhead
@@ -166,13 +156,11 @@ class CostModel:
             else self.hop_overhead
         )
 
-    def observe(self, kind: str, nnz: int, workers: int = 1,
-                seconds: float = 0.0) -> None:
+    def observe(self, kind: str, nnz: int, seconds: float) -> None:
         """Record the measured wall time of one executed hop.
 
-        ``kind`` is the hop kind (``scalar``/``vector``/``bridge``/
-        ``chunked``); a ``vector`` hop that ran chunk-parallel
-        (``workers > 1``) records under ``chunked``.  The per-nonzero
+        ``kind`` is the hop kind (``scalar``/``vector``/``bridge``/...,
+        ``external:<name>`` per converter).  The per-nonzero
         rate (after subtracting the fixed ``hop_overhead``) feeds a
         per-kind EWMA; degenerate observations are ignored — fewer than
         ``min_nnz`` stored components, non-positive time, or a hop faster
@@ -180,33 +168,32 @@ class CostModel:
         and recording them as a zero rate would pin the measured cost of
         arbitrarily large hops at the fixed overhead).
         """
-        key = self.effective_kind(kind, workers)
-        overhead = self._overhead(key)
+        overhead = self._overhead(kind)
         if nnz < max(self.min_nnz, 1) or seconds <= overhead:
             return
         rate = (seconds - overhead) / nnz
         with self._lock:
-            entry = self.measured.get(key)
+            entry = self.measured.get(kind)
             if entry is None:
                 entry = {"rate": rate, "count": 0}
-                self.measured[key] = entry
+                self.measured[kind] = entry
             else:
                 entry["rate"] += EWMA_ALPHA * (rate - entry["rate"])
             entry["count"] += 1
             if entry["count"] < self.min_observations:
                 return
-            published = self._published.get(key)
+            published = self._published.get(kind)
             drifted = (
                 published is None
                 or abs(entry["rate"] - published)
                 > PUBLISH_DRIFT * max(published, 1e-12)
             )
             if drifted:
-                self._published[key] = entry["rate"]
+                self._published[kind] = entry["rate"]
                 self._version += 1
 
     def observation_count(self, kind: str) -> int:
-        """Recorded observations of ``kind`` (an effective kind)."""
+        """Recorded observations of ``kind``."""
         with self._lock:
             entry = self.measured.get(kind)
             return int(entry["count"]) if entry else 0
@@ -219,51 +206,36 @@ class CostModel:
             return float(entry["rate"])
 
     # -- estimates -------------------------------------------------------
-    def cost(self, kind: str, nnz: int, workers: int = 1,
-             features: Optional[StructuralFeatures] = None) -> float:
+    def cost(self, kind: str, nnz: int) -> float:
         """Estimated seconds for one hop of ``kind`` over ``nnz`` components.
 
-        ``workers > 1`` plans for chunk-parallel execution: vectorizable
-        hops (``"vector"`` or the explicit ``"chunked"`` kind) are costed
-        at the chunked throughput — this is how the router weighs routes
-        when the engine converts with ``parallel=`` engaged.  Kinds with
-        at least ``min_observations`` recorded timings use the measured
-        rate (see :meth:`cost_detail` for the provenance).  ``kind`` may
-        be ``"external:<name>"`` for a registered converter (seeded at
-        the shared external rate, measured per converter).
+        Kinds with at least ``min_observations`` recorded timings use the
+        measured rate (see :meth:`cost_detail` for the provenance).
+        ``kind`` may be ``"external:<name>"`` for a registered converter
+        (seeded at the shared external rate, measured per converter).
         """
-        return self.cost_detail(kind, nnz, workers, features)[0]
+        return self.cost_detail(kind, nnz)[0]
 
-    def cost_detail(self, kind: str, nnz: int, workers: int = 1,
-                    features: Optional[StructuralFeatures] = None,
-                    ) -> Tuple[float, str]:
+    def cost_detail(self, kind: str, nnz: int) -> Tuple[float, str]:
         """``(estimated seconds, provenance)`` for one hop — provenance is
         ``"measured"`` when the kind's measured EWMA rate is trusted
-        (enough observations), ``"seeded"`` otherwise.  ``features``
-        refines seeded estimates with structural facts about the tensor:
-        the chunked executor's sorted-run fast path degrades on shuffled
-        streams, so its seeded rate is penalized as sortedness drops.
+        (enough observations), ``"seeded"`` otherwise.
         """
-        key = self.effective_kind(kind, workers)
-        overhead = self._overhead(key)
-        rate = self._measured_rate(key)
+        overhead = self._overhead(kind)
+        rate = self._measured_rate(kind)
         if rate is not None:
             return rate * max(int(nnz), 0) + overhead, MEASURED
-        if key.startswith("external"):
+        if kind.startswith("external"):
             per_nnz = self.external_per_nnz
         else:
             per_nnz = {
                 "scalar": self.scalar_per_nnz,
                 "vector": self.vector_per_nnz,
                 "bridge": self.bridge_per_nnz,
-                "chunked": self.chunked_per_nnz,
                 "native": self.native_per_nnz,
                 "fused": self.fused_per_nnz,
                 "compute": self.compute_per_nnz,
-            }[key]
-        if key == "chunked" and features is not None:
-            sortedness = min(max(features.sortedness, 0.0), 1.0)
-            per_nnz *= 1.0 + 1.7 * (1.0 - sortedness)
+            }[kind]
         return per_nnz * max(int(nnz), 0) + overhead, SEEDED
 
     # -- persistence -----------------------------------------------------
@@ -280,7 +252,6 @@ class CostModel:
                 "scalar_per_nnz": self.scalar_per_nnz,
                 "vector_per_nnz": self.vector_per_nnz,
                 "bridge_per_nnz": self.bridge_per_nnz,
-                "chunked_per_nnz": self.chunked_per_nnz,
                 "native_per_nnz": self.native_per_nnz,
                 "hop_overhead": self.hop_overhead,
                 "external_per_nnz": self.external_per_nnz,
@@ -346,7 +317,7 @@ class CostModel:
                     name: float(seeds[name])
                     for name in (
                         "scalar_per_nnz", "vector_per_nnz", "bridge_per_nnz",
-                        "chunked_per_nnz", "native_per_nnz", "hop_overhead",
+                        "native_per_nnz", "hop_overhead",
                         "external_per_nnz", "external_overhead",
                         "fused_per_nnz", "compute_per_nnz",
                     )
@@ -358,6 +329,8 @@ class CostModel:
                 min_nnz=int(data.get("min_nnz", cls.min_nnz)),
             )
             for kind, entry in dict(data.get("measured", {})).items():
+                if kind == "chunked":
+                    continue  # files from before the chunked executor's deletion
                 model.measured[str(kind)] = {
                     "rate": float(entry["rate"]),
                     "count": int(entry["count"]),
@@ -436,8 +409,8 @@ def _register_builtin_bridges() -> None:
 #: What each hop kind executes, as ``explain()`` transcripts word it
 #: (routes and plans share the table).  The keys are the hop kinds: the
 #: generated-code backends ``scalar`` / ``vector`` / ``native`` (the
-#: compiled-C backend), a registered bulk extraction (``bridge``), the
-#: chunk-parallel executor, a registered competing converter
+#: compiled-C backend), a registered bulk extraction (``bridge``), a
+#: registered competing converter
 #: (``external``, see :mod:`repro.convert.converters`; its cost-table
 #: rows are keyed ``"external:<name>"`` per converter), and the two
 #: terminal kinds of a compute plan.
@@ -446,7 +419,6 @@ HOP_KIND_DETAIL = {
     "vector": "generated bulk-numpy routine",
     "native": "generated native (compiled C) routine",
     "bridge": "bulk extraction (mask/gather, no codegen)",
-    "chunked": "chunk-parallel rewrite of the vector routine",
     "external": "registered converter (external implementation)",
     "fused": "generated compute kernel reading the hop's source directly",
     "compute": "generated compute kernel over the materialized format",
@@ -629,7 +601,6 @@ def edge_candidates(
     options: Optional[PlanOptions] = None,
     cost_model: Optional[CostModel] = None,
     nnz: Optional[int] = None,
-    workers: int = 1,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
 ) -> List[EdgeCandidate]:
@@ -651,10 +622,9 @@ def edge_candidates(
     options = options or PlanOptions()
     model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
-    workers = max(int(workers), 1)
 
     generated = resolve_backend(src, dst, options, "auto")
-    cost, provenance = model.cost_detail(generated, nnz, workers, features)
+    cost, provenance = model.cost_detail(generated, nnz)
     out = [
         EdgeCandidate(
             name=f"generated-{generated}", kind=generated,
@@ -668,9 +638,7 @@ def edge_candidates(
         from .native import native_capable
 
         if native_capable(src, dst, options):
-            cost, provenance = model.cost_detail(
-                "native", nnz, workers, features
-            )
+            cost, provenance = model.cost_detail("native", nnz)
             out.append(
                 EdgeCandidate(
                     name="generated-native", kind="native",
@@ -680,9 +648,7 @@ def edge_candidates(
     if options.key() == PlanOptions().key():
         bridge = bridge_for(src)
         if bridge is not None and structural_key(bridge[0]) == structural_key(dst):
-            cost, provenance = model.cost_detail(
-                "bridge", nnz, workers, features
-            )
+            cost, provenance = model.cost_detail("bridge", nnz)
             out.append(
                 EdgeCandidate(
                     name="bridge", kind="bridge",
@@ -690,9 +656,7 @@ def edge_candidates(
                 )
             )
         for conv in converters_for(src, dst):
-            cost, provenance = model.cost_detail(
-                f"external:{conv.name}", nnz, workers, features
-            )
+            cost, provenance = model.cost_detail(f"external:{conv.name}", nnz)
             out.append(
                 EdgeCandidate(
                     name=conv.name, kind="external",
@@ -711,14 +675,13 @@ def _edge_choice(
     options: PlanOptions,
     model: CostModel,
     nnz: int,
-    workers: int,
     features: Optional[StructuralFeatures],
     native_ok: bool = False,
 ) -> EdgeCandidate:
     """The winning competitor for one edge (the generated kernel is
     always admitted, so a winner always exists)."""
     for candidate in edge_candidates(
-        src, dst, options, model, nnz, workers, features, native_ok
+        src, dst, options, model, nnz, features, native_ok
     ):
         if candidate.admitted:
             return candidate
@@ -733,7 +696,6 @@ def find_route(
     nnz: Optional[int] = None,
     max_hops: int = 3,
     intermediates: Optional[Sequence[Format]] = None,
-    workers: int = 0,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
 ) -> ConversionRoute:
@@ -744,15 +706,13 @@ def find_route(
     ``intermediates`` list); edge weights come from ``cost_model`` at
     ``nnz`` stored components, each edge taking its cheapest admitted
     competitor (generated kernel, bridge, or registered converter — see
-    :func:`edge_candidates`).  ``workers > 1`` plans for chunk-parallel
-    execution: vector edges are costed at the model's chunked throughput
-    (the engine executes those hops on its worker pool).  ``features``
-    are the source tensor's structural facts: they gate predicated
-    converters on the first hop and refine its cost; hops out of
-    intermediate formats are judged optimistically (their predicates are
-    re-checked at execution time).  Non-default :class:`PlanOptions` pin
-    the route to the direct conversion: the options select scalar code
-    shapes that bridges and competing converters do not honour.
+    :func:`edge_candidates`).  ``features`` are the source tensor's
+    structural facts: they gate predicated converters on the first hop;
+    hops out of intermediate formats are judged optimistically (their
+    predicates are re-checked at execution time).  Non-default
+    :class:`PlanOptions` pin the route to the direct conversion: the
+    options select scalar code shapes that bridges and competing
+    converters do not honour.
 
     ``native_ok`` (set by the engine when a working C toolchain was
     detected) lets edges take the compiled-C kernel, subject to the
@@ -766,11 +726,8 @@ def find_route(
     options = options or PlanOptions()
     model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
-    workers = max(int(workers), 0)
 
-    choice = _edge_choice(
-        src, dst, options, model, nnz, workers or 1, features, native_ok
-    )
+    choice = _edge_choice(src, dst, options, model, nnz, features, native_ok)
     direct_cost = choice.cost
     direct = ConversionRoute(
         hops=(
@@ -829,8 +786,8 @@ def find_route(
             if nxt == node:
                 continue
             edge = _edge_choice(
-                here, nodes[nxt], options, model, nnz, workers or 1,
-                hop_features, native_ok,
+                here, nodes[nxt], options, model, nnz, hop_features,
+                native_ok,
             )
             step = cost + edge.cost
             state = (nxt, hops_used + 1)

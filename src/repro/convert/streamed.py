@@ -1,20 +1,16 @@
 """The streaming conversion executor: out-of-core lowering of vector plans.
 
-The chunked executor (:mod:`repro.convert.chunked`, PR 4) showed that
-every statement of a generated vector kernel is chunk-decomposable: the
+Every statement of a generated vector kernel is chunk-decomposable: the
 attribute queries of Section 5 fold over stream chunks (histograms are
 additive, presence masks idempotent, ``maximum.at`` a max-fold), remap
 expressions are elementwise, and the assembly scatters touch disjoint
-destination slots.  This module points the same decomposition at a
-**file** instead of an in-memory array.  Where the chunked executor runs
-concurrent chunks inside one call and merges their partials, the
-streaming executor *schedules the kernel itself* into alternating
-phases:
+destination slots.  This module points that decomposition at a **file**
+instead of an in-memory array: the streaming executor *schedules the
+kernel itself* into alternating phases:
 
 * **stream sections** — maximal runs of fold/scatter statements, each
   executed as one sequential pass over the source's chunks with carried
-  per-key state (:class:`~repro.ir.runtime.StreamState`, the sequential
-  unrolling of the ``chunked_*`` merge helpers);
+  per-key state (:class:`~repro.ir.runtime.StreamState`);
 * **bridge steps** — the O(dimensions) statements between them
   (``cumsum`` edge arrays, permutation tables, destination allocation),
   executed once, with destination arrays allocated through a
@@ -30,8 +26,8 @@ streams) are not pinned to a pass: each section replays the slice it
 needs, with fresh per-site state, so no nnz-sized intermediate is ever
 materialized.  Peak memory is O(dimensions + chunk), never O(nnz).
 
-The scheduler is an :mod:`ast` pass over the *same* generated vector
-source the chunked rewriter consumes, so every chunkable pair streams
+The scheduler is an :mod:`ast` pass over the generated vector source, so
+every :func:`chunkable` pair with a coordinate-stream source streams
 unchanged; ``tests/stream`` asserts bit-identity against the in-memory
 backends over the full pair matrix.
 """
@@ -45,14 +41,15 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..formats.format import Format
+from ..levels.hashed import HashedLevel
 from ..ir.runtime import StreamState, group_ranks, unique_first
-from .chunked import _ChunkRewriter, chunkable
 from .planner import GeneratedConversion, PlanOptions, structural_key
 
 __all__ = [
     "STREAMED",
     "StreamPlanError",
     "StreamedConversion",
+    "chunkable",
     "plan_streamed",
     "streamable",
 ]
@@ -65,6 +62,25 @@ class StreamPlanError(ValueError):
     """A vector kernel could not be scheduled into streaming passes."""
 
 
+def chunkable(src_format: Format, dst_format: Format,
+              options: Optional[PlanOptions] = None) -> bool:
+    """True if the pair's vector kernel can run chunk by chunk.
+
+    The vector backend's capability, minus hashed levels:
+    ``hashed_bulk_insert`` placement depends on the *global* nonzero
+    order, which chunk-local replays cannot reproduce.  This is the
+    destination half of :func:`streamable`.
+    """
+    from ..ir.vector import vectorizable
+
+    if any(
+        isinstance(level, HashedLevel)
+        for level in (*src_format.levels, *dst_format.levels)
+    ):
+        return False
+    return vectorizable(src_format, dst_format, options)
+
+
 def streamable(src_format: Format, dst_format: Format,
                options: Optional[PlanOptions] = None) -> bool:
     """True if the pair lowers through the streaming executor.
@@ -72,8 +88,7 @@ def streamable(src_format: Format, dst_format: Format,
     Streaming sources are coordinate streams, so the source must be
     COO-shaped (a single top-level position range over per-level
     coordinate arrays — what :func:`repro.io.stream.open_stream`
-    yields); the destination capability is exactly the chunked
-    executor's (every vectorizable pair).
+    yields); the destination must be :func:`chunkable`.
     """
     if not chunkable(src_format, dst_format, options):
         return False
@@ -132,6 +147,20 @@ def _is_np_call(node: ast.AST, attr: str) -> bool:
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "np"
     )
+
+
+def _ufunc_at(node: ast.AST) -> Optional[str]:
+    """The ufunc name of an ``np.<ufunc>.at(...)`` call, if any."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "at"
+        and isinstance(node.func.value, ast.Attribute)
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "np"
+    ):
+        return node.func.value.attr
+    return None
 
 
 def _source_layout(src_format: Format):
@@ -357,7 +386,7 @@ class _KernelScheduler:
                              is_expr=True)  # effectful: never pruned
         if isinstance(node, ast.Expr):
             call = node.value
-            ufunc = _ChunkRewriter._ufunc_at(call)
+            ufunc = _ufunc_at(call)
             if ufunc is not None and self.is_stream_expr(call):
                 if not (call.args and isinstance(call.args[0], ast.Name)):
                     raise StreamPlanError(

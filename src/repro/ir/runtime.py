@@ -5,27 +5,16 @@ call the small set of helpers defined here (the paper's generated C likewise
 calls a tiny runtime, e.g. ``prefix_sum`` in Figure 11).  ``compile_source``
 turns printed IR into a callable with the helpers in scope.
 
-The second half of this module is the **chunk runtime** behind the chunked
-conversion executor (:mod:`repro.convert.chunked`): a :class:`WorkerPool`
-that splits a nonzero stream into contiguous chunks and runs them on a
-thread pool, plus ``chunked_*`` mirrors of the bulk helpers above.  Every
-mirror is *exact* — ``chunked_bincount`` sums per-chunk histograms (a
-bincount is additive over concatenation), ``chunked_group_ranks`` adds the
-per-key counts of earlier chunks to chunk-local ranks, and
-``chunked_yield_positions`` recognizes sorted parent streams (contiguous
-chunks of a lexicographic gather are often sorted runs) and replaces the
-global sort with run arithmetic — so the chunked executor is bit-identical
-to the serial vector backend by construction, not by luck.
+The second half of this module is the stream runtime behind the streaming
+executor (:mod:`repro.convert.streamed`): :class:`StreamState` carries the
+bulk helpers' merge state across the chunks of an out-of-core pass.
 """
 
 from __future__ import annotations
 
-import linecache
 import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import linecache
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -91,6 +80,19 @@ def _sorted_boundary(keys: np.ndarray):
     return order, boundary
 
 
+def _is_monotone(keys: np.ndarray) -> bool:
+    """True if ``keys`` is nondecreasing (comparison, not diff: no overflow)."""
+    return keys.shape[0] <= 1 or bool((keys[1:] >= keys[:-1]).all())
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every equal-key run of a *sorted* key stream."""
+    boundary = np.empty(keys.shape[0], dtype=bool)
+    boundary[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    return np.flatnonzero(boundary)
+
+
 def group_ranks(keys: np.ndarray) -> np.ndarray:
     """Rank of each element within its equal-key group, in original order.
 
@@ -99,10 +101,17 @@ def group_ranks(keys: np.ndarray) -> np.ndarray:
     remapping counters of Section 4.2: a nonzero's rank equals the number
     of previously iterated nonzeros sharing its key, regardless of whether
     the scalar backend realizes the counter as an array or a register.
+    A source already grouped by key (a row-sorted COO or CSR going to CSR
+    or ELL) skips the sort: its ranks are offsets within runs.
     """
     n = keys.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    if _is_monotone(keys):
+        starts = _run_starts(keys)
+        ranks = np.arange(n, dtype=np.int64)
+        ranks -= np.repeat(starts, np.diff(starts, append=n))
+        return ranks
     order, boundary = _sorted_boundary(keys)
     starts = np.flatnonzero(boundary)
     sizes = np.diff(np.append(starts, n))
@@ -117,10 +126,14 @@ def unique_first(keys: np.ndarray) -> np.ndarray:
     The bulk form of the deduplication lookup table of Section 6.2: the
     returned indices select, in iteration order, the nonzeros that trigger
     a fresh ``yield_pos`` insertion (e.g. the first nonzero of each BCSR
-    block); later duplicates reuse the first occurrence's position.
+    block); later duplicates reuse the first occurrence's position.  A
+    sorted key stream skips the sort: the first occurrences are its run
+    starts.
     """
     if keys.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
+    if _is_monotone(keys):
+        return _run_starts(keys)
     order, boundary = _sorted_boundary(keys)
     return np.sort(order[boundary])
 
@@ -217,374 +230,6 @@ def hashed_bulk_insert(table, base, home, coord, width) -> np.ndarray:
     return out
 
 
-# ----------------------------------------------------------------------
-# chunk runtime (repro.convert.chunked)
-
-#: Default minimum chunk length: below this, splitting a stream costs more
-#: in dispatch than the per-chunk passes save.
-DEFAULT_CHUNK_GRAIN = 1 << 16
-
-
-class WorkerPool:
-    """A chunk executor: contiguous stream chunks on a thread pool.
-
-    ``workers`` bounds both the thread count and the number of chunks a
-    stream is split into; ``grain`` is the minimum chunk length (streams
-    shorter than ``2 * grain`` run as one chunk).  The underlying
-    :class:`~concurrent.futures.ThreadPoolExecutor` is created lazily on
-    the first multi-chunk :meth:`map` — a 1-worker pool never starts a
-    thread — and numpy releases the GIL in the bulk kernels the chunks
-    run (sort, bincount, take/put), so chunks genuinely overlap on
-    multi-core hosts.  Instances are owned by the
-    :class:`~repro.convert.engine.ConversionEngine` (see
-    ``engine.worker_pool()``); ``shutdown()`` joins the threads.
-
-    Example::
-
-        pool = WorkerPool(workers=4)
-        pool.bounds(10)        # [(0, 10)] — below the grain, one chunk
-        pool.map(lambda lo, hi: work(lo, hi), pool.bounds(n))
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 grain: int = DEFAULT_CHUNK_GRAIN) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        self.workers = max(1, int(workers))
-        self.grain = max(1, int(grain))
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def bounds(self, n: int) -> List[Tuple[int, int]]:
-        """Contiguous chunk bounds ``[(lo, hi), ...]`` covering ``[0, n)``.
-
-        At most ``workers`` chunks, each at least ``grain`` long (so a
-        short stream is one chunk); an empty stream has no chunks.
-        """
-        if n <= 0:
-            return []
-        nchunks = min(self.workers, max(1, n // self.grain))
-        if nchunks <= 1:
-            return [(0, n)]
-        edges = [(c * n) // nchunks for c in range(nchunks + 1)]
-        return list(zip(edges[:-1], edges[1:]))
-
-    def map(self, fn: Callable, chunks: Sequence[Tuple[int, int]]) -> List:
-        """Run ``fn(lo, hi)`` for every chunk; results in chunk order.
-
-        Single-chunk work (and 1-worker pools) runs inline on the calling
-        thread — the serial path never pays for thread dispatch.
-        """
-        if len(chunks) <= 1 or self.workers == 1:
-            return [fn(lo, hi) for lo, hi in chunks]
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-chunk",
-                )
-            executor = self._executor
-        return list(executor.map(lambda b: fn(*b), chunks))
-
-    def shutdown(self) -> None:
-        """Join the pool threads (the pool stays usable; threads restart
-        lazily on the next multi-chunk map)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WorkerPool workers={self.workers} grain={self.grain}>"
-
-
-#: Pool used when generated code receives ``_pool=None``: one worker, one
-#: chunk — the chunked helpers then reduce to their serial definitions.
-_SERIAL_POOL = WorkerPool(workers=1)
-
-
-def _as_pool(pool: Optional[WorkerPool]) -> WorkerPool:
-    return pool if pool is not None else _SERIAL_POOL
-
-
-def _is_monotone(keys: np.ndarray) -> bool:
-    """True if ``keys`` is nondecreasing (comparison, not diff: no overflow)."""
-    return keys.shape[0] <= 1 or bool((keys[1:] >= keys[:-1]).all())
-
-
-def _chunks_monotone(keys: np.ndarray, pool: WorkerPool,
-                     chunks: Sequence[Tuple[int, int]]) -> bool:
-    """Whole-stream monotonicity via per-chunk checks (chunks overlap one
-    element backwards so boundaries are covered)."""
-    return all(
-        pool.map(lambda lo, hi: _is_monotone(keys[max(lo - 1, 0):hi]), chunks)
-    )
-
-
-def _runs(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(starts, sizes) of the equal-key runs of a *sorted* key stream."""
-    n = keys.shape[0]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    return starts, np.diff(np.append(starts, n))
-
-
-def chunked_bincount(keys: np.ndarray, minlength: int = 0,
-                     pool: Optional[WorkerPool] = None) -> np.ndarray:
-    """Exactly ``np.bincount(keys, minlength=minlength)``, one histogram
-    per chunk summed — a bincount is additive over concatenation, so the
-    merge is the identity the chunked executor's count queries rely on."""
-    pool = _as_pool(pool)
-    chunks = pool.bounds(keys.shape[0])
-    if len(chunks) <= 1:
-        return np.bincount(keys, minlength=minlength)
-    parts = pool.map(
-        lambda lo, hi: np.bincount(keys[lo:hi], minlength=minlength), chunks
-    )
-    out = np.zeros(max(part.shape[0] for part in parts), dtype=parts[0].dtype)
-    for part in parts:
-        out[: part.shape[0]] += part
-    return out
-
-
-def _local_rank_counts(keys: np.ndarray):
-    """Chunk-local phase of ``chunked_group_ranks``: (local ranks, sorted
-    distinct keys, counts per distinct key).  Sorted chunks take the
-    run-arithmetic path; the rest pay one sort (the same sort the serial
-    helper pays, but over the chunk only)."""
-    n = keys.shape[0]
-    if _is_monotone(keys):
-        starts, sizes = _runs(keys)
-        ranks = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-        return ranks, keys[starts], sizes
-    order, boundary = _sorted_boundary(keys)
-    starts = np.flatnonzero(boundary)
-    sizes = np.diff(np.append(starts, n))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    return ranks, keys[order][starts], sizes
-
-
-def chunked_group_ranks(keys: np.ndarray,
-                        pool: Optional[WorkerPool] = None) -> np.ndarray:
-    """Exactly :func:`group_ranks`, computed per chunk with an offset merge.
-
-    A nonzero's global rank is its chunk-local rank plus the number of
-    same-key nonzeros in earlier chunks, so the merge is a per-key
-    exclusive running count across chunks — the rank analogue of summing
-    per-chunk bincounts.  A fully sorted stream (contiguous gathers of
-    lexicographic sources often are) skips the sort entirely: ranks are
-    run arithmetic.  Small key spaces merge through one counts array;
-    anything else merges through a sorted vocabulary.
-    """
-    keys = np.asarray(keys)
-    n = keys.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    pool = _as_pool(pool)
-    chunks = pool.bounds(n)
-    if _chunks_monotone(keys, pool, chunks):
-        starts, sizes = _runs(keys)
-        return np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
-    return _group_ranks_unsorted(keys, pool, chunks)
-
-
-def _group_ranks_unsorted(keys: np.ndarray, pool: WorkerPool,
-                          chunks: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """The unsorted path of :func:`chunked_group_ranks` (monotonicity
-    already checked by the caller): per-chunk local ranks + offset merge."""
-    n = keys.shape[0]
-    if len(chunks) <= 1:
-        return group_ranks(keys)
-    parts = pool.map(lambda lo, hi: _local_rank_counts(keys[lo:hi]), chunks)
-    out = np.empty(n, dtype=np.int64)
-    kmin = min(int(u[0]) for _, u, _ in parts if u.size)
-    kmax = max(int(u[-1]) for _, u, _ in parts if u.size)
-    if kmin >= 0 and kmax + 1 <= max(4 * n, 1 << 16):
-        # dense merge: per-chunk base = running per-key counts, snapshot
-        # at chunk granularity so the element-wise adds run in parallel
-        running = np.zeros(kmax + 1, dtype=np.int64)
-        bases = []
-        for _, uniques, counts in parts:
-            bases.append(running.copy())
-            running[uniques] += counts
-        index_of = {bounds: c for c, bounds in enumerate(chunks)}
-
-        def apply(lo: int, hi: int) -> None:
-            c = index_of[(lo, hi)]
-            out[lo:hi] = parts[c][0] + bases[c][keys[lo:hi]]
-
-        pool.map(apply, chunks)
-    else:
-        # sparse merge: counts keyed by a sorted vocabulary
-        vocab = np.unique(np.concatenate([u for _, u, _ in parts]))
-        running = np.zeros(vocab.shape[0], dtype=np.int64)
-        for (lo, hi), (ranks, uniques, counts) in zip(chunks, parts):
-            out[lo:hi] = ranks + running[np.searchsorted(vocab, keys[lo:hi])]
-            running[np.searchsorted(vocab, uniques)] += counts
-    return out
-
-
-def chunked_unique_first(keys: np.ndarray,
-                         pool: Optional[WorkerPool] = None) -> np.ndarray:
-    """Exactly :func:`unique_first`: chunk-local first occurrences, merged
-    by keeping only keys unseen in earlier chunks (first-chunk-wins is
-    first-occurrence order, and per-chunk results are index-ascending, so
-    the concatenation is already sorted)."""
-    keys = np.asarray(keys)
-    n = keys.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    pool = _as_pool(pool)
-    chunks = pool.bounds(n)
-    if _chunks_monotone(keys, pool, chunks):
-        return _runs(keys)[0]
-    if len(chunks) <= 1:
-        return unique_first(keys)
-    # sparse key spaces fall back to the serial helper — gate *before*
-    # spending the per-chunk pass (min/max of all keys bounds the
-    # first-occurrence keys exactly)
-    kmin, kmax = int(keys.min()), int(keys.max())
-    if kmin < 0 or kmax + 1 > max(4 * n, 1 << 16):
-        return unique_first(keys)
-    parts = pool.map(
-        lambda lo, hi: unique_first(keys[lo:hi]) + lo, chunks
-    )
-    seen = np.zeros(kmax + 1, dtype=bool)
-    fresh_parts = []
-    for firsts in parts:
-        first_keys = keys[firsts]
-        fresh = ~seen[first_keys]
-        fresh_parts.append(firsts[fresh])
-        seen[first_keys[fresh]] = True
-    return np.concatenate(fresh_parts)
-
-
-def chunked_yield_positions(pos: np.ndarray, parent: np.ndarray,
-                            pool: Optional[WorkerPool] = None) -> np.ndarray:
-    """Exactly ``pos[parent] + group_ranks(parent)`` — the bulk sequenced
-    ``yield_pos`` of the vector backend — with the chunked executor's two
-    structural fast paths:
-
-    * a sorted parent stream (checked per chunk) yields positions by run
-      arithmetic instead of a global sort;
-    * when each run's edge offset equals its start index (a source already
-      laid out in destination order, e.g. canonical COO scattering into
-      CSR rows), the positions are literally ``arange`` — detected on the
-      run starts only, so the check costs O(runs), not O(nnz).
-    """
-    parent = np.asarray(parent)
-    n = parent.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    pool = _as_pool(pool)
-    chunks = pool.bounds(n)
-    if _chunks_monotone(parent, pool, chunks):
-        starts, sizes = _runs(parent)
-        base = pos[parent[starts]]
-        if np.array_equal(base, starts):
-            return np.arange(n, dtype=np.int64)
-        return np.repeat(base - starts, sizes) + np.arange(n, dtype=np.int64)
-    # monotonicity is already decided — go straight to the unsorted path
-    # rather than re-scanning through chunked_group_ranks
-    return pos[parent] + _group_ranks_unsorted(parent, pool, chunks)
-
-
-def _chunked_ufunc_at(ufunc, merge, dst: np.ndarray, index: np.ndarray,
-                      values, pool: WorkerPool,
-                      chunks: Sequence[Tuple[int, int]]) -> None:
-    """Shared core of ``chunked_add_at``/``chunked_maximum_at``: one
-    partial reduction array per chunk (initialized from ``dst`` so the
-    reduction identity is whatever the kernel allocated), merged by key
-    with ``merge`` — exact because the reduction is associative,
-    commutative and exact on the integer dtypes the generated analyses
-    use."""
-    aligned = (
-        isinstance(values, np.ndarray)
-        and values.ndim >= 1
-        and values.shape[0] == index.shape[0]
-    )
-
-    def partial(lo: int, hi: int) -> np.ndarray:
-        part = dst.copy()
-        ufunc.at(part, index[lo:hi], values[lo:hi] if aligned else values)
-        return part
-
-    parts = pool.map(partial, chunks)
-    base = dst.copy()
-    for part in parts:
-        # each partial already folded dst's initial contents once; undo
-        # the duplicate so the merge counts them exactly once
-        merge(dst, part, base, out=dst)
-
-
-def _merge_add(dst, part, base, out):
-    np.add(dst, part - base, out=out)
-
-
-def _merge_maximum(dst, part, base, out):
-    np.maximum(dst, part, out=out)
-
-
-def chunked_add_at(dst: np.ndarray, index: np.ndarray, values,
-                   pool: Optional[WorkerPool] = None) -> None:
-    """Exactly ``np.add.at(dst, index, values)`` — the serial prefix pass
-    of variable-width ``+=`` analyses — computed as per-chunk partial
-    histograms summed by key.  Only exact-sum integer destinations take
-    the parallel path: float accumulation depends on summation order, and
-    numpy forbids ``-`` (the merge's dedup step) on booleans — both run
-    the serial ufunc, so the chunked executor stays bit-identical by
-    construction."""
-    pool = _as_pool(pool)
-    chunks = pool.bounds(index.shape[0])
-    if len(chunks) <= 1 or dst.dtype.kind not in "iu":
-        np.add.at(dst, index, values)
-        return
-    _chunked_ufunc_at(np.add, _merge_add, dst, index, values, pool, chunks)
-
-
-def chunked_maximum_at(dst: np.ndarray, index: np.ndarray, values,
-                       pool: Optional[WorkerPool] = None) -> None:
-    """Exactly ``np.maximum.at(dst, index, values)`` — the serial prefix
-    pass of ``max=`` analyses (e.g. skyline row widths) — computed as
-    per-chunk partial maxima merged by key.  Maximum is exact on every
-    dtype, so every multi-chunk stream takes the parallel path."""
-    pool = _as_pool(pool)
-    chunks = pool.bounds(index.shape[0])
-    if len(chunks) <= 1:
-        np.maximum.at(dst, index, values)
-        return
-    _chunked_ufunc_at(
-        np.maximum, _merge_maximum, dst, index, values, pool, chunks
-    )
-
-
-def chunked_scatter(dst: np.ndarray, index: np.ndarray, values,
-                    pool: Optional[WorkerPool] = None) -> None:
-    """``dst[index] = values`` executed per chunk (the payload scatter of
-    the chunked executor).  Only emitted for position streams whose
-    duplicate indices — if any — carry equal values (yield/locate
-    positions, dedup-shared slots), so chunk order cannot change the
-    outcome and the parallel scatter stays bit-identical."""
-    pool = _as_pool(pool)
-    chunks = pool.bounds(index.shape[0])
-    if len(chunks) <= 1:
-        dst[index] = values
-        return
-    aligned = (
-        isinstance(values, np.ndarray)
-        and values.ndim >= 1
-        and values.shape[0] == index.shape[0]
-    )
-    if aligned:
-        pool.map(lambda lo, hi: dst.__setitem__(index[lo:hi], values[lo:hi]),
-                 chunks)
-    else:
-        pool.map(lambda lo, hi: dst.__setitem__(index[lo:hi], values), chunks)
-
-
 _counter = itertools.count()
 
 
@@ -613,13 +258,6 @@ def compile_source(
         "group_ranks": group_ranks,
         "unique_first": unique_first,
         "hashed_bulk_insert": hashed_bulk_insert,
-        "chunked_bincount": chunked_bincount,
-        "chunked_group_ranks": chunked_group_ranks,
-        "chunked_unique_first": chunked_unique_first,
-        "chunked_yield_positions": chunked_yield_positions,
-        "chunked_scatter": chunked_scatter,
-        "chunked_add_at": chunked_add_at,
-        "chunked_maximum_at": chunked_maximum_at,
     }
     if extra_globals:
         namespace.update(extra_globals)
@@ -639,16 +277,14 @@ def compile_source(
 # ----------------------------------------------------------------------
 # stream runtime (repro.convert.streamed)
 #
-# The chunked executor above merges *concurrent* chunk partials inside
-# one in-memory call.  The streaming executor replays the same chunk
-# decomposition *sequentially* over a file that is never materialized,
-# so its helpers carry their merge state across chunks instead: a
-# per-key count table stands in for "ranks of earlier chunks", a seen
-# table for "first chunk wins".  Each helper is the exact sequential
-# unrolling of its chunked_* mirror, so a streamed kernel stays
-# bit-identical to the serial vector backend.  Carried tables are dense
-# over the key space actually seen (attribute-query keys are dimension
-# products), so state stays O(dimensions), never O(nnz).
+# The streaming executor replays a vector kernel *sequentially* over the
+# chunks of a file that is never materialized, so its helpers carry their
+# merge state across chunks: a per-key count table stands in for "ranks
+# of earlier chunks", a seen table for "first chunk wins".  Each helper is
+# exact, so a streamed kernel stays bit-identical to the serial vector
+# backend.  Carried tables are dense over the key space actually seen
+# (attribute-query keys are dimension products), so state stays
+# O(dimensions), never O(nnz).
 
 
 class _GrowableTable:

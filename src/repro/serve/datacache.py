@@ -15,8 +15,7 @@ and the plan-options key when it differs from the defaults (different
 code-shape options may not share entries).
 
 Because conversions in this library are **bit-identical across
-backends, routes and the chunked executor**, one cached entry serves
-every way of producing it.
+backends and routes**, one cached entry serves every way of producing it.
 
 Route-prefix sharing is the point of the key shape: a routed conversion
 inserts *every hop's output* under the original payload's digest (the

@@ -63,7 +63,7 @@ class TenantPolicy:
     ``max_concurrent`` bounds the tenant's in-flight requests and
     ``max_inflight_bytes`` their summed payload bytes (``None``:
     unlimited); a request larger than ``max_request_bytes`` is rejected
-    outright.  ``options``/``backend``/``parallel`` are the tenant's
+    outright.  ``options``/``backend`` are the tenant's
     default conversion knobs — a tenant pinned to ``backend="vector"``
     or custom :class:`~repro.convert.planner.PlanOptions` gets them on
     every request without the client saying so.
@@ -75,7 +75,6 @@ class TenantPolicy:
     max_inflight_bytes: Optional[int] = None
     options: Optional[PlanOptions] = None
     backend: Optional[str] = None
-    parallel: Union[str, int, None] = "auto"
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,7 @@ class ConversionService:
             return ServeResult(cached, "cached", pair, tenant, digest)
         knobs = (
             options.key() if options is not None else None,
-            policy.backend, policy.parallel,
+            policy.backend,
         )
         bucket_key = (structural_key(tensor.format), structural_key(dst)) + knobs
         return await self._single_flight(
@@ -430,7 +429,7 @@ class ConversionService:
         plan = self.engine.plan(
             tensor.format, dst,
             options=policy.options, backend=policy.backend,
-            parallel=policy.parallel, nnz=tensor.nnz_stored,
+            nnz=tensor.nnz_stored,
             features=sample_features(tensor),
         )
         skipped, current = self._resume(
@@ -548,7 +547,7 @@ class ConversionService:
             self._executor,
             lambda: self.engine.plan(
                 src_format, dst_format, options=policy.options,
-                backend=policy.backend, parallel=policy.parallel, nnz=nnz,
+                backend=policy.backend, nnz=nnz,
             ),
         )
 

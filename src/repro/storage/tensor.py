@@ -184,26 +184,23 @@ class Tensor:
 
     # -- conversion convenience ------------------------------------------------
     def to(self, dst_format, options=None, backend=None, engine=None,
-           route=None, parallel="auto") -> "Tensor":
+           route=None) -> "Tensor":
         """Convert to ``dst_format`` (a :class:`Format` or a registry spec
         string like ``"CSR"`` / ``"BCSR8x8"``) with a generated routine.
 
         Uses the process-wide default engine unless ``engine`` (a
-        :class:`~repro.convert.engine.ConversionEngine`) is given;
-        ``parallel`` selects the chunked executor for huge tensors (see
+        :class:`~repro.convert.engine.ConversionEngine`) is given (see
         :meth:`ConversionEngine.convert
         <repro.convert.engine.ConversionEngine.convert>`)::
 
             csr = tensor.to("CSR")
             dia = tensor.to(DIA, engine=my_engine)
-            csc = huge.to("CSC", parallel=8)     # chunked executor
         """
         if engine is None:
             from ..convert.engine import default_engine
 
             engine = default_engine()
-        return engine.convert(self, dst_format, options, backend, route,
-                              parallel)
+        return engine.convert(self, dst_format, options, backend, route)
 
     def spmv(self, x, via="CSR", fuse="auto", backend=None, engine=None):
         """``y = A @ x`` through the fusion planner (:mod:`repro.compute`).

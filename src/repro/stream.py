@@ -111,11 +111,12 @@ def convert_file(
     ``src_path`` is a Matrix Market file (plain or ``.gz``) or a binary
     coordinate stream (:func:`repro.io.stream.write_stream`); it is read
     in ``chunk_nnz``-sized chunks and never materialized.  ``dst_spec``
-    is any format spec string (or :class:`Format`) the chunked executor
-    supports.  The destination level arrays land as memmap-backed files
-    under ``out_dir`` with a ``manifest.json`` (see
-    :mod:`repro.storage.memmap`); ``overwrite=True`` replaces an
-    existing directory, otherwise one is an error.
+    is any format spec string (or :class:`Format`) whose pair is
+    :func:`~repro.convert.streamed.chunkable`.  The destination level
+    arrays land as memmap-backed files under ``out_dir`` with a
+    ``manifest.json`` (see :mod:`repro.storage.memmap`);
+    ``overwrite=True`` replaces an existing directory, otherwise one is
+    an error.
 
     Peak memory is O(dimensions + chunk): source chunks are bounded,
     destination pages are dropped from the resident set as each chunk's
@@ -138,7 +139,7 @@ def convert_file(
     if plan is None:
         raise StreamError(
             f"{src_format.name} -> {dst_format.name} is not streamable "
-            "(the pair has no chunked lowering)"
+            "(its vector kernel cannot run chunk by chunk)"
         )
     started = time.perf_counter()
     tmp_dir = f"{out_dir}.tmp.{os.getpid()}"

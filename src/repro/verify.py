@@ -1,6 +1,6 @@
 """Differential fuzzing across every backend, including streamed.
 
-The conversion backends (scalar, vector, native, chunked, streamed) are
+The conversion backends (scalar, vector, native, streamed) are
 bit-identical by construction; this module is the executable form of
 that claim.  ``python -m repro.verify fuzz`` generates random tensors —
 varying dimensions, density, value dtype and coordinate *ordering*
@@ -249,36 +249,24 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
               workdir: str) -> Dict[str, List[str]]:
     """Run one case through every applicable backend; returns
     ``{backend: problems}`` for backends that disagreed with scalar."""
-    from .convert.chunked import chunkable
     from .convert.streamed import streamable
     from .io.stream import write_stream
-    from .ir.runtime import WorkerPool
     from .storage.build import reference_build
     from .stream import convert_file
 
     tensor = reference_build(src, case.dims, case.cells, case.vals)
-    reference = engine.convert(tensor, dst, backend="scalar", parallel=None)
+    reference = engine.convert(tensor, dst, backend="scalar")
     failures: Dict[str, List[str]] = {}
     if "vector" in backends:
-        got = engine.convert(tensor, dst, backend="vector", parallel=None)
+        got = engine.convert(tensor, dst, backend="vector")
         problems = _diff(reference, got)
         if problems:
             failures["vector"] = problems
     if "native" in backends:
-        got = engine.convert(tensor, dst, backend="native", parallel=None)
+        got = engine.convert(tensor, dst, backend="native")
         problems = _diff(reference, got)
         if problems:
             failures["native"] = problems
-    if "chunked" in backends and chunkable(src, dst):
-        chunked = engine.make_chunked(src, dst)
-        pool = WorkerPool(workers=2, grain=max(4, case.nnz // 7 or 4))
-        try:
-            got = chunked(tensor, pool)
-        finally:
-            pool.shutdown()
-        problems = _diff(reference, got)
-        if problems:
-            failures["chunked"] = problems
     if "streamed" in backends and streamable(src, dst):
         path = os.path.join(workdir, f"case_{case.seed}.bin")
         write_stream(path, case.dims, [c for c in case.columns()[:-1]],
@@ -339,7 +327,7 @@ def _check_fused(engine, src, dst, case: TensorCase, tensor) -> List[str]:
     return problems
 
 
-DEFAULT_BACKENDS = ("vector", "native", "chunked", "streamed", "fused")
+DEFAULT_BACKENDS = ("vector", "native", "streamed", "fused")
 
 
 def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
@@ -365,44 +353,41 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
     mismatches = 0
     ran = 0
     stop = False
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as workdir:
-            for src, dst in _resolve_pairs(pairs):
-                if stop:
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as workdir:
+        for src, dst in _resolve_pairs(pairs):
+            if stop:
+                break
+            order = src.order
+            token = _pair_token(src, dst)
+            for index in range(cases):
+                if budget is not None and (
+                    time.monotonic() - started > budget
+                ):
+                    if verbose:
+                        print(
+                            f"budget of {budget:.0f}s exhausted after "
+                            f"{ran} case(s); stopping"
+                        )
+                    stop = True
                     break
-                order = src.order
-                token = _pair_token(src, dst)
-                for index in range(cases):
-                    if budget is not None and (
-                        time.monotonic() - started > budget
-                    ):
-                        if verbose:
-                            print(
-                                f"budget of {budget:.0f}s exhausted after "
-                                f"{ran} case(s); stopping"
-                            )
-                        stop = True
-                        break
-                    case_seed = seed + index
-                    case = constrain_case(
-                        dst, random_tensor_case(case_seed, order=order)
-                    )
-                    failures = _run_case(engine, src, dst, case, backends,
-                                         workdir)
-                    ran += 1
-                    if failures:
-                        mismatches += 1
-                        print(f"MISMATCH {token} seed={case_seed} "
-                              f"dims={case.dims} nnz={case.nnz} "
-                              f"ordering={case.ordering}")
-                        for backend, problems in failures.items():
-                            for problem in problems:
-                                print(f"  {backend}: {problem}")
-                        print(f"REPRO: python -m repro.verify fuzz "
-                              f"--pairs {token} --cases 1 "
-                              f"--seed {case_seed}")
-    finally:
-        engine.shutdown()
+                case_seed = seed + index
+                case = constrain_case(
+                    dst, random_tensor_case(case_seed, order=order)
+                )
+                failures = _run_case(engine, src, dst, case, backends,
+                                     workdir)
+                ran += 1
+                if failures:
+                    mismatches += 1
+                    print(f"MISMATCH {token} seed={case_seed} "
+                          f"dims={case.dims} nnz={case.nnz} "
+                          f"ordering={case.ordering}")
+                    for backend, problems in failures.items():
+                        for problem in problems:
+                            print(f"  {backend}: {problem}")
+                    print(f"REPRO: python -m repro.verify fuzz "
+                          f"--pairs {token} --cases 1 "
+                          f"--seed {case_seed}")
     if verbose:
         elapsed = time.monotonic() - started
         verdict = "FAIL" if mismatches else "ok"

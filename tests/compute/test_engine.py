@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.compute import scale_reference, spmv_reference
-from repro.convert import ConversionEngine
+from repro.convert import ConversionEngine, CostModel
 from repro.formats.library import COO, CSR, DIA
 from repro.storage.build import reference_build
 
@@ -91,9 +91,11 @@ def test_compute_stats_track_fused_runs(engine, problem):
     assert after["fused_runs"] == before["fused_runs"] + 1
 
 
-def test_terminal_timings_feed_the_cost_model(engine):
+def test_terminal_timings_feed_the_cost_model():
     # the cost model ignores tiny runs (min_nnz), so build a dense
-    # 70x70 problem: 4900 stored values clears the floor
+    # 70x70 problem: 4900 stored values clears the floor; hop_overhead=0
+    # so a run faster than the seeded overhead still registers
+    engine = ConversionEngine(cost_model=CostModel(hop_overhead=0.0))
     rng = np.random.default_rng(5)
     dims = (70, 70)
     cells = [(i, j) for i in range(dims[0]) for j in range(dims[1])]

@@ -216,8 +216,8 @@ def test_auto_fuses_only_after_measured_win(engine):
     model = engine.cost_model
     # measured fused timings that clearly beat materialize-then-compute
     for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 1, 1e-4)
-        model.observe("compute", 1_000_000, 1, 1e-2)
+        model.observe("fused", 1_000_000, 1e-4)
+        model.observe("compute", 1_000_000, 1e-2)
     plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
     assert plan.fuse == "fused"
 
@@ -225,8 +225,8 @@ def test_auto_fuses_only_after_measured_win(engine):
 def test_auto_declines_fusion_when_measured_slower(engine):
     model = engine.cost_model
     for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 1, 10.0)   # fused measured awful
-        model.observe("compute", 1_000_000, 1, 1e-6)
+        model.observe("fused", 1_000_000, 10.0)   # fused measured awful
+        model.observe("compute", 1_000_000, 1e-6)
     plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
     assert plan.fuse == "materialize"
 

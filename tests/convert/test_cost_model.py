@@ -3,6 +3,7 @@ route re-planning, and robustness against malformed model files."""
 
 import json
 import random
+import warnings
 
 import pytest
 
@@ -62,10 +63,10 @@ def _tensor(src, count=60, dims=(12, 12), seed=3):
 def test_seeded_until_enough_observations():
     model = CostModel(min_nnz=1)
     assert model.cost_detail("vector", 100_000)[1] == SEEDED
-    model.observe("vector", 100_000, 1, 0.5)
-    model.observe("vector", 100_000, 1, 0.5)
+    model.observe("vector", 100_000, 0.5)
+    model.observe("vector", 100_000, 0.5)
     assert model.cost_detail("vector", 100_000)[1] == SEEDED  # K=3 not met
-    model.observe("vector", 100_000, 1, 0.5)
+    model.observe("vector", 100_000, 0.5)
     cost, provenance = model.cost_detail("vector", 100_000)
     assert provenance == MEASURED
     # ~0.5 s at 100k nnz (minus the fixed hop overhead)
@@ -74,9 +75,9 @@ def test_seeded_until_enough_observations():
 
 def test_measured_rates_are_ewma_smoothed():
     model = CostModel(min_nnz=1, min_observations=1)
-    model.observe("scalar", 1_000_000, 1, 1.0)
+    model.observe("scalar", 1_000_000, 1.0)
     first = model.cost("scalar", 1_000_000)
-    model.observe("scalar", 1_000_000, 1, 100.0)  # one outlier
+    model.observe("scalar", 1_000_000, 100.0)  # one outlier
     second = model.cost("scalar", 1_000_000)
     assert first < second < 30.0  # pulled up, but nowhere near 100 s
 
@@ -84,32 +85,23 @@ def test_measured_rates_are_ewma_smoothed():
 def test_tiny_observations_are_ignored():
     model = CostModel()  # default min_nnz gate
     for _ in range(10):
-        model.observe("vector", 50, 1, 5.0)  # 100 ms/nnz nonsense rate
+        model.observe("vector", 50, 5.0)  # 100 ms/nnz nonsense rate
     assert model.cost_detail("vector", 100_000)[1] == SEEDED
     assert model.observation_count("vector") == 0
-
-
-def test_chunked_observations_record_under_chunked():
-    model = CostModel(min_nnz=1, min_observations=1)
-    model.observe("vector", 100_000, 4, 0.2)  # vector hop run chunk-parallel
-    assert model.observation_count("chunked") == 1
-    assert model.observation_count("vector") == 0
-    assert model.cost_detail("vector", 100_000, workers=4)[1] == MEASURED
-    assert model.cost_detail("vector", 100_000, workers=1)[1] == SEEDED
 
 
 def test_version_bumps_on_meaningful_change_only():
     model = CostModel(min_nnz=1)
     v0 = model.version
-    model.observe("vector", 100_000, 1, 0.5)
+    model.observe("vector", 100_000, 0.5)
     assert model.version == v0  # below K: nothing published
-    model.observe("vector", 100_000, 1, 0.5)
-    model.observe("vector", 100_000, 1, 0.5)
+    model.observe("vector", 100_000, 0.5)
+    model.observe("vector", 100_000, 0.5)
     assert model.version == v0 + 1  # first publication
-    model.observe("vector", 100_000, 1, 0.5)  # same rate: no drift
+    model.observe("vector", 100_000, 0.5)  # same rate: no drift
     assert model.version == v0 + 1
     for _ in range(20):
-        model.observe("vector", 100_000, 1, 5.0)  # 10x drift
+        model.observe("vector", 100_000, 5.0)  # 10x drift
     assert model.version > v0 + 1
 
 
@@ -123,7 +115,7 @@ def test_injected_slow_bridge_flips_the_route():
     model = CostModel(min_nnz=1)
     assert not find_route(HASH, CSR, cost_model=model).is_direct
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 1, 60.0)  # pathological bridge
+        model.observe("bridge", 100_000, 60.0)  # pathological bridge
     flipped = find_route(HASH, CSR, cost_model=model)
     assert flipped.is_direct
     assert flipped.hops[0].kind == "scalar"
@@ -152,7 +144,7 @@ def test_engine_route_cache_invalidated_by_new_measurements():
     before = engine.route(HASH, CSR)
     assert not before.is_direct  # seeded: bridge route wins
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 1, 60.0)
+        model.observe("bridge", 100_000, 60.0)
     after = engine.route(HASH, CSR)
     assert after.is_direct  # cached route was dropped and re-planned
 
@@ -176,7 +168,7 @@ def test_convert_via_records_hop_timings():
 def test_cost_model_save_load_roundtrip(tmp_path):
     model = CostModel(min_nnz=1)
     for _ in range(4):
-        model.observe("vector", 100_000, 1, 0.75)
+        model.observe("vector", 100_000, 0.75)
     path = tmp_path / "costs.json"
     model.save(path)
     loaded = CostModel.load(path)
@@ -186,6 +178,25 @@ def test_cost_model_save_load_roundtrip(tmp_path):
     assert loaded.cost("vector", 100_000) == pytest.approx(
         model.cost("vector", 100_000)
     )
+    # a file saved before the chunked executor's deletion: its seed and
+    # measured row are dropped without a warning
+    old = tmp_path / "old.json"
+    old.write_text(
+        '{"kind": "repro-cost-model", "measured": {"chunked": {"count": 3, '
+        '"rate": 1.95e-08}, "vector": {"count": 3, "rate": 3.95e-08}}, '
+        '"min_nnz": 1, "min_observations": 3, "schema": 1, "seeded": '
+        '{"bridge_per_nnz": 2e-08, "chunked_per_nnz": 2e-08, '
+        '"compute_per_nnz": 2.5e-08, "external_overhead": 0.0002, '
+        '"external_per_nnz": 2.2e-08, "fused_per_nnz": 5e-08, '
+        '"hop_overhead": 5e-05, "native_per_nnz": 1.2e-08, '
+        '"scalar_per_nnz": 1.5e-06, "vector_per_nnz": 4e-08}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        restored = CostModel.load(old)
+    assert set(restored.measured) == {"vector"}
+    assert "chunked_per_nnz" not in restored.to_dict()["seeded"]
+    assert restored.cost_detail("vector", 100_000)[1] == MEASURED
 
 
 def test_engine_save_cost_model_and_path_constructor(tmp_path):
@@ -246,7 +257,7 @@ def test_sub_overhead_observations_are_discarded():
     overhead alone."""
     model = CostModel(min_nnz=1)
     for _ in range(10):
-        model.observe("bridge", 100_000, 1, model.hop_overhead / 2)
+        model.observe("bridge", 100_000, model.hop_overhead / 2)
     assert model.observation_count("bridge") == 0
     assert model.cost_detail("bridge", 100_000_000)[1] == SEEDED
 
@@ -256,14 +267,14 @@ def test_restored_subthreshold_entries_bump_version_at_threshold(tmp_path):
     still bump version (invalidating cached routes) when the restored
     entry crosses the threshold, even without rate drift."""
     model = CostModel(min_nnz=1)
-    model.observe("vector", 100_000, 1, 0.5)
-    model.observe("vector", 100_000, 1, 0.5)  # count=2 < K=3
+    model.observe("vector", 100_000, 0.5)
+    model.observe("vector", 100_000, 0.5)  # count=2 < K=3
     path = tmp_path / "costs.json"
     model.save(path)
     restored = CostModel.load(path)
     v0 = restored.version
     assert restored.cost_detail("vector", 100_000)[1] == SEEDED
-    restored.observe("vector", 100_000, 1, 0.5)  # same rate, crosses K
+    restored.observe("vector", 100_000, 0.5)  # same rate, crosses K
     assert restored.cost_detail("vector", 100_000)[1] == MEASURED
     assert restored.version == v0 + 1
 
@@ -273,7 +284,7 @@ def test_save_creates_missing_parent_directories(tmp_path):
     create it (mkdir -p semantics) instead of failing the persist."""
     model = CostModel(min_nnz=1)
     for _ in range(5):
-        model.observe("vector", 100_000, 1, 0.5)
+        model.observe("vector", 100_000, 0.5)
     path = tmp_path / "state" / "nested" / "costs.json"
     model.save(path)
     restored = CostModel.load(path)

@@ -176,6 +176,14 @@ def test_warmup_precompiles():
     assert engine.cache_stats()["compiles"] == compiled  # no compile at use
 
 
+def test_warmup_accepts_format_spec_strings():
+    eng = ConversionEngine()
+    assert eng.warmup([("COO", "CSR"), ("BCSR8x8", "CSR"), ("HASH", "csr")]) == 3
+    assert eng.cache_stats()["compiles"] > 0
+    with pytest.raises(Exception):
+        eng.warmup([("COO", "NO_SUCH_FORMAT")])
+
+
 def test_warmup_compiles_route_hops():
     engine = ConversionEngine()
     engine.warmup([("HASH", "CSR")])
@@ -432,43 +440,55 @@ def test_structural_twins_share_disk_records(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# shutdown and interpreter-exit hygiene
+# the four names benchmarks/harness still uses of the deleted chunked
+# executor; each goes when ROADMAP item 2 drops it from the harness
 
 
 def test_shutdown_is_idempotent_and_engine_stays_usable():
-    engine = ConversionEngine(workers=2)
-    pool = engine.worker_pool(2)
-    pool.map(lambda lo, hi: hi - lo, pool.bounds(4))
+    # ROADMAP item 2: shutdown() is a no-op kept for the harness's call
+    engine = ConversionEngine()
     engine.shutdown()
     engine.shutdown()  # second call is a no-op, not an error
-    # pools restart lazily: the engine still converts (chunked included)
-    out = engine.convert(small_coo(), CSR, parallel=2)
-    assert out.format is CSR
-    engine.shutdown()
+    assert engine.convert(small_coo(), CSR).format is CSR
 
 
 def test_concurrent_shutdowns_do_not_race():
-    engine = ConversionEngine(workers=2)
-    pool = engine.worker_pool(2)
-    pool.map(lambda lo, hi: hi - lo, pool.bounds(1 << 18))
-    with ThreadPoolExecutor(max_workers=4) as pool_:
-        for future in [pool_.submit(engine.shutdown) for _ in range(8)]:
+    # ROADMAP item 2: the harness may shut an engine down from any thread
+    engine = ConversionEngine()
+    engine.convert(small_coo(), CSR)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for future in [pool.submit(engine.shutdown) for _ in range(8)]:
             future.result()
+    assert engine.convert(small_coo(), CSR).format is CSR
 
 
-def test_default_engine_registers_atexit_shutdown():
-    import atexit
+def test_chunkable_stays_importable_from_repro_convert():
+    # ROADMAP item 2: the harness imports it; it is the streaming predicate
+    from repro.convert import chunkable
 
-    from repro.convert import engine as engine_module
+    assert chunkable(COO, CSR)
 
-    default_engine()  # ensure the default engine exists
-    assert engine_module._ATEXIT_REGISTERED
-    # the hook targets whatever engine is default at exit time, and
-    # running it now must be harmless (idempotent shutdown)
-    engine_module._shutdown_default_engine()
-    assert default_engine().convert(small_coo(), CSR).format is CSR
-    atexit.unregister(engine_module._shutdown_default_engine)
-    atexit.register(engine_module._shutdown_default_engine)
+
+def test_plan_parallel_keyword_warns_and_changes_nothing():
+    # ROADMAP item 2: the harness passes plan(parallel=...) for its
+    # executor cells; the keyword is ignored with one DeprecationWarning
+    engine = ConversionEngine()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pinned = engine.plan(COO, CSR, parallel=4, nnz=2_000_000)
+    assert [w.category for w in caught] == [DeprecationWarning]
+    assert "ROADMAP item 2" in str(caught[0].message)
+    assert pinned.hops == engine.plan(COO, CSR, nnz=2_000_000).hops
+
+
+def test_parallel_conversions_counter_reads_zero():
+    # ROADMAP item 2: the harness reads this cache_stats() key
+    engine = ConversionEngine()
+    engine.convert(small_coo(), CSR)
+    engine.convert(small_coo(), "HASH")
+    stats = engine.cache_stats()
+    assert stats["conversions"] == 2
+    assert stats["parallel_conversions"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ Three contracts from the HASH vectorization:
   streams with collisions, duplicates and wraparound;
 * X→HASH conversions are bit-identical between the scalar and vector
   backends for every vectorizable source;
-* hashed pairs stay off the chunked executor (placement depends on the
-  global nonzero order, which chunk-local replays cannot reproduce).
+* hashed pairs are not ``chunkable``, so they never stream (placement
+  depends on the global nonzero order, which chunk-local replays cannot
+  reproduce).
 """
 
 import warnings
@@ -16,8 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.convert import make_converter, resolve_backend
-from repro.convert.chunked import chunkable
+from repro.convert import chunkable, make_converter, resolve_backend
 from repro.formats.library import COO, CSC, CSR, DIA, ELL, HASH
 from repro.ir.runtime import hashed_bulk_insert
 from repro.storage.build import reference_build
@@ -103,7 +103,7 @@ def test_to_hash_scalar_vs_vector_bit_identical(src, style):
 def test_hashed_pairs_stay_off_the_chunked_executor():
     assert not chunkable(COO, HASH)
     assert not chunkable(HASH, COO)
-    assert chunkable(COO, CSR)  # sanity: the executor is not disabled
+    assert chunkable(COO, CSR)  # sanity: the predicate is not disabled
 
 
 def test_hashed_source_still_falls_back_to_scalar():

@@ -337,56 +337,6 @@ def test_no_toolchain_hosts_never_offer_native(no_compiler):
 
 
 # ----------------------------------------------------------------------
-# satellite: measured non-winning chunked falls back to serial
-
-
-def test_measured_slow_chunked_auto_prefers_serial():
-    nnz = 2_000_000
-    eng = ConversionEngine(workers=4)
-    try:
-        for _ in range(eng.cost_model.min_observations):
-            # measured: the chunked executor does NOT beat the serial
-            # vector kernel for this kind (the 0.997x CSR->CSC cell)
-            eng.cost_model.observe("chunked", nnz, workers=4, seconds=0.08)
-            eng.cost_model.observe("vector", nnz, workers=1, seconds=0.06)
-        plan = eng.plan(CSR, CSC, nnz=nnz, parallel="auto")
-        assert plan.workers == 0
-        assert "chunked" not in plan.backend_per_hop
-        # an explicit worker count still pins the chunked executor
-        pinned = eng.plan(CSR, CSC, nnz=nnz, parallel=4)
-        assert pinned.workers == 4
-        assert pinned.backend_per_hop == ("chunked",)
-    finally:
-        eng.shutdown()
-
-
-def test_measured_fast_chunked_auto_still_engages():
-    nnz = 2_000_000
-    eng = ConversionEngine(workers=4)
-    try:
-        for _ in range(eng.cost_model.min_observations):
-            eng.cost_model.observe("chunked", nnz, workers=4, seconds=0.02)
-            eng.cost_model.observe("vector", nnz, workers=1, seconds=0.06)
-        plan = eng.plan(CSR, CSC, nnz=nnz, parallel="auto")
-        assert plan.workers == 4
-        assert plan.backend_per_hop == ("chunked",)
-    finally:
-        eng.shutdown()
-
-
-def test_seeded_chunked_auto_still_engages():
-    """Without measurements the seeds still say chunked wins at bulk
-    sizes — the fallback only fires on *measured* non-wins."""
-    eng = ConversionEngine(workers=4)
-    try:
-        plan = eng.plan(CSR, CSC, nnz=2_000_000, parallel="auto")
-        assert plan.workers == 4
-        assert plan.backend_per_hop == ("chunked",)
-    finally:
-        eng.shutdown()
-
-
-# ----------------------------------------------------------------------
 # emission details
 
 
@@ -463,22 +413,23 @@ def test_small_scope_exhaustion_table3_pairs(backend, engine):
 
 
 def test_native_plan_reports_no_chunk_workers():
-    """A native hop runs on no chunk pool, so even an explicit
-    ``parallel=`` count plans zero workers."""
+    """A native hop runs on no chunk pool: its plan record carries no
+    ``workers`` count (older readers default it to 0), its transcript
+    names none, and it still converts bit-identically to scalar."""
     eng = ConversionEngine()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # compiler-less hosts degrade
-            plan = eng.plan(COO, CSR, backend="native", parallel=4)
-        assert plan.workers == 0
-        assert "chunk workers" not in plan.explain()
-        tensor = reference_build(
-            COO, (6, 7), [(0, 1), (2, 3), (2, 6), (5, 0)], [1.5, 2.0, 3.0, 4.0]
-        )
-        ref = convert(tensor, CSR, backend="scalar")
-        assert_tensors_bit_identical(ref, plan.run(tensor))
-    finally:
-        eng.shutdown()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # compiler-less hosts degrade
+        plan = eng.plan(COO, CSR, backend="native")
+    record = plan.to_dict()
+    assert "workers" not in record
+    assert record.get("workers", 0) == 0
+    assert "chunk workers" not in plan.explain()
+    assert ConversionPlan.from_dict(record).hops == plan.hops
+    tensor = reference_build(
+        COO, (6, 7), [(0, 1), (2, 3), (2, 6), (5, 0)], [1.5, 2.0, 3.0, 4.0]
+    )
+    ref = convert(tensor, CSR, backend="scalar")
+    assert_tensors_bit_identical(ref, plan.run(tensor))
 
 
 def test_plan_options_reach_the_emitted_c():

@@ -167,26 +167,8 @@ def test_plan_counts_as_conversion_in_engine_stats():
     assert engine.pair_counts() == {("COO", "CSR"): 1}
 
 
-def test_chunked_plan_roundtrips_with_workers(tmp_path):
-    cache = str(tmp_path / "kernels")
-    tensor = _problem(COO)
-    cold = ConversionEngine(cache_dir=cache, workers=2)
-    plan = cold.plan(COO, CSR, parallel=2, nnz=tensor.nnz_stored)
-    assert plan.backend_per_hop == ("chunked",)
-    assert plan.workers == 2
-    out = plan.run(tensor)
-    cold.shutdown()
-
-    warm = ConversionEngine(cache_dir=cache, workers=2)
-    replay = ConversionPlan.from_json(plan.to_json(), engine=warm)
-    assert replay.workers == 2
-    out_warm = replay.run(tensor)
-    assert_tensors_bit_identical(out, out_warm)
-    warm.shutdown()
-
-
 def test_plan_options_roundtrip():
-    options = PlanOptions(force_unsequenced_edges=True, parallel_threshold=17)
+    options = PlanOptions(force_unsequenced_edges=True)
     engine = ConversionEngine()
     plan = engine.plan(COO, CSR, options=options, backend="scalar")
     replay = ConversionPlan.from_json(plan.to_json())
@@ -313,23 +295,39 @@ def test_plan_from_dict_malformed_records_raise_planerror():
             ConversionPlan.from_dict(data)
 
 
-def test_chunked_plan_degrades_gracefully_without_chunked_form():
-    """A replayed plan carrying a 'chunked' hop for a pair with no
-    chunked form on this host falls back to the serial vector kernel —
-    consistently across sources()/compile()/run()."""
-    from repro.convert.router import HOP_KIND_DETAIL, Hop
+#: A COO->CSR plan as written before the chunked executor was deleted:
+#: a ``chunked`` hop, a chunk-pool size and the execution-only threshold.
+_CHUNKED_PLAN_JSON = (
+    '{"hops": [{"dst": {"name": "CSR", "structural_key": ["(i, j) -> (i, j)", '
+    '"(i, j) -> (i, j)", ["dense", "compressed{\\u00acordered}"], []]}, '
+    '"kind": "chunked", "src": {"name": "COO", "structural_key": '
+    '["(i, j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["compressed{\\u00acunique,\\u00acordered}", "singleton{\\u00acordered}"], '
+    '[]]}}], "kind": "repro-conversion-plan", "nnz": 200, "options": '
+    '{"disable_width_count": false, "force_counter_arrays": false, '
+    '"force_unsequenced_edges": false, "parallel_threshold": 1048576, '
+    '"skip_src_zeros": null}, "routed": false, "schema": 2, "workers": 2}'
+)
 
-    assert "chunked" in HOP_KIND_DETAIL
+
+def test_chunked_plan_degrades_gracefully_without_chunked_form():
+    """A replayed plan carrying a 'chunked' hop runs the serial vector
+    kernel it rewrote — consistently across sources()/compile()/run(),
+    and bit-identical to scalar."""
+    from repro.convert.router import HOP_KIND_DETAIL
+
+    assert "chunked" not in HOP_KIND_DETAIL
     engine = ConversionEngine()
-    plan = ConversionPlan(
-        hops=(Hop(COO, CSR, "chunked"),),
-        options=PlanOptions(),
-        workers=0,  # replaying host decided to run serial
-        nnz=100,
-        engine=engine,
-    )
+    plan = ConversionPlan.from_json(_CHUNKED_PLAN_JSON, engine=engine)
+    assert plan.backend_per_hop == ("vector",)
+    assert plan.options == PlanOptions()
+    assert "workers" not in plan.to_dict()
+    assert "parallel_threshold" not in plan.to_dict()["options"]
     (source,) = plan.sources()
     assert "def convert_COO_to_CSR" in source
-    runner = plan.compile()
-    out = runner(_problem(COO))
+    tensor = _problem(COO)
+    out = plan.compile()(tensor)
     assert out.format is CSR
+    assert_tensors_bit_identical(
+        out, engine.convert(tensor, CSR, backend="scalar")
+    )

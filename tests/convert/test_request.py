@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.convert import ConversionEngine, ConversionRequest, PlanError
 from repro.convert.features import default_features
-from repro.convert.request import PARALLEL_MODES, ROUTE_MODES
+from repro.convert.request import ROUTE_MODES
 from repro.convert.router import DEFAULT_ROUTE_NNZ, find_route
 from repro.formats import COO, CSR
 
@@ -19,7 +19,6 @@ def test_defaults_normalize():
     assert request.src is COO and request.dst is CSR
     assert request.backend == "auto"
     assert request.route == "auto" and not request.route_explicit
-    assert request.parallel == "auto"
     assert request.nnz == DEFAULT_ROUTE_NNZ
 
 
@@ -82,23 +81,6 @@ def test_explicit_route_object_passes_through():
     route = find_route(COO, CSR)
     request = _build(route=route)
     assert request.route is route and request.route_explicit
-
-
-def test_parallel_normalization():
-    assert _build(parallel=None).parallel == 0
-    assert _build(parallel="off").parallel == 0
-    assert _build(parallel="auto").parallel == "auto"
-    assert _build(parallel=3).parallel == 3
-    assert PARALLEL_MODES == ("auto", "off")
-
-
-def test_parallel_rejects_bad_values():
-    with pytest.raises(ValueError, match=">= 1"):
-        _build(parallel=0)
-    with pytest.raises(ValueError, match="worker count"):
-        _build(parallel=True)  # bools are not worker counts
-    with pytest.raises(ValueError, match="unknown parallel mode"):
-        _build(parallel="fast")
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ir.runtime import (
-    WorkerPool,
-    chunked_bincount,
-    chunked_group_ranks,
-    chunked_scatter,
-    chunked_unique_first,
-    chunked_yield_positions,
     compile_source,
     fill,
     group_ranks,
@@ -88,20 +82,8 @@ def test_compiled_functions_are_isolated():
 
 
 # ----------------------------------------------------------------------
-# chunk runtime (the helpers behind repro.convert.chunked)
-
-
-@pytest.fixture(scope="module", params=["serial", "one", "four", "fine"])
-def pool(request):
-    built = {
-        "serial": None,
-        "one": WorkerPool(workers=1, grain=4),
-        "four": WorkerPool(workers=4, grain=4),
-        "fine": WorkerPool(workers=3, grain=1),
-    }[request.param]
-    yield built
-    if built is not None:
-        built.shutdown()
+# group_ranks / unique_first against a per-key counter (the scalar
+# ``pos[p]++`` and dedup table they replace), sorted fast path included
 
 
 def _key_cases():
@@ -119,86 +101,44 @@ def _key_cases():
     ]
 
 
-def test_chunked_group_ranks_matches_serial(pool):
-    for keys in _key_cases():
-        got = chunked_group_ranks(keys, pool)
-        want = group_ranks(keys)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+def _counted(keys):
+    """Per-key running counts and first occurrences, one key at a time."""
+    seen, ranks, firsts = {}, [], []
+    for index, key in enumerate(keys.tolist()):
+        if key not in seen:
+            seen[key] = 0
+            firsts.append(index)
+        ranks.append(seen[key])
+        seen[key] += 1
+    return ranks, firsts
 
 
-def test_chunked_unique_first_matches_serial(pool):
-    for keys in _key_cases():
-        np.testing.assert_array_equal(
-            chunked_unique_first(keys, pool), unique_first(keys)
-        )
+@pytest.mark.parametrize("case", range(len(_key_cases())))
+def test_group_ranks_and_unique_first_match_a_per_key_counter(case):
+    keys = _key_cases()[case]
+    ranks, firsts = _counted(keys)
+    got = group_ranks(keys)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.array(ranks, dtype=np.int64))
+    np.testing.assert_array_equal(
+        unique_first(keys), np.array(firsts, dtype=np.int64)
+    )
 
 
-def test_chunked_bincount_matches_serial(pool):
-    for keys in _key_cases():
-        if keys.size and keys.max() > 10**6:
-            continue  # a bincount over a huge key space is never emitted
-        got = chunked_bincount(keys, minlength=13, pool=pool)
-        want = np.bincount(keys, minlength=13)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
-
-def test_chunked_yield_positions_matches_bulk_yield_pos(pool):
+def test_sorted_parent_yield_positions_match_the_scalar_bump():
+    """``pos[p] + group_ranks(p)`` on a sorted parent (the run-arithmetic
+    path) equals the scalar sequenced insertion ``pos[p]++``."""
     rng = np.random.default_rng(1)
-    for trial in range(24):
-        n = int(rng.integers(0, 200))
+    for trial in range(12):
         space = int(rng.integers(1, 9))
-        parent = rng.integers(0, space, n).astype(np.int64)
-        if trial % 2:
-            parent.sort()  # the sorted-run fast path
+        parent = np.sort(rng.integers(0, space, int(rng.integers(0, 200))))
         pos = np.zeros(space + 1, dtype=np.int64)
         np.cumsum(np.bincount(parent, minlength=space), out=pos[1:])
-        want = (
-            pos[parent] + group_ranks(parent)
-            if n else np.zeros(0, dtype=np.int64)
+        bump = pos.copy()
+        want = []
+        for p in parent.tolist():
+            want.append(bump[p])
+            bump[p] += 1
+        np.testing.assert_array_equal(
+            pos[parent] + group_ranks(parent), np.array(want, dtype=np.int64)
         )
-        got = chunked_yield_positions(pos, parent, pool)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
-
-
-def test_chunked_yield_positions_identity_fast_path():
-    # source already in destination order: positions are literally arange
-    parent = np.sort(np.random.default_rng(2).integers(0, 50, 1000)).astype(
-        np.int64
-    )
-    pos = np.zeros(51, dtype=np.int64)
-    np.cumsum(np.bincount(parent, minlength=50), out=pos[1:])
-    pool = WorkerPool(workers=4, grain=8)
-    np.testing.assert_array_equal(
-        chunked_yield_positions(pos, parent, pool), np.arange(1000)
-    )
-    pool.shutdown()
-
-
-def test_chunked_scatter_matches_serial(pool):
-    rng = np.random.default_rng(3)
-    index = rng.permutation(40).astype(np.int64)
-    values = rng.random(40)
-    dst = np.zeros(40)
-    chunked_scatter(dst, index, values, pool)
-    want = np.zeros(40)
-    want[index] = values
-    np.testing.assert_array_equal(dst, want)
-    # scalar broadcast form
-    dst2 = np.zeros(40, dtype=np.int64)
-    chunked_scatter(dst2, index, 7, pool)
-    assert (dst2 == 7).all()
-
-
-def test_worker_pool_bounds_policy():
-    pool = WorkerPool(workers=4, grain=100)
-    assert pool.bounds(0) == []
-    assert pool.bounds(99) == [(0, 99)]        # below the grain: one chunk
-    assert pool.bounds(250) == [(0, 125), (125, 250)]
-    bounds = pool.bounds(1000)
-    assert len(bounds) == 4                    # capped at the worker count
-    assert bounds[0][0] == 0 and bounds[-1][1] == 1000
-    assert all(lo < hi for lo, hi in bounds)
-    pool.shutdown()

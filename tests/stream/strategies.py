@@ -96,8 +96,7 @@ def assert_stream_matches_memory(tmp_path, engine, case: TensorCase,
         src_path = tmp_path / f"case-{case.seed}.bin"
         columns = case.columns()
         write_stream(src_path, case.dims, list(columns[:-1]), columns[-1])
-    expected = engine.convert(coo_source(case), dst_format,
-                              backend="vector", parallel=None)
+    expected = engine.convert(coo_source(case), dst_format, backend="vector")
     out_dir = tmp_path / f"out-{case.seed}-{dst_format.name}-{chunk_nnz}"
     result = convert_file(src_path, dst_format, out_dir,
                           chunk_nnz=chunk_nnz, overwrite=True)

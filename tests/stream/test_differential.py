@@ -147,8 +147,7 @@ def test_streamed_symmetric_expansion_matches_in_memory(tmp_path, engine):
         "4 4 5.5\n"
     )
     tensor = read_tensor(path)
-    expected = engine.convert(tensor, _dst("CSR"), backend="vector",
-                              parallel=None)
+    expected = engine.convert(tensor, _dst("CSR"), backend="vector")
     result = convert_file(path, "CSR", tmp_path / "sym_csr", chunk_nnz=2)
     assert result.nnz == 7  # 5 stored + 2 mirrored off-diagonal entries
     got = result.load()
@@ -208,7 +207,6 @@ def test_engine_convert_file_delegates(tmp_path, engine):
     result = engine.convert_file(src, "CSR", tmp_path / "out")
     assert result.dst_format == "CSR"
     assert engine.cache_stats()["conversions"] == before + 1
-    expected = engine.convert(coo_source(case), _dst("CSR"),
-                              backend="vector", parallel=None)
+    expected = engine.convert(coo_source(case), _dst("CSR"), backend="vector")
     got = result.load()
     assert np.array_equal(np.asarray(got.vals), np.asarray(expected.vals))

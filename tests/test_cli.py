@@ -114,31 +114,14 @@ def test_convert_route_direct_option(mtx, capsys):
     assert "CSR -> CSC" in out and "routed:" not in out
 
 
-def test_convert_parallel_option(mtx, capsys):
-    main(["convert", mtx, "--to", "CSR", "--parallel", "2"])
-    out = capsys.readouterr().out
-    assert "chunked executor" in out
-    main(["convert", mtx, "--to", "CSR", "--parallel", "off"])
-    out = capsys.readouterr().out
-    assert "chunked executor" not in out
+def test_chunked_cli_options_are_gone(mtx, capsys):
+    main(["convert", mtx, "--to", "CSR"])
+    header = capsys.readouterr().out.splitlines()[2]
+    assert header.startswith(("  direct: ", "  routed: "))
     with pytest.raises(SystemExit):
-        main(["convert", mtx, "--to", "CSR", "--parallel", "zero"])
+        main(["convert", mtx, "--to", "CSR", "--parallel", "2"])
     with pytest.raises(SystemExit):
-        main(["convert", mtx, "--to", "CSR", "--parallel", "0"])
-
-
-def test_convert_parallel_show_code(mtx, capsys):
-    main(["convert", mtx, "--to", "CSR", "--parallel", "2", "--show-code"])
-    out = capsys.readouterr().out
-    assert "__chunked" in out and "chunked_yield_positions" in out
-
-
-def test_codegen_chunked_backend(capsys):
-    main(["codegen", "COO", "CSR", "--backend", "chunked"])
-    out = capsys.readouterr().out
-    assert "def convert_COO_to_CSR__chunked" in out
-    with pytest.raises(SystemExit):
-        main(["codegen", "CSR", "HASH", "--backend", "chunked"])
+        main(["codegen", "COO", "CSR", "--backend", "chunked"])
 
 
 def test_route_command(capsys):
