@@ -27,7 +27,6 @@ from .convert import (
     CompiledConversion,
     ConversionEngine,
     ConversionPlan,
-    ConversionRoute,
     CostModel,
     PlanError,
     PlanOptions,
@@ -66,7 +65,6 @@ __all__ = [
     "CompiledConversion",
     "ConversionEngine",
     "ConversionPlan",
-    "ConversionRoute",
     "CostModel",
     "Format",
     "FormatError",

@@ -33,7 +33,6 @@ from .convert import (
     ConversionPlan,
     default_engine,
     generated_source,
-    sample_features,
 )
 from .convert.context import PlanError
 from .convert.verify import verify_conversion
@@ -174,7 +173,7 @@ def _cmd_convert(args) -> None:
         plan = engine.plan(
             src_fmt, dst_fmt, backend=args.backend, route=args.route,
             nnz=tensor.nnz_stored,
-            features=sample_features(tensor),
+            features=engine.features_for(tensor, args.backend, args.route),
         )
         start = time.perf_counter()
         out = plan.run(tensor)
@@ -240,18 +239,22 @@ def _cmd_route(args) -> None:
     src_fmt = _format_arg(args.src)
     dst_fmt = _format_arg(args.dst)
     engine = default_engine()
-    route = engine.route(src_fmt, dst_fmt, nnz=args.nnz)
+    plan = engine.route(src_fmt, dst_fmt, nnz=args.nnz)
     if args.explain:
-        print(route.explain())
+        print(plan.explain())
         # competitor table: every implementation that was priced for each
-        # hop's edge, best rank first, with its admission verdict
-        for hop in route.hops:
-            print(f"competitors for {hop.src.name} -> {hop.dst.name}:")
-            for cand in engine.converters(hop.src, hop.dst, nnz=route.nnz):
+        # hop's edge, best rank first, with its admission verdict; a
+        # multi-hop plan also shows the direct edge it was chosen over
+        edges = [(hop.src, hop.dst, "") for hop in plan.hops]
+        if not plan.is_direct:
+            edges.append((plan.src, plan.dst, " (direct edge, not taken)"))
+        for src, dst, note in edges:
+            print(f"competitors for {src.name} -> {dst.name}{note}:")
+            for cand in engine.converters(src, dst, nnz=plan.nnz):
                 print(f"  {cand.describe()}")
     else:
-        hops = ", ".join(route.backend_per_hop)
-        print(f"{route} ({hops})")
+        hops = ", ".join(plan.backend_per_hop)
+        print(f"{plan} ({hops})")
 
 
 def _cmd_stats(args) -> None:

@@ -24,7 +24,6 @@ from .planner import (
 )
 from .request import ConversionRequest
 from .router import (
-    ConversionRoute,
     CostModel,
     EdgeCandidate,
     Hop,
@@ -55,7 +54,6 @@ __all__ = [
     "ConversionPlan",
     "ConversionPlanner",
     "ConversionRequest",
-    "ConversionRoute",
     "Converter",
     "CostModel",
     "EdgeCandidate",

@@ -19,14 +19,13 @@ should construct an engine directly.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from ..formats.registry import FormatSpec
 from ..storage.tensor import Tensor
 from .engine import CompiledConversion, default_engine
 from .plan import ConversionPlan
 from .planner import PlanOptions
-from .router import ConversionRoute
 
 __all__ = [
     "CompiledConversion",
@@ -71,7 +70,7 @@ def convert(
     dst_format: FormatSpec,
     options: Optional[PlanOptions] = None,
     backend: str = "auto",
-    route: Union[str, ConversionRoute, None] = None,
+    route: Optional[str] = None,
 ) -> Tensor:
     """Convert ``tensor`` to ``dst_format`` with a generated routine.
 
@@ -99,7 +98,7 @@ def plan(
     *,
     options: Optional[PlanOptions] = None,
     backend: Optional[str] = None,
-    route: Union[str, ConversionRoute, None] = None,
+    route: Optional[str] = None,
     nnz: Optional[int] = None,
 ) -> ConversionPlan:
     """The default engine's conversion plan for a format pair.

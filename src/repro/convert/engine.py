@@ -33,7 +33,7 @@ Typical use::
     engine = ConversionEngine(capacity=256)
     engine.warmup([("COO", "CSR"), ("CSR", "CSC")])
     csr = engine.convert(tensor, "CSR")
-    print(engine.route("HASH", "CSR").explain())
+    print(engine.plan("HASH", "CSR").explain())
     print(engine.cache_stats())
 """
 
@@ -85,12 +85,10 @@ from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
 from .router import (
     DEFAULT_ROUTE_NNZ,
-    ConversionRoute,
     CostModel,
     EdgeCandidate,
     Hop,
     bridge_for,
-    check_route,
     edge_candidates,
     find_route,
     rebind_endpoints,
@@ -284,7 +282,7 @@ class ConversionEngine:
             OrderedDict()
         )
         self._converters: "OrderedDict[Tuple, CompiledConversion]" = OrderedDict()
-        self._routes: Dict[Tuple, ConversionRoute] = {}
+        self._routes: Dict[Tuple, ConversionPlan] = {}
         #: (cost-model version, converter-registry version) the cached
         #: routes were planned at; a bump in either — measured rates
         #: changed meaningfully, or a converter was (un)registered —
@@ -731,10 +729,11 @@ class ConversionEngine:
         like every other entry point; specs are resolved once up front so
         an unknown name fails fast, before anything compiles.
 
-        With ``routes=True`` (default) the auto-route of each pair is
-        resolved too and its generated hops are compiled, so the first
-        routed conversion pays no compile either.  Returns the number of
-        pairs warmed.
+        Each pair's :meth:`plan` is compiled (:meth:`ConversionPlan.
+        compile`): with ``routes=True`` (default) the plan ``convert``
+        would run at bulk size, routed hops included, so the first routed
+        conversion pays no compile either; ``routes=False`` compiles the
+        direct conversion only.  Returns the number of pairs warmed.
 
         Example::
 
@@ -742,17 +741,10 @@ class ConversionEngine:
         """
         resolved = [(get_format(src), get_format(dst)) for src, dst in pairs]
         for src, dst in resolved:
-            self.make_converter(src, dst, options, backend)
-            if routes:
-                route = self.route(src, dst, options=options)
-                for hop in route.hops:
-                    if hop.kind == "external":
-                        # external converters carry no generated code, but
-                        # their runtime fallback (when the predicate
-                        # refuses the actual tensor) does — compile it
-                        self.make_converter(hop.src, hop.dst, options, "auto")
-                    elif hop.kind != "bridge":
-                        self.make_converter(hop.src, hop.dst, options, hop.kind)
+            self.plan(
+                src, dst, options=options, backend=backend,
+                route=None if routes else "direct",
+            ).compile()
         return len(resolved)
 
     def shutdown(self) -> None:
@@ -777,14 +769,17 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
-    ) -> ConversionRoute:
-        """The cost-optimal conversion route for a pair.
+    ) -> ConversionPlan:
+        """The cost-optimal conversion plan for a pair — the router's
+        winner (:func:`~repro.convert.router.find_route`), bound to this
+        engine.  It is the plan :meth:`plan` returns under the auto
+        policies, with that call's exact ``nnz`` and ``features``.
 
         ``nnz`` is the expected stored-component count (defaults to
         ``DEFAULT_ROUTE_NNZ``); tiny tensors route direct because per-hop
         overhead dominates.  ``features`` (the source tensor's
         structural facts) gate the registered competing converters —
-        ``convert()`` passes them automatically.  Routes are cached per
+        ``convert()`` passes them automatically.  Plans are cached per
         (structural pair, options, nnz magnitude, quantized features,
         cost-model version, converter-registry version) — once the
         engine's recorded hop timings change a measured rate
@@ -796,7 +791,7 @@ class ConversionEngine:
 
         Example::
 
-            engine.route("HASH", "CSR").explain()
+            csr = engine.route("HASH", "CSR").run(tensor)
         """
         src_format = get_format(src_format)
         dst_format = get_format(dst_format)
@@ -818,7 +813,7 @@ class ConversionEngine:
                 self._routes_version = version
             route = self._routes.get(key)
         if route is None:
-            route = find_route(
+            route = replace(find_route(
                 src_format,
                 dst_format,
                 options=options,
@@ -826,7 +821,7 @@ class ConversionEngine:
                 nnz=nnz,
                 features=features,
                 native_ok=native_ok,
-            )
+            ), engine=self)
             with self._lock:
                 self._routes[key] = route
         if (
@@ -866,16 +861,6 @@ class ConversionEngine:
             features,
             native_ok=self.toolchain() is not None,
         )
-
-    def convert_via(self, route: ConversionRoute, tensor: Tensor) -> Tensor:
-        """Execute an explicit route on ``tensor``: :meth:`run_plan` of
-        the route's :meth:`plan`, so it is validated, counted and timed
-        exactly like ``convert(tensor, route.dst, route=route)``.
-        """
-        plan = self.plan(
-            tensor.format, route.dst, route=route, nnz=tensor.nnz_stored,
-        )
-        return self.run_plan(plan, tensor)
 
     # -- hop observation -------------------------------------------------
     def add_hop_observer(
@@ -995,16 +980,6 @@ class ConversionEngine:
         return self.make_converter(hop.src, hop.dst, options, hop.kind), hop.kind
 
     # -- planning & conversion ------------------------------------------
-    @staticmethod
-    def _is_routed(route: ConversionRoute) -> bool:
-        """Whether a found route counts as *routed* in telemetry: a
-        multi-hop chain or a bridge extraction.  A direct hop merely won
-        by a registered external converter is still a direct
-        conversion."""
-        return not route.is_direct or any(
-            hop.kind == "bridge" for hop in route.hops
-        )
-
     def plan(
         self,
         src_format: FormatSpec,
@@ -1012,7 +987,7 @@ class ConversionEngine:
         *,
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
-        route: Union[str, ConversionRoute, None] = None,
+        route: Optional[str] = None,
         parallel: Optional[object] = None,
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
@@ -1027,9 +1002,11 @@ class ConversionEngine:
         ``estimated_cost()``), compiled ahead of time (``compile()``),
         executed (``run(tensor)``) and serialized (``to_json()`` /
         ``ConversionPlan.from_json``) for replay in another process or
-        on another host.  An explicit :class:`ConversionRoute` (or a
-        serialized plan's hops) pins the decision instead.  The knobs
-        are validated through
+        on another host.  Under the auto policies (``backend`` and
+        ``route`` both auto) it is :meth:`route`'s plan — the router's
+        winner is the plan that runs, never second-guessed here;
+        ``route="direct"`` or a pinned backend resolves one generated
+        hop.  The knobs are validated through
         :class:`~repro.convert.request.ConversionRequest`; ``features``
         (sampled automatically by :meth:`convert`) let predicated
         converters compete on the tensor's actual structure.
@@ -1062,30 +1039,12 @@ class ConversionEngine:
         src_format, dst_format = request.src, request.dst
         options, backend, nnz = request.options, request.backend, request.nnz
         features = request.features
-        if isinstance(request.route, ConversionRoute):
-            # validates both endpoints structurally and re-tags renamed
-            # twins, so the result comes back in the requested format; an
-            # explicit route carries its own plan options
-            aligned = rebind_endpoints(request.route, src_format, dst_format)
-            check_route(aligned)
-            return ConversionPlan(
-                hops=aligned.hops, options=aligned.options,
-                nnz=nnz, routed=True, features=features, engine=self,
-            )
         if request.route == "auto" and backend == "auto":
             found = self.route(
                 src_format, dst_format, options=options,
                 nnz=nnz, features=features,
             )
-            if found.beats_direct:
-                # a direct hop won by an external converter is still a
-                # direct conversion; leaving the generated direct path (a
-                # bridge or a multi-hop chain) counts as *routed*
-                return ConversionPlan(
-                    hops=found.hops, options=options,
-                    nnz=nnz, routed=self._is_routed(found),
-                    features=features, engine=self,
-                )
+            return replace(found, nnz=nnz, features=features)
         resolved = self._resolve_backend(src_format, dst_format, options,
                                          backend)
         return ConversionPlan(
@@ -1155,13 +1114,15 @@ class ConversionEngine:
         dst_format: FormatSpec,
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
-        route: Union[str, ConversionRoute, None] = None,
+        route: Optional[str] = None,
     ) -> Tensor:
         """Convert ``tensor`` to ``dst_format`` (object or spec string).
 
-        This is a thin shim over the plan API: it samples the tensor's
+        This is a thin shim over the plan API: under the auto policies it
+        samples the tensor's
         :class:`~repro.convert.features.StructuralFeatures` (so
-        predicated converters compete on the actual structure), builds
+        predicated converters compete on the actual structure; see
+        :meth:`features_for`), builds
         the :class:`~repro.convert.plan.ConversionPlan` for the pair at
         the tensor's actual stored size and runs it (see :meth:`plan` /
         :meth:`run_plan`).  The ``backend``/``route`` knobs are
@@ -1176,18 +1137,36 @@ class ConversionEngine:
         ``route="direct"`` always converts directly; an **explicit**
         ``route="auto"`` combined with an explicit non-auto backend
         raises ``ValueError`` (the backend pins the direct conversion, so
-        there is nothing for routing to decide).  A
-        :class:`ConversionRoute` instance is executed as given after
-        checking it actually ends at ``dst_format`` (an explicit route
-        carries its own per-hop backends and plan options, so the
-        ``options``/``backend`` arguments do not apply to it).
+        there is nothing for routing to decide).  To execute a plan
+        already in hand, call ``plan.run(tensor)``.
         """
         plan = self.plan(
             tensor.format, get_format(dst_format),
             options=options, backend=backend, route=route,
-            nnz=tensor.nnz_stored, features=sample_features(tensor),
+            nnz=tensor.nnz_stored,
+            features=self.features_for(tensor, backend, route),
         )
         return self.run_plan(plan, tensor)
+
+    def features_for(
+        self,
+        tensor: Tensor,
+        backend: Optional[str] = None,
+        route: Optional[str] = None,
+    ) -> Optional[StructuralFeatures]:
+        """``tensor``'s structural features if a request with these knobs
+        can use them, else ``None`` (nothing is sampled).
+
+        Features only price predicate-gated candidates, and only the auto
+        policies — ``backend`` (``None``: the engine default) and
+        ``route`` both auto — price candidates at all.  A pinned backend
+        or ``route="direct"`` resolves one generated hop, so the O(nnz)
+        sample would be wasted.  (An ``external`` hop still rechecks its
+        predicate on the actual tensor when it runs.)
+        """
+        if (backend or self.backend) == "auto" and route in (None, "auto"):
+            return sample_features(tensor)
+        return None
 
     def convert_file(self, src_path, dst_format: FormatSpec, out_dir, *,
                      chunk_nnz: Optional[int] = None,
@@ -1391,7 +1370,7 @@ class ConversionEngine:
             tensor.format, "spmv",
             get_format(via) if via is not None else None,
             fuse=fuse, backend=backend, nnz=tensor.nnz_stored,
-            features=sample_features(tensor),
+            features=self.features_for(tensor, backend),
         )
         return self.run_plan(plan, tensor, x=x)
 

@@ -319,15 +319,14 @@ class ConversionPlan:
     def compile(self) -> "CompiledPlan":
         """Compile (or disk-load) every generated hop — and a compute
         plan's op kernel — now and return a ready-to-run handle, so the
-        first :meth:`run` pays no compile."""
+        first :meth:`run` pays no compile.  An ``external`` hop warms
+        the generated kernel it falls back to when its predicate refuses
+        the tensor at run time; a bridge is library code."""
         engine = self._engine()
         for hop in self.conversion_hops:
-            if hop.kind in ("bridge", "external"):
-                # library code, nothing to compile; an external hop whose
-                # predicate refuses the tensor at run time compiles its
-                # generated fallback lazily
-                continue
-            engine.make_converter(hop.src, hop.dst, self.options, hop.kind)
+            if hop.kind != "bridge":
+                kind = "auto" if hop.kind == "external" else hop.kind
+                engine.make_converter(hop.src, hop.dst, self.options, kind)
         if self.op is not None:
             engine._op_kernel(self)
         return CompiledPlan(self)

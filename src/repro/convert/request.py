@@ -10,9 +10,9 @@ one documented message per mistake:
   ``"vector"``; anything else raises
   :class:`~repro.convert.context.PlanError`.
 * ``route`` — ``None`` (unspecified: the engine's auto policy),
-  ``"auto"``, ``"direct"``, or an explicit
-  :class:`~repro.convert.router.ConversionRoute`; anything else raises
-  ``ValueError``.  An **explicit** ``route="auto"`` together with an
+  ``"auto"`` or ``"direct"``; anything else raises ``ValueError`` (a
+  plan in hand runs with ``plan.run(tensor)``, not through
+  ``route=``).  An **explicit** ``route="auto"`` together with an
   explicit non-auto backend is a contradiction (the backend pins the
   direct conversion, so there is nothing for routing to decide) and now
   raises ``ValueError`` instead of silently preferring one; omit either
@@ -27,19 +27,18 @@ everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..formats.format import Format
 from ..formats.registry import FormatSpec, get_format
 from .context import PlanError
 from .features import StructuralFeatures
 from .planner import BACKENDS, PlanOptions
-from .router import DEFAULT_ROUTE_NNZ, ConversionRoute
+from .router import DEFAULT_ROUTE_NNZ
 
 __all__ = ["ConversionRequest"]
 
-#: Accepted string values of the ``route=`` option (besides ``None`` and
-#: an explicit :class:`ConversionRoute`).
+#: Accepted values of the ``route=`` option (besides ``None``).
 ROUTE_MODES = ("auto", "direct")
 
 
@@ -55,7 +54,7 @@ class ConversionRequest:
     dst: Format
     options: PlanOptions
     backend: str
-    route: Union[str, ConversionRoute]
+    route: str
     route_explicit: bool
     nnz: int
     features: Optional[StructuralFeatures] = None
@@ -68,7 +67,7 @@ class ConversionRequest:
         *,
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
-        route: Union[str, ConversionRoute, None] = None,
+        route: Optional[str] = None,
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
         default_options: Optional[PlanOptions] = None,
@@ -94,10 +93,15 @@ class ConversionRequest:
         route_explicit = route is not None
         if route is None:
             route = "auto"
-        elif not isinstance(route, ConversionRoute) and route not in ROUTE_MODES:
+        elif not isinstance(route, str):
             raise ValueError(
-                f"unknown route mode {route!r}; expected one of "
-                f"{ROUTE_MODES} or a ConversionRoute"
+                f"route= takes one of {ROUTE_MODES}, not a "
+                f"{type(route).__name__}; to execute a plan, call "
+                "plan.run(tensor)"
+            )
+        elif route not in ROUTE_MODES:
+            raise ValueError(
+                f"unknown route mode {route!r}; expected one of {ROUTE_MODES}"
             )
         if (
             route_explicit

@@ -13,8 +13,9 @@ through an intermediate format whose hops are bulk numpy operations::
 Routing is cost-driven: :class:`CostModel` holds per-nonzero throughput
 estimates for each hop kind — constant seeds until the engine has
 measured the kind on this host.
-:func:`find_route` runs Dijkstra over the registered formats and returns a
-:class:`ConversionRoute` whose ``explain()`` transcript shows the decision.
+:func:`find_route` runs Dijkstra over the registered formats and returns the
+:class:`~repro.convert.plan.ConversionPlan` that runs — the engine's auto
+policy executes the router's winner as is, and ``explain()`` shows it.
 
 Routed execution is **bit-identical** to the direct scalar conversion:
 bridge extractions replay the scalar loop's iteration order exactly, and
@@ -30,16 +31,28 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from ..formats.format import Format, FormatError
+from ..formats.format import Format
 from ..formats.registry import FormatSpec, available_formats, get_format
 from ..storage.tensor import Tensor
 from .converters import converters_for
 from .features import StructuralFeatures
 from .planner import PlanOptions, resolve_backend, structural_key
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .plan import ConversionPlan
 
 #: Reference nonzero count used when no tensor is at hand (``engine.route``
 #: without ``nnz``): large enough that throughput, not per-hop overhead,
@@ -79,7 +92,7 @@ class CostModel:
     per-kind EWMA of the per-nonzero rate.  Once a kind has at least
     ``min_observations`` recordings, :meth:`cost` prefers the measured
     rate over the seeded one — routing decisions then reflect *this*
-    host — and ``ConversionRoute.explain()`` labels each edge ``seeded``
+    host — and ``ConversionPlan.explain()`` labels each edge ``seeded``
     or ``measured``.  Models persist to JSON (:meth:`save` / :meth:`load`).
     """
 
@@ -406,8 +419,7 @@ def _register_builtin_bridges() -> None:
 # routes
 
 
-#: What each hop kind executes, as ``explain()`` transcripts word it
-#: (routes and plans share the table).  The keys are the hop kinds: the
+#: What each hop kind executes, as ``explain()`` transcripts word it.  The keys are the hop kinds: the
 #: generated-code backends ``scalar`` / ``vector`` / ``native`` (the
 #: compiled-C backend), a registered bulk extraction (``bridge``), a
 #: registered competing converter
@@ -427,9 +439,9 @@ HOP_KIND_DETAIL = {
 
 @dataclass(frozen=True)
 class Hop:
-    """One edge of a conversion route.
+    """One edge of a conversion plan.
 
-    ``cost`` is the estimated seconds of this hop at the route's planning
+    ``cost`` is the estimated seconds of this hop at the plan's planning
     size, ``provenance`` whether the estimate came from the cost model's
     constant seeds (``"seeded"``) or from this host's own measured hop
     timings (``"measured"``).  ``converter`` names the registered
@@ -449,102 +461,6 @@ class Hop:
             f"{self.kind}:{self.converter}"
         )
         return f"{self.src.name} -> {self.dst.name} [{label}]"
-
-
-@dataclass(frozen=True)
-class ConversionRoute:
-    """A conversion path chosen by the router.
-
-    ``hops`` is the executed sequence; ``cost`` the estimated seconds at
-    ``nnz`` stored components; ``direct_cost`` the estimate for the direct
-    single-hop conversion the route was weighed against.  Calling the
-    route converts a tensor (hop converters come from ``engine``, the
-    default engine unless one is passed).
-    """
-
-    hops: Tuple[Hop, ...]
-    cost: float
-    direct_cost: float
-    nnz: int
-    options: PlanOptions
-    #: Structural features the route was planned against (None when the
-    #: route was planned from a bare nnz, without a tensor in hand).
-    features: Optional[StructuralFeatures] = None
-
-    @property
-    def src(self) -> Format:
-        return self.hops[0].src
-
-    @property
-    def dst(self) -> Format:
-        return self.hops[-1].dst
-
-    @property
-    def is_direct(self) -> bool:
-        return len(self.hops) == 1
-
-    @property
-    def beats_direct(self) -> bool:
-        """True when executing this route is preferable to the plain
-        direct conversion: a multi-hop path, a direct bridge extraction,
-        or a direct registered converter that beat the generated kernel.
-        This is *the* engage-routing predicate — the engine and the CLI
-        display both consult it."""
-        return not self.is_direct or self.hops[0].kind in (
-            "bridge", "external"
-        )
-
-    @property
-    def formats(self) -> Tuple[Format, ...]:
-        """The visited formats, source first."""
-        return (self.hops[0].src,) + tuple(hop.dst for hop in self.hops)
-
-    @property
-    def backend_per_hop(self) -> Tuple[str, ...]:
-        """The lowering kind of every hop, in execution order."""
-        return tuple(hop.kind for hop in self.hops)
-
-    def explain(self) -> str:
-        """Human-readable transcript of the routing decision."""
-        path = " -> ".join(fmt.name for fmt in self.formats)
-        lines = [
-            f"route {self.src.name} -> {self.dst.name}: {path} "
-            f"({len(self.hops)} hop{'s' if len(self.hops) != 1 else ''}, "
-            f"est {self.cost * 1e3:.3f} ms at {self.nnz} stored components)"
-        ]
-        if self.features is not None:
-            lines.append(f"  structural features: {self.features.describe()}")
-        for n, hop in enumerate(self.hops, 1):
-            lines.append(
-                f"  {n}. {hop} {HOP_KIND_DETAIL[hop.kind]} "
-                f"(est {hop.cost * 1e3:.3f} ms, {hop.provenance} cost)"
-            )
-        if self.is_direct:
-            lines.append(
-                "  direct conversion is the estimated optimum; no "
-                "intermediate beats it"
-            )
-        else:
-            direct = resolve_backend(self.src, self.dst, self.options, "auto")
-            lines.append(
-                f"  chosen over the direct {direct} conversion "
-                f"(est {self.direct_cost * 1e3:.3f} ms): " + (
-                    "every hop is a bulk operation, the direct pair only "
-                    "lowers to scalar loops" if direct == "scalar"
-                    else "the route is estimated cheaper")
-            )
-        return "\n".join(lines)
-
-    def __call__(self, tensor: Tensor, engine=None) -> Tensor:
-        """Run the route on ``tensor`` (with ``engine``'s converter cache)."""
-        if engine is None:
-            from .engine import default_engine
-
-            engine = default_engine()
-        return engine.convert_via(self, tensor)
-
-    def __str__(self) -> str:
-        return " -> ".join(fmt.name for fmt in self.formats)
 
 
 def _candidate_intermediates(src: Format, dst: Format) -> List[Format]:
@@ -698,8 +614,9 @@ def find_route(
     intermediates: Optional[Sequence[Format]] = None,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
-) -> ConversionRoute:
-    """Find the cheapest conversion path from ``src`` to ``dst``.
+) -> "ConversionPlan":
+    """Find the cheapest conversion path from ``src`` to ``dst``, as the
+    :class:`~repro.convert.plan.ConversionPlan` that runs it.
 
     Runs Dijkstra over the format graph — nodes are ``src``, ``dst`` and
     the registered same-order intermediates (or an explicit
@@ -710,7 +627,7 @@ def find_route(
     structural facts: they gate predicated converters on the first hop;
     hops out of intermediate formats are judged optimistically (their
     predicates are re-checked at execution time).  Non-default
-    :class:`PlanOptions` pin the route to the direct conversion: the
+    :class:`PlanOptions` pin the plan to the direct conversion: the
     options select scalar code shapes that bridges and competing
     converters do not honour.
 
@@ -718,34 +635,41 @@ def find_route(
     detected) lets edges take the compiled-C kernel, subject to the
     measured-gating described in :func:`edge_candidates`.
 
-    The direct route always exists, so the result is never empty; ties go
-    to the direct conversion.
+    The direct conversion always exists, so the result is never empty;
+    ties go to it.  The plan is ``routed`` when it leaves the generated
+    direct path — a multi-hop chain or a bridge hop; a direct hop won by
+    a registered converter is still a direct conversion.  It is unbound
+    (``engine=None``): :meth:`ConversionEngine.route
+    <repro.convert.engine.ConversionEngine.route>` binds the plans it
+    caches.
     """
+    from .plan import ConversionPlan  # plan.py imports Hop from here
+
     src = get_format(src)
     dst = get_format(dst)
     options = options or PlanOptions()
     model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
 
+    def winner(hops: Tuple[Hop, ...]) -> ConversionPlan:
+        return ConversionPlan(
+            hops=hops, options=options, nnz=nnz,
+            routed=len(hops) > 1 or hops[0].kind == "bridge",
+            features=features,
+        )
+
     choice = _edge_choice(src, dst, options, model, nnz, features, native_ok)
-    direct_cost = choice.cost
-    direct = ConversionRoute(
-        hops=(
-            Hop(src, dst, choice.kind, choice.cost, choice.provenance,
-                choice.converter),
-        ),
-        cost=direct_cost,
-        direct_cost=direct_cost,
-        nnz=nnz,
-        options=options,
-        features=features,
+    best_hops = (
+        Hop(src, dst, choice.kind, choice.cost, choice.provenance,
+            choice.converter),
     )
+    best_cost = choice.cost
     if (
         src.order != dst.order
         or options.key() != PlanOptions().key()
         or max_hops < 2
     ):
-        return direct
+        return winner(best_hops)
 
     if intermediates is None:
         intermediates = _candidate_intermediates(src, dst)
@@ -756,21 +680,13 @@ def find_route(
     # format), so the quadratic edge scan is fine.
     best: Dict[Tuple[int, int], float] = {(0, 0): 0.0}
     heap: List[Tuple[float, int, int, Tuple[Hop, ...]]] = [(0.0, 0, 0, ())]
-    best_route = direct
     while heap:
         cost, node, hops_used, hops = heapq.heappop(heap)
         if cost > best.get((node, hops_used), float("inf")):
             continue
         if node == dst_index:
-            if cost < best_route.cost - 1e-12:
-                best_route = ConversionRoute(
-                    hops=hops,
-                    cost=cost,
-                    direct_cost=direct_cost,
-                    nnz=nnz,
-                    options=options,
-                    features=features,
-                )
+            if cost < best_cost - 1e-12:
+                best_hops, best_cost = hops, cost
             continue
         if hops_used == max_hops:
             continue
@@ -805,44 +721,33 @@ def find_route(
                         ),
                     ),
                 )
-    return best_route
+    return winner(best_hops)
 
 
 def rebind_endpoints(
-    route: ConversionRoute, src: Format, dst: Format
-) -> ConversionRoute:
-    """The same route with its endpoint formats swapped for ``src``/``dst``.
+    plan: "ConversionPlan", src: Format, dst: Format
+) -> "ConversionPlan":
+    """The same plan with its endpoint formats swapped for ``src``/``dst``.
 
     Routes are cached by *structural* pair, but results must be tagged
     with the exact (possibly renamed-twin) formats the caller asked for —
     the converter cache handles the rename per hop.  Raises ``ValueError``
-    when the endpoints are not structurally identical to the route's.
+    when the endpoints are not structurally identical to the plan's.
     """
-    if structural_key(src) != structural_key(route.src) or structural_key(
+    if structural_key(src) != structural_key(plan.src) or structural_key(
         dst
-    ) != structural_key(route.dst):
+    ) != structural_key(plan.dst):
         raise ValueError(
-            f"route {route} does not fit the pair {src.name} -> {dst.name}"
+            f"plan {plan} does not fit the pair {src.name} -> {dst.name}"
         )
-    if src is route.src and dst is route.dst:
-        return route
-    hops = list(route.hops)
+    if src is plan.src and dst is plan.dst:
+        return plan
+    hops = list(plan.hops)
     first = hops[0]
     hops[0] = replace(first, src=src, dst=dst if len(hops) == 1 else first.dst)
     if len(hops) > 1:
         hops[-1] = replace(hops[-1], dst=dst)
-    return replace(route, hops=tuple(hops))
-
-
-def check_route(route: ConversionRoute) -> None:
-    """Validate a route's shape (used when callers pass explicit routes)."""
-    if not route.hops:
-        raise FormatError("route has no hops")
-    for prev, nxt in zip(route.hops, route.hops[1:]):
-        if structural_key(prev.dst) != structural_key(nxt.src):
-            raise FormatError(
-                f"route hops do not chain: {prev} then {nxt}"
-            )
+    return replace(plan, hops=tuple(hops))
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..convert.engine import ConversionEngine, default_engine
-from ..convert.features import sample_features
 from ..convert.plan import ConversionPlan
 from ..convert.planner import PlanOptions, structural_key
 from ..convert.router import longest_cached_prefix
@@ -430,7 +429,7 @@ class ConversionService:
             tensor.format, dst,
             options=policy.options, backend=policy.backend,
             nnz=tensor.nnz_stored,
-            features=sample_features(tensor),
+            features=self.engine.features_for(tensor, policy.backend),
         )
         skipped, current = self._resume(
             plan.hops, tensor, digest, policy.options
@@ -518,7 +517,8 @@ class ConversionService:
         plan = self.engine.plan_compute(
             tensor.format, op, dst, fuse=fuse,
             options=policy.options, backend=policy.backend,
-            nnz=tensor.nnz_stored, features=sample_features(tensor),
+            nnz=tensor.nnz_stored,
+            features=self.engine.features_for(tensor, policy.backend),
         )
         skipped, current = self._resume(
             plan.conversion_hops, tensor, digest, policy.options

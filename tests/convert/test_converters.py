@@ -283,6 +283,22 @@ def test_runtime_recheck_falls_back_when_predicate_refuses(engine):
         unregister_converter(COO, CSR, "sorted-only")
 
 
+@needs_scipy
+def test_compile_warms_the_external_hop_fallback(engine):
+    """An external hop's plan compiles the generated kernel it falls back
+    to, so a stream the predicate refuses compiles nothing at run time."""
+    plan = engine.plan(COO, CSR)
+    assert plan.hops[0].kind == "external"
+    plan.compile()
+    compiles = engine.cache_stats()["compiles"]
+    unsorted = _unsorted_coo()
+    out = plan.run(unsorted)  # predicate refuses -> generated fallback
+    engine.convert(unsorted, CSR)
+    assert engine.cache_stats()["compiles"] == compiles
+    ref = engine.convert(unsorted, CSR, backend="scalar", route="direct")
+    _assert_bit_identical(out, ref)
+
+
 # ----------------------------------------------------------------------
 # plan pinning (schema 2)
 

@@ -155,8 +155,7 @@ def test_convert_via_records_hop_timings():
     model = CostModel(min_nnz=1, hop_overhead=0.0, external_overhead=0.0)
     engine = ConversionEngine(cost_model=model)
     tensor = _tensor(HASH)
-    route = engine.route(HASH, CSR)
-    engine.convert_via(route, tensor)
+    engine.route(HASH, CSR).run(tensor)
     assert model.observation_count("bridge") == 1
     assert model.observation_count(COO_CSR_KEY) == 1
 

@@ -22,6 +22,8 @@ from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.storage.build import reference_build
 
+from ..support import count_feature_samples
+
 
 HAVE_CC = detect_toolchain() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -191,6 +193,23 @@ def test_warmup_compiles_route_hops():
     # the routed hop COO->CSR (vector) was compiled during warmup
     engine.make_converter("COO", "CSR", backend="vector")
     assert engine.cache_stats()["compiles"] == compiled
+
+
+def test_pinned_requests_sample_no_features(monkeypatch):
+    """Features only price candidates under the auto policies: a pinned
+    backend (given or the engine default) or route="direct" samples
+    nothing, an auto conversion samples once."""
+    calls = count_feature_samples(monkeypatch)
+    engine = ConversionEngine()
+    tensor = small_coo()
+    for knobs in ({"backend": "scalar"}, {"backend": "vector"},
+                  {"route": "direct"}):
+        engine.convert(tensor, DIA, **knobs)
+    ConversionEngine(backend="scalar").convert(tensor, DIA)
+    assert engine.features_for(tensor, "vector") is None
+    assert calls == []
+    engine.convert(tensor, DIA)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -78,9 +78,12 @@ def test_unknown_route_mode_raises_valueerror():
 
 
 def test_explicit_route_object_passes_through():
-    route = find_route(COO, CSR)
-    request = _build(route=route)
-    assert request.route is route and request.route_explicit
+    """An explicit route mode passes through; a plan is not a mode — it
+    runs with plan.run(tensor) — so route=<plan> is refused by name."""
+    request = _build(route="direct")
+    assert request.route == "direct" and request.route_explicit
+    with pytest.raises(ValueError, match=r"plan\.run\(tensor\)"):
+        _build(route=find_route(COO, CSR))
 
 
 # ----------------------------------------------------------------------

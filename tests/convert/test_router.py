@@ -3,25 +3,22 @@ bit-identity of every routed pair against the direct scalar conversion."""
 
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.__main__ as cli
 from repro.convert import (
     ConversionEngine,
-    ConversionRoute,
+    ConversionPlan,
     CostModel,
     PlanOptions,
     find_route,
     make_converter,
     scipy_available,
 )
-from repro.convert.router import (
-    DEFAULT_ROUTE_NNZ,
-    Hop,
-    bridge_for,
-    check_route,
-)
+from repro.convert.router import DEFAULT_ROUTE_NNZ, Hop, bridge_for
 from repro.formats import (
     BCSR,
     COO,
@@ -33,9 +30,9 @@ from repro.formats import (
     HASH,
     HICOO,
     SKY,
-    FormatError,
     make_format,
 )
+from repro.ir.native import detect_toolchain
 from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.levels.hashed import HashedLevel
@@ -44,6 +41,10 @@ from repro.storage.build import reference_build
 # With scipy importable its registered converter wins the bulk COO->CSR /
 # CSR->CSC edges; the no-scipy leg keeps the generated vector kernel.
 EXT = "external" if scipy_available() else "vector"
+
+needs_cc = pytest.mark.skipif(
+    detect_toolchain() is None, reason="no C toolchain"
+)
 
 
 def random_cells(rng, dims, count, lower_triangular=False):
@@ -76,7 +77,9 @@ def test_hash_to_csr_routes_through_coo():
     assert not route.is_direct
     assert [fmt.name for fmt in route.formats] == ["HASH", "COO", "CSR"]
     assert route.backend_per_hop == ("bridge", EXT)
-    assert route.cost < route.direct_cost
+    assert route.routed
+    direct = find_route(HASH, CSR, max_hops=1)
+    assert sum(hop.cost for hop in route.hops) < direct.hops[0].cost
 
 
 def test_route_accepts_spec_strings():
@@ -111,30 +114,45 @@ def test_tiny_tensors_route_direct():
     assert route.is_direct
 
 
-def test_route_explain_transcript():
-    text = find_route(HASH, CSR).explain()
-    assert "route HASH -> CSR" in text
-    assert "HASH -> COO -> CSR" in text
+def _route_explain(monkeypatch, capsys, src, dst, engine=None):
+    """``repro route SRC DST --explain`` on ``engine``'s plans."""
+    engine = engine or ConversionEngine()
+    monkeypatch.setattr(cli, "default_engine", lambda: engine)
+    cli.main(["route", src, dst, "--explain"])
+    return capsys.readouterr().out
+
+
+def test_route_explain_transcript(monkeypatch, capsys):
+    """The plan's transcript, a competitor table per hop, and — for a
+    multi-hop plan — the direct edge's table: the estimate it beat."""
+    text = _route_explain(monkeypatch, capsys, "HASH", "CSR")
+    assert "plan HASH -> CSR: HASH -> COO -> CSR" in text
     assert "[bridge]" in text and f"[{EXT}" in text
-    assert "direct scalar" in text
-    direct_text = find_route(COO, CSR).explain()
-    assert "direct conversion is the estimated optimum" in direct_text
+    direct = text.split("competitors for HASH -> CSR (direct edge, not "
+                        "taken):\n")[1]
+    assert direct.startswith("  generated-scalar [scalar] est 150.050 ms")
+    direct_text = _route_explain(monkeypatch, capsys, "COO", "CSR")
+    assert "(1 hop," in direct_text
+    assert direct_text.count("competitors for COO -> CSR:") == 1
+    assert "direct edge" not in direct_text
 
 
-def test_route_explain_names_a_vector_direct_hop():
+def test_route_explain_names_a_vector_direct_hop(monkeypatch, capsys):
     """A detour around a pair that lowers to vector code (the COO -> CSC
-    -> CSR route cheap external hops can win) names the vector kind and
-    does not claim the direct pair only lowers to scalar loops."""
-    detour = ConversionRoute(
+    -> CSR route cheap external hops can win) shows the direct edge's
+    vector kernel and does not claim the pair only lowers to scalar
+    loops."""
+    engine = ConversionEngine()
+    detour = ConversionPlan(
         hops=(Hop(COO, CSC, "external", 4.5e-4, converter="scipy-coo-csc"),
               Hop(CSC, CSR, "external", 4.5e-4, converter="scipy-csc-csr")),
-        cost=9e-4,
-        direct_cost=1.2e-3,
-        nnz=100_000,
-        options=PlanOptions(),
+        options=PlanOptions(), nnz=100_000, routed=True, engine=engine,
     )
-    text = detour.explain()
-    assert "chosen over the direct vector conversion (est 1.200 ms)" in text
+    monkeypatch.setattr(engine, "route", lambda *args, **kwargs: detour)
+    text = _route_explain(monkeypatch, capsys, "COO", "CSR", engine)
+    direct = text.split("competitors for COO -> CSR (direct edge, not "
+                        "taken):\n")[1]
+    assert "generated-vector [vector] est 4.050 ms" in direct
     assert "scalar" not in text
 
 
@@ -143,18 +161,6 @@ def test_explicit_intermediates_restrict_the_graph():
     # no COO available: DIA cannot be reached by bridge, hops stay scalar,
     # so the direct conversion wins
     assert route.is_direct
-
-
-def test_check_route_rejects_broken_chains():
-    broken = ConversionRoute(
-        hops=(Hop(HASH, COO, "bridge"), Hop(CSR, CSC, "vector")),
-        cost=1.0,
-        direct_cost=1.0,
-        nnz=100,
-        options=PlanOptions(),
-    )
-    with pytest.raises(FormatError):
-        check_route(broken)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +190,7 @@ def test_routed_hash_pairs_bit_identical_to_direct_scalar(dst):
     engine = ConversionEngine()
     route = engine.route(HASH, dst)  # bulk-size default: multi-hop/bridge
     assert "bridge" in route.backend_per_hop
-    routed = engine.convert_via(route, tensor)
+    routed = route.run(tensor)
     direct = make_converter(HASH, dst, backend="scalar")(tensor)
     assert_identical(routed, direct)
 
@@ -220,7 +226,7 @@ def test_structural_hash_twins_share_the_bridge():
     tensor = reference_build(HASH, (24, 24), cells, vals)
     tensor.format = twin  # same structure, different name
     engine = ConversionEngine()
-    routed = engine.convert_via(route, tensor)
+    routed = replace(route, engine=engine).run(tensor)
     direct = engine.make_converter(twin, CSR, backend="scalar")(tensor)
     assert_identical(routed, direct)
 
@@ -247,23 +253,26 @@ def test_engine_convert_explicit_route_object():
     cells, vals = random_cells(rng, (16, 16), 60)
     tensor = reference_build(HASH, (16, 16), cells, vals)
     engine = ConversionEngine()
-    route = engine.route(HASH, CSC)
-    out = engine.convert(tensor, CSC, route=route)
+    route = engine.route(HASH, CSC)  # the routed plan, bound to engine
+    assert not route.is_direct and route.engine is engine
+    out = route.run(tensor)
+    stats = engine.cache_stats()
+    assert stats["conversions"] == stats["routed_conversions"] == 1
     assert_identical(out, engine.convert(tensor, CSC, route="direct"))
+    assert engine.cache_stats()["routed_conversions"] == 1
 
 
 def test_convert_via_and_route_call_count_like_convert():
-    """convert_via is run_plan of the route's plan: it feeds the same
-    counters as convert(..., route=route) (it used to bypass them)."""
+    """Running the router's plan — plan.run(t) or calling the plan —
+    feeds the same counters as the plan convert() builds at that size."""
     rng = random.Random(13)
     cells, vals = random_cells(rng, (16, 16), 60)
     tensor = reference_build(HASH, (16, 16), cells, vals)
     reference = ConversionEngine()
-    route = reference.route(HASH, CSC)
-    expected = reference.convert(tensor, CSC, route=route)
+    expected = reference.run_plan(reference.plan(HASH, CSC), tensor)
     for run in (
-        lambda engine: engine.convert_via(route, tensor),
-        lambda engine: route(tensor, engine),
+        lambda engine: engine.route(HASH, CSC).run(tensor),
+        lambda engine: engine.route(HASH, CSC)(tensor),
     ):
         engine = ConversionEngine()
         assert_identical(run(engine), expected)
@@ -304,10 +313,10 @@ def test_routed_conversion_is_faster_at_bulk_sizes():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    routed_time = best_of(lambda: engine.convert_via(route, tensor))
+    routed_time = best_of(lambda: route.run(tensor))
     direct_time = best_of(lambda: direct(tensor))
     assert routed_time * 2 < direct_time, (routed_time, direct_time)
-    assert_identical(engine.convert_via(route, tensor), direct(tensor))
+    assert_identical(route.run(tensor), direct(tensor))
 
 
 def test_route_cache_retags_renamed_twins():
@@ -328,7 +337,7 @@ def test_route_cache_retags_renamed_twins():
     rng = random.Random(23)
     cells, vals = random_cells(rng, (20, 20), 120)
     tensor = reference_build(HASH, (20, 20), cells, vals)
-    out = engine.convert_via(retagged, tensor)
+    out = retagged.run(tensor)
     assert out.format is twin
 
 
@@ -338,27 +347,55 @@ def test_convert_rejects_mismatched_explicit_route():
     cells, vals = random_cells(rng, (12, 12), 40)
     tensor = reference_build(HASH, (12, 12), cells, vals)
     route = engine.route(HASH, CSR)
+    coo = engine.convert(tensor, COO, route="direct")
+    before = engine.cache_stats()
     with pytest.raises(ValueError):
-        engine.convert(tensor, DIA, route=route)  # route ends at CSR
-    # telemetry untouched by the failed call
-    assert engine.cache_stats()["conversions"] == 0
-    assert engine.pair_counts() == {}
+        route.run(coo)  # the plan starts at HASH
+    with pytest.raises(ValueError, match=r"plan\.run"):
+        engine.convert(tensor, CSR, route=route)  # a plan is not a mode
+    # telemetry untouched by the failed calls
+    assert engine.cache_stats()["conversions"] == before["conversions"] == 1
+    assert engine.pair_counts() == {("HASH", "COO"): 1}
 
 
 def test_rebind_endpoints_validates_structure():
     from repro.convert import rebind_endpoints
 
-    route = find_route(HASH, CSR)
+    plan = ConversionEngine().route(HASH, CSR)
     with pytest.raises(ValueError):
-        rebind_endpoints(route, HASH, DIA)
-    assert rebind_endpoints(route, HASH, CSR) is route  # no-op fast path
+        rebind_endpoints(plan, HASH, DIA)
+    assert rebind_endpoints(plan, HASH, CSR) is plan  # no-op fast path
 
 
 def test_beats_direct_predicate():
-    assert find_route(HASH, CSR).beats_direct  # multi-hop
-    assert find_route(HASH, COO).beats_direct  # direct bridge
-    assert not find_route(COO, DIA).beats_direct  # direct generated kernel
+    """One decision: under the auto policies the plan that runs is the
+    router's plan — a multi-hop chain, a direct bridge, a direct
+    generated kernel, a direct registered converter alike."""
+    engine = ConversionEngine()
+    pairs = [(HASH, CSR), (HASH, COO), (COO, DIA)]
     if scipy_available():
-        # a registered converter winning the direct edge beats the
-        # generated kernel even though the route stays single-hop
-        assert find_route(COO, CSR).beats_direct
+        pairs.append((COO, CSR))  # a registered converter wins the edge
+    for src, dst in pairs:
+        assert engine.plan(src, dst).hops == engine.route(src, dst).hops
+
+
+@needs_cc
+def test_measured_native_wins_plan_and_runs():
+    """Once native has K measured hops the router may pick it, and
+    plan() runs what the router picked (it used to re-resolve a
+    generated backend); the native run is bit-identical to scalar."""
+    engine = ConversionEngine()
+    model = engine.cost_model
+    for _ in range(model.min_observations):
+        model.observe("native", 1_000_000, 0.002)
+    rng = random.Random(31)
+    cells, vals = random_cells(rng, (40, 40), 300)
+    for src, dst in [(HASH, CSR), (CSR, CSC)]:
+        plan = engine.plan(src, dst)
+        assert plan.backend_per_hop == ("native",), (src, dst)
+        assert not plan.routed
+        tensor = reference_build(src, (40, 40), cells, vals)
+        assert_identical(
+            plan.run(tensor),
+            engine.convert(tensor, dst, route="direct", backend="scalar"),
+        )

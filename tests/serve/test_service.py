@@ -13,6 +13,7 @@ from repro.formats import COO, CSR, DIA, ELL, HASH, get_format
 from repro.serve import ConversionService, QuotaError, TenantPolicy
 from repro.serve.datacache import tensor_nbytes
 
+from ..support import count_feature_samples
 from ..support.tensorgen import serve_tensor
 
 
@@ -196,6 +197,22 @@ def test_tenant_options_isolate_cache_variants():
         assert engine.pair_counts()[("COO", "CSR")] == 2
         assert (strict_result.tensor.content_digest()
                 == default_result.tensor.content_digest())
+
+    _run(_with_service(body))
+
+
+def test_pinned_tenant_backend_samples_no_features(monkeypatch):
+    """A tenant pinned to a backend never prices candidates, so its
+    conversions sample no structural features; the default tenant's
+    auto conversion samples once."""
+    calls = count_feature_samples(monkeypatch)
+
+    async def body(service, engine):
+        service.set_policy(TenantPolicy(name="pinned", backend="scalar"))
+        await service.submit(_tensor(seed=43), DIA, tenant="pinned")
+        assert calls == []
+        await service.submit(_tensor(seed=44), DIA)
+        assert len(calls) == 1
 
     _run(_with_service(body))
 

@@ -9,6 +9,8 @@ from repro.convert import scipy_available
 from repro.io import write_matrix_market
 from repro.ir.native import detect_toolchain
 
+from .support import count_feature_samples
+
 # With scipy importable its registered converter wins the bulk COO->CSR
 # edge; the no-scipy leg keeps the generated vector kernel.
 EXT = "external" if scipy_available() else "vector"
@@ -131,12 +133,24 @@ def test_route_command(capsys):
     assert "bridge" in out and EXT in out
 
 
+def test_convert_samples_features_only_under_auto(mtx, capsys, monkeypatch):
+    calls = count_feature_samples(monkeypatch)
+    main(["convert", mtx, "--to", "DIA", "--backend", "scalar"])
+    main(["convert", mtx, "--to", "DIA", "--route", "direct"])
+    assert calls == []
+    main(["convert", mtx, "--to", "DIA"])
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_route_command_explain(capsys):
     main(["route", "HASH", "CSR", "--explain"])
     out = capsys.readouterr().out
-    assert "route HASH -> CSR" in out
+    assert "plan HASH -> CSR" in out
     assert "bulk extraction" in out
-    assert "direct scalar" in out
+    # the direct edge the route beat keeps its estimate on display
+    assert "competitors for HASH -> CSR (direct edge, not taken):" in out
+    assert "generated-scalar [scalar]" in out
     # the competitor table lists every priced implementation per hop
     assert "competitors for COO -> CSR:" in out
     assert "generated-" in out
@@ -147,7 +161,8 @@ def test_route_command_explain(capsys):
 def test_route_command_direct_pair(capsys):
     main(["route", "COO", "CSR", "--explain"])
     out = capsys.readouterr().out
-    assert "1 hop" in out and "direct conversion is the estimated optimum" in out
+    assert "1 hop" in out and "direct edge" not in out
+    assert out.count("competitors for COO -> CSR:") == 1
 
 
 def test_route_command_small_nnz_stays_direct(capsys):
