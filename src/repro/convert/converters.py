@@ -18,11 +18,13 @@ Registered converters are keyed *structurally* (renamed twins share
 them).  At planning time the router prices every admitted competitor —
 the generated kernel, the bridge, and each registered converter whose
 ``filter`` accepts the tensor's :class:`~repro.convert.features.
-StructuralFeatures` — and the cheapest ``cost * weight`` wins (ties
-break on lower weight, then name, so selection is deterministic).  At
-execution time the engine re-checks the winner's predicate against the
-actual tensor and falls back to the generated kernel when it refuses,
-so bit-identity never depends on a planning-time guess.
+StructuralFeatures` (read from a bounded sample) — and the cheapest
+``cost * weight`` wins (ties break on lower weight, then name, so
+selection is deterministic).  At execution time the engine re-checks a
+filtered winner's predicate against the actual tensor's exact
+``sortedness >= 1.0`` fact (the other fields stay the sample's) and
+falls back to the generated kernel when it refuses, so bit-identity
+never depends on a planning-time guess.
 
 When scipy is importable, four scipy-delegated converters register
 themselves for the matrix compression edges.  They are **predicated on

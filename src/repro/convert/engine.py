@@ -80,7 +80,7 @@ from .planner import (
 )
 from .context import PlanError
 from .converters import converter_named, registry_version, run_converter
-from .features import StructuralFeatures, sample_features
+from .features import StructuralFeatures, _exact_features, sample_features
 from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
 from .router import (
@@ -936,10 +936,15 @@ class ConversionEngine:
         tensor: Optional[Tensor] = None,
     ) -> Tuple[Callable[[Tensor], Tensor], str]:
         """Resolve one hop to a ready callable plus the cost-model kind
-        that will actually execute (an ``external`` hop whose converter
-        predicate refuses ``tensor``'s actual structural features runs
-        the generated kernel — bit-identity never rides on a
-        planning-time guess)."""
+        that will actually execute.
+
+        This is where bit-identity is checked exactly.  Planning reads a
+        bounded feature sample, so an ``external`` hop whose converter
+        has a ``filter`` rechecks it against ``tensor``'s exact facts
+        (one fused pass over the stream, memoized on the tensor, only
+        when the sample cannot already decide); a refused converter runs
+        the generated kernel instead.  An unfiltered converter admits
+        every tensor and costs no pass."""
         if hop.kind == "bridge":
             bridge = bridge_for(hop.src)
             if bridge is None:
@@ -953,8 +958,9 @@ class ConversionEngine:
                     "not registered on this host; register it "
                     "(repro.convert.register_converter) or re-plan"
                 )
-            features = sample_features(tensor) if tensor is not None else None
-            if converter.admits(features):
+            if converter.filter is None or tensor is None or (
+                converter.admits(_exact_features(tensor))
+            ):
                 dst = hop.dst
                 return (
                     lambda t: run_converter(converter, t, dst)
@@ -1160,9 +1166,11 @@ class ConversionEngine:
         Features only price predicate-gated candidates, and only the auto
         policies — ``backend`` (``None``: the engine default) and
         ``route`` both auto — price candidates at all.  A pinned backend
-        or ``route="direct"`` resolves one generated hop, so the O(nnz)
-        sample would be wasted.  (An ``external`` hop still rechecks its
-        predicate on the actual tensor when it runs.)
+        or ``route="direct"`` resolves one generated hop, so even the
+        bounded sample would be wasted.  The sample is exact only for
+        streams it covers whole; a predicate it admits is rechecked
+        exactly on the actual tensor when its ``external`` hop runs
+        (:meth:`_hop_executable`).
         """
         if (backend or self.backend) == "auto" and route in (None, "auto"):
             return sample_features(tensor)

@@ -9,8 +9,12 @@ every applicable backend on every requested pair, and compares the
 results array-for-array.  The ``fused`` column additionally checks the
 fused convert-and-compute pipeline (:mod:`repro.compute`): SpMV through
 the destination, computed with and without materializing it, within
-float tolerance.  On a mismatch it prints a single
-``REPRO:`` line that reproduces the failure deterministically:
+float tolerance.  The ``auto`` column runs the plan auto would pick for
+a bulk-sized tensor with the case's sampled features, on the case and
+on its sorted-order twin: the only column that reaches the external
+converters and their execution-time exact check.  On a mismatch it
+prints a single ``REPRO:`` line that reproduces the failure
+deterministically:
 
 .. code-block:: text
 
@@ -246,9 +250,11 @@ def _native_available() -> bool:
 
 
 def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
-              workdir: str) -> Dict[str, List[str]]:
+              workdir: str) -> Tuple[Dict[str, List[str]], bool]:
     """Run one case through every applicable backend; returns
-    ``{backend: problems}`` for backends that disagreed with scalar."""
+    ``({backend: problems}, ran_external)``: the backends that disagreed
+    with scalar, and whether the ``auto`` column ran an ``external``
+    hop."""
     from .convert.streamed import streamable
     from .io.stream import write_stream
     from .storage.build import reference_build
@@ -283,7 +289,58 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
         problems = _check_fused(engine, src, dst, case, tensor)
         if problems:
             failures["fused"] = problems
-    return failures
+    ran_external = False
+    if "auto" in backends:
+        problems, ran_external = _check_auto(engine, dst, tensor, reference)
+        order = sorted(range(case.nnz), key=case.cells.__getitem__)
+        if order != list(range(case.nnz)):
+            # the same cells in sorted stream order, so sortedness-gated
+            # converters get admitted too
+            twin = reference_build(
+                src, case.dims, [case.cells[i] for i in order],
+                [case.vals[i] for i in order],
+            )
+            twin_problems, twin_external = _check_auto(
+                engine, dst, twin,
+                engine.convert(twin, dst, backend="scalar"),
+            )
+            problems += [f"sorted twin: {p}" for p in twin_problems]
+            ran_external = ran_external or twin_external
+        if problems:
+            failures["auto"] = problems
+    return failures, ran_external
+
+
+def _check_auto(engine, dst, tensor, reference) -> Tuple[List[str], bool]:
+    """The plan auto runs for a bulk-sized tensor with ``tensor``'s
+    sampled features, run on ``tensor`` itself.
+
+    At fuzz sizes the router never picks an external converter, so the
+    plan is made at ``nnz=1_000_000``: its ``external`` hops then meet
+    the execution-time exact check on real, small streams.  Returns the
+    differences from ``reference`` and whether an ``external`` hop ran
+    (its converter admitted the hop's actual input, by the same exact
+    facts the engine checks).
+    """
+    from .convert import converter_named, sample_features
+    from .convert.features import _exact_features
+
+    ran = []
+
+    def observe(hop, source, result, options, seconds):
+        if hop.kind == "external":
+            converter = converter_named(hop.src, hop.dst, hop.converter)
+            ran.append(converter.filter is None
+                       or converter.admits(_exact_features(source)))
+
+    plan = engine.plan(tensor.format, dst, nnz=1_000_000,
+                       features=sample_features(tensor))
+    engine.add_hop_observer(observe)
+    try:
+        out = plan.run(tensor)
+    finally:
+        engine.remove_hop_observer(observe)
+    return _diff(reference, out), any(ran)
 
 
 def _check_fused(engine, src, dst, case: TensorCase, tensor) -> List[str]:
@@ -327,7 +384,7 @@ def _check_fused(engine, src, dst, case: TensorCase, tensor) -> List[str]:
     return problems
 
 
-DEFAULT_BACKENDS = ("vector", "native", "streamed", "fused")
+DEFAULT_BACKENDS = ("vector", "native", "streamed", "fused", "auto")
 
 
 def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
@@ -352,6 +409,7 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
     started = time.monotonic()
     mismatches = 0
     ran = 0
+    external = 0
     stop = False
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as workdir:
         for src, dst in _resolve_pairs(pairs):
@@ -374,9 +432,11 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
                 case = constrain_case(
                     dst, random_tensor_case(case_seed, order=order)
                 )
-                failures = _run_case(engine, src, dst, case, backends,
-                                     workdir)
+                failures, ran_external = _run_case(
+                    engine, src, dst, case, backends, workdir
+                )
                 ran += 1
+                external += ran_external
                 if failures:
                     mismatches += 1
                     print(f"MISMATCH {token} seed={case_seed} "
@@ -391,6 +451,8 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
     if verbose:
         elapsed = time.monotonic() - started
         verdict = "FAIL" if mismatches else "ok"
+        if "auto" in backends:
+            print(f"auto: {external} of {ran} case(s) ran an external hop")
         print(f"fuzz: {ran} case(s), {len(backends)} backend(s) "
               f"[{', '.join(backends)}], {mismatches} mismatch(es) "
               f"in {elapsed:.1f}s -- {verdict}")

@@ -19,8 +19,13 @@ from repro.convert import (
     scipy_available,
     unregister_converter,
 )
+from repro.convert import features as features_module
 from repro.formats import COO, CSC, CSR, FormatError
 from repro.storage.build import reference_build
+from repro.storage.tensor import Tensor
+
+from ..support import count_exact_passes
+from ..support.tensorgen import random_tensor_case
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="scipy is not installed"
@@ -46,6 +51,48 @@ def _unsorted_coo(count=80, dims=(24, 24), seed=5):
     return reference_build(
         COO, dims, cells, [1.0 + i for i in range(len(cells))]
     )
+
+
+def _bulk_rows(rows=2000, per_row=60):
+    """Row-major sorted coordinates with ``per_row`` entries in every
+    row: far more adjacent pairs than the feature sample reads."""
+    row = np.repeat(np.arange(rows, dtype=np.int64), per_row)
+    col = np.tile(np.arange(0, 2 * per_row, 2, dtype=np.int64), rows)
+    return (rows, 2 * per_row), row, col
+
+
+def _bulk_coo(row, col, dims):
+    nnz = len(row)
+    return Tensor(
+        COO, dims,
+        {(0, "pos"): np.array([0, nnz]), (0, "crd"): row, (1, "crd"): col},
+        {}, np.arange(1.0, nnz + 1.0),
+    )
+
+
+def _swap_past_the_sample(row, col):
+    """``(row, col)`` with one adjacent in-row swap at a pair the
+    strided feature sample never reads."""
+    row, col = row.copy(), col.copy()
+    cells = features_module._sample(len(row))
+    # pair i lies strictly between the first two sampled runs
+    i = int(cells[0, -1] + cells[1, 0]) // 2
+    while row[i] != row[i + 1]:
+        i += 1
+    col[i], col[i + 1] = col[i + 1], col[i]
+    return row, col
+
+
+def _recorded_kinds(engine, monkeypatch):
+    """The cost-model kind of every hop ``engine`` executes from now on."""
+    kinds = []
+    real = engine.cost_model.observe
+    monkeypatch.setattr(
+        engine.cost_model, "observe",
+        lambda kind, nnz, seconds: kinds.append(kind) or real(
+            kind, nnz, seconds),
+    )
+    return kinds
 
 
 def _assert_bit_identical(out, ref):
@@ -281,6 +328,89 @@ def test_runtime_recheck_falls_back_when_predicate_refuses(engine):
         _assert_bit_identical(out, ref)
     finally:
         unregister_converter(COO, CSR, "sorted-only")
+
+
+@needs_scipy
+def test_inversion_the_sample_skips_is_caught_at_execution(
+    engine, monkeypatch
+):
+    """Past the sample bound the planner may admit scipy's compressor on
+    a stream whose only inversion the sample never read; the exact check
+    where the hop runs refuses it and the generated kernel runs."""
+    dims, row, col = _bulk_rows()
+    tensor = _bulk_coo(*_swap_past_the_sample(row, col), dims)
+    features = sample_features(tensor)
+    assert features.nnz - 1 > features_module._SAMPLE_PAIRS
+    assert features.sortedness == 1.0  # the sample saw no inversion
+    plan = engine.plan(COO, CSR, nnz=tensor.nnz_stored, features=features)
+    assert plan.hops[0].converter == "scipy-coo-csr"
+    kinds = _recorded_kinds(engine, monkeypatch)
+    ref = engine.convert(tensor, CSR, backend="scalar")
+    del kinds[:]
+    _assert_bit_identical(plan.run(tensor), ref)
+    _assert_bit_identical(engine.convert(tensor, CSR), ref)
+    assert len(kinds) == 2
+    assert "external:scipy-coo-csr" not in kinds
+    assert set(kinds) <= {"scalar", "vector", "native"}
+
+
+def test_predicate_is_rechecked_exactly_past_the_sample(engine):
+    def sorted_only(tensor, dst):  # pragma: no cover - must not run
+        raise AssertionError("ran on a stream its predicate refuses")
+
+    register_converter(
+        COO, CSR, sorted_only, filter=lambda f: f.sortedness >= 1.0,
+        weight=1e-9, name="sorted-only",
+    )
+    try:
+        dims, row, col = _bulk_rows()
+        tensor = _bulk_coo(*_swap_past_the_sample(row, col), dims)
+        assert sample_features(tensor).sortedness == 1.0
+        out = engine.convert(tensor, CSR)
+        ref = engine.convert(tensor, CSR, backend="scalar")
+        _assert_bit_identical(out, ref)
+    finally:
+        unregister_converter(COO, CSR, "sorted-only")
+
+
+@needs_scipy
+def test_exact_pass_runs_once_and_only_for_filtered_converters(
+    engine, monkeypatch
+):
+    """Auto CSR->CSC runs scipy's unfiltered transpose with no exact
+    pass; a sorted COO->CSR through the filtered compressor takes one
+    pass, memoized on the tensor."""
+    passes = count_exact_passes(monkeypatch)
+    kinds = _recorded_kinds(engine, monkeypatch)
+    dims, row, col = _bulk_rows()
+    assert len(row) >= 100_000
+    coo = _bulk_coo(row, col, dims)
+    pos = np.arange(0, len(row) + 1, len(row) // dims[0], dtype=np.int64)
+    csr = Tensor(CSR, dims, {(1, "pos"): pos, (1, "crd"): col}, {},
+                 np.arange(1.0, len(row) + 1.0))
+    engine.convert(csr, CSC)
+    assert kinds == ["external:scipy-csr-csc"]
+    assert passes == []
+    engine.convert(coo, CSR)
+    engine.convert(coo, CSR)
+    assert kinds[1:] == ["external:scipy-coo-csr"] * 2
+    assert passes == [coo]
+
+
+@needs_scipy
+def test_fuzz_auto_column_reaches_the_external_converters(tmp_path):
+    """At fuzz sizes only the ``auto`` column (a bulk-sized plan run on
+    the case) reaches scipy's COO compressors: an unsorted case runs
+    its sorted-order twin through them, and both match scalar."""
+    from repro.verify import _run_case
+
+    engine = ConversionEngine()
+    for ordering in ("random", "sorted"):
+        case = random_tensor_case(3, ordering=ordering)
+        failures, ran_external = _run_case(
+            engine, COO, CSR, case, ("auto",), str(tmp_path)
+        )
+        assert failures == {} and ran_external
 
 
 @needs_scipy

@@ -22,7 +22,7 @@ from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.storage.build import reference_build
 
-from ..support import count_feature_samples
+from ..support import count_exact_passes, count_feature_samples
 
 
 HAVE_CC = detect_toolchain() is not None
@@ -210,6 +210,26 @@ def test_pinned_requests_sample_no_features(monkeypatch):
     assert calls == []
     engine.convert(tensor, DIA)
     assert len(calls) == 1
+
+
+def test_pinned_requests_take_no_exact_pass(monkeypatch):
+    """Pinned backends and route="direct" run generated hops only, so
+    neither the planning sample nor the execution-time exact check
+    runs, even for a pair with a filtered converter."""
+    samples = count_feature_samples(monkeypatch)
+    passes = count_exact_passes(monkeypatch)
+    engine = ConversionEngine()
+    rows = np.repeat(np.arange(500, dtype=np.int64), 20)
+    cols = np.tile(np.arange(20, dtype=np.int64), 500)
+    tensor = repro.Tensor(
+        COO, (500, 20),
+        {(0, "pos"): np.array([0, len(rows)]), (0, "crd"): rows,
+         (1, "crd"): cols}, {}, np.ones(len(rows)),
+    )
+    for knobs in ({"backend": "scalar"}, {"backend": "vector"},
+                  {"route": "direct"}):
+        engine.convert(tensor, CSR, **knobs)
+    assert samples == [] and passes == []
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 
 import numpy as np
+import pytest
 
 from repro.convert import StructuralFeatures, default_features, sample_features
 from repro.convert.features import _CACHE_ATTR
-from repro.formats import COO, CSR, HASH
+from repro.formats import COO, CSR, HASH, get_format
 from repro.storage.build import reference_build
 from repro.storage.tensor import Tensor
+
+from ..support.tensorgen import random_tensor_case
 
 
 def _coo(cells, dims=(8, 8)):
@@ -84,6 +87,21 @@ def test_density_and_row_skew():
     assert features.row_skew == 1.5
 
 
+def test_skew_costs_nothing_proportional_to_the_dims():
+    # an unordered stream with coordinates far beyond its size: counting
+    # rows must not allocate one counter per possible row
+    huge = 10**15
+    rows = np.array([huge - 1, 0, huge - 1], dtype=np.int64)
+    tensor = Tensor(
+        COO, (huge, 4),
+        {(0, "pos"): np.array([0, 3]), (0, "crd"): rows,
+         (1, "crd"): np.array([0, 1, 2], dtype=np.int64)},
+        {}, np.ones(3),
+    )
+    # two of three components share the last of 10**15 rows
+    assert sample_features(tensor).row_skew == 2 / (3 / huge)
+
+
 # ----------------------------------------------------------------------
 # memoization
 
@@ -129,3 +147,119 @@ def test_roundtrip_dict():
     features = sample_features(_coo([(0, 0), (2, 1), (1, 7)]))
     assert StructuralFeatures.from_dict(features.to_dict()) == features
     assert "sortedness" in features.describe()
+
+
+# ----------------------------------------------------------------------
+# the execution-time exact check, against the full-scan oracle
+
+
+def _oracle_sortedness(tensor, nnz):
+    """The full O(nnz) scan ``sample_features`` ran before it sampled:
+    kept verbatim as the oracle for the exact check."""
+    streams = [arr for (level, name), arr in sorted(tensor.arrays.items())
+               if name == "crd" and len(arr) == nnz]
+    if nnz < 2 or not streams:
+        return 1.0
+    decided = np.zeros(nnz - 1, dtype=bool)
+    in_order = np.ones(nnz - 1, dtype=bool)
+    invalid = np.zeros(nnz, dtype=bool)
+    for crd in streams:
+        crd = np.asarray(crd)
+        delta = np.diff(crd)
+        fresh = (~decided) & (delta != 0)
+        in_order[fresh] = delta[fresh] > 0
+        decided |= fresh
+        invalid |= crd < 0
+    if invalid.any():
+        in_order &= ~(invalid[1:] | invalid[:-1])
+    best = None
+    for (level, name), arr in sorted(tensor.arrays.items()):
+        if name == "pos" and len(arr) >= 2 and int(arr[-1]) == nnz:
+            best = arr
+    if best is not None:
+        interior = np.asarray(best[1:-1], dtype=np.int64)
+        interior = interior[(interior > 0) & (interior < nnz)]
+        if len(interior):
+            in_order[interior - 1] = True
+    return float(np.count_nonzero(in_order)) / (nnz - 1)
+
+
+def _with_swap(tensor, i):
+    """``tensor`` with stored components ``i`` and ``i + 1`` swapped in
+    every coordinate stream (pos partitions left as they are)."""
+    nnz = tensor.nnz_stored
+    arrays = {}
+    for key, arr in tensor.arrays.items():
+        arr = np.array(arr)
+        if key[1] == "crd" and len(arr) == nnz:
+            arr[[i, i + 1]] = arr[[i + 1, i]]
+        arrays[key] = arr
+    vals = np.array(tensor.vals)
+    return Tensor(tensor.format, tensor.dims, arrays,
+                  dict(tensor.metadata), vals)
+
+
+def _assert_exact_check_matches_oracle(tensor):
+    from repro.convert.features import _exact_features, _stream_sorted
+
+    nnz = tensor.nnz_stored
+    want = _oracle_sortedness(tensor, nnz) >= 1.0
+    assert _stream_sorted(tensor, nnz) == want
+    assert (_exact_features(tensor).sortedness >= 1.0) == want
+    return want
+
+
+@pytest.mark.parametrize("spec", ["COO", "CSR", "CSC", "COO3", "CSF", "HASH"])
+def test_exact_check_matches_full_scan_on_generated_tensors(spec):
+    fmt = get_format(spec)
+    verdicts = set()
+    for seed in range(40):
+        ordering = "sorted" if seed % 3 == 0 else None
+        case = random_tensor_case(
+            seed, order=fmt.order, max_dim=12 if fmt.order == 3 else 24,
+            ordering=ordering,
+        )
+        tensor = reference_build(fmt, case.dims, case.cells, case.vals)
+        # within the bound the sample is the whole stream: exact too
+        assert sample_features(tensor).sortedness == _oracle_sortedness(
+            tensor, tensor.nnz_stored
+        )
+        verdicts.add(_assert_exact_check_matches_oracle(tensor))
+        nnz = tensor.nnz_stored
+        rng = np.random.default_rng(seed)
+        for i in rng.integers(0, max(nnz - 1, 1), size=3 if nnz > 1 else 0):
+            verdicts.add(_assert_exact_check_matches_oracle(
+                _with_swap(tensor, int(i))
+            ))
+    assert verdicts == {True, False} or spec == "HASH"
+
+
+def test_exact_check_matches_full_scan_past_the_sample_bound():
+    from repro.convert.features import _EXACT_CHUNK, _SAMPLE_PAIRS
+
+    rows = np.repeat(np.arange(3000, dtype=np.int64), 50)
+    cols = np.tile(np.arange(50, dtype=np.int64), 3000)
+    nnz = len(rows)
+    assert nnz - 1 > max(_SAMPLE_PAIRS, 2 * _EXACT_CHUNK)
+    coo = Tensor(COO, (3000, 50),
+                 {(0, "pos"): np.array([0, nnz]), (0, "crd"): rows,
+                  (1, "crd"): cols}, {}, np.ones(nnz))
+    csr = Tensor(CSR, (3000, 50),
+                 {(1, "pos"): np.arange(0, nnz + 1, 50), (1, "crd"): cols},
+                 {}, np.ones(nnz))
+    for tensor in (coo, csr):
+        assert _assert_exact_check_matches_oracle(tensor)
+        # inversions at chunk edges, inside a row, and across a row
+        # boundary (a CSR reset, so still sorted there)
+        for i in (0, 49, 1234, _EXACT_CHUNK - 1, _EXACT_CHUNK,
+                  2 * _EXACT_CHUNK + 7, nnz - 2):
+            _assert_exact_check_matches_oracle(_with_swap(tensor, i))
+    # equal coordinates tie in order; a -1 sentinel anywhere does not
+    tied = coo.arrays[(1, "crd")].copy()
+    tied[101] = tied[100]  # two (2, 0) components back to back
+    assert _assert_exact_check_matches_oracle(Tensor(
+        COO, (3000, 50), {**coo.arrays, (1, "crd"): tied}, {}, np.ones(nnz)))
+    hole = cols.copy()
+    hole[nnz // 2] = -1
+    assert not _assert_exact_check_matches_oracle(Tensor(
+        CSR, (3000, 50), {**csr.arrays, (1, "crd"): hole}, {}, np.ones(nnz)))
