@@ -244,14 +244,17 @@ def _cmd_route(args) -> None:
         print(plan.explain())
         # competitor table: every implementation that was priced for each
         # hop's edge, best rank first, with its admission verdict; a
-        # multi-hop plan also shows the direct edge it was chosen over
+        # multi-hop plan also shows the direct edge it was chosen over.
+        # The router prices the compiled kernel on the direct edge only.
         edges = [(hop.src, hop.dst, "") for hop in plan.hops]
         if not plan.is_direct:
             edges.append((plan.src, plan.dst, " (direct edge, not taken)"))
         for src, dst, note in edges:
             print(f"competitors for {src.name} -> {dst.name}{note}:")
+            direct = (src, dst) == (plan.src, plan.dst)
             for cand in engine.converters(src, dst, nnz=plan.nnz):
-                print(f"  {cand.describe()}")
+                if direct or cand.kind != "native":
+                    print(f"  {cand.describe()}")
     else:
         hops = ", ".join(plan.backend_per_hop)
         print(f"{plan} ({hops})")

@@ -22,6 +22,10 @@ It owns everything the old module-level functions kept in hidden globals:
 * **multi-hop routing** (:mod:`repro.convert.router`): ``route="auto"``
   conversions go through a cheaper intermediate when the direct pair only
   lowers to scalar loops (``HASH -> COO -> CSR``), bit-identically;
+* **background native builds**: an auto plan whose cheapest kernel is
+  an unbuilt compiled-C one runs its best built competitor and, at bulk
+  sizes, queues the build on the engine's one builder thread (see
+  :meth:`shutdown`);
 * **per-pair conversion counters** and :meth:`warmup` precompilation.
 
 The module-level :func:`repro.convert.convert` / ``make_converter`` /
@@ -48,7 +52,8 @@ import tempfile
 import threading
 import time
 import warnings
-from collections import OrderedDict
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -88,6 +93,7 @@ from .router import (
     CostModel,
     EdgeCandidate,
     Hop,
+    _pair,
     bridge_for,
     edge_candidates,
     find_route,
@@ -98,6 +104,20 @@ from .router import (
 #: so a layout change simply stops hitting old records instead of
 #: misreading them.
 KERNEL_CACHE_SCHEMA = 1
+
+#: Set once the interpreter starts exiting: no native builder starts after.
+_EXITING = False
+
+
+def _release_native_dir(engine_ref, path: str) -> None:
+    """At interpreter exit: stop the engine's background native builds
+    (so no ``cc`` is left writing into ``path``), then remove ``path``."""
+    global _EXITING
+    _EXITING = True
+    engine = engine_ref()
+    if engine is not None:
+        engine.shutdown()
+    shutil.rmtree(path, ignore_errors=True)
 
 _CODEGEN_FINGERPRINT: Optional[str] = None
 _FINGERPRINT_LOCK = threading.Lock()
@@ -283,11 +303,25 @@ class ConversionEngine:
         )
         self._converters: "OrderedDict[Tuple, CompiledConversion]" = OrderedDict()
         self._routes: Dict[Tuple, ConversionPlan] = {}
-        #: (cost-model version, converter-registry version) the cached
-        #: routes were planned at; a bump in either — measured rates
-        #: changed meaningfully, or a converter was (un)registered —
-        #: drops them all
-        self._routes_version = (self.cost_model.version, registry_version())
+        #: bumped whenever a native conversion kernel enters or leaves
+        #: the kernel cache: the router prices only built native kernels
+        self._native_generation = 0
+        #: (cost-model version, converter-registry version, native
+        #: generation) the cached routes were planned at; a bump in any —
+        #: measured rates changed meaningfully, a converter was
+        #: (un)registered, a native kernel landed — drops them all
+        self._routes_version = (self.cost_model.version, registry_version(), 0)
+        #: background native builds: the FIFO of queued kernels, every
+        #: key queued or building (so a kernel is queued once), keys
+        #: whose build failed (those pairs stay on their Python kernels),
+        #: the builder thread (None while idle), and an event set while
+        #: nothing is queued or building
+        self._build_queue: deque = deque()
+        self._native_pending: set = set()
+        self._native_failed: set = set()
+        self._builder: Optional[threading.Thread] = None
+        self._builds_idle = threading.Event()
+        self._builds_idle.set()
         self._pair_counts: Dict[Tuple[str, str], int] = {}
         self._stats = {
             "requests": 0,
@@ -508,9 +542,13 @@ class ConversionEngine:
                 with self._lock:
                     self._kernels[kernel_key] = entry
                     self._kernels.move_to_end(kernel_key)
+                    if resolved == "native" and plan_fn is None:
+                        self._native_generation += 1
                     while len(self._kernels) > self.capacity:
-                        self._kernels.popitem(last=False)
+                        evicted, _ = self._kernels.popitem(last=False)
                         self._stats["evictions"] += 1
+                        if evicted[-1] == "native" and evicted[0] != "compute":
+                            self._native_generation += 1
                 return entry
             finally:
                 with self._lock:
@@ -526,9 +564,77 @@ class ConversionEngine:
             if self._native_dir is None:
                 self._native_dir = tempfile.mkdtemp(prefix="repro-native-")
                 atexit.register(
-                    shutil.rmtree, self._native_dir, ignore_errors=True
+                    _release_native_dir, weakref.ref(self), self._native_dir
                 )
             return self._native_dir
+
+    @staticmethod
+    def _native_key(src: Format, dst: Format, options: PlanOptions) -> Tuple:
+        """The kernel-cache key of a pair's native conversion kernel."""
+        return (structural_key(src), structural_key(dst), options.key(),
+                "native")
+
+    def _build_native(self, hop: Hop, options: PlanOptions) -> None:
+        """Build (or disk-load) ``hop``'s native kernel into the kernel
+        cache — its landing bumps the route-cache version — or remember
+        the failure (with one warning), which keeps the pair on its
+        Python kernel."""
+        key = self._native_key(hop.src, hop.dst, options)
+        try:
+            self._obtain_kernel(key, hop.src, hop.dst, options, "native")
+        except Exception as exc:  # the builder must outlive any one kernel
+            with self._lock:
+                self._native_failed.add(key)
+            warnings.warn(
+                f"building the native {hop.src.name} -> {hop.dst.name} "
+                f"kernel failed ({exc!r}); the pair stays on its Python "
+                "kernel",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def _queue_native(self, hops: Sequence[Hop], options: PlanOptions) -> None:
+        """Queue background builds of ``hops``' native kernels (skipping
+        built, queued and failed ones) and start the builder if idle.
+        The request that asks returns without waiting for any of them."""
+        if _EXITING:
+            return
+        with self._lock:
+            for hop in hops:
+                key = self._native_key(hop.src, hop.dst, options)
+                if (
+                    key in self._kernels
+                    or key in self._native_pending
+                    or key in self._native_failed
+                ):
+                    continue
+                self._native_pending.add(key)
+                self._build_queue.append((key, hop, options))
+                self._builds_idle.clear()
+            if self._build_queue and self._builder is None:
+                # the scratch directory's exit hook stops this builder
+                # before it removes the directory, so create it first
+                self._native_build_dir()
+                self._builder = threading.Thread(
+                    target=self._run_builder, name="repro-native-builder",
+                    daemon=True,
+                )
+                self._builder.start()
+
+    def _run_builder(self) -> None:
+        """The builder thread: one queued kernel at a time, then exit."""
+        while True:
+            with self._lock:
+                if not self._build_queue:
+                    self._builder = None
+                    self._builds_idle.set()
+                    return
+                key, hop, options = self._build_queue.popleft()
+            try:
+                self._build_native(hop, options)
+            finally:
+                with self._lock:
+                    self._native_pending.discard(key)
 
     def _native_load(self, so_path: str, generated: "GeneratedConversion"):
         """dlopen ``so_path`` through a unique private copy.
@@ -733,7 +839,11 @@ class ConversionEngine:
         compile`): with ``routes=True`` (default) the plan ``convert``
         would run at bulk size, routed hops included, so the first routed
         conversion pays no compile either; ``routes=False`` compiles the
-        direct conversion only.  Returns the number of pairs warmed.
+        direct conversion only.  Native kernels the router would rather
+        run at bulk size are built here, synchronously, so a warmed
+        engine plans them from its first request (a conversion on a
+        cold engine builds them in the background instead).  Returns
+        the number of pairs warmed.
 
         Example::
 
@@ -741,15 +851,31 @@ class ConversionEngine:
         """
         resolved = [(get_format(src), get_format(dst)) for src, dst in pairs]
         for src, dst in resolved:
-            self.plan(
-                src, dst, options=options, backend=backend,
-                route=None if routes else "direct",
-            ).compile()
+            # the second pass compiles the plan the built kernels win
+            for _ in range(2):
+                plan = self.plan(
+                    src, dst, options=options, backend=backend,
+                    route=None if routes else "direct",
+                )
+                plan.compile()
+                if not plan._pending:
+                    break
+                for hop in plan._pending:
+                    self._build_native(hop, plan.options)
         return len(resolved)
 
     def shutdown(self) -> None:
-        """A no-op, kept so callers that release engines keep working:
-        the engine owns no threads.  Idempotent."""
+        """Stop background native builds: drop the queued ones and wait
+        for the one in progress.  The engine stays usable (a later bulk
+        conversion queues builds again).  Idempotent and thread-safe; it
+        also runs at interpreter exit."""
+        with self._lock:
+            for key, _, _ in self._build_queue:
+                self._native_pending.discard(key)
+            self._build_queue.clear()
+            builder = self._builder
+        if builder is not None and builder is not threading.current_thread():
+            builder.join()
 
     # -- cost-model persistence -----------------------------------------
     def save_cost_model(self, path: Union[str, os.PathLike]) -> None:
@@ -805,8 +931,12 @@ class ConversionEngine:
             max(nnz, 1).bit_length(),
             features.key() if features is not None else None,
             native_ok,
+            nnz >= self.cost_model.min_nnz,
         )
-        version = (self.cost_model.version, registry_version())
+        version = (
+            self.cost_model.version, registry_version(),
+            self._native_generation,
+        )
         with self._lock:
             if version != self._routes_version:
                 self._routes.clear()
@@ -821,6 +951,7 @@ class ConversionEngine:
                 nnz=nnz,
                 features=features,
                 native_ok=native_ok,
+                native_ready=self._native_ready(options),
             ), engine=self)
             with self._lock:
                 self._routes[key] = route
@@ -852,14 +983,22 @@ class ConversionEngine:
             for cand in engine.converters("COO", "CSR"):
                 print(cand.describe())
         """
+        options = options or self.options
         return edge_candidates(
             get_format(src_format),
             get_format(dst_format),
-            options or self.options,
+            options,
             self.cost_model,
             nnz,
             features,
             native_ok=self.toolchain() is not None,
+            native_ready=self._native_ready(options),
+        )
+
+    def _native_ready(self, options: PlanOptions) -> Callable[[Format, Format], bool]:
+        """The router's "is this pair's native kernel built?" predicate."""
+        return lambda src, dst: (
+            self._native_key(src, dst, options) in self._kernels
         )
 
     # -- hop observation -------------------------------------------------
@@ -927,7 +1066,7 @@ class ConversionEngine:
             started = time.perf_counter()
             source, tensor = tensor, run(tensor)
             elapsed = time.perf_counter() - started
-            self.cost_model.observe(kind, nnz, elapsed)
+            self.cost_model.observe(kind, nnz, elapsed, _pair(hop))
             self._notify_hop(hop, source, tensor, options, elapsed)
         return tensor
 
@@ -1082,6 +1221,8 @@ class ConversionEngine:
             raise ValueError(
                 f"plan starts at {plan.src.name}, got {tensor.format.name}"
             )
+        if plan._pending and tensor.nnz_stored >= self.cost_model.min_nnz:
+            self._queue_native(plan._pending, plan.options)
         if plan.conversion_hops:
             tensor = self._execute_hops(
                 plan.conversion_hops, tensor, plan.options, plan.routed,
@@ -1102,7 +1243,8 @@ class ConversionEngine:
             result = kernel(tensor, x=x, alpha=alpha)
         elapsed = time.perf_counter() - started
         self.cost_model.observe(
-            plan.terminal.kind, tensor.nnz_stored, elapsed
+            plan.terminal.kind, tensor.nnz_stored, elapsed,
+            _pair(plan.terminal),
         )
         with self._lock:
             self._stats["compute_runs"] += 1
@@ -1337,12 +1479,13 @@ class ConversionEngine:
                 hops=conversion.hops[:-1] + (Hop(pivot, dst, "fused"),),
             )
             if fuse == "auto":
-                # seeds never select fusion: require measured fused
-                # timings (and a measured win) before skipping
-                # materialization
+                # seeds never select fusion: require this pair's
+                # measured fused timings (and a measured win) before
+                # skipping materialization
                 model = self.cost_model
                 measured = (
-                    model.observation_count("fused") >= model.min_observations
+                    model.observation_count("fused", _pair(fused.terminal))
+                    >= model.min_observations
                 )
                 fuse = (
                     "fused"

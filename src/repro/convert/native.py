@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from ..formats.format import Format
 from ..ir.native import NativeUnsupported, emit_c
+from .context import PlanError
 from .planner import (
     ConversionPlanner,
     GeneratedConversion,
@@ -105,10 +106,11 @@ def native_capable(
 ) -> bool:
     """True when the pair's scalar plan lowers to C (shares the plan memo
     with :func:`plan_native`, so a positive check does the planning work
-    exactly once)."""
+    exactly once).  A pair with no scalar plan at all (e.g. a source
+    format without an inverse mapping) is not native-capable either."""
     try:
         plan_native(src_format, dst_format, options)
-    except NativeUnsupported:
+    except (NativeUnsupported, PlanError):
         return False
     return True
 

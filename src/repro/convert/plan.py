@@ -48,7 +48,7 @@ from .context import PlanError
 from .converters import converter_named
 from .features import StructuralFeatures
 from .planner import PlanOptions, structural_key
-from .router import HOP_KIND_DETAIL, Hop
+from .router import HOP_KIND_DETAIL, Hop, _pair, key_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..compute.ops import ComputeOp
@@ -71,13 +71,6 @@ PLAN_SCHEMA = 3
 
 #: Hop kinds that run a compute plan's op; only the last hop may be one.
 TERMINAL_KINDS = ("fused", "compute")
-
-
-def key_to_json(key) -> List:
-    """A structural key (nested tuples) as JSON-compatible nested lists."""
-    if isinstance(key, tuple):
-        return [key_to_json(item) for item in key]
-    return key
 
 
 def format_record(fmt: Format) -> Dict:
@@ -123,6 +116,7 @@ def _hop_cost_kind(hop: Hop) -> str:
     return f"external:{hop.converter}" if hop.kind == "external" else hop.kind
 
 
+
 @dataclass(frozen=True)
 class ConversionPlan:
     """A complete, replayable conversion decision.
@@ -156,6 +150,12 @@ class ConversionPlan:
     #: Resolved lowering backend of the terminal op's kernel.
     backend: Optional[str] = None
     engine: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Native hops the router preferred but whose kernels were not built
+    #: when it planned (see :func:`~repro.convert.router.find_route`):
+    #: running the plan on at least ``cost_model.min_nnz`` stored
+    #: components queues their builds off the request path.  Not
+    #: serialized: a replayed plan runs exactly its hops.
+    _pending: Tuple[Hop, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hops:
@@ -236,7 +236,7 @@ class ConversionPlan:
         nnz = self.nnz if nnz is None else int(nnz)
         model = self._engine().cost_model
         return sum(
-            model.cost(_hop_cost_kind(hop), nnz)
+            model.cost(_hop_cost_kind(hop), nnz, _pair(hop))
             for hop in self.hops
         )
 
@@ -297,7 +297,9 @@ class ConversionPlan:
             lines.append(f"  structural features: {self.features.describe()}")
         model = self._engine().cost_model
         for n, hop in enumerate(self.hops, 1):
-            cost, provenance = model.cost_detail(_hop_cost_kind(hop), self.nnz)
+            cost, provenance = model.cost_detail(
+                _hop_cost_kind(hop), self.nnz, _pair(hop)
+            )
             if hop.kind == "external":
                 what = (
                     f"registered converter {hop.converter!r} won this edge"

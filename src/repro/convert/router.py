@@ -65,7 +65,9 @@ SEEDED = "seeded"
 MEASURED = "measured"
 
 #: Schema version of persisted cost-model files (``CostModel.save``).
-COST_MODEL_SCHEMA = 1
+#: Schema 2 keys each measured rate by (kind, structural pair); a
+#: schema-1 file (one rate per kind) loads its seeds only.
+COST_MODEL_SCHEMA = 2
 
 #: EWMA smoothing factor for measured per-nonzero rates: each observation
 #: contributes a quarter, so one outlier conversion cannot flip a route.
@@ -74,6 +76,33 @@ EWMA_ALPHA = 0.25
 #: Relative drift of a measured rate that republishes it (bumping
 #: :attr:`CostModel.version` so engines drop their cached routes).
 PUBLISH_DRIFT = 0.25
+
+#: The generated-code kinds, in the order a pair's seeds are calibrated
+#: from their measured rates (:meth:`CostModel.cost_detail`).
+_GENERATED = ("native", "vector", "scalar")
+
+
+def key_to_json(key) -> List:
+    """A structural key (nested tuples) as JSON-compatible nested lists."""
+    if isinstance(key, tuple):
+        return [key_to_json(item) for item in key]
+    return key
+
+
+def _key_from_json(value):
+    """Inverse of :func:`key_to_json`."""
+    if isinstance(value, list):
+        return tuple(_key_from_json(item) for item in value)
+    return value
+
+
+def _format_name(key: Tuple) -> str:
+    """The registry name of the first registered format with structural
+    key ``key`` (``"?"`` when none is registered)."""
+    for name, fmt in available_formats().items():
+        if structural_key(fmt) == key:
+            return name
+    return "?"
 
 
 @dataclass
@@ -88,12 +117,17 @@ class CostModel:
     tensors stay direct.
 
     On top of the seeds the model keeps a **measured** table: the engine
-    records the wall time of every executed hop (:meth:`observe`) into a
-    per-kind EWMA of the per-nonzero rate.  Once a kind has at least
-    ``min_observations`` recordings, :meth:`cost` prefers the measured
-    rate over the seeded one — routing decisions then reflect *this*
-    host — and ``ConversionPlan.explain()`` labels each edge ``seeded``
-    or ``measured``.  Models persist to JSON (:meth:`save` / :meth:`load`).
+    records the wall time of every executed hop (:meth:`observe`) into an
+    EWMA of the per-nonzero rate, one per (kind, structural pair) — the
+    hop's ``(structural_key(src), structural_key(dst))``, because one
+    kind's rate varies far more across pairs than across kinds.  Once a
+    pair's rate has at least ``min_observations`` recordings,
+    :meth:`cost` prefers it over the kind's seed — routing decisions then
+    reflect *this* host — and ``ConversionPlan.explain()`` labels each
+    edge ``seeded`` or ``measured``.  A pair with no history of a kind
+    is priced at the kind's seed (scaled by the pair's own measured
+    generated backends, see :meth:`cost_detail`), never at another
+    pair's rate.  Models persist to JSON (:meth:`save` / :meth:`load`).
     """
 
     scalar_per_nnz: float = 1.5e-6
@@ -117,19 +151,19 @@ class CostModel:
     #: conversion rate (the gather plus the op's reduction); the
     #: ``compute`` kind prices the op alone over an already-materialized
     #: tensor.  Seeds never *select* fusion: the fusion planner requires
-    #: ``min_observations`` measured ``fused`` timings before it will
-    #: prefer a fused hop (see ``ConversionEngine.plan_compute``).
+    #: ``min_observations`` measured ``fused`` timings of the pair before
+    #: it will prefer a fused hop (see ``ConversionEngine.plan_compute``).
     fused_per_nnz: float = 5.0e-8
     compute_per_nnz: float = 2.5e-8
-    #: Observations of a kind required before measured rates take over.
+    #: Observations of a pair required before its measured rate takes over.
     min_observations: int = 3
     #: Smallest hop size (stored components) worth recording: below this,
     #: fixed per-call overhead dominates and extrapolating a per-nonzero
     #: rate from it would wildly misprice bulk conversions.
     min_nnz: int = 4096
-    #: Measured per-kind state, restored by :meth:`load` — normally left
-    #: to default and filled through :meth:`observe`.
-    measured: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Measured state per ``(kind, pair)``, restored by :meth:`load` —
+    #: normally left to default and filled through :meth:`observe`.
+    measured: Dict[Tuple, Dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -139,23 +173,26 @@ class CostModel:
         #: restored sub-threshold entry must still bump the version when
         #: it later reaches the threshold (cost_detail flips provenance
         #: at that point, so cached routes must be re-planned).
-        self._published: Dict[str, float] = {
-            kind: entry["rate"]
-            for kind, entry in self.measured.items()
+        self._published: Dict[Tuple, float] = {
+            key: entry["rate"]
+            for key, entry in self.measured.items()
             if entry.get("count", 0) >= self.min_observations
         }
         self._version = 0
+        #: per-nonzero rates of each key's first ``min_observations``
+        #: timings, until its rate first publishes
+        self._first: Dict[Tuple, List[float]] = {}
 
     # -- measured rates --------------------------------------------------
     @property
     def version(self) -> int:
         """Monotonic counter of *meaningful* measured-rate changes.
 
-        Bumped when a kind first reaches ``min_observations`` and
-        whenever its EWMA rate drifts more than ``PUBLISH_DRIFT`` from
-        the last published value.  The engine keys its route cache on
-        this, so routes are re-planned exactly when measurements could
-        change them.
+        Bumped when one pair's rate first reaches ``min_observations``
+        and whenever it drifts more than ``PUBLISH_DRIFT`` from its last
+        published value.  The engine keys its route cache on this, so
+        routes are re-planned exactly when measurements could change
+        them.
         """
         with self._lock:
             return self._version
@@ -169,13 +206,17 @@ class CostModel:
             else self.hop_overhead
         )
 
-    def observe(self, kind: str, nnz: int, seconds: float) -> None:
+    def observe(self, kind: str, nnz: int, seconds: float,
+                pair: Optional[Tuple] = None) -> None:
         """Record the measured wall time of one executed hop.
 
         ``kind`` is the hop kind (``scalar``/``vector``/``bridge``/...,
-        ``external:<name>`` per converter).  The per-nonzero
-        rate (after subtracting the fixed ``hop_overhead``) feeds a
-        per-kind EWMA; degenerate observations are ignored — fewer than
+        ``external:<name>`` per converter) and ``pair`` the hop's
+        ``(structural_key(src), structural_key(dst))``.  The per-nonzero
+        rate (after subtracting the fixed ``hop_overhead``) feeds that
+        pair's EWMA, which first publishes at the median of the pair's
+        first ``min_observations`` rates; degenerate observations are
+        ignored — fewer than
         ``min_nnz`` stored components, non-positive time, or a hop faster
         than ``hop_overhead`` (such timings carry no throughput signal,
         and recording them as a zero rate would pin the measured cost of
@@ -185,79 +226,131 @@ class CostModel:
         if nnz < max(self.min_nnz, 1) or seconds <= overhead:
             return
         rate = (seconds - overhead) / nnz
+        key = (kind, pair)
         with self._lock:
-            entry = self.measured.get(kind)
+            entry = self.measured.get(key)
             if entry is None:
                 entry = {"rate": rate, "count": 0}
-                self.measured[kind] = entry
+                self.measured[key] = entry
             else:
                 entry["rate"] += EWMA_ALPHA * (rate - entry["rate"])
             entry["count"] += 1
-            if entry["count"] < self.min_observations:
-                return
-            published = self._published.get(kind)
+            if entry["count"] <= self.min_observations:
+                first = self._first.setdefault(key, [])
+                first.append(rate)
+                if entry["count"] < self.min_observations:
+                    return
+                if len(first) == self.min_observations:
+                    # publish the median of the first timings: one cold
+                    # run (first-touch page faults, a build on the other
+                    # core) must not skew the rate later drift is
+                    # measured against
+                    entry["rate"] = float(np.median(first))
+                del self._first[key]
+            published = self._published.get(key)
             drifted = (
                 published is None
                 or abs(entry["rate"] - published)
                 > PUBLISH_DRIFT * max(published, 1e-12)
             )
             if drifted:
-                self._published[kind] = entry["rate"]
+                self._published[key] = entry["rate"]
                 self._version += 1
 
-    def observation_count(self, kind: str) -> int:
-        """Recorded observations of ``kind``."""
+    def observation_count(self, kind: str,
+                          pair: Optional[Tuple] = None) -> int:
+        """Recorded observations of ``kind`` on ``pair`` (with no pair:
+        summed over every pair of the kind)."""
         with self._lock:
-            entry = self.measured.get(kind)
-            return int(entry["count"]) if entry else 0
+            if pair is not None:
+                entry = self.measured.get((kind, pair))
+                return int(entry["count"]) if entry else 0
+            return sum(
+                int(entry["count"])
+                for (measured_kind, _), entry in self.measured.items()
+                if measured_kind == kind
+            )
 
-    def _measured_rate(self, kind: str) -> Optional[float]:
+    def _measured_rate(self, kind: str,
+                       pair: Optional[Tuple]) -> Optional[float]:
         with self._lock:
-            entry = self.measured.get(kind)
+            entry = self.measured.get((kind, pair))
             if entry is None or entry["count"] < self.min_observations:
                 return None
             return float(entry["rate"])
 
     # -- estimates -------------------------------------------------------
-    def cost(self, kind: str, nnz: int) -> float:
+    def cost(self, kind: str, nnz: int, pair: Optional[Tuple] = None) -> float:
         """Estimated seconds for one hop of ``kind`` over ``nnz`` components.
 
-        Kinds with at least ``min_observations`` recorded timings use the
-        measured rate (see :meth:`cost_detail` for the provenance).
-        ``kind`` may be ``"external:<name>"`` for a registered converter
-        (seeded at the shared external rate, measured per converter).
+        A ``pair`` with at least ``min_observations`` recorded timings of
+        the kind uses its measured rate (see :meth:`cost_detail` for the
+        provenance).  ``kind`` may be ``"external:<name>"`` for a
+        registered converter (seeded at the shared external rate).
         """
-        return self.cost_detail(kind, nnz)[0]
+        return self.cost_detail(kind, nnz, pair)[0]
 
-    def cost_detail(self, kind: str, nnz: int) -> Tuple[float, str]:
+    def _seed(self, kind: str) -> float:
+        if kind.startswith("external"):
+            return self.external_per_nnz
+        return {
+            "scalar": self.scalar_per_nnz,
+            "vector": self.vector_per_nnz,
+            "bridge": self.bridge_per_nnz,
+            "native": self.native_per_nnz,
+            "fused": self.fused_per_nnz,
+            "compute": self.compute_per_nnz,
+        }[kind]
+
+    def cost_detail(self, kind: str, nnz: int,
+                    pair: Optional[Tuple] = None) -> Tuple[float, str]:
         """``(estimated seconds, provenance)`` for one hop — provenance is
-        ``"measured"`` when the kind's measured EWMA rate is trusted
-        (enough observations), ``"seeded"`` otherwise.
+        ``"measured"`` when the pair's measured EWMA rate of the kind is
+        trusted (enough observations), ``"seeded"`` otherwise.
+
+        A pair without history of its own takes the kind's seed — never
+        another pair's rate.  The generated backends (``scalar`` /
+        ``vector`` / ``native``) run the same passes over the same
+        structure, so once one of them is measured on the pair, the
+        others' seeds are scaled by its measured-to-seed ratio: a pair
+        whose native kernel runs 6x its seed does not price its vector
+        kernel at the vector seed.
         """
         overhead = self._overhead(kind)
-        rate = self._measured_rate(kind)
+        rate = self._measured_rate(kind, pair)
         if rate is not None:
             return rate * max(int(nnz), 0) + overhead, MEASURED
-        if kind.startswith("external"):
-            per_nnz = self.external_per_nnz
-        else:
-            per_nnz = {
-                "scalar": self.scalar_per_nnz,
-                "vector": self.vector_per_nnz,
-                "bridge": self.bridge_per_nnz,
-                "native": self.native_per_nnz,
-                "fused": self.fused_per_nnz,
-                "compute": self.compute_per_nnz,
-            }[kind]
+        per_nnz = self._seed(kind)
+        if kind in _GENERATED:
+            for sibling in _GENERATED:  # ``kind`` itself is unmeasured
+                measured = self._measured_rate(sibling, pair)
+                if measured is not None:
+                    per_nnz *= measured / self._seed(sibling)
+                    break
         return per_nnz * max(int(nnz), 0) + overhead, SEEDED
 
     # -- persistence -----------------------------------------------------
     def to_dict(self) -> Dict:
-        """JSON-serializable snapshot (seeds + measured table)."""
+        """JSON-serializable snapshot (seeds + measured table).  Each
+        measured entry carries its kind, its pair's registry names and
+        structural keys (``pair`` is ``None`` for a pairless record),
+        and its rate and count."""
         with self._lock:
-            measured = {
-                kind: dict(entry) for kind, entry in self.measured.items()
-            }
+            entries = [
+                (kind, pair, dict(entry))
+                for (kind, pair), entry in self.measured.items()
+            ]
+        measured = []
+        for kind, pair, entry in entries:
+            record = {"kind": kind, "pair": None, **entry}
+            if pair is not None:
+                record["pair"] = [
+                    {"name": _format_name(key),
+                     "structural_key": key_to_json(key)}
+                    for key in pair
+                ]
+            measured.append(record)
+        measured.sort(key=lambda r: (r["kind"], json.dumps(r["pair"])))
         return {
             "schema": COST_MODEL_SCHEMA,
             "kind": "repro-cost-model",
@@ -296,9 +389,10 @@ class CostModel:
         """Load a model from ``path``.
 
         Accepts a file written by :meth:`save` (seeds + measured table
-        restored exactly).  Anything else — unreadable, not JSON, or JSON
-        of another kind — degrades to the default model with a single
-        warning.
+        restored exactly).  A schema-1 file (rates kept per kind) loads
+        its seeds only, with a single warning.  Anything else —
+        unreadable, not JSON, or JSON of another kind — degrades to the
+        default model with a single warning.
         """
         try:
             with open(path) as handle:
@@ -341,16 +435,31 @@ class CostModel:
                 ),
                 min_nnz=int(data.get("min_nnz", cls.min_nnz)),
             )
-            for kind, entry in dict(data.get("measured", {})).items():
-                if kind == "chunked":
-                    continue  # files from before the chunked executor's deletion
-                model.measured[str(kind)] = {
-                    "rate": float(entry["rate"]),
-                    "count": int(entry["count"]),
+            if data.get("schema") != COST_MODEL_SCHEMA:
+                warnings.warn(
+                    f"cost-model file {origin!r} has schema "
+                    f"{data.get('schema')!r}: its measured rates are not "
+                    f"kept per structural pair (schema {COST_MODEL_SCHEMA}),"
+                    " so only its seeds load",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                return model
+            for record in data.get("measured", []):
+                pair = record["pair"]
+                if pair is not None:
+                    pair = tuple(
+                        _key_from_json(side["structural_key"]) for side in pair
+                    )
+                    if len(pair) != 2:
+                        raise ValueError(f"pair of {len(pair)} formats")
+                model.measured[(str(record["kind"]), pair)] = {
+                    "rate": float(record["rate"]),
+                    "count": int(record["count"]),
                 }
             model.__post_init__()  # republish the restored measured rates
             return model
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             warnings.warn(
                 f"malformed cost-model file {origin!r} ({exc}); "
                 "using the default seeds",
@@ -463,8 +572,14 @@ class Hop:
         return f"{self.src.name} -> {self.dst.name} [{label}]"
 
 
+def _pair(hop: Hop) -> Tuple[Tuple, Tuple]:
+    """The structural pair a hop's measured rates are keyed by."""
+    return (structural_key(hop.src), structural_key(hop.dst))
+
+
 def _candidate_intermediates(src: Format, dst: Format) -> List[Format]:
-    """Registered formats eligible as intermediates for (src, dst)."""
+    """Registered formats eligible as intermediates for (src, dst): same
+    order, a conversion source, and able to hold any tensor."""
     skip = {structural_key(src), structural_key(dst)}
     seen = set(skip)
     out: List[Format] = []
@@ -473,7 +588,9 @@ def _candidate_intermediates(src: Format, dst: Format) -> List[Format]:
         if key in seen:
             continue
         seen.add(key)
-        if fmt.order != src.order or fmt.inverse is None:
+        if fmt.order != src.order or fmt.inverse is None or not all(
+            level.holds_any_coordinate for level in fmt.levels
+        ):
             continue
         out.append(fmt)
     return out
@@ -488,7 +605,9 @@ class EdgeCandidate:
     then name, so equal-cost competitors always resolve the same way.
     Rejected candidates (``admitted=False``: their runtime predicate
     refused the tensor's features) are kept for introspection but never
-    selected.
+    selected.  An unbuilt native kernel (``built=False``) is priced and
+    listed but not selected either: its edge takes the best built
+    candidate while the kernel builds off the request path.
     """
 
     name: str
@@ -498,6 +617,7 @@ class EdgeCandidate:
     weight: float = 1.0
     admitted: bool = True
     converter: Optional[str] = None
+    built: bool = True
 
     @property
     def rank(self) -> Tuple[float, float, str]:
@@ -505,6 +625,8 @@ class EdgeCandidate:
 
     def describe(self) -> str:
         verdict = "" if self.admitted else " (rejected by predicate)"
+        if not self.built:
+            verdict += " (not built)"
         return (
             f"{self.name} [{self.kind}] est {self.cost * 1e3:.3f} ms "
             f"weight {self.weight:g} ({self.provenance}){verdict}"
@@ -519,52 +641,60 @@ def edge_candidates(
     nnz: Optional[int] = None,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
+    native_ready: Optional[Callable[[Format, Format], bool]] = None,
 ) -> List[EdgeCandidate]:
     """Every competitor for the single edge ``src -> dst``, priced at
     ``nnz`` stored components and sorted best rank first (admitted
-    candidates before rejected ones).
+    candidates before rejected ones, built before unbuilt), so the first
+    one is the one the edge takes.
 
     The generated kernel is always present and always admitted — it is
     the fallback when every registered competitor's predicate refuses.
     Bridges and registered converters replay the *default* code shapes,
     so non-default :class:`PlanOptions` leave only the generated kernel.
-    ``native_ok`` adds the compiled-C kernel as a competitor for pairs it
-    supports, but only once the host has *measured* native timings
-    (``min_observations`` recordings) — an automatic route never invokes
-    the C compiler on the strength of a seed alone.
+    ``native_ok`` (a working C toolchain) adds the compiled-C kernel for
+    pairs it supports, priced at the native seed until the pair has
+    measured native timings of its own.  Like fusion, a seed alone never
+    displaces a registered converter: while a registered converter
+    admits the tensor, native competes only on its pair's measured rate.
+    ``native_ready(src, dst)`` says whether the pair's native kernel is
+    built (without it, every one counts as built); an unbuilt kernel is
+    listed with ``built=False``, and only at ``nnz >=
+    cost_model.min_nnz``, the sizes whose runs queue its build.  Pricing
+    never invokes the C compiler.
     """
     src = get_format(src)
     dst = get_format(dst)
     options = options or PlanOptions()
     model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
+    pair = (structural_key(src), structural_key(dst))
 
     generated = resolve_backend(src, dst, options, "auto")
-    cost, provenance = model.cost_detail(generated, nnz)
+    cost, provenance = model.cost_detail(generated, nnz, pair)
     out = [
         EdgeCandidate(
             name=f"generated-{generated}", kind=generated,
             cost=cost, provenance=provenance,
         )
     ]
-    if (
-        native_ok
-        and model.observation_count("native") >= model.min_observations
-    ):
+    native = None
+    if native_ok:
         from .native import native_capable
 
-        if native_capable(src, dst, options):
-            cost, provenance = model.cost_detail("native", nnz)
-            out.append(
-                EdgeCandidate(
-                    name="generated-native", kind="native",
-                    cost=cost, provenance=provenance,
-                )
+        built = native_ready is None or native_ready(src, dst)
+        if built or (
+            nnz >= model.min_nnz and native_capable(src, dst, options)
+        ):
+            cost, provenance = model.cost_detail("native", nnz, pair)
+            native = EdgeCandidate(
+                name="generated-native", kind="native",
+                cost=cost, provenance=provenance, built=built,
             )
     if options.key() == PlanOptions().key():
         bridge = bridge_for(src)
-        if bridge is not None and structural_key(bridge[0]) == structural_key(dst):
-            cost, provenance = model.cost_detail("bridge", nnz)
+        if bridge is not None and structural_key(bridge[0]) == pair[1]:
+            cost, provenance = model.cost_detail("bridge", nnz, pair)
             out.append(
                 EdgeCandidate(
                     name="bridge", kind="bridge",
@@ -572,7 +702,9 @@ def edge_candidates(
                 )
             )
         for conv in converters_for(src, dst):
-            cost, provenance = model.cost_detail(f"external:{conv.name}", nnz)
+            cost, provenance = model.cost_detail(
+                f"external:{conv.name}", nnz, pair
+            )
             out.append(
                 EdgeCandidate(
                     name=conv.name, kind="external",
@@ -581,27 +713,13 @@ def edge_candidates(
                     converter=conv.name,
                 )
             )
-    out.sort(key=lambda cand: (not cand.admitted,) + cand.rank)
-    return out
-
-
-def _edge_choice(
-    src: Format,
-    dst: Format,
-    options: PlanOptions,
-    model: CostModel,
-    nnz: int,
-    features: Optional[StructuralFeatures],
-    native_ok: bool = False,
-) -> EdgeCandidate:
-    """The winning competitor for one edge (the generated kernel is
-    always admitted, so a winner always exists)."""
-    for candidate in edge_candidates(
-        src, dst, options, model, nnz, features, native_ok
+    if native is not None and (
+        native.provenance == MEASURED
+        or not any(c.kind == "external" and c.admitted for c in out)
     ):
-        if candidate.admitted:
-            return candidate
-    raise AssertionError("edge_candidates lost the generated kernel")
+        out.append(native)
+    out.sort(key=lambda cand: (not cand.admitted, not cand.built) + cand.rank)
+    return out
 
 
 def find_route(
@@ -614,6 +732,7 @@ def find_route(
     intermediates: Optional[Sequence[Format]] = None,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
+    native_ready: Optional[Callable[[Format, Format], bool]] = None,
 ) -> "ConversionPlan":
     """Find the cheapest conversion path from ``src`` to ``dst``, as the
     :class:`~repro.convert.plan.ConversionPlan` that runs it.
@@ -632,8 +751,13 @@ def find_route(
     converters do not honour.
 
     ``native_ok`` (set by the engine when a working C toolchain was
-    detected) lets edges take the compiled-C kernel, subject to the
-    measured-gating described in :func:`edge_candidates`.
+    detected) lets edges take the compiled-C kernel, and
+    ``native_ready`` says which native kernels are built (see
+    :func:`edge_candidates`).  An edge whose cheapest competitor is an
+    unbuilt native kernel takes its cheapest built one; the plan's
+    ``_pending`` then lists the unbuilt native hops of the path that
+    would win were every kernel built, so running the plan can queue
+    their builds.
 
     The direct conversion always exists, so the result is never empty;
     ties go to it.  The plan is ``routed`` when it leaves the generated
@@ -651,77 +775,92 @@ def find_route(
     model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
 
-    def winner(hops: Tuple[Hop, ...]) -> ConversionPlan:
-        return ConversionPlan(
-            hops=hops, options=options, nnz=nnz,
-            routed=len(hops) > 1 or hops[0].kind == "bridge",
-            features=features,
-        )
-
-    choice = _edge_choice(src, dst, options, model, nnz, features, native_ok)
-    best_hops = (
-        Hop(src, dst, choice.kind, choice.cost, choice.provenance,
-            choice.converter),
-    )
-    best_cost = choice.cost
     if (
         src.order != dst.order
         or options.key() != PlanOptions().key()
         or max_hops < 2
     ):
-        return winner(best_hops)
-
-    if intermediates is None:
-        intermediates = _candidate_intermediates(src, dst)
-    nodes: List[Format] = [src] + list(intermediates) + [dst]
+        nodes: List[Format] = [src, dst]
+    else:
+        if intermediates is None:
+            intermediates = _candidate_intermediates(src, dst)
+        nodes = [src] + list(intermediates) + [dst]
     dst_index = len(nodes) - 1
 
-    # Dijkstra with a hop budget; the graph is tiny (every registered
-    # format), so the quadratic edge scan is fine.
-    best: Dict[Tuple[int, int], float] = {(0, 0): 0.0}
-    heap: List[Tuple[float, int, int, Tuple[Hop, ...]]] = [(0.0, 0, 0, ())]
-    while heap:
-        cost, node, hops_used, hops = heapq.heappop(heap)
-        if cost > best.get((node, hops_used), float("inf")):
-            continue
-        if node == dst_index:
-            if cost < best_cost - 1e-12:
-                best_hops, best_cost = hops, cost
-            continue
-        if hops_used == max_hops:
-            continue
-        here = nodes[node]
-        if here.inverse is None:
-            continue  # cannot be a conversion source
-        # Only the first hop sees the source tensor's features; later
-        # hops read intermediate tensors whose structure is unknown at
-        # planning time, so their predicates are judged optimistically
-        # and re-checked against the actual intermediate at run time.
-        hop_features = features if node == 0 else None
-        for nxt in range(1, len(nodes)):
-            if nxt == node:
-                continue
-            edge = _edge_choice(
-                here, nodes[nxt], options, model, nnz, hop_features,
-                native_ok,
-            )
-            step = cost + edge.cost
-            state = (nxt, hops_used + 1)
-            if step < best.get(state, float("inf")):
-                best[state] = step
-                heapq.heappush(
-                    heap,
-                    (
-                        step,
-                        nxt,
-                        hops_used + 1,
-                        hops + (
-                            Hop(here, nodes[nxt], edge.kind, edge.cost,
-                                edge.provenance, edge.converter),
-                        ),
-                    ),
+    #: (from, to) -> (cheapest built competitor, cheapest competitor)
+    choices: Dict[Tuple[int, int], Tuple[EdgeCandidate, EdgeCandidate]] = {}
+
+    def edge(here: int, nxt: int, built_only: bool) -> Hop:
+        choice = choices.get((here, nxt))
+        if choice is None:
+            # Only the first hop sees the source tensor's features; later
+            # hops read intermediate tensors whose structure is unknown
+            # at planning time, so their predicates are judged
+            # optimistically and re-checked against the actual
+            # intermediate at run time.
+            admitted = [
+                cand for cand in edge_candidates(
+                    nodes[here], nodes[nxt], options, model, nnz,
+                    features if here == 0 else None,
+                    native_ok and (here, nxt) == (0, dst_index), native_ready,
                 )
-    return winner(best_hops)
+                if cand.admitted
+            ]
+            # the generated kernel is always admitted and built
+            choice = (admitted[0], min(admitted, key=lambda c: c.rank))
+            choices[(here, nxt)] = choice
+        cand = choice[0] if built_only else choice[1]
+        return Hop(nodes[here], nodes[nxt], cand.kind, cand.cost,
+                   cand.provenance, cand.converter)
+
+    def cheapest(built_only: bool) -> Tuple[Hop, ...]:
+        direct = edge(0, dst_index, built_only)
+        best_hops, best_cost = (direct,), direct.cost
+        # Dijkstra with a hop budget; the graph is tiny (every registered
+        # format), so the quadratic edge scan is fine.
+        best: Dict[Tuple[int, int], float] = {(0, 0): 0.0}
+        heap: List[Tuple[float, int, int, Tuple[Hop, ...]]] = [(0.0, 0, 0, ())]
+        while len(nodes) > 2 and heap:
+            cost, node, hops_used, hops = heapq.heappop(heap)
+            if cost > best.get((node, hops_used), float("inf")):
+                continue
+            if node == dst_index:
+                if cost < best_cost - 1e-12:
+                    best_hops, best_cost = hops, cost
+                continue
+            if hops_used == max_hops or nodes[node].inverse is None:
+                continue  # out of budget, or cannot be a conversion source
+            for nxt in range(1, len(nodes)):
+                if nxt == node:
+                    continue
+                hop = edge(node, nxt, built_only)
+                step = cost + hop.cost
+                state = (nxt, hops_used + 1)
+                if step < best.get(state, float("inf")):
+                    best[state] = step
+                    heapq.heappush(heap, (step, nxt, hops_used + 1, hops + (hop,)))
+        # rates are kept per pair, so an unexplored detour hop keeps its
+        # optimistic seed: a detour priced partly from seeds never
+        # displaces a measured direct edge
+        if (
+            len(best_hops) > 1 and direct.provenance == MEASURED
+            and any(hop.provenance == SEEDED for hop in best_hops)
+        ):
+            return (direct,)
+        return best_hops
+
+    hops = cheapest(built_only=True)
+    pending: Tuple[Hop, ...] = ()
+    if any(built is not best for built, best in choices.values()):
+        pending = tuple(
+            hop for hop in cheapest(built_only=False)
+            if hop.kind == "native" and not native_ready(hop.src, hop.dst)
+        )
+    return ConversionPlan(
+        hops=hops, options=options, nnz=nnz,
+        routed=len(hops) > 1 or hops[0].kind == "bridge",
+        features=features, _pending=pending,
+    )
 
 
 def rebind_endpoints(

@@ -83,6 +83,11 @@ class Level:
     pos_kind: str = "get"
     #: True if the level stores coordinates explicitly in a ``crd`` array.
     explicit_coords: bool = False
+    #: False if the level holds only part of its dimension (the banded
+    #: level keeps each row's band ending at the diagonal): converting an
+    #: arbitrary tensor into the format drops entries, so the router
+    #: never routes through it.
+    holds_any_coordinate: bool = True
 
     # ------------------------------------------------------------------
     # iteration facet

@@ -154,10 +154,15 @@ class Metrics:
                 f"{src}->{dst}": count
                 for (src, dst), count in sorted(engine.pair_counts().items())
             }
-            with engine.cost_model._lock:
-                measured = {
-                    kind: dict(entry)
-                    for kind, entry in engine.cost_model.measured.items()
+            # one string key per (kind, pair), e.g. "native COO->CSR"
+            measured = {}
+            for record in engine.cost_model.to_dict()["measured"]:
+                label = record["kind"]
+                if record["pair"] is not None:
+                    src, dst = (side["name"] for side in record["pair"])
+                    label += f" {src}->{dst}"
+                measured[label] = {
+                    "rate": record["rate"], "count": record["count"],
                 }
             doc["cost_model"] = {
                 "version": engine.cost_model.version,

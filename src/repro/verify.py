@@ -34,7 +34,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -250,11 +250,11 @@ def _native_available() -> bool:
 
 
 def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
-              workdir: str) -> Tuple[Dict[str, List[str]], bool]:
+              workdir: str) -> Tuple[Dict[str, List[str]], Set[str]]:
     """Run one case through every applicable backend; returns
-    ``({backend: problems}, ran_external)``: the backends that disagreed
-    with scalar, and whether the ``auto`` column ran an ``external``
-    hop."""
+    ``({backend: problems}, ran)``: the backends that disagreed with
+    scalar, and which of the ``external`` / ``native`` hop kinds the
+    ``auto`` column ran."""
     from .convert.streamed import streamable
     from .io.stream import write_stream
     from .storage.build import reference_build
@@ -289,9 +289,9 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
         problems = _check_fused(engine, src, dst, case, tensor)
         if problems:
             failures["fused"] = problems
-    ran_external = False
+    ran: Set[str] = set()
     if "auto" in backends:
-        problems, ran_external = _check_auto(engine, dst, tensor, reference)
+        problems, ran = _check_auto(engine, dst, tensor, reference)
         order = sorted(range(case.nnz), key=case.cells.__getitem__)
         if order != list(range(case.nnz)):
             # the same cells in sorted stream order, so sortedness-gated
@@ -300,38 +300,44 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
                 src, case.dims, [case.cells[i] for i in order],
                 [case.vals[i] for i in order],
             )
-            twin_problems, twin_external = _check_auto(
+            twin_problems, twin_ran = _check_auto(
                 engine, dst, twin,
                 engine.convert(twin, dst, backend="scalar"),
             )
             problems += [f"sorted twin: {p}" for p in twin_problems]
-            ran_external = ran_external or twin_external
+            ran |= twin_ran
         if problems:
             failures["auto"] = problems
-    return failures, ran_external
+    return failures, ran
 
 
-def _check_auto(engine, dst, tensor, reference) -> Tuple[List[str], bool]:
+def _check_auto(engine, dst, tensor, reference) -> Tuple[List[str], Set[str]]:
     """The plan auto runs for a bulk-sized tensor with ``tensor``'s
     sampled features, run on ``tensor`` itself.
 
-    At fuzz sizes the router never picks an external converter, so the
-    plan is made at ``nnz=1_000_000``: its ``external`` hops then meet
-    the execution-time exact check on real, small streams.  Returns the
-    differences from ``reference`` and whether an ``external`` hop ran
-    (its converter admitted the hop's actual input, by the same exact
-    facts the engine checks).
+    At fuzz sizes the router never picks an external converter or the
+    compiled kernel, so the plan is made at ``nnz=1_000_000``: its
+    ``external`` hops then meet the execution-time exact check on real,
+    small streams, and its ``native`` hops (where the pair's kernel is
+    built) run against scalar.  Returns the differences from
+    ``reference`` and which of ``external`` (its converter admitted the
+    hop's actual input, by the same exact facts the engine checks) and
+    ``native`` ran.
     """
     from .convert import converter_named, sample_features
     from .convert.features import _exact_features
 
-    ran = []
+    ran: Set[str] = set()
 
     def observe(hop, source, result, options, seconds):
+        if hop.kind == "native":
+            ran.add("native")
         if hop.kind == "external":
             converter = converter_named(hop.src, hop.dst, hop.converter)
-            ran.append(converter.filter is None
-                       or converter.admits(_exact_features(source)))
+            if converter.filter is None or converter.admits(
+                _exact_features(source)
+            ):
+                ran.add("external")
 
     plan = engine.plan(tensor.format, dst, nnz=1_000_000,
                        features=sample_features(tensor))
@@ -340,7 +346,7 @@ def _check_auto(engine, dst, tensor, reference) -> Tuple[List[str], bool]:
         out = plan.run(tensor)
     finally:
         engine.remove_hop_observer(observe)
-    return _diff(reference, out), any(ran)
+    return _diff(reference, out), ran
 
 
 def _check_fused(engine, src, dst, case: TensorCase, tensor) -> List[str]:
@@ -409,7 +415,7 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
     started = time.monotonic()
     mismatches = 0
     ran = 0
-    external = 0
+    external = native = 0
     stop = False
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as workdir:
         for src, dst in _resolve_pairs(pairs):
@@ -417,6 +423,10 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
                 break
             order = src.order
             token = _pair_token(src, dst)
+            if "auto" in backends and _native_available():
+                # build the pair's compiled kernel, so the auto column's
+                # bulk-sized plans take native hops where they win
+                engine.make_converter(src, dst, backend="native")
             for index in range(cases):
                 if budget is not None and (
                     time.monotonic() - started > budget
@@ -432,11 +442,12 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
                 case = constrain_case(
                     dst, random_tensor_case(case_seed, order=order)
                 )
-                failures, ran_external = _run_case(
+                failures, kinds = _run_case(
                     engine, src, dst, case, backends, workdir
                 )
                 ran += 1
-                external += ran_external
+                external += "external" in kinds
+                native += "native" in kinds
                 if failures:
                     mismatches += 1
                     print(f"MISMATCH {token} seed={case_seed} "
@@ -453,6 +464,7 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
         verdict = "FAIL" if mismatches else "ok"
         if "auto" in backends:
             print(f"auto: {external} of {ran} case(s) ran an external hop")
+            print(f"auto: {native} of {ran} case(s) ran a native hop")
         print(f"fuzz: {ran} case(s), {len(backends)} backend(s) "
               f"[{', '.join(backends)}], {mismatches} mismatch(es) "
               f"in {elapsed:.1f}s -- {verdict}")

@@ -8,7 +8,13 @@ from repro.compute import COMPUTE_PLAN_SCHEMA, ComputePlan
 from repro.convert import ConversionEngine
 from repro.convert.context import PlanError
 from repro.convert.plan import ConversionPlan
+from repro.convert.planner import structural_key
 from repro.formats.library import COO, CSR
+
+#: the structural pairs the fused (COO -> CSR) and compute (CSR) terminal
+#: hops of a COO -> spmv(CSR) pipeline record their timings under
+FUSED_PAIR = (structural_key(COO), structural_key(CSR))
+COMPUTE_PAIR = (structural_key(CSR), structural_key(CSR))
 
 
 @pytest.fixture()
@@ -216,8 +222,8 @@ def test_auto_fuses_only_after_measured_win(engine):
     model = engine.cost_model
     # measured fused timings that clearly beat materialize-then-compute
     for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 1e-4)
-        model.observe("compute", 1_000_000, 1e-2)
+        model.observe("fused", 1_000_000, 1e-4, FUSED_PAIR)
+        model.observe("compute", 1_000_000, 1e-2, COMPUTE_PAIR)
     plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
     assert plan.fuse == "fused"
 
@@ -225,8 +231,8 @@ def test_auto_fuses_only_after_measured_win(engine):
 def test_auto_declines_fusion_when_measured_slower(engine):
     model = engine.cost_model
     for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 10.0)   # fused measured awful
-        model.observe("compute", 1_000_000, 1e-6)
+        model.observe("fused", 1_000_000, 10.0, FUSED_PAIR)  # measured awful
+        model.observe("compute", 1_000_000, 1e-6, COMPUTE_PAIR)
     plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
     assert plan.fuse == "materialize"
 

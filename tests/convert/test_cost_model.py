@@ -3,19 +3,22 @@ route re-planning, and robustness against malformed model files."""
 
 import json
 import random
-import warnings
 
 import pytest
 
 from repro.convert import ConversionEngine, CostModel, find_route, scipy_available
+from repro.convert.planner import structural_key
 from repro.convert.router import MEASURED, SEEDED
-from repro.formats import COO, CSR, HASH
+from repro.formats import COO, CSR, DIA, HASH
 from repro.storage.build import reference_build
 
 # With scipy importable, the scipy-delegated converter wins the COO->CSR
 # edge for sorted bulk streams and timings record under its own key; the
 # no-scipy leg exercises the generated vector kernel instead.
 COO_CSR_KEY = "external:scipy-coo-csr" if scipy_available() else "vector"
+
+#: the HASH -> COO bridge hop's structural pair (rates are kept per pair)
+HASH_COO = (structural_key(HASH), structural_key(COO))
 
 
 @pytest.fixture
@@ -115,7 +118,7 @@ def test_injected_slow_bridge_flips_the_route():
     model = CostModel(min_nnz=1)
     assert not find_route(HASH, CSR, cost_model=model).is_direct
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 60.0)  # pathological bridge
+        model.observe("bridge", 100_000, 60.0, HASH_COO)  # pathological
     flipped = find_route(HASH, CSR, cost_model=model)
     assert flipped.is_direct
     assert flipped.hops[0].kind == "scalar"
@@ -144,7 +147,7 @@ def test_engine_route_cache_invalidated_by_new_measurements():
     before = engine.route(HASH, CSR)
     assert not before.is_direct  # seeded: bridge route wins
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 60.0)
+        model.observe("bridge", 100_000, 60.0, HASH_COO)
     after = engine.route(HASH, CSR)
     assert after.is_direct  # cached route was dropped and re-planned
 
@@ -177,8 +180,72 @@ def test_cost_model_save_load_roundtrip(tmp_path):
     assert loaded.cost("vector", 100_000) == pytest.approx(
         model.cost("vector", 100_000)
     )
-    # a file saved before the chunked executor's deletion: its seed and
-    # measured row are dropped without a warning
+
+
+def test_rates_are_kept_per_structural_pair(tmp_path):
+    """A pair is priced by its own history or by the kind's seed (scaled
+    by the pair's own measured generated backend), never by another
+    pair's rate; both the rates and their pairs round-trip."""
+    model = CostModel(min_nnz=1)
+    coo_csr = (structural_key(COO), structural_key(CSR))
+    coo_dia = (structural_key(COO), structural_key(DIA))
+    v0 = model.version
+    for _ in range(model.min_observations):
+        model.observe("native", 100_000, 0.05, coo_csr)
+    assert model.version == v0 + 1
+    assert model.cost_detail("native", 100_000, coo_csr)[1] == MEASURED
+    cost, provenance = model.cost_detail("native", 100_000, coo_dia)
+    assert provenance == SEEDED
+    assert cost == pytest.approx(
+        model.native_per_nnz * 100_000 + model.hop_overhead
+    )
+    assert model.observation_count("native", coo_dia) == 0
+    assert model.observation_count("native") == model.min_observations
+    # the pair's measured native rate scales its other generated seeds
+    ratio = (0.05 - model.hop_overhead) / 100_000 / model.native_per_nnz
+    cost, provenance = model.cost_detail("vector", 100_000, coo_csr)
+    assert provenance == SEEDED
+    assert cost == pytest.approx(
+        model.vector_per_nnz * ratio * 100_000 + model.hop_overhead
+    )
+    assert model.cost_detail("vector", 100_000, coo_dia)[0] == pytest.approx(
+        model.vector_per_nnz * 100_000 + model.hop_overhead
+    )
+    # a steady rate on another pair publishes once and moves nothing else
+    for _ in range(3 * model.min_observations):
+        model.observe("native", 100_000, 0.001, coo_dia)
+    assert model.version == v0 + 2
+    path = tmp_path / "costs.json"
+    model.save(path)
+    saved = json.loads(path.read_text())
+    assert saved["schema"] == 2
+    names = {tuple(side["name"] for side in entry["pair"])
+             for entry in saved["measured"]}
+    assert names == {("COO", "CSR"), ("COO", "DIA")}
+    loaded = CostModel.load(path)
+    assert loaded.measured == model.measured
+    assert loaded.cost("native", 100_000, coo_csr) == pytest.approx(
+        model.cost("native", 100_000, coo_csr)
+    )
+
+
+def test_a_first_run_outlier_does_not_skew_the_published_rate():
+    """The rate publishes at the median of the first K timings, so one
+    cold run cannot leave a rate that later drifts (and bumps)."""
+    model = CostModel(min_nnz=1)
+    pair = (structural_key(COO), structural_key(DIA))
+    for seconds in (0.03, 0.01, 0.01):  # a 3x cold first run
+        model.observe("native", 100_000, seconds, pair)
+    v1 = model.version
+    for _ in range(20):
+        model.observe("native", 100_000, 0.01, pair)
+    assert model.version == v1
+
+
+def test_schema1_file_loads_its_seeds_with_one_warning(tmp_path):
+    """A schema-1 file kept one rate per kind; those rates cannot be
+    assigned to pairs, so only its seeds load, with one warning.  (Its
+    seed and rate rows of the deleted chunked executor go with them.)"""
     old = tmp_path / "old.json"
     old.write_text(
         '{"kind": "repro-cost-model", "measured": {"chunked": {"count": 3, '
@@ -188,14 +255,15 @@ def test_cost_model_save_load_roundtrip(tmp_path):
         '"compute_per_nnz": 2.5e-08, "external_overhead": 0.0002, '
         '"external_per_nnz": 2.2e-08, "fused_per_nnz": 5e-08, '
         '"hop_overhead": 5e-05, "native_per_nnz": 1.2e-08, '
-        '"scalar_per_nnz": 1.5e-06, "vector_per_nnz": 4e-08}}'
+        '"scalar_per_nnz": 1.5e-06, "vector_per_nnz": 5e-08}}'
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with pytest.warns(RuntimeWarning, match="schema 1") as caught:
         restored = CostModel.load(old)
-    assert set(restored.measured) == {"vector"}
+    assert len(caught) == 1
+    assert restored.measured == {}
+    assert restored.vector_per_nnz == 5e-08 and restored.min_nnz == 1
     assert "chunked_per_nnz" not in restored.to_dict()["seeded"]
-    assert restored.cost_detail("vector", 100_000)[1] == MEASURED
+    assert restored.cost_detail("vector", 100_000)[1] == SEEDED
 
 
 def test_engine_save_cost_model_and_path_constructor(tmp_path):

@@ -16,6 +16,7 @@ import json
 import os
 import random
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from repro.convert import convert
 from repro.convert.engine import ConversionEngine
 from repro.convert.native import native_capable, plan_native
 from repro.convert.plan import ConversionPlan
-from repro.convert.planner import PlanOptions
+from repro.convert.converters import scipy_available
+from repro.convert.planner import PlanOptions, structural_key
 from repro.convert.context import PlanError
 from repro.convert.router import CostModel
 from repro.formats.library import (
@@ -306,15 +308,37 @@ def test_cost_model_native_seed_roundtrips(tmp_path):
 
 @needs_cc
 def test_auto_routing_gates_native_on_measured_observations(engine):
+    """Native competes on its seed against the generated kernels but runs
+    only once built; against a registered converter it competes only on
+    its pair's measured rate.  Planning never starts the compiler."""
     nnz = 2_000_000
     fresh = ConversionEngine()
     try:
+        native = fresh.converters(COO, DIA, nnz=nnz)[1]
+        assert (native.name, native.provenance, native.built) == (
+            "generated-native", "seeded", False)
+        assert "(not built)" in native.describe()
+        plan = fresh.plan(COO, DIA, nnz=nnz)
+        assert plan.backend_per_hop == ("vector",)
+        assert [hop.kind for hop in plan._pending] == ["native"]
+        # below min_nnz an unbuilt kernel is not offered: no run queues it
+        small = fresh.cost_model.min_nnz - 1
+        assert "generated-native" not in [
+            c.name for c in fresh.converters(COO, DIA, nnz=small)]
+        assert fresh.cache_stats()["native_compiles"] == 0
+
+        fresh.warmup([(COO, DIA)])
+        first = fresh.converters(COO, DIA, nnz=nnz)[0]
+        assert (first.name, first.built) == ("generated-native", True)
+        assert fresh.plan(COO, DIA, nnz=nnz).backend_per_hop == ("native",)
+
+        pair = (structural_key(COO), structural_key(CSR))
         names = [c.name for c in fresh.converters(COO, CSR, nnz=nnz)]
-        assert "generated-native" not in names, (
-            "auto must not offer the compiler before native is measured"
+        assert ("generated-native" in names) == (not scipy_available()), (
+            "a seed alone must not displace a registered converter"
         )
         for _ in range(fresh.cost_model.min_observations):
-            fresh.cost_model.observe("native", nnz, seconds=0.004)
+            fresh.cost_model.observe("native", nnz, 0.004, pair)
         candidates = {
             c.name: c for c in fresh.converters(COO, CSR, nnz=nnz)
         }
@@ -440,3 +464,268 @@ def test_plan_options_reach_the_emitted_c():
     # the ablation toggle changes the emitted C, so options must be part
     # of the native plan cache key
     assert default != unsequenced
+
+
+# ----------------------------------------------------------------------
+# background builds: auto runs the compiled kernel once it is built
+
+
+def _stencil_coo(n=2000, m=45, shuffled=False, seed=0):
+    """A 5-point stencil in COO (~5n nonzeros; 9908 at the defaults)."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n, dtype=np.int64)
+    rows = np.repeat(i, 5)
+    cols = rows + np.tile(np.array([-m, -1, 0, 1, m], dtype=np.int64), n)
+    keep = (cols >= 0) & (cols < n)
+    rows, cols = rows[keep], cols[keep]
+    vals = rng.uniform(0.5, 1.5, len(rows))
+    if shuffled:
+        perm = rng.permutation(len(rows))
+        rows, cols, vals = rows[perm], cols[perm], vals[perm]
+    from repro.storage.tensor import Tensor
+
+    arrays = {(0, "pos"): np.array([0, len(rows)], dtype=np.int64),
+              (0, "crd"): rows, (1, "crd"): cols}
+    return Tensor(COO, (n, n), arrays, {}, vals)
+
+
+def _coo3(seed=0):
+    """A shuffled third-order COO of ~9.5k nonzeros."""
+    from repro.storage.tensor import Tensor
+
+    rng = np.random.default_rng(seed)
+    dims = (60, 40, 40)
+    keys = np.unique(rng.integers(0, 60 * 40 * 40, 10_000))
+    keys = keys[rng.permutation(len(keys))]
+    coords = [keys // 1600, (keys // 40) % 40, keys % 40]
+    arrays = {(0, "pos"): np.array([0, len(keys)], dtype=np.int64)}
+    arrays.update({(k, "crd"): coords[k] for k in range(3)})
+    return Tensor(COO3, dims, arrays, {}, rng.uniform(0.5, 1.5, len(keys)))
+
+
+def _bulk_sources():
+    """Inputs of at least 8192 stored components for the five pairs a
+    registered converter never serves: (tensor, destination)."""
+    coo = _stencil_coo()
+    scratch = ConversionEngine()
+    csr = scratch.convert(coo, CSR, backend="vector")
+    hashed = scratch.convert(coo, HASH, backend="scalar")
+    return [(coo, DIA), (csr, ELL), (csr, COO), (_coo3(), CSF), (hashed, CSR)]
+
+
+@needs_cc
+def test_warmed_engine_plans_native_and_runs_bit_identical():
+    eng = ConversionEngine()
+    try:
+        sources = _bulk_sources()
+        assert all(t.nnz_stored >= 8192 for t, _ in sources)
+        eng.warmup([(t.format, dst) for t, dst in sources])
+        for tensor, dst in sources:
+            plan = eng.plan(tensor.format, dst, nnz=tensor.nnz_stored)
+            assert plan.backend_per_hop == ("native",), (tensor.format, dst)
+            ref = eng.convert(tensor, dst, backend="scalar")
+            assert_tensors_bit_identical(ref, plan.run(tensor))
+    finally:
+        eng.shutdown()
+
+
+@needs_cc
+def test_cold_engine_runs_python_first_then_native_once_built():
+    """The first auto conversion returns from a Python kernel (its
+    native build is queued, not awaited); once the build has landed the
+    same conversion runs native.  Both match scalar."""
+    eng = ConversionEngine()
+    try:
+        kinds = []
+        eng.add_hop_observer(lambda hop, *_: kinds.append(hop.kind))
+        for tensor, dst in _bulk_sources():
+            ref = eng.convert(tensor, dst, backend="scalar")
+            del kinds[:]
+            assert_tensors_bit_identical(ref, eng.convert(tensor, dst))
+            assert "native" not in kinds, (tensor.format, dst)
+            assert eng._builds_idle.wait(120)
+            del kinds[:]
+            assert_tensors_bit_identical(ref, eng.convert(tensor, dst))
+            assert kinds == ["native"], (tensor.format, dst)
+    finally:
+        eng.shutdown()
+
+
+@needs_cc
+def test_bulk_replay_settles_the_cost_model(monkeypatch):
+    """Replaying the nine bulk pairs, rates kept per (kind, pair) publish
+    once and then stay put: over rounds 3-8 the cost-model version moves
+    at most once and no plan changes.  Hop timings come from a steady
+    per-(kind, pair) clock, so this checks pricing, not host noise — a
+    rate kept per kind would drift whenever the pair changes."""
+    import zlib
+
+    eng = ConversionEngine()
+    model = eng.cost_model
+    per_nnz = {"native": 6e-9, "vector": 6e-8, "scalar": 2e-6,
+               "bridge": 1.5e-8, "external": 8e-9, "compute": 1.2e-8,
+               "fused": 4e-8}
+    real = model.observe
+
+    def steady(kind, nnz, seconds, pair=None):
+        spread = 1 + zlib.crc32(repr((kind, pair)).encode()) % 4
+        overhead = (model.external_overhead if kind.startswith("external")
+                    else model.hop_overhead)
+        rate = per_nnz[kind.split(":")[0]] * spread
+        real(kind, nnz, overhead + rate * nnz, pair)
+
+    monkeypatch.setattr(model, "observe", steady)
+    coo, unsorted = _stencil_coo(), _stencil_coo(shuffled=True)
+    cases = [(coo, CSR), (unsorted, CSR)] + [
+        (t, dst) for t, dst in _bulk_sources()]
+    csr = cases[3][0]
+    cases.insert(2, (csr, CSC))
+    x = np.ones(coo.dims[1])
+    try:
+        eng.warmup([(t.format, dst) for t, dst in cases])
+        versions, plans = [model.version], []
+        for _ in range(8):
+            eng.convert(unsorted, CSR)  # its build is the only one queued
+            assert eng._builds_idle.wait(120)
+            row = []
+            for tensor, dst in cases:
+                plan = eng.plan(tensor.format, dst, nnz=tensor.nnz_stored,
+                                features=eng.features_for(tensor))
+                plan.run(tensor)
+                row.append(plan.backend_per_hop)
+            eng.spmv(coo, x)
+            versions.append(model.version)
+            plans.append(row)
+        assert versions[8] - versions[3] <= 1, versions
+        assert all(row == plans[3] for row in plans[3:]), plans
+        assert plans[-1][1] == ("native",)  # the unsorted COO -> CSR
+    finally:
+        eng.shutdown()
+
+
+@needs_cc
+def test_concurrent_shutdowns_with_a_build_pending_return():
+    eng = ConversionEngine()
+    sources = _bulk_sources()
+    for tensor, dst in sources:
+        eng.convert(tensor, dst)  # queues its native build
+    threads = [threading.Thread(target=eng.shutdown) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert eng._builder is None and not eng._build_queue
+    tensor, dst = sources[0]
+    assert_tensors_bit_identical(
+        eng.convert(tensor, dst, backend="scalar"), eng.convert(tensor, dst))
+    eng.shutdown()
+
+
+@needs_cc
+def test_concurrent_bulk_conversions_build_each_kernel_once():
+    """Many threads converting the same bulk pairs on a cold engine
+    queue each native kernel once: after the builds land, one compile
+    per pair, nothing queued, and every result matches scalar."""
+    import sys
+
+    eng = ConversionEngine()
+    sources = _bulk_sources()
+    refs = [eng.convert(t, dst, backend="scalar") for t, dst in sources]
+    failures = []
+
+    def worker():
+        try:
+            for (tensor, dst), ref in zip(sources, refs):
+                assert_tensors_bit_identical(ref, eng.convert(tensor, dst))
+        except Exception as exc:  # pragma: no cover - the assert reports
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert eng._builds_idle.wait(120)
+        assert eng.cache_stats()["native_compiles"] == len(sources)
+        assert not eng._build_queue and not eng._native_pending
+    finally:
+        eng.shutdown()
+
+
+@needs_cc
+def test_failed_build_is_remembered_and_the_pair_stays_python(monkeypatch):
+    import repro.ir.native as native_ir
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("cc exploded")
+
+    monkeypatch.setattr(native_ir, "build_shared", broken)
+    eng = ConversionEngine()
+    tensor, dst = _bulk_sources()[0]
+    with pytest.warns(RuntimeWarning, match="stays on its Python kernel"):
+        eng.warmup([(tensor.format, dst)])
+    assert eng.plan(tensor.format, dst, nnz=tensor.nnz_stored
+                    ).backend_per_hop == ("vector",)
+    eng.convert(tensor, dst)  # a bulk run queues no second attempt
+    assert eng._builder is None and not eng._native_pending
+
+
+def _builders():
+    return [t for t in threading.enumerate()
+            if t.name == "repro-native-builder"]
+
+
+def test_small_conversions_queue_no_build():
+    """Below ``min_nnz`` auto never queues a build (236 stored
+    components, the small_inmem size), so no builder thread starts."""
+    eng = ConversionEngine()
+    before = _builders()
+    coo = _stencil_coo(n=50, m=6)
+    assert coo.nnz_stored == 236 < eng.cost_model.min_nnz
+    hashed = eng.convert(coo, HASH, backend="scalar")
+    for tensor in (coo, hashed):
+        eng.convert(tensor, CSR)
+    assert eng._builder is None and not eng._native_pending
+    assert _builders() == before
+    assert eng.cache_stats()["native_compiles"] == 0
+
+
+def test_no_builder_thread_without_a_compiler(no_compiler):
+    eng = ConversionEngine()
+    before = _builders()
+    for tensor, dst in _bulk_sources():
+        eng.convert(tensor, dst)
+    assert eng._builder is None and not eng._native_pending
+    assert _builders() == before
+
+
+def test_repro_plan_invokes_no_compiler():
+    """Planning never starts ``cc``: a fresh ``repro plan COO DIA --json``
+    process compiles nothing and starts no builder."""
+    import subprocess
+    import sys
+
+    code = (
+        "import threading, repro.__main__ as cli\n"
+        "from repro.convert import default_engine\n"
+        "cli.main(['plan', 'COO', 'DIA', '--json'])\n"
+        "print(default_engine().cache_stats()['native_compiles'],\n"
+        "      [t.name for t in threading.enumerate()\n"
+        "       if t.name == 'repro-native-builder'])\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out[:out.rindex("}") + 1])["hops"][0]["kind"] == "vector"
+    assert out.strip().endswith("0 []")

@@ -156,6 +156,41 @@ def test_route_explain_names_a_vector_direct_hop(monkeypatch, capsys):
     assert "scalar" not in text
 
 
+def _pair(src, dst):
+    from repro.convert.planner import structural_key
+
+    return (structural_key(src), structural_key(dst))
+
+
+def test_formats_that_drop_entries_are_never_intermediates():
+    """SKY keeps only each row's band up to the diagonal, so a general
+    matrix routed through it loses entries: no measured rate makes the
+    router take that detour."""
+    model = CostModel(min_nnz=1)
+    for _ in range(model.min_observations):
+        model.observe("vector", 100_000, 10.0, _pair(COO, CSR))  # slow
+        model.observe("vector", 100_000, 1e-4, _pair(COO, SKY))
+        model.observe("vector", 100_000, 1e-4, _pair(SKY, CSR))
+    route = find_route(COO, CSR, cost_model=model)
+    assert SKY not in route.formats
+
+
+def test_a_seeded_detour_never_displaces_a_measured_direct_edge():
+    """Rates are kept per pair, so an unexplored detour hop is priced at
+    its seed: it may not displace a measured direct edge, but the same
+    detour wins once its hops are measured cheaper."""
+    model = CostModel(min_nnz=1)
+    for _ in range(model.min_observations):
+        model.observe("vector", 100_000, 0.02, _pair(CSR, ELL))
+    route = find_route(CSR, ELL, cost_model=model, intermediates=[COO])
+    assert route.is_direct  # the seeded detour would price at 8.1 ms
+    for _ in range(model.min_observations):
+        model.observe("vector", 100_000, 1e-3, _pair(CSR, COO))
+        model.observe("vector", 100_000, 1e-3, _pair(COO, ELL))
+    route = find_route(CSR, ELL, cost_model=model, intermediates=[COO])
+    assert [f.name for f in route.formats] == ["CSR", "COO", "ELL"]
+
+
 def test_explicit_intermediates_restrict_the_graph():
     route = find_route(HASH, CSR, intermediates=[DIA])
     # no COO available: DIA cannot be reached by bridge, hops stay scalar,
@@ -381,16 +416,23 @@ def test_beats_direct_predicate():
 
 @needs_cc
 def test_measured_native_wins_plan_and_runs():
-    """Once native has K measured hops the router may pick it, and
-    plan() runs what the router picked (it used to re-resolve a
-    generated backend); the native run is bit-identical to scalar."""
+    """Once a pair's native kernel is measured and built the router may
+    pick it, and plan() runs what the router picked (it used to
+    re-resolve a generated backend); the native run is bit-identical to
+    scalar."""
+    from repro.convert.planner import structural_key
+
     engine = ConversionEngine()
     model = engine.cost_model
-    for _ in range(model.min_observations):
-        model.observe("native", 1_000_000, 0.002)
+    pairs = [(HASH, CSR), (CSR, CSC)]
+    for src, dst in pairs:
+        for _ in range(model.min_observations):
+            model.observe("native", 1_000_000, 0.002,
+                          (structural_key(src), structural_key(dst)))
+    engine.warmup(pairs)  # builds the kernels the router now prefers
     rng = random.Random(31)
     cells, vals = random_cells(rng, (40, 40), 300)
-    for src, dst in [(HASH, CSR), (CSR, CSC)]:
+    for src, dst in pairs:
         plan = engine.plan(src, dst)
         assert plan.backend_per_hop == ("native",), (src, dst)
         assert not plan.routed
