@@ -17,29 +17,34 @@ module lets any callable compete for an edge::
 Registered converters are keyed *structurally* (renamed twins share
 them).  At planning time the router prices every admitted competitor —
 the generated kernel, the bridge, and each registered converter whose
-``filter`` accepts the tensor's :class:`~repro.convert.features.
-StructuralFeatures` (read from a bounded sample) — and the cheapest
-``cost * weight`` wins (ties break on lower weight, then name, so
-selection is deterministic).  At execution time the engine re-checks a
-filtered winner's predicate against the actual tensor's exact
+``filter`` (if any) accepts the tensor's :class:`~repro.convert.
+features.StructuralFeatures` (read from a bounded sample) — and the
+cheapest ``cost * weight`` wins (ties break on lower weight, then name,
+so selection is deterministic).  At execution time the engine re-checks
+a filtered winner's predicate against the actual tensor's exact
 ``sortedness >= 1.0`` fact (the other fields stay the sample's) and
 falls back to the generated kernel when it refuses, so bit-identity
-never depends on a planning-time guess.
+never depends on a planning-time guess.  Features are sampled only for
+a source that some filtered converter leaves
+(:func:`has_filtered_converter`); unfiltered converters cost nothing of
+the kind.
 
-When scipy is importable, four scipy-delegated converters register
-themselves for the matrix compression edges.  They are **predicated on
-exact bit-identity**: scipy's COO compressors canonicalize (sort column
-indices within each row), so they only compete when the coordinate
-stream is already fully sorted; the CSR<->CSC transposes are stable
-counting sorts that preserve stream order and explicit zeros, so they
-compete unconditionally.
+When scipy's compiled kernels are present, four scipy-delegated
+converters register themselves for the matrix compression edges, with
+no filter: whether they exist is a host fact, settled once at
+registration.  ``_sparsetools.coo_tocsr`` (COO -> CSR/CSC) and
+``csr_tocsc`` (CSR <-> CSC) are stable counting sorts that neither sort
+within a slice nor sum duplicates, so stream order and explicit zeros
+survive and the result is bit-identical to the generated kernels on any
+stream, sorted or not.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +58,7 @@ __all__ = [
     "Converter",
     "converter_named",
     "converters_for",
+    "has_filtered_converter",
     "register_converter",
     "run_converter",
     "scipy_available",
@@ -101,6 +107,9 @@ _CONVERTERS: Dict[Tuple, Dict[str, Converter]] = {}
 #: their route-cache key so cached routes never outlive the registry
 #: state they were planned against
 _REGISTRY_VERSION = 0
+#: structural source keys that at least one converter with a ``filter``
+#: leaves: only those sources need their features sampled
+_FILTERED_SOURCES: frozenset = frozenset()
 
 
 def registry_version() -> int:
@@ -111,6 +120,24 @@ def registry_version() -> int:
 
 def _pair_key(src: Format, dst: Format) -> Tuple:
     return (structural_key(src), structural_key(dst))
+
+
+def _registry_changed() -> None:
+    """Advance the registry version and recompute the filtered sources;
+    the caller holds ``_LOCK``."""
+    global _REGISTRY_VERSION, _FILTERED_SOURCES
+    _REGISTRY_VERSION += 1
+    _FILTERED_SOURCES = frozenset(
+        key[0] for key, table in _CONVERTERS.items()
+        if any(c.filter is not None for c in table.values())
+    )
+
+
+def has_filtered_converter(src: Format) -> bool:
+    """Whether some registered converter out of ``src`` (structurally)
+    has a ``filter``: the one case in which a tensor's features decide
+    anything.  A set lookup, so the hot path can ask on every call."""
+    return structural_key(src) in _FILTERED_SOURCES
 
 
 def register_converter(
@@ -159,8 +186,7 @@ def register_converter(
                 f"registered for {src.name} -> {dst.name}"
             )
         table[converter.name] = converter
-        global _REGISTRY_VERSION
-        _REGISTRY_VERSION += 1
+        _registry_changed()
     return converter
 
 
@@ -175,8 +201,7 @@ def unregister_converter(src: FormatSpec, dst: FormatSpec, name: str) -> bool:
         del table[name]
         if not table:
             del _CONVERTERS[key]
-        global _REGISTRY_VERSION
-        _REGISTRY_VERSION += 1
+        _registry_changed()
         return True
 
 
@@ -219,7 +244,7 @@ def run_converter(converter: Converter, tensor: Tensor, dst: Format) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# scipy-delegated builtins (registered only when scipy is importable)
+# scipy-delegated builtins (registered only where scipy's kernels exist)
 
 
 def scipy_available() -> bool:
@@ -231,55 +256,15 @@ def scipy_available() -> bool:
     return True
 
 
-def _sparse():
-    import scipy.sparse
+def _compress_coo(coo_tocsr, tensor: Tensor, dst: Format,
+                  by_column: bool) -> Tensor:
+    """COO -> CSR/CSC through scipy's compiled ``coo_tocsr``.
 
-    return scipy.sparse
-
-
-def _sparsetools():
-    """scipy's compiled conversion kernels, or ``None`` to use the
-    public matrix API.
-
-    The public constructors downcast int64 indices to int32 (and the
-    generated kernels use int64 throughout), so delegating through
-    ``coo_matrix(...).tocsr()`` pays a copy on the way in and a cast on
-    the way out — ~40% overhead at 1M nnz.  The underlying kernels are
-    dtype-templated and fill caller-allocated arrays, so calling them
-    directly stays int64 end to end; the attribute check degrades to the
-    public path on scipy versions that reshuffle the private module.
-    """
-    try:
-        from scipy.sparse import _sparsetools
-    except ImportError:  # pragma: no cover - very old scipy layouts
-        return None
-    if hasattr(_sparsetools, "coo_tocsr") and hasattr(
-        _sparsetools, "csr_tocsc"
-    ):
-        return _sparsetools
-    return None  # pragma: no cover - very old scipy layouts
-
-
-def _as_compressed_tensor(matrix, dst: Format, dims) -> Tensor:
-    """Wrap a scipy CSR/CSC matrix as a (dense, compressed) tensor.
-
-    scipy emits int32 index arrays on most hosts; the generated kernels
-    use int64 throughout, so cast for bit-identity of dtypes too.
-    """
-    arrays = {
-        (1, "pos"): np.asarray(matrix.indptr, dtype=np.int64),
-        (1, "crd"): np.asarray(matrix.indices, dtype=np.int64),
-    }
-    vals = np.asarray(matrix.data, dtype=np.float64)
-    return Tensor(dst, dims, arrays, {}, vals)
-
-
-def _compress_coo(tensor: Tensor, dst: Format, by_column: bool) -> Tensor:
-    """COO -> CSR/CSC through scipy's compiled counting sort.
-
-    ``coo_tocsr`` is stable (within-slice stream order survives), so on
-    the fully sorted streams the admission predicate requires, the
-    result is bit-identical to the generated kernels.
+    It is a stable counting sort that neither sorts within a slice nor
+    sums duplicates: each slice keeps its components in stream order,
+    explicit zeros included, which is what the generated kernels emit
+    for any stream.  It is dtype-templated and fills caller-allocated
+    arrays, so the indices stay int64 end to end.
     """
     rows = np.ascontiguousarray(tensor.array(0, "crd"), dtype=np.int64)
     cols = np.ascontiguousarray(tensor.array(1, "crd"), dtype=np.int64)
@@ -288,22 +273,16 @@ def _compress_coo(tensor: Tensor, dst: Format, by_column: bool) -> Tensor:
         rows, cols = cols, rows
     outer = tensor.dims[1] if by_column else tensor.dims[0]
     inner = tensor.dims[0] if by_column else tensor.dims[1]
-    tools = _sparsetools()
-    if tools is not None:
-        nnz = len(vals)
-        pos = np.zeros(outer + 1, dtype=np.int64)
-        crd = np.empty(nnz, dtype=np.int64)
-        out = np.empty(nnz, dtype=np.float64)
-        tools.coo_tocsr(outer, inner, nnz, rows, cols, vals, pos, crd, out)
-        return Tensor(
-            dst, tensor.dims, {(1, "pos"): pos, (1, "crd"): crd}, {}, out
-        )
-    sparse = _sparse()
-    coo = sparse.coo_matrix((vals, (rows, cols)), shape=(outer, inner))
-    return _as_compressed_tensor(coo.tocsr(), dst, tensor.dims)
+    nnz = len(vals)
+    pos = np.zeros(outer + 1, dtype=np.int64)
+    crd = np.empty(nnz, dtype=np.int64)
+    out = np.empty(nnz, dtype=np.float64)
+    coo_tocsr(outer, inner, nnz, rows, cols, vals, pos, crd, out)
+    return Tensor(dst, tensor.dims, {(1, "pos"): pos, (1, "crd"): crd}, {}, out)
 
 
-def _transpose_compressed(tensor: Tensor, dst: Format, from_rows: bool) -> Tensor:
+def _transpose_compressed(csr_tocsc, tensor: Tensor, dst: Format,
+                          from_rows: bool) -> Tensor:
     """CSR <-> CSC through scipy's compiled stable counting sort."""
     pos = np.ascontiguousarray(tensor.array(1, "pos"), dtype=np.int64)
     crd = np.ascontiguousarray(tensor.array(1, "crd"), dtype=np.int64)
@@ -312,62 +291,46 @@ def _transpose_compressed(tensor: Tensor, dst: Format, from_rows: bool) -> Tenso
     # same kernel handles both directions with the dims swapped.
     outer = tensor.dims[0] if from_rows else tensor.dims[1]
     inner = tensor.dims[1] if from_rows else tensor.dims[0]
-    tools = _sparsetools()
-    if tools is not None:
-        nnz = len(vals)
-        dst_pos = np.zeros(inner + 1, dtype=np.int64)
-        dst_crd = np.empty(nnz, dtype=np.int64)
-        out = np.empty(nnz, dtype=np.float64)
-        tools.csr_tocsc(outer, inner, pos, crd, vals, dst_pos, dst_crd, out)
-        return Tensor(
-            dst, tensor.dims,
-            {(1, "pos"): dst_pos, (1, "crd"): dst_crd}, {}, out,
-        )
-    sparse = _sparse()
-    matrix = sparse.csr_matrix((vals, crd, pos), shape=(outer, inner))
-    return _as_compressed_tensor(matrix.tocsc(), dst, tensor.dims)
-
-
-def _scipy_coo_to_csr(tensor: Tensor, dst: Format) -> Tensor:
-    return _compress_coo(tensor, dst, by_column=False)
-
-
-def _scipy_coo_to_csc(tensor: Tensor, dst: Format) -> Tensor:
-    return _compress_coo(tensor, dst, by_column=True)
-
-
-def _scipy_csr_to_csc(tensor: Tensor, dst: Format) -> Tensor:
-    return _transpose_compressed(tensor, dst, from_rows=True)
-
-
-def _scipy_csc_to_csr(tensor: Tensor, dst: Format) -> Tensor:
-    return _transpose_compressed(tensor, dst, from_rows=False)
-
-
-def _stream_is_sorted(features: StructuralFeatures) -> bool:
-    # scipy's COO compressors canonicalize (sort within rows); they are
-    # bit-identical to the generated kernels only when the coordinate
-    # stream is already *exactly* sorted.
-    return features.sortedness >= 1.0
+    nnz = len(vals)
+    dst_pos = np.zeros(inner + 1, dtype=np.int64)
+    dst_crd = np.empty(nnz, dtype=np.int64)
+    out = np.empty(nnz, dtype=np.float64)
+    csr_tocsc(outer, inner, pos, crd, vals, dst_pos, dst_crd, out)
+    return Tensor(
+        dst, tensor.dims, {(1, "pos"): dst_pos, (1, "crd"): dst_crd}, {}, out,
+    )
 
 
 def _register_builtin_converters() -> None:
-    if not scipy_available():
+    """Register each scipy delegate whose compiled kernel this host's
+    scipy exposes in ``scipy.sparse._sparsetools``.  That is a host
+    fact, settled once here, so the delegates carry no data filter."""
+    try:
+        from scipy.sparse import _sparsetools as tools
+    except ImportError:
         return
     from ..formats.library import COO, CSC, CSR
 
-    register_converter(
-        COO, CSR, _scipy_coo_to_csr,
-        filter=_stream_is_sorted, name="scipy-coo-csr",
-    )
-    register_converter(
-        COO, CSC, _scipy_coo_to_csc,
-        filter=_stream_is_sorted, name="scipy-coo-csc",
-    )
-    # CSR<->CSC in scipy are stable counting sorts: stream order and
-    # explicit zeros survive, so no structural predicate is needed.
-    register_converter(CSR, CSC, _scipy_csr_to_csc, name="scipy-csr-csc")
-    register_converter(CSC, CSR, _scipy_csc_to_csr, name="scipy-csc-csr")
+    coo_tocsr = getattr(tools, "coo_tocsr", None)
+    if coo_tocsr is not None:
+        register_converter(
+            COO, CSR, partial(_compress_coo, coo_tocsr, by_column=False),
+            name="scipy-coo-csr",
+        )
+        register_converter(
+            COO, CSC, partial(_compress_coo, coo_tocsr, by_column=True),
+            name="scipy-coo-csc",
+        )
+    csr_tocsc = getattr(tools, "csr_tocsc", None)
+    if csr_tocsc is not None:
+        register_converter(
+            CSR, CSC, partial(_transpose_compressed, csr_tocsc, from_rows=True),
+            name="scipy-csr-csc",
+        )
+        register_converter(
+            CSC, CSR, partial(_transpose_compressed, csr_tocsc, from_rows=False),
+            name="scipy-csc-csr",
+        )
 
 
 _register_builtin_converters()

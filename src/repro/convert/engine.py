@@ -84,7 +84,8 @@ from .planner import (
     structural_key,
 )
 from .context import PlanError
-from .converters import converter_named, registry_version, run_converter
+from .converters import (converter_named, has_filtered_converter,
+                         registry_version, run_converter)
 from .features import StructuralFeatures, _exact_features, sample_features
 from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
@@ -955,7 +956,7 @@ class ConversionEngine:
             ), engine=self)
             with self._lock:
                 self._routes[key] = route
-        if (
+        if not (route.src is src_format and route.dst is dst_format) and (
             route.src.signature() != src_format.signature()
             or route.dst.signature() != dst_format.signature()
         ):
@@ -1031,6 +1032,8 @@ class ConversionEngine:
 
     def _notify_hop(self, hop: Hop, source: Tensor, result: Tensor,
                     options: PlanOptions, seconds: float) -> None:
+        if not self._hop_observers:
+            return
         with self._lock:
             observers = list(self._hop_observers)
         for observer in observers:
@@ -1189,6 +1192,8 @@ class ConversionEngine:
                 src_format, dst_format, options=options,
                 nnz=nnz, features=features,
             )
+            if found.nnz == nnz and found.features is features:
+                return found  # a same-sized repeat: nothing to replace
             return replace(found, nnz=nnz, features=features)
         resolved = self._resolve_backend(src_format, dst_format, options,
                                          backend)
@@ -1266,11 +1271,9 @@ class ConversionEngine:
     ) -> Tensor:
         """Convert ``tensor`` to ``dst_format`` (object or spec string).
 
-        This is a thin shim over the plan API: under the auto policies it
-        samples the tensor's
-        :class:`~repro.convert.features.StructuralFeatures` (so
-        predicated converters compete on the actual structure; see
-        :meth:`features_for`), builds
+        This is a thin shim over the plan API: it samples the tensor's
+        :class:`~repro.convert.features.StructuralFeatures` where a
+        filtered converter could read them (:meth:`features_for`), builds
         the :class:`~repro.convert.plan.ConversionPlan` for the pair at
         the tensor's actual stored size and runs it (see :meth:`plan` /
         :meth:`run_plan`).  The ``backend``/``route`` knobs are
@@ -1305,16 +1308,17 @@ class ConversionEngine:
         """``tensor``'s structural features if a request with these knobs
         can use them, else ``None`` (nothing is sampled).
 
-        Features only price predicate-gated candidates, and only the auto
-        policies — ``backend`` (``None``: the engine default) and
-        ``route`` both auto — price candidates at all.  A pinned backend
-        or ``route="direct"`` resolves one generated hop, so even the
-        bounded sample would be wasted.  The sample is exact only for
-        streams it covers whole; a predicate it admits is rechecked
-        exactly on the actual tensor when its ``external`` hop runs
-        (:meth:`_hop_executable`).
+        Only a registered converter's ``filter`` reads features, on a
+        plan's first hop.  So they are sampled under the auto policies
+        alone — ``backend`` (``None``: the engine default) and ``route``
+        both auto — and only when some filtered converter leaves the
+        tensor's format (``has_filtered_converter``, a set lookup).  The
+        sample is exact only for streams it covers whole; a predicate it
+        admits is rechecked exactly on the actual tensor when its
+        ``external`` hop runs (:meth:`_hop_executable`).
         """
-        if (backend or self.backend) == "auto" and route in (None, "auto"):
+        if ((backend or self.backend) == "auto" and route in (None, "auto")
+                and has_filtered_converter(tensor.format)):
             return sample_features(tensor)
         return None
 

@@ -1,10 +1,10 @@
-"""Cheap structural features of a stored tensor, used by the router.
+"""Cheap structural features of a stored tensor, read by converter filters.
 
-The cost of a conversion is data-dependent: ``group_ranks`` has a
-sorted-run fast path, and scipy's COO compressors canonicalize (sort
-within rows) so they are only bit-identical to the generated kernels
-when the coordinate stream is already sorted.  The two phases that read
-these facts get them at different prices:
+A converter registered with a ``filter`` (``register_converter(...,
+filter=lambda f: f.sortedness >= 1.0)``) is admitted on these facts;
+no builtin converter has one, and nothing else decides on them, so the
+engine samples only for a source some filtered converter leaves.  The
+two phases that read these facts get them at different prices:
 
 * **Planning** samples.  :func:`sample_features` reads a deterministic
   strided sample of at most ``_SAMPLE_PAIRS`` adjacent component pairs,

@@ -166,10 +166,15 @@ class Format:
 
     # ------------------------------------------------------------------
     def signature(self) -> str:
-        """Structural identity for codegen cache keys."""
-        params = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        levels = ";".join(level.signature() for level in self.levels)
-        return f"{self.name}[{self.remap}][{levels}][{params}]"
+        """Name plus structure, for converter cache keys; memoized on the
+        immutable instance (the hot path asks several times per call)."""
+        signature = self.__dict__.get("_signature_memo")
+        if signature is None:
+            params = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+            levels = ";".join(level.signature() for level in self.levels)
+            signature = f"{self.name}[{self.remap}][{levels}][{params}]"
+            object.__setattr__(self, "_signature_memo", signature)
+        return signature
 
     def __str__(self) -> str:
         return self.name

@@ -47,7 +47,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -811,13 +810,24 @@ def build_shared(source: str, so_path: str, toolchain: Toolchain) -> None:
                 pass
 
 
-_ENTRY_ARGTYPES = [
-    ctypes.POINTER(ctypes.c_void_p),
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.POINTER(ctypes.c_void_p),
-    ctypes.POINTER(ctypes.c_int64),
-    ctypes.POINTER(ctypes.c_int64),
-]
+class _NativeBuffer:
+    """Owner of one C-malloc'd kernel output, viewed zero-copy by numpy
+    through ``__array_interface__``; the buffer goes back to
+    ``repro_native_free`` when the last view dies.  No ctypes type is
+    made per buffer, so a call leaves no cyclic garbage."""
+
+    __slots__ = ("__array_interface__", "_release", "_ptr")
+
+    def __init__(self, ptr: int, length: int, typestr: str, release) -> None:
+        self.__array_interface__ = {
+            "data": (ptr, False), "shape": (length,),
+            "typestr": typestr, "version": 3,
+        }
+        self._release = release
+        self._ptr = ptr
+
+    def __del__(self) -> None:
+        self._release(self._ptr)
 
 
 def load_kernel(
@@ -832,37 +842,41 @@ def load_kernel(
     positional argument per kernel parameter, returning the kernel's
     value (or tuple of values) in ``Return`` order — so the engine's
     :class:`~repro.convert.engine.CompiledConversion` machinery runs it
-    unchanged.  Output arrays are wrapped zero-copy over the C-malloc'd
-    buffers; a finalizer hands each buffer back to the library's
-    ``repro_native_free`` when the last numpy view dies.
+    unchanged.  The five slot blocks of the entry point's ABI are
+    allocated once per kernel and thread, and output arrays are wrapped
+    zero-copy over the C-malloc'd buffers (:class:`_NativeBuffer`).
 
     Raises ``OSError`` when the shared object cannot be loaded (e.g. a
     truncated cache file) — callers rebuild from source.
     """
     lib = ctypes.CDLL(so_path)
     entry = getattr(lib, entry_name)
-    entry.restype = ctypes.c_int64
-    entry.argtypes = _ENTRY_ARGTYPES
     release = lib.repro_native_free
     release.restype = None
     release.argtypes = [ctypes.c_void_p]
 
     param_kinds = [
-        ("array", np.float64 if level == -1 else np.int64)
-        if side == "src_array"
-        else ("scalar", None)
+        (np.float64 if level == -1 else np.int64)
+        if side == "src_array" else None
         for side, level, _ in params
     ]
     output_kinds = [
-        ("array", np.float64 if level == -1 else np.int64)
-        if side == "dst_array"
-        else ("scalar", None)
+        np.dtype(np.float64 if level == -1 else np.int64).str
+        if side == "dst_array" else None
         for side, level, _ in outputs
     ]
-    n_in_arrays = sum(1 for kind, _ in param_kinds if kind == "array")
-    n_in_scalars = len(param_kinds) - n_in_arrays
-    n_out_arrays = sum(1 for kind, _ in output_kinds if kind == "array")
-    n_out_scalars = len(output_kinds) - n_out_arrays
+    n_in_arrays = sum(kind is not None for kind in param_kinds)
+    n_out_arrays = sum(kind is not None for kind in output_kinds)
+    block_types = (
+        ctypes.c_void_p * max(n_in_arrays, 1),
+        ctypes.c_int64 * max(len(param_kinds) - n_in_arrays, 1),
+        ctypes.c_void_p * max(n_out_arrays, 1),
+        ctypes.c_int64 * max(n_out_arrays, 1),
+        ctypes.c_int64 * max(len(output_kinds) - n_out_arrays, 1),
+    )
+    entry.restype = ctypes.c_int64
+    entry.argtypes = block_types
+    local = threading.local()  # each thread's own slot blocks
 
     def func(*args):
         if len(args) != len(param_kinds):
@@ -870,13 +884,15 @@ def load_kernel(
                 f"{entry_name} takes {len(param_kinds)} arguments, "
                 f"got {len(args)}"
             )
-        in_arrays = (ctypes.c_void_p * max(n_in_arrays, 1))()
-        in_scalars = (ctypes.c_int64 * max(n_in_scalars, 1))()
+        blocks = getattr(local, "blocks", None)
+        if blocks is None:
+            blocks = local.blocks = tuple(block() for block in block_types)
+        in_arrays, in_scalars, out_arrays, out_lens, out_scalars = blocks
         keepalive = []
         array_slot = 0
         scalar_slot = 0
-        for (kind, dtype), value in zip(param_kinds, args):
-            if kind == "array":
+        for dtype, value in zip(param_kinds, args):
+            if dtype is not None:
                 array = np.ascontiguousarray(value, dtype=dtype)
                 keepalive.append(array)
                 in_arrays[array_slot] = array.ctypes.data
@@ -884,30 +900,21 @@ def load_kernel(
             else:
                 in_scalars[scalar_slot] = int(value)
                 scalar_slot += 1
-        out_arrays = (ctypes.c_void_p * max(n_out_arrays, 1))()
-        out_lens = (ctypes.c_int64 * max(n_out_arrays, 1))()
-        out_scalars = (ctypes.c_int64 * max(n_out_scalars, 1))()
-        status = entry(in_arrays, in_scalars, out_arrays, out_lens, out_scalars)
-        if status != 0:
-            raise MemoryError(
-                f"native kernel {entry_name} failed to allocate"
-            )
+        if entry(*blocks) != 0:
+            raise MemoryError(f"native kernel {entry_name} failed to allocate")
         results = []
         array_slot = 0
         scalar_slot = 0
-        for kind, dtype in output_kinds:
-            if kind == "array":
-                ptr = out_arrays[array_slot]
-                length = int(out_lens[array_slot])
+        for typestr in output_kinds:
+            if typestr is not None:
+                results.append(np.asarray(_NativeBuffer(
+                    out_arrays[array_slot], out_lens[array_slot], typestr,
+                    release,
+                )))
                 array_slot += 1
-                nbytes = length * np.dtype(dtype).itemsize
-                buffer = (ctypes.c_byte * nbytes).from_address(ptr)
-                weakref.finalize(buffer, release, ptr)
-                results.append(np.frombuffer(buffer, dtype=dtype))
             else:
-                results.append(int(out_scalars[scalar_slot]))
+                results.append(out_scalars[scalar_slot])
                 scalar_slot += 1
-        del keepalive
         return tuple(results) if len(results) != 1 else results[0]
 
     func.__name__ = entry_name

@@ -254,7 +254,9 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
     """Run one case through every applicable backend; returns
     ``({backend: problems}, ran)``: the backends that disagreed with
     scalar, and which of the ``external`` / ``native`` hop kinds the
-    ``auto`` column ran."""
+    ``auto`` column ran.  An unsorted case also adds ``unsorted``, and
+    ``unsorted-external`` when the case itself (not its sorted twin)
+    ran an external hop."""
     from .convert.streamed import streamable
     from .io.stream import write_stream
     from .storage.build import reference_build
@@ -294,8 +296,11 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
         problems, ran = _check_auto(engine, dst, tensor, reference)
         order = sorted(range(case.nnz), key=case.cells.__getitem__)
         if order != list(range(case.nnz)):
+            ran.add("unsorted")
+            if "external" in ran:
+                ran.add("unsorted-external")
             # the same cells in sorted stream order, so sortedness-gated
-            # converters get admitted too
+            # converters (registered by a user) get admitted too
             twin = reference_build(
                 src, case.dims, [case.cells[i] for i in order],
                 [case.vals[i] for i in order],
@@ -415,7 +420,7 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
     started = time.monotonic()
     mismatches = 0
     ran = 0
-    external = native = 0
+    external = native = unsorted = unsorted_external = 0
     stop = False
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as workdir:
         for src, dst in _resolve_pairs(pairs):
@@ -448,6 +453,8 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
                 ran += 1
                 external += "external" in kinds
                 native += "native" in kinds
+                unsorted += "unsorted" in kinds
+                unsorted_external += "unsorted-external" in kinds
                 if failures:
                     mismatches += 1
                     print(f"MISMATCH {token} seed={case_seed} "
@@ -464,6 +471,8 @@ def fuzz(pairs: str = "all", cases: int = 25, seed: int = 0,
         verdict = "FAIL" if mismatches else "ok"
         if "auto" in backends:
             print(f"auto: {external} of {ran} case(s) ran an external hop")
+            print(f"auto: {unsorted_external} of {unsorted} unsorted "
+                  f"case(s) ran an external hop")
             print(f"auto: {native} of {ran} case(s) ran a native hop")
         print(f"fuzz: {ran} case(s), {len(backends)} backend(s) "
               f"[{', '.join(backends)}], {mismatches} mismatch(es) "

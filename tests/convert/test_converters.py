@@ -24,7 +24,7 @@ from repro.formats import COO, CSC, CSR, FormatError
 from repro.storage.build import reference_build
 from repro.storage.tensor import Tensor
 
-from ..support import count_exact_passes
+from ..support import count_exact_passes, sorted_only_converter
 from ..support.tensorgen import random_tensor_case
 
 needs_scipy = pytest.mark.skipif(
@@ -149,18 +149,92 @@ def test_scipy_builtins_bit_identical_on_admitted_streams(
 
 
 @needs_scipy
-def test_scipy_coo_compressors_refuse_unsorted_streams(engine):
+def test_scipy_coo_compressors_bit_identical_on_unsorted_streams(engine):
+    """scipy's ``coo_tocsr`` is a stable counting sort, so the COO
+    delegates carry no filter: a shuffled stream is admitted and comes
+    out bit-identical to the direct scalar conversion, run alone and
+    through the engine."""
     unsorted = _unsorted_coo()
     features = sample_features(unsorted)
     assert features.sortedness < 1.0
-    for name in ("scipy-coo-csr", "scipy-coo-csc"):
-        converter = converter_named(COO, CSR if "csr" in name else CSC, name)
-        assert not converter.admits(features)
-    # the engine still converts it — via the generated kernels — and the
-    # result stays bit-identical to the direct scalar conversion
-    out = engine.convert(unsorted, CSR)
-    ref = engine.convert(unsorted, CSR, backend="scalar", route="direct")
-    _assert_bit_identical(out, ref)
+    for dst, name in ((CSR, "scipy-coo-csr"), (CSC, "scipy-coo-csc")):
+        converter = converter_named(COO, dst, name)
+        assert converter.filter is None and converter.admits(features)
+        ref = engine.convert(unsorted, dst, backend="scalar", route="direct")
+        _assert_bit_identical(run_converter(converter, unsorted, dst), ref)
+        _assert_bit_identical(engine.convert(unsorted, dst), ref)
+
+
+def _coo_stream(seed):
+    """A COO stream of one of five shapes the delegates must carry
+    bit for bit: shuffled, duplicate-heavy, with explicit zeros, with
+    most rows empty, and empty."""
+    rng = np.random.default_rng(seed)
+    shape = ("shuffled", "duplicates", "zeros", "empty_rows", "empty")[
+        seed % 5]
+    rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    nnz = 0 if shape == "empty" else int(rng.integers(1, 300))
+    row = rng.integers(0, rows, nnz)
+    col = rng.integers(0, cols, nnz)
+    if shape == "duplicates":
+        pick = rng.integers(0, max(nnz // 8, 1), nnz)
+        row, col = row[pick], col[pick]
+    if shape == "empty_rows":
+        row = rng.choice(rng.integers(0, rows, 3), nnz)
+    vals = rng.uniform(-1.0, 1.0, nnz)
+    if shape == "zeros":
+        vals[rng.random(nnz) < 0.4] = 0.0
+    return Tensor(
+        COO, (rows, cols),
+        {(0, "pos"): np.array([0, nnz]), (0, "crd"): row.astype(np.int64),
+         (1, "crd"): col.astype(np.int64)},
+        {}, vals,
+    )
+
+
+@needs_scipy
+@pytest.mark.parametrize("seed", range(40))
+def test_scipy_coo_delegates_match_scalar_on_any_stream(engine, seed):
+    """Property: the unfiltered COO delegates are bit-identical to the
+    scalar kernel on every stream shape, sorted or not."""
+    tensor = _coo_stream(seed)
+    for dst, name in ((CSR, "scipy-coo-csr"), (CSC, "scipy-coo-csc")):
+        out = run_converter(converter_named(COO, dst, name), tensor, dst)
+        ref = engine.convert(tensor, dst, backend="scalar", route="direct")
+        _assert_bit_identical(out, ref)
+
+
+@needs_scipy
+def test_no_coo_delegate_without_the_compiled_kernel(monkeypatch):
+    """Admission is a host fact: on a scipy whose ``_sparsetools`` lacks
+    ``coo_tocsr``, registration adds no COO delegate (and keeps the
+    transposes, whose kernel is there)."""
+    import scipy.sparse
+
+    from repro.convert import converters as converters_module
+
+    builtins = [c for src, dst in ((COO, CSR), (COO, CSC), (CSR, CSC),
+                                   (CSC, CSR))
+                for c in converters_for(src, dst)
+                if c.name.startswith("scipy-")]
+    assert len(builtins) == 4
+    stub = type("Tools", (), {
+        "csr_tocsc": staticmethod(scipy.sparse._sparsetools.csr_tocsc)})
+    monkeypatch.setattr(scipy.sparse, "_sparsetools", stub)
+    for c in builtins:
+        unregister_converter(c.src, c.dst, c.name)
+    try:
+        converters_module._register_builtin_converters()
+        names = {c.name for src, dst in ((COO, CSR), (COO, CSC))
+                 for c in converters_for(src, dst)}
+        assert not any(n.startswith("scipy-") for n in names)
+        assert converter_named(CSR, CSC, "scipy-csr-csc") is not None
+        assert converter_named(CSC, CSR, "scipy-csc-csr") is not None
+    finally:
+        for c in builtins:
+            unregister_converter(c.src, c.dst, c.name)
+            register_converter(c.src, c.dst, c.func, filter=c.filter,
+                               weight=c.weight, name=c.name)
 
 
 @needs_scipy
@@ -330,27 +404,29 @@ def test_runtime_recheck_falls_back_when_predicate_refuses(engine):
         unregister_converter(COO, CSR, "sorted-only")
 
 
-@needs_scipy
 def test_inversion_the_sample_skips_is_caught_at_execution(
     engine, monkeypatch
 ):
-    """Past the sample bound the planner may admit scipy's compressor on
-    a stream whose only inversion the sample never read; the exact check
-    where the hop runs refuses it and the generated kernel runs."""
+    """Past the sample bound the planner may admit a sortedness-filtered
+    converter on a stream whose only inversion the sample never read;
+    the exact check where the hop runs refuses it and the generated
+    kernel runs."""
     dims, row, col = _bulk_rows()
     tensor = _bulk_coo(*_swap_past_the_sample(row, col), dims)
-    features = sample_features(tensor)
-    assert features.nnz - 1 > features_module._SAMPLE_PAIRS
-    assert features.sortedness == 1.0  # the sample saw no inversion
-    plan = engine.plan(COO, CSR, nnz=tensor.nnz_stored, features=features)
-    assert plan.hops[0].converter == "scipy-coo-csr"
-    kinds = _recorded_kinds(engine, monkeypatch)
-    ref = engine.convert(tensor, CSR, backend="scalar")
-    del kinds[:]
-    _assert_bit_identical(plan.run(tensor), ref)
-    _assert_bit_identical(engine.convert(tensor, CSR), ref)
-    assert len(kinds) == 2
-    assert "external:scipy-coo-csr" not in kinds
+    with sorted_only_converter() as calls:
+        features = sample_features(tensor)
+        assert features.nnz - 1 > features_module._SAMPLE_PAIRS
+        assert features.sortedness == 1.0  # the sample saw no inversion
+        plan = engine.plan(COO, CSR, nnz=tensor.nnz_stored,
+                           features=features)
+        assert plan.hops[0].converter == "sorted-only"
+        kinds = _recorded_kinds(engine, monkeypatch)
+        ref = engine.convert(tensor, CSR, backend="scalar")
+        del kinds[:]
+        _assert_bit_identical(plan.run(tensor), ref)
+        _assert_bit_identical(engine.convert(tensor, CSR), ref)
+    assert len(kinds) == 2 and calls == []
+    assert "external:sorted-only" not in kinds
     assert set(kinds) <= {"scalar", "vector", "native"}
 
 
@@ -373,13 +449,12 @@ def test_predicate_is_rechecked_exactly_past_the_sample(engine):
         unregister_converter(COO, CSR, "sorted-only")
 
 
-@needs_scipy
 def test_exact_pass_runs_once_and_only_for_filtered_converters(
     engine, monkeypatch
 ):
-    """Auto CSR->CSC runs scipy's unfiltered transpose with no exact
-    pass; a sorted COO->CSR through the filtered compressor takes one
-    pass, memoized on the tensor."""
+    """Auto CSR->CSC and COO->CSR run unfiltered hops (scipy's delegates
+    where present) with no exact pass; a sorted COO->CSR through a
+    filtered converter takes one pass, memoized on the tensor."""
     passes = count_exact_passes(monkeypatch)
     kinds = _recorded_kinds(engine, monkeypatch)
     dims, row, col = _bulk_rows()
@@ -389,11 +464,15 @@ def test_exact_pass_runs_once_and_only_for_filtered_converters(
     csr = Tensor(CSR, dims, {(1, "pos"): pos, (1, "crd"): col}, {},
                  np.arange(1.0, len(row) + 1.0))
     engine.convert(csr, CSC)
-    assert kinds == ["external:scipy-csr-csc"]
-    assert passes == []
     engine.convert(coo, CSR)
-    engine.convert(coo, CSR)
-    assert kinds[1:] == ["external:scipy-coo-csr"] * 2
+    if scipy_available():
+        assert kinds == ["external:scipy-csr-csc", "external:scipy-coo-csr"]
+    assert len(kinds) == 2 and passes == []
+    with sorted_only_converter() as calls:
+        engine.convert(coo, CSR)
+        engine.convert(coo, CSR)
+    assert kinds[2:] == ["external:sorted-only"] * 2
+    assert calls == [coo, coo]
     assert passes == [coo]
 
 
@@ -401,7 +480,8 @@ def test_exact_pass_runs_once_and_only_for_filtered_converters(
 def test_fuzz_auto_column_reaches_the_external_converters(tmp_path):
     """At fuzz sizes only the ``auto`` column (a bulk-sized plan run on
     the case) reaches scipy's COO compressors: an unsorted case runs
-    its sorted-order twin through them, and both match scalar."""
+    through them itself (and its sorted-order twin too), and every run
+    matches scalar."""
     from repro.verify import _run_case
 
     engine = ConversionEngine()
@@ -411,20 +491,23 @@ def test_fuzz_auto_column_reaches_the_external_converters(tmp_path):
             engine, COO, CSR, case, ("auto",), str(tmp_path)
         )
         assert failures == {} and "external" in ran
+        unsorted = ordering == "random"
+        assert ("unsorted" in ran) == unsorted
+        assert ("unsorted-external" in ran) == unsorted
 
 
-@needs_scipy
 def test_compile_warms_the_external_hop_fallback(engine):
     """An external hop's plan compiles the generated kernel it falls back
     to, so a stream the predicate refuses compiles nothing at run time."""
-    plan = engine.plan(COO, CSR)
-    assert plan.hops[0].kind == "external"
-    plan.compile()
-    compiles = engine.cache_stats()["compiles"]
-    unsorted = _unsorted_coo()
-    out = plan.run(unsorted)  # predicate refuses -> generated fallback
-    engine.convert(unsorted, CSR)
-    assert engine.cache_stats()["compiles"] == compiles
+    with sorted_only_converter() as calls:
+        plan = engine.plan(COO, CSR)
+        assert plan.hops[0].converter == "sorted-only"
+        plan.compile()
+        compiles = engine.cache_stats()["compiles"]
+        unsorted = _unsorted_coo()
+        out = plan.run(unsorted)  # predicate refuses -> generated fallback
+        engine.convert(unsorted, CSR)
+    assert engine.cache_stats()["compiles"] == compiles and calls == []
     ref = engine.convert(unsorted, CSR, backend="scalar", route="direct")
     _assert_bit_identical(out, ref)
 

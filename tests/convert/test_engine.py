@@ -22,7 +22,11 @@ from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.storage.build import reference_build
 
-from ..support import count_exact_passes, count_feature_samples
+from ..support import (
+    count_exact_passes,
+    count_feature_samples,
+    sorted_only_converter,
+)
 
 
 HAVE_CC = detect_toolchain() is not None
@@ -196,20 +200,50 @@ def test_warmup_compiles_route_hops():
 
 
 def test_pinned_requests_sample_no_features(monkeypatch):
-    """Features only price candidates under the auto policies: a pinned
-    backend (given or the engine default) or route="direct" samples
-    nothing, an auto conversion samples once."""
+    """Features only price candidates under the auto policies: with a
+    filtered converter out of COO, a pinned backend (given or the engine
+    default) or route="direct" samples nothing, an auto conversion
+    samples once."""
     calls = count_feature_samples(monkeypatch)
     engine = ConversionEngine()
     tensor = small_coo()
-    for knobs in ({"backend": "scalar"}, {"backend": "vector"},
-                  {"route": "direct"}):
-        engine.convert(tensor, DIA, **knobs)
-    ConversionEngine(backend="scalar").convert(tensor, DIA)
-    assert engine.features_for(tensor, "vector") is None
-    assert calls == []
-    engine.convert(tensor, DIA)
+    with sorted_only_converter():
+        for knobs in ({"backend": "scalar"}, {"backend": "vector"},
+                      {"route": "direct"}):
+            engine.convert(tensor, DIA, **knobs)
+        ConversionEngine(backend="scalar").convert(tensor, DIA)
+        assert engine.features_for(tensor, "vector") is None
+        assert calls == []
+        engine.convert(tensor, DIA)
     assert len(calls) == 1
+
+
+def test_builtins_alone_sample_no_features_and_take_no_exact_pass(
+    monkeypatch,
+):
+    """No builtin converter has a filter, so an auto conversion out of
+    COO samples no features and takes no exact pass, at any size; a
+    filtered converter out of COO turns the sample back on for that
+    source only, and unregistering it turns it off again."""
+    samples = count_feature_samples(monkeypatch)
+    passes = count_exact_passes(monkeypatch)
+    engine = ConversionEngine()
+    rows = np.repeat(np.arange(500, dtype=np.int64), 20)
+    cols = np.tile(np.arange(20, dtype=np.int64), 500)
+    bulk = repro.Tensor(
+        COO, (500, 20),
+        {(0, "pos"): np.array([0, len(rows)]), (0, "crd"): rows,
+         (1, "crd"): cols}, {}, np.ones(len(rows)),
+    )
+    for tensor in (small_coo(), bulk):
+        for dst in (CSR, DIA):
+            engine.convert(tensor, dst)
+    assert samples == [] and passes == []
+    csr = engine.convert(bulk, CSR)
+    with sorted_only_converter():
+        assert engine.features_for(csr) is None
+        assert engine.features_for(bulk) is not None
+    assert engine.features_for(bulk) is None
 
 
 def test_pinned_requests_take_no_exact_pass(monkeypatch):

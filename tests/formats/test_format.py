@@ -101,3 +101,22 @@ def test_custom_format_via_remap_object():
     )
     assert fmt.order == 2
     assert fmt.concrete_dim_extents((3, 7)) == (7, 3)
+
+
+def test_signature_memo_matches_a_fresh_rebuild():
+    """``signature()`` is memoized on the frozen format: the memo equals
+    the string a fresh instance builds, and renamed structural twins keep
+    distinct signatures (the name is part of it)."""
+    from dataclasses import replace
+
+    for fmt in (COO, CSR, CSC, DIA, ELL, BCSR(2, 3), HICOO(4), SKY):
+        first = fmt.signature()
+        assert fmt.signature() is first  # memoized, not rebuilt
+        fresh = Format(fmt.name, fmt.remap, fmt.levels, fmt.inverse,
+                       dict(fmt.params))
+        assert "_signature_memo" not in fresh.__dict__
+        assert fresh.signature() == first
+        twin = replace(fmt, name=fmt.name + "_twin")
+        assert twin.signature() != first
+        assert twin.signature() == first.replace(fmt.name, twin.name, 1)
+        assert twin == replace(fresh, name=twin.name)  # memo not compared

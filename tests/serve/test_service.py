@@ -13,7 +13,7 @@ from repro.formats import COO, CSR, DIA, ELL, HASH, get_format
 from repro.serve import ConversionService, QuotaError, TenantPolicy
 from repro.serve.datacache import tensor_nbytes
 
-from ..support import count_feature_samples
+from ..support import count_feature_samples, sorted_only_converter
 from ..support.tensorgen import serve_tensor
 
 
@@ -203,8 +203,9 @@ def test_tenant_options_isolate_cache_variants():
 
 def test_pinned_tenant_backend_samples_no_features(monkeypatch):
     """A tenant pinned to a backend never prices candidates, so its
-    conversions sample no structural features; the default tenant's
-    auto conversion samples once."""
+    conversions sample no structural features; with a filtered
+    converter out of COO, the default tenant's auto conversion samples
+    once."""
     calls = count_feature_samples(monkeypatch)
 
     async def body(service, engine):
@@ -214,7 +215,8 @@ def test_pinned_tenant_backend_samples_no_features(monkeypatch):
         await service.submit(_tensor(seed=44), DIA)
         assert len(calls) == 1
 
-    _run(_with_service(body))
+    with sorted_only_converter():
+        _run(_with_service(body))
 
 
 def test_health_and_snapshot_shapes():

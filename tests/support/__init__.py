@@ -1,5 +1,7 @@
 """Shared test support: generators and helpers reused across suites."""
 
+import contextlib
+
 
 def count_feature_samples(monkeypatch):
     """Record every structural-feature sample the engine takes; returns
@@ -26,3 +28,33 @@ def count_exact_passes(monkeypatch):
         lambda tensor, nnz: calls.append(tensor) or real(tensor, nnz),
     )
     return calls
+
+
+@contextlib.contextmanager
+def sorted_only_converter(src="COO", dst="CSR", name="sorted-only"):
+    """Register, for the block's duration, a converter with a ``filter``
+    (``sortedness >= 1.0``) that outbids every other implementation
+    (weight 1e-9) and runs the generated vector kernel; yields the list
+    each tensor it converts is appended to.  The builtins carry no
+    filter, so this is what puts feature sampling and the
+    execution-time exact pass back on the path."""
+    from repro.convert import (
+        ConversionEngine,
+        register_converter,
+        unregister_converter,
+    )
+
+    calls = []
+    runner = ConversionEngine()
+
+    def sorted_only(tensor, fmt):
+        calls.append(tensor)
+        return runner.convert(tensor, fmt, backend="vector", route="direct")
+
+    register_converter(src, dst, sorted_only,
+                       filter=lambda f: f.sortedness >= 1.0,
+                       weight=1e-9, name=name)
+    try:
+        yield calls
+    finally:
+        unregister_converter(src, dst, name)

@@ -9,7 +9,7 @@ from repro.convert import scipy_available
 from repro.io import write_matrix_market
 from repro.ir.native import detect_toolchain
 
-from .support import count_feature_samples
+from .support import count_feature_samples, sorted_only_converter
 
 # With scipy importable its registered converter wins the bulk COO->CSR
 # edge; the no-scipy leg keeps the generated vector kernel.
@@ -65,8 +65,7 @@ def test_convert_from_format(mtx, capsys):
 
 
 def _bulk_coo_mtx(path, swap):
-    """A 12k-entry sorted COO file — big enough that the nnz-only route
-    prefers the scipy delegate — optionally with two entries swapped."""
+    """A 12k-entry sorted COO file, optionally with two entries swapped."""
     rng = random.Random(0)
     cells = sorted(
         {(rng.randrange(200), rng.randrange(200)) for _ in range(30_000)}
@@ -78,22 +77,30 @@ def _bulk_coo_mtx(path, swap):
 
 
 def test_convert_reports_the_hop_that_ran(tmp_path, capsys):
-    """One out-of-order row fails the scipy delegate's sortedness
-    predicate, so the engine runs the generated vector kernel.  The verb
-    must report that hop and that source: it used to route a second time
-    *without* the tensor's features and print the scipy converter."""
+    """One out-of-order row fails a filtered converter's sortedness
+    predicate, so the engine runs the next implementation: scipy's
+    unfiltered delegate, or the generated vector kernel without scipy.
+    The verb must report that hop and that source: it used to route a
+    second time *without* the tensor's features and print the filtered
+    converter."""
     unsorted = _bulk_coo_mtx(tmp_path / "unsorted.mtx", swap=True)
-    main(["convert", unsorted, "--to", "CSR", "--show-code"])
-    out = capsys.readouterr().out
-    assert "direct: COO -> CSR [vector]" in out
-    assert "routed:" not in out and "scipy-coo-csr" not in out
-    assert "def convert_COO_to_CSR__vector" in out
-    if EXT == "external":
-        ordered = _bulk_coo_mtx(tmp_path / "sorted.mtx", swap=False)
+    ordered = _bulk_coo_mtx(tmp_path / "sorted.mtx", swap=False)
+    with sorted_only_converter() as calls:
+        main(["convert", unsorted, "--to", "CSR", "--show-code"])
+        out = capsys.readouterr().out
+        assert calls == []
+        assert "routed:" not in out and "sorted-only" not in out
+        if EXT == "external":
+            assert "direct: COO -> CSR [external:scipy-coo-csr]" in out
+            assert "registered converter 'scipy-coo-csr'" in out
+        else:
+            assert "direct: COO -> CSR [vector]" in out
+            assert "def convert_COO_to_CSR__vector" in out
         main(["convert", ordered, "--to", "CSR", "--show-code"])
         out = capsys.readouterr().out
-        assert "direct: COO -> CSR [external:scipy-coo-csr]" in out
-        assert "registered converter 'scipy-coo-csr'" in out
+        assert len(calls) == 1
+        assert "direct: COO -> CSR [external:sorted-only]" in out
+        assert "registered converter 'sorted-only'" in out
 
 
 def test_unreadable_input_is_a_one_line_exit(tmp_path, capsys):
@@ -135,11 +142,12 @@ def test_route_command(capsys):
 
 def test_convert_samples_features_only_under_auto(mtx, capsys, monkeypatch):
     calls = count_feature_samples(monkeypatch)
-    main(["convert", mtx, "--to", "DIA", "--backend", "scalar"])
-    main(["convert", mtx, "--to", "DIA", "--route", "direct"])
-    assert calls == []
-    main(["convert", mtx, "--to", "DIA"])
-    assert len(calls) == 1
+    with sorted_only_converter():
+        main(["convert", mtx, "--to", "DIA", "--backend", "scalar"])
+        main(["convert", mtx, "--to", "DIA", "--route", "direct"])
+        assert calls == []
+        main(["convert", mtx, "--to", "DIA"])
+        assert len(calls) == 1
     capsys.readouterr()
 
 
