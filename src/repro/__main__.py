@@ -242,19 +242,11 @@ def _cmd_route(args) -> None:
     plan = engine.route(src_fmt, dst_fmt, nnz=args.nnz)
     if args.explain:
         print(plan.explain())
-        # competitor table: every implementation that was priced for each
-        # hop's edge, best rank first, with its admission verdict; a
-        # multi-hop plan also shows the direct edge it was chosen over.
-        # The router prices the compiled kernel on the direct edge only.
-        edges = [(hop.src, hop.dst, "") for hop in plan.hops]
-        if not plan.is_direct:
-            edges.append((plan.src, plan.dst, " (direct edge, not taken)"))
-        for src, dst, note in edges:
-            print(f"competitors for {src.name} -> {dst.name}{note}:")
-            direct = (src, dst) == (plan.src, plan.dst)
-            for cand in engine.converters(src, dst, nnz=plan.nnz):
-                if direct or cand.kind != "native":
-                    print(f"  {cand.describe()}")
+        # competitor table: every implementation that was priced for the
+        # edge, best rank first, with its admission verdict
+        print(f"competitors for {plan.src.name} -> {plan.dst.name}:")
+        for cand in engine.converters(plan.src, plan.dst, nnz=plan.nnz):
+            print(f"  {cand.describe()}")
     else:
         hops = ", ".join(plan.backend_per_hop)
         print(f"{plan} ({hops})")
@@ -523,7 +515,9 @@ def main(argv=None) -> None:
                          default="auto",
                          help="lowering backend (default: auto)")
     convert.add_argument("--route", choices=["auto", "direct"], default=None,
-                         help="multi-hop routing policy (default: auto; an "
+                         help="routing policy: auto prices the edge's "
+                              "implementations, direct runs the generated "
+                              "kernel (default: auto; an "
                               "explicit --route auto conflicts with an "
                               "explicit non-auto --backend)")
     convert.add_argument("--cache-dir", default=None, metavar="DIR",

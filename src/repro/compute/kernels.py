@@ -230,17 +230,11 @@ def compute_vector_capable(
     """
     from ..ir.vector import vectorizable
 
-    op = get_op(op)
-    options = options or PlanOptions()
-    if op.needs_destination:
-        return dst_format is not None and vectorizable(
-            src_format, dst_format, options
-        )
-    if options.key() != PlanOptions().key():
-        return False
-    if src_format.inverse is None:
-        return False
-    return all(level.vector_gather_capable for level in src_format.levels)
+    if not get_op(op).needs_destination:
+        dst_format = src_format  # the gather half: the source's levels
+    return dst_format is not None and vectorizable(
+        src_format, dst_format, options
+    )
 
 
 def _plan_vector_reduce(

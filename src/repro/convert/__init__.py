@@ -30,10 +30,7 @@ from .router import (
     bridge_for,
     edge_candidates,
     find_route,
-    longest_cached_prefix,
     rebind_endpoints,
-    register_bridge,
-    route_checkpoints,
 )
 from .streamed import (
     StreamedConversion,
@@ -76,16 +73,13 @@ __all__ = [
     "edge_candidates",
     "find_route",
     "generated_source",
-    "longest_cached_prefix",
     "make_converter",
     "plan",
     "plan_conversion",
     "plan_streamed",
     "rebind_endpoints",
-    "register_bridge",
     "register_converter",
     "resolve_backend",
-    "route_checkpoints",
     "streamable",
     "run_converter",
     "sample_features",

@@ -74,12 +74,12 @@ def convert(
 ) -> Tensor:
     """Convert ``tensor`` to ``dst_format`` with a generated routine.
 
-    ``route=None`` (default) applies the auto policy: the engine lets
-    registered converters compete for each edge on the tensor's sampled
-    structural features and takes a cheaper multi-hop path when the
-    direct pair only lowers to scalar loops (e.g. ``HASH -> COO -> CSR``
-    at bulk sizes) — the result is bit-identical to the direct scalar
-    conversion.  ``route="direct"`` always converts in one hop, matching
+    ``route=None`` (default) applies the auto policy: the engine prices
+    the edge's competing implementations (generated kernels and
+    registered converters, the latter judged on the tensor's sampled
+    structural features) and runs the cheapest — the result is
+    bit-identical to the direct scalar conversion.  ``route="direct"``
+    runs the generated kernel the backend policy resolves to, matching
     the pre-engine behaviour exactly.  Passing ``route="auto"``
     *explicitly* together with an explicit non-auto ``backend`` raises
     ``ValueError`` (the backend pins the direct conversion, so there is

@@ -1,8 +1,8 @@
 """Competing converters: multiple registered implementations per edge.
 
 The code generator gives every (src, dst) pair a scalar and (usually) a
-vector lowering, and bridges cover bulk extractions — but they are not
-necessarily the fastest implementation available on a given host.  This
+vector and a native lowering — but they are not necessarily the fastest
+implementation available on a given host.  This
 module lets any callable compete for an edge::
 
     from repro.convert import register_converter
@@ -16,7 +16,7 @@ module lets any callable compete for an edge::
 
 Registered converters are keyed *structurally* (renamed twins share
 them).  At planning time the router prices every admitted competitor —
-the generated kernel, the bridge, and each registered converter whose
+the generated kernels and each registered converter whose
 ``filter`` (if any) accepts the tensor's :class:`~repro.convert.
 features.StructuralFeatures` (read from a bounded sample) — and the
 cheapest ``cost * weight`` wins (ties break on lower weight, then name,

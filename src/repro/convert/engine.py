@@ -19,9 +19,10 @@ It owns everything the old module-level functions kept in hidden globals:
   :meth:`save_cost_model`);
 * the **default policy** — :class:`~repro.convert.planner.PlanOptions`
   and lowering backend — applied when callers do not specify one;
-* **multi-hop routing** (:mod:`repro.convert.router`): ``route="auto"``
-  conversions go through a cheaper intermediate when the direct pair only
-  lowers to scalar loops (``HASH -> COO -> CSR``), bit-identically;
+* **routing** (:mod:`repro.convert.router`): a ``route="auto"``
+  conversion is one edge, run by the cheapest of its competing
+  implementations (generated scalar / vector / native kernel or a
+  registered converter), bit-identically;
 * **background native builds**: an auto plan whose cheapest kernel is
   an unbuilt compiled-C one runs its best built competitor and, at bulk
   sizes, queues the build on the engine's one builder thread (see
@@ -95,7 +96,6 @@ from .router import (
     EdgeCandidate,
     Hop,
     _pair,
-    bridge_for,
     edge_candidates,
     find_route,
     rebind_endpoints,
@@ -354,6 +354,8 @@ class ConversionEngine:
         #: scratch directory for native ``.so`` builds of cache-less
         #: engines (created lazily, removed at interpreter exit)
         self._native_dir: Optional[str] = None
+        #: ``($CC, detected toolchain)`` of the last :meth:`toolchain` call
+        self._toolchain: Optional[Tuple] = None
 
     # -- policy helpers -------------------------------------------------
     def _effective(
@@ -363,13 +365,16 @@ class ConversionEngine:
 
     def toolchain(self):
         """The detected host C toolchain for the native backend, or
-        ``None`` when no working compiler was found.  Memoized per
-        ``$CC`` value (:func:`repro.ir.native.detect_toolchain`), so the
-        probe — one tiny compile — runs once per process, not per
-        engine."""
-        from ..ir.native import detect_toolchain
+        ``None`` when no working compiler was found (probed once per
+        process and ``$CC`` value by :func:`repro.ir.native.
+        detect_toolchain`, memoized here per ``$CC`` value)."""
+        cc = os.environ.get("CC")
+        memo = self._toolchain
+        if memo is None or memo[0] != cc:
+            from ..ir.native import detect_toolchain
 
-        return detect_toolchain()
+            memo = self._toolchain = (cc, detect_toolchain())
+        return memo[1]
 
     def _resolve_backend(
         self,
@@ -838,13 +843,14 @@ class ConversionEngine:
 
         Each pair's :meth:`plan` is compiled (:meth:`ConversionPlan.
         compile`): with ``routes=True`` (default) the plan ``convert``
-        would run at bulk size, routed hops included, so the first routed
-        conversion pays no compile either; ``routes=False`` compiles the
-        direct conversion only.  Native kernels the router would rather
-        run at bulk size are built here, synchronously, so a warmed
-        engine plans them from its first request (a conversion on a
-        cold engine builds them in the background instead).  Returns
-        the number of pairs warmed.
+        would run at bulk size, so the first conversion pays no compile
+        either; ``routes=False`` compiles the generated kernel the
+        pinned backend resolves to.  A native kernel the router would
+        rather run at bulk size is built here, synchronously, and the
+        plan it then wins is compiled too, so a warmed engine runs it
+        from its first request (a conversion on a cold engine builds it
+        in the background instead).  Returns the number of pairs
+        warmed.
 
         Example::
 
@@ -852,17 +858,15 @@ class ConversionEngine:
         """
         resolved = [(get_format(src), get_format(dst)) for src, dst in pairs]
         for src, dst in resolved:
-            # the second pass compiles the plan the built kernels win
-            for _ in range(2):
-                plan = self.plan(
-                    src, dst, options=options, backend=backend,
-                    route=None if routes else "direct",
-                )
-                plan.compile()
-                if not plan._pending:
-                    break
-                for hop in plan._pending:
-                    self._build_native(hop, plan.options)
+            route = None if routes else "direct"
+            plan = self.plan(src, dst, options=options, backend=backend,
+                             route=route)
+            if plan._pending:
+                self._build_native(plan._pending[0], plan.options)
+                # the plan the built kernel wins
+                plan = self.plan(src, dst, options=options,
+                                 backend=backend, route=route)
+            plan.compile()
         return len(resolved)
 
     def shutdown(self) -> None:
@@ -897,14 +901,15 @@ class ConversionEngine:
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
     ) -> ConversionPlan:
-        """The cost-optimal conversion plan for a pair — the router's
-        winner (:func:`~repro.convert.router.find_route`), bound to this
+        """The cost-optimal conversion plan for a pair — its one edge,
+        taken by the router's winning implementation
+        (:func:`~repro.convert.router.find_route`), bound to this
         engine.  It is the plan :meth:`plan` returns under the auto
         policies, with that call's exact ``nnz`` and ``features``.
 
         ``nnz`` is the expected stored-component count (defaults to
-        ``DEFAULT_ROUTE_NNZ``); tiny tensors route direct because per-hop
-        overhead dominates.  ``features`` (the source tensor's
+        ``DEFAULT_ROUTE_NNZ``); per-hop overheads decide tiny tensors.
+        ``features`` (the source tensor's
         structural facts) gate the registered competing converters —
         ``convert()`` passes them automatically.  Plans are cached per
         (structural pair, options, nnz magnitude, quantized features,
@@ -974,8 +979,8 @@ class ConversionEngine:
         """Every competitor for the direct edge ``src -> dst``, priced by
         this engine's cost model and sorted best rank first.
 
-        The list always contains the generated kernel; bridges and
-        registered converters (``repro.convert.register_converter``)
+        The list always contains the generated kernel; registered
+        converters (``repro.convert.register_converter``)
         follow, each with its admission verdict against ``features``.
         This is the introspection face of the competing-converter
         machinery — the same candidates, costs and ordering the router
@@ -1011,10 +1016,10 @@ class ConversionEngine:
 
         ``observer(hop, source, result, options, seconds)`` sees each
         hop's input tensor, output tensor, the plan options it honoured
-        and its wall time — including every *intermediate* hop of a
-        routed conversion.  This is the seam the serving layer's data
-        cache hangs off (:mod:`repro.serve.datacache`): requests sharing
-        a route prefix reuse the common hop's cached output.  Observers
+        and its wall time — every hop of a loaded multi-hop plan too.
+        This is the seam the serving layer's data cache hangs off
+        (:mod:`repro.serve.datacache`): every converted result lands in
+        the cache without the caller storing it.  Observers
         must be fast and must not raise; an observer exception is
         swallowed with a once-per-engine warning so telemetry bugs never
         break conversions.
@@ -1052,7 +1057,7 @@ class ConversionEngine:
                     )
 
     def _execute_hops(self, hops: Sequence[Hop], tensor: Tensor,
-                      options: PlanOptions, routed: bool) -> Tensor:
+                      options: PlanOptions) -> Tensor:
         """Count one executed conversion and run its hop sequence,
         timing each hop into the cost model — the one executor body
         behind :meth:`run_plan`.
@@ -1061,7 +1066,7 @@ class ConversionEngine:
         *before* the timer starts, so recorded rates measure conversion
         throughput, never codegen."""
         self._record_conversion(
-            (hops[0].src.name, hops[-1].dst.name), routed=routed,
+            (hops[0].src.name, hops[-1].dst.name), routed=len(hops) > 1,
         )
         for hop in hops:
             run, kind = self._hop_executable(hop, options, tensor)
@@ -1087,11 +1092,6 @@ class ConversionEngine:
         when the sample cannot already decide); a refused converter runs
         the generated kernel instead.  An unfiltered converter admits
         every tensor and costs no pass."""
-        if hop.kind == "bridge":
-            bridge = bridge_for(hop.src)
-            if bridge is None:
-                raise PlanError(f"no bridge registered for {hop.src.name}")
-            return bridge[1], "bridge"
         if hop.kind == "external":
             converter = converter_named(hop.src, hop.dst, hop.converter or "")
             if converter is None:
@@ -1107,10 +1107,10 @@ class ConversionEngine:
                 return (
                     lambda t: run_converter(converter, t, dst)
                 ), f"external:{converter.name}"
-            # the planner admitted this converter optimistically (e.g. an
-            # intermediate hop, judged before its tensor existed) but the
-            # actual stream fails the predicate: degrade to the generated
-            # kernel, which is correct for any input
+            # the planner admitted this converter on a feature sample (or
+            # a replayed plan pinned it) but the actual stream fails the
+            # predicate: degrade to the generated kernel, which is
+            # correct for any input
             kind = resolve_backend(hop.src, hop.dst, options, "auto")
             return self.make_converter(hop.src, hop.dst, options, kind), kind
         if hop.kind == "native":
@@ -1143,9 +1143,9 @@ class ConversionEngine:
         """The full conversion decision for a pair, as a first-class
         :class:`~repro.convert.plan.ConversionPlan`.
 
-        This is exactly the decision :meth:`convert` makes — competing
-        converters and multi-hop routing under the auto policies, the
-        resolved lowering backend otherwise — reified into an object
+        This is exactly the decision :meth:`convert` makes — the
+        cheapest competing implementation of the edge under the auto
+        policies, the resolved lowering backend otherwise — reified into an object
         that can be inspected (``explain()``, ``sources()``,
         ``estimated_cost()``), compiled ahead of time (``compile()``),
         executed (``run(tensor)``) and serialized (``to_json()`` /
@@ -1199,8 +1199,7 @@ class ConversionEngine:
                                          backend)
         return ConversionPlan(
             hops=(Hop(src_format, dst_format, resolved),),
-            options=options, nnz=nnz,
-            routed=False, features=features, engine=self,
+            options=options, nnz=nnz, features=features, engine=self,
         )
 
     def run_plan(self, plan: ConversionPlan, tensor: Tensor, x=None,
@@ -1211,9 +1210,9 @@ class ConversionEngine:
         observations are recorded here, so ``plan.run(t)`` and
         ``convert(t, ...)`` (which builds and runs a plan) feed the same
         telemetry.  The tensor must be structurally in the plan's source
-        format; results are bit-identical to the direct conversion for
-        every plan shape (routed hops preserve bit-identity by
-        construction).
+        format; results are bit-identical to the direct scalar
+        conversion for every plan shape (every hop kind preserves
+        bit-identity by construction).
 
         A compute plan (see :meth:`plan_compute`) then runs its op over
         the converted tensor with the operand ``x`` or ``alpha``, timing
@@ -1230,7 +1229,7 @@ class ConversionEngine:
             self._queue_native(plan._pending, plan.options)
         if plan.conversion_hops:
             tensor = self._execute_hops(
-                plan.conversion_hops, tensor, plan.options, plan.routed,
+                plan.conversion_hops, tensor, plan.options,
             )
         if plan.op is None:
             return tensor
@@ -1281,10 +1280,9 @@ class ConversionEngine:
         :class:`~repro.convert.request.ConversionRequest`.
 
         ``route=None`` (default) applies the auto policy: when the
-        backend policy is also ``"auto"``, competing converters and
-        multi-hop routing are considered — if a cheaper implementation or
-        path through an intermediate exists, it is taken, and the result
-        is bit-identical to the direct scalar conversion.
+        backend policy is also ``"auto"``, the edge's competing
+        implementations are priced and the cheapest runs; the result is
+        bit-identical to the direct scalar conversion.
         ``route="direct"`` always converts directly; an **explicit**
         ``route="auto"`` combined with an explicit non-auto backend
         raises ``ValueError`` (the backend pins the direct conversion, so
@@ -1412,8 +1410,8 @@ class ConversionEngine:
 
         With ``dst_format`` given, the pipeline the engine would run for
         ``tensor.to(dst).op(...)`` is planned end to end — the
-        conversion route (possibly multi-hop) with the consuming op
-        appended — and the **fusion decision** chooses the terminal hop:
+        conversion's one hop with the consuming op appended — and the
+        **fusion decision** chooses the terminal hop:
 
         * ``fused``: the op consumes the last hop's source directly
           through a generated compute kernel; the destination's
@@ -1466,11 +1464,10 @@ class ConversionEngine:
                 src, dst, options=options, backend=backend,
                 nnz=request.nnz, features=features,
             )
-            pivot = conversion.hops[-1].src
-            can_fuse = fusable(pivot, op, dst, options)
+            can_fuse = fusable(src, op, dst, options)
             if fuse == "fused" and not can_fuse:
                 raise PlanError(
-                    f"op {op.name!r} cannot consume {pivot.name} directly "
+                    f"op {op.name!r} cannot consume {src.name} directly "
                     "(no inverse mapping or incompatible order); fusion "
                     "is not available for this pipeline"
                 )
@@ -1479,8 +1476,7 @@ class ConversionEngine:
                 hops=conversion.hops + (Hop(dst, dst, "compute"),),
             )
             fused = replace(
-                conversion, op=op,
-                hops=conversion.hops[:-1] + (Hop(pivot, dst, "fused"),),
+                conversion, op=op, hops=(Hop(src, dst, "fused"),),
             )
             if fuse == "auto":
                 # seeds never select fusion: require this pair's
@@ -1546,7 +1542,8 @@ class ConversionEngine:
         runs with their total ``compile_seconds``; ``evictions`` /
         ``converter_evictions`` count LRU drops; ``conversions`` /
         ``routed_conversions`` count executed conversions (and how many
-        ran routed); ``parallel_conversions`` always reads 0 (the chunked
+        ran a loaded multi-hop plan: the router plans one hop, so only a
+        replayed document can); ``parallel_conversions`` always reads 0 (the chunked
         executor it counted was deleted; the key goes with ROADMAP item
         2);
         ``disk_hits`` / ``disk_writes`` count persistent-cache records

@@ -121,11 +121,10 @@ def _hop_cost_kind(hop: Hop) -> str:
 class ConversionPlan:
     """A complete, replayable conversion decision.
 
-    ``hops`` is the executed sequence (single direct hop, or a routed
-    multi-hop path); ``options`` the :class:`PlanOptions` every generated
-    hop honours; ``nnz`` the stored-component count the plan was
-    costed at; ``routed`` whether the engine counts executions as routed
-    conversions.  Instances are immutable; ``engine`` is the
+    ``hops`` is the executed sequence: the router plans one hop, and a
+    loaded document may chain several; ``options`` the
+    :class:`PlanOptions` every generated hop honours; ``nnz`` the
+    stored-component count the plan was costed at.  Instances are immutable; ``engine`` is the
     :class:`~repro.convert.engine.ConversionEngine` that compiles and
     runs the hops (``None``: the process default engine at call time).
 
@@ -141,7 +140,6 @@ class ConversionPlan:
     hops: Tuple[Hop, ...]
     options: PlanOptions
     nnz: int = 0
-    routed: bool = False
     #: Structural features of the tensor the plan was decided against
     #: (None when planned from a bare nnz).
     features: Optional[StructuralFeatures] = None
@@ -150,10 +148,10 @@ class ConversionPlan:
     #: Resolved lowering backend of the terminal op's kernel.
     backend: Optional[str] = None
     engine: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Native hops the router preferred but whose kernels were not built
+    #: The native hop the router preferred but whose kernel was not built
     #: when it planned (see :func:`~repro.convert.router.find_route`):
     #: running the plan on at least ``cost_model.min_nnz`` stored
-    #: components queues their builds off the request path.  Not
+    #: components queues its build off the request path.  Not
     #: serialized: a replayed plan runs exactly its hops.
     _pending: Tuple[Hop, ...] = field(default=(), repr=False, compare=False)
 
@@ -185,6 +183,12 @@ class ConversionPlan:
     @property
     def is_direct(self) -> bool:
         return len(self.hops) == 1
+
+    @property
+    def routed(self) -> bool:
+        """True for a multi-hop plan (only a loaded document has one);
+        the engine counts its executions as routed conversions."""
+        return len(self.hops) > 1
 
     @property
     def formats(self) -> Tuple[Format, ...]:
@@ -243,9 +247,8 @@ class ConversionPlan:
     def sources(self) -> List[Optional[str]]:
         """The generated source per hop, in execution order.
 
-        Bridge hops are library bulk extractions and ``external`` hops
-        are registered converters — neither is generated code, so their
-        entry is ``None``.  A ``native`` hop shows the generated C
+        ``external`` hops are registered converters, not generated code,
+        so their entry is ``None``.  A ``native`` hop shows the generated C
         translation unit (printing needs no toolchain — only executing
         does).  Looking up a Python source compiles (or disk-loads) the
         hop's kernel through the engine cache, so a plan whose sources
@@ -255,7 +258,7 @@ class ConversionPlan:
         engine = self._engine()
         out: List[Optional[str]] = []
         for hop in self.conversion_hops:
-            if hop.kind in ("bridge", "external"):
+            if hop.kind == "external":
                 out.append(None)
                 continue
             if hop.kind == "native":
@@ -323,12 +326,11 @@ class ConversionPlan:
         plan's op kernel — now and return a ready-to-run handle, so the
         first :meth:`run` pays no compile.  An ``external`` hop warms
         the generated kernel it falls back to when its predicate refuses
-        the tensor at run time; a bridge is library code."""
+        the tensor at run time."""
         engine = self._engine()
         for hop in self.conversion_hops:
-            if hop.kind != "bridge":
-                kind = "auto" if hop.kind == "external" else hop.kind
-                engine.make_converter(hop.src, hop.dst, self.options, kind)
+            kind = "auto" if hop.kind == "external" else hop.kind
+            engine.make_converter(hop.src, hop.dst, self.options, kind)
         if self.op is not None:
             engine._op_kernel(self)
         return CompiledPlan(self)
@@ -393,7 +395,10 @@ class ConversionPlan:
 
         Plans written before the chunked executor's deletion still load:
         a ``chunked`` hop runs as the ``vector`` hop it rewrote, and the
-        ``workers`` count it ran with is checked and ignored.
+        ``workers`` count it ran with is checked and ignored.  So do plans
+        written before the bridge hop kind's deletion: a ``bridge`` hop
+        (HASH -> COO) runs as the ``vector`` hop of the same pair, and
+        the recorded ``routed`` flag is ignored (it is derived).
         """
         if not isinstance(data, dict) or "hops" not in data:
             raise PlanError("not a serialized plan")
@@ -411,7 +416,7 @@ class ConversionPlan:
             if not isinstance(record, dict):
                 raise PlanError(f"malformed plan hop record: {record!r}")
             kind = record.get("kind")
-            if kind == "chunked":
+            if kind in ("chunked", "bridge"):
                 kind = "vector"
             if kind not in HOP_KIND_DETAIL:
                 raise PlanError(f"unknown plan hop kind {kind!r}")
@@ -475,7 +480,6 @@ class ConversionPlan:
             hops=tuple(hops),
             options=options,
             nnz=nnz,
-            routed=bool(data.get("routed", len(hops) > 1)),
             features=features,
             op=op,
             backend=backend,
@@ -525,7 +529,7 @@ class CompiledPlan:
         return self.plan.backend_per_hop
 
     def sources(self) -> List[Optional[str]]:
-        """Generated source per hop (``None`` for bridge hops)."""
+        """Generated source per hop (``None`` for external hops)."""
         return self.plan.sources()
 
     def __call__(self, tensor: Tensor, x=None,

@@ -1,31 +1,24 @@
-"""Multi-hop conversion routing over the format graph.
+"""Conversion routing: price every implementation of one edge.
 
-Direct conversions between some pairs only lower to the scalar backend —
-today that is every pair touching a hashed level.  Rather than silently
-running a per-nonzero Python loop, the engine can *route* the conversion
-through an intermediate format whose hops are bulk numpy operations::
+A conversion is one edge, ``src -> dst``, and the paper's thesis is that
+a *direct* generated routine is the one to run (no via-COO or via-CSR
+temporaries).  What still varies per edge is *which* implementation runs
+it: the generated scalar / vector / native (compiled C) kernel, or a
+registered ``external`` converter (:mod:`repro.convert.converters`).
+:func:`edge_candidates` prices each of them with :class:`CostModel` —
+constant seeds until the engine has measured the kind on the pair on
+this host — and :func:`find_route` returns the one-hop
+:class:`~repro.convert.plan.ConversionPlan` its winner runs.  The
+engine's auto policy executes that plan as is, and ``explain()`` shows
+it.
 
-    HASH -> COO -> CSR        # bridge extraction, then a vectorized hop
-    ^^^^^^^^^^^    ^^^^^^
-    bulk mask/gather over     generated vector
-    the hash table            conversion routine
-
-Routing is cost-driven: :class:`CostModel` holds per-nonzero throughput
-estimates for each hop kind — constant seeds until the engine has
-measured the kind on this host.
-:func:`find_route` runs Dijkstra over the registered formats and returns the
-:class:`~repro.convert.plan.ConversionPlan` that runs — the engine's auto
-policy executes the router's winner as is, and ``explain()`` shows it.
-
-Routed execution is **bit-identical** to the direct scalar conversion:
-bridge extractions replay the scalar loop's iteration order exactly, and
-the vector backend is bit-identical to scalar by construction; the test
-suite asserts equality for every multi-hop pair.
+Every competitor is **bit-identical** to the direct scalar conversion:
+the vector and native backends by construction, and a registered
+converter by its registration contract.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import threading
@@ -37,7 +30,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -46,7 +38,6 @@ import numpy as np
 
 from ..formats.format import Format
 from ..formats.registry import FormatSpec, available_formats, get_format
-from ..storage.tensor import Tensor
 from .converters import converters_for
 from .features import StructuralFeatures
 from .planner import PlanOptions, resolve_backend, structural_key
@@ -132,9 +123,8 @@ class CostModel:
 
     scalar_per_nnz: float = 1.5e-6
     vector_per_nnz: float = 4.0e-8
-    bridge_per_nnz: float = 2.0e-8
     #: The compiled-C backend streams nonzeros with no interpreter or
-    #: numpy dispatch in the loop; the seed sits below the bridge.
+    #: numpy dispatch in the loop; the seed sits below the external one.
     native_per_nnz: float = 1.2e-8
     hop_overhead: float = 5.0e-5
     #: Seeded rate/overhead of registered external converters (the scipy
@@ -210,7 +200,7 @@ class CostModel:
                 pair: Optional[Tuple] = None) -> None:
         """Record the measured wall time of one executed hop.
 
-        ``kind`` is the hop kind (``scalar``/``vector``/``bridge``/...,
+        ``kind`` is the hop kind (``scalar``/``vector``/``native``/...,
         ``external:<name>`` per converter) and ``pair`` the hop's
         ``(structural_key(src), structural_key(dst))``.  The per-nonzero
         rate (after subtracting the fixed ``hop_overhead``) feeds that
@@ -296,7 +286,6 @@ class CostModel:
         return {
             "scalar": self.scalar_per_nnz,
             "vector": self.vector_per_nnz,
-            "bridge": self.bridge_per_nnz,
             "native": self.native_per_nnz,
             "fused": self.fused_per_nnz,
             "compute": self.compute_per_nnz,
@@ -357,7 +346,6 @@ class CostModel:
             "seeded": {
                 "scalar_per_nnz": self.scalar_per_nnz,
                 "vector_per_nnz": self.vector_per_nnz,
-                "bridge_per_nnz": self.bridge_per_nnz,
                 "native_per_nnz": self.native_per_nnz,
                 "hop_overhead": self.hop_overhead,
                 "external_per_nnz": self.external_per_nnz,
@@ -389,8 +377,9 @@ class CostModel:
         """Load a model from ``path``.
 
         Accepts a file written by :meth:`save` (seeds + measured table
-        restored exactly).  A schema-1 file (rates kept per kind) loads
-        its seeds only, with a single warning.  Anything else —
+        restored exactly; the seed and measured rows of the deleted
+        ``bridge`` hop kind are skipped).  A schema-1 file (rates kept
+        per kind) loads its seeds only, with a single warning.  Anything else —
         unreadable, not JSON, or JSON of another kind — degrades to the
         default model with a single warning.
         """
@@ -423,7 +412,7 @@ class CostModel:
                 **{
                     name: float(seeds[name])
                     for name in (
-                        "scalar_per_nnz", "vector_per_nnz", "bridge_per_nnz",
+                        "scalar_per_nnz", "vector_per_nnz",
                         "native_per_nnz", "hop_overhead",
                         "external_per_nnz", "external_overhead",
                         "fused_per_nnz", "compute_per_nnz",
@@ -446,6 +435,8 @@ class CostModel:
                 )
                 return model
             for record in data.get("measured", []):
+                if record["kind"] == "bridge":
+                    continue  # a deleted hop kind: nothing prices it
                 pair = record["pair"]
                 if pair is not None:
                     pair = tuple(
@@ -470,80 +461,30 @@ class CostModel:
 
 
 # ----------------------------------------------------------------------
-# extraction bridges
-
-#: Bulk extractions for formats whose levels cannot join the generic
-#: vector-emission protocol (yet): structural key of the source format ->
-#: (intermediate format, extraction function).  The extraction must be
-#: bit-identical to the generated scalar src->intermediate routine.
-_BRIDGES: Dict[Tuple, Tuple[Format, Callable[[Tensor], Tensor]]] = {}
-
-
-def register_bridge(
-    src_format: Format,
-    intermediate: Format,
-    extract: Callable[[Tensor], Tensor],
-) -> None:
-    """Register a bulk extraction bridge for ``src_format`` (structurally:
-    renamed twins share the bridge).  ``extract(tensor)`` must return the
-    tensor in ``intermediate``, bit-identical to the generated scalar
-    conversion for the same pair."""
-    _BRIDGES[structural_key(src_format)] = (intermediate, extract)
-
-
-def bridge_for(src_format: Format) -> Optional[Tuple[Format, Callable]]:
-    """The (intermediate, extraction) bridge of ``src_format``, if any."""
-    return _BRIDGES.get(structural_key(src_format))
-
-
-def _hash_to_coo(tensor: Tensor) -> Tensor:
-    """Bulk extraction of a (dense, hashed) table into COO.
-
-    Replays the scalar loop's iteration order — rows ascending, slots
-    ascending within each row — as one mask/gather: flat slot index order
-    *is* that order.  Empty slots (``crd < 0``) and explicit zeros are
-    dropped exactly as the generated guard drops them.
-    """
-    from ..formats.library import COO
-
-    width = tensor.meta(1, "W")
-    crd = tensor.array(1, "crd")
-    vals = tensor.vals
-    keep = np.flatnonzero((crd >= 0) & (vals != 0.0))
-    arrays = {
-        (0, "pos"): np.array([0, len(keep)], dtype=np.int64),
-        (0, "crd"): keep // max(width, 1),
-        (1, "crd"): crd[keep],
-    }
-    return Tensor(COO, tensor.dims, arrays, {}, vals[keep])
-
-
-def _register_builtin_bridges() -> None:
-    from ..formats.library import COO, HASH
-
-    register_bridge(HASH, COO, _hash_to_coo)
-
-
-# ----------------------------------------------------------------------
 # routes
 
 
-#: What each hop kind executes, as ``explain()`` transcripts word it.  The keys are the hop kinds: the
-#: generated-code backends ``scalar`` / ``vector`` / ``native`` (the
-#: compiled-C backend), a registered bulk extraction (``bridge``), a
-#: registered competing converter
-#: (``external``, see :mod:`repro.convert.converters`; its cost-table
-#: rows are keyed ``"external:<name>"`` per converter), and the two
-#: terminal kinds of a compute plan.
+#: What each hop kind executes, as ``explain()`` transcripts word it.  The
+#: keys are the hop kinds: the generated-code backends ``scalar`` /
+#: ``vector`` / ``native`` (the compiled-C backend), a registered
+#: competing converter (``external``, see :mod:`repro.convert.converters`;
+#: its cost-table rows are keyed ``"external:<name>"`` per converter), and
+#: the two terminal kinds of a compute plan.
 HOP_KIND_DETAIL = {
     "scalar": "generated per-nonzero loop nest",
     "vector": "generated bulk-numpy routine",
     "native": "generated native (compiled C) routine",
-    "bridge": "bulk extraction (mask/gather, no codegen)",
     "external": "registered converter (external implementation)",
     "fused": "generated compute kernel reading the hop's source directly",
     "compute": "generated compute kernel over the materialized format",
 }
+
+
+def bridge_for(src_format: FormatSpec) -> None:
+    """Always ``None``: no format needs a bulk-extraction bridge, since
+    hashed sources gather directly.  Kept importable only for the
+    benchmark harness (ROADMAP item 2(iii))."""
+    return None
 
 
 @dataclass(frozen=True)
@@ -577,25 +518,6 @@ def _pair(hop: Hop) -> Tuple[Tuple, Tuple]:
     return (structural_key(hop.src), structural_key(hop.dst))
 
 
-def _candidate_intermediates(src: Format, dst: Format) -> List[Format]:
-    """Registered formats eligible as intermediates for (src, dst): same
-    order, a conversion source, and able to hold any tensor."""
-    skip = {structural_key(src), structural_key(dst)}
-    seen = set(skip)
-    out: List[Format] = []
-    for fmt in available_formats().values():
-        key = structural_key(fmt)
-        if key in seen:
-            continue
-        seen.add(key)
-        if fmt.order != src.order or fmt.inverse is None or not all(
-            level.holds_any_coordinate for level in fmt.levels
-        ):
-            continue
-        out.append(fmt)
-    return out
-
-
 @dataclass(frozen=True)
 class EdgeCandidate:
     """One priced competitor for a single conversion edge.
@@ -611,7 +533,7 @@ class EdgeCandidate:
     """
 
     name: str
-    kind: str  # "scalar" | "vector" | "native" | "bridge" | "external"
+    kind: str  # "scalar" | "vector" | "native" | "external"
     cost: float
     provenance: str
     weight: float = 1.0
@@ -650,8 +572,8 @@ def edge_candidates(
 
     The generated kernel is always present and always admitted — it is
     the fallback when every registered competitor's predicate refuses.
-    Bridges and registered converters replay the *default* code shapes,
-    so non-default :class:`PlanOptions` leave only the generated kernel.
+    Registered converters replay the *default* code shapes, so
+    non-default :class:`PlanOptions` leave only the generated kernel.
     ``native_ok`` (a working C toolchain) adds the compiled-C kernel for
     pairs it supports, priced at the native seed until the pair has
     measured native timings of its own.  Like fusion, a seed alone never
@@ -692,15 +614,6 @@ def edge_candidates(
                 cost=cost, provenance=provenance, built=built,
             )
     if options.key() == PlanOptions().key():
-        bridge = bridge_for(src)
-        if bridge is not None and structural_key(bridge[0]) == pair[1]:
-            cost, provenance = model.cost_detail("bridge", nnz, pair)
-            out.append(
-                EdgeCandidate(
-                    name="bridge", kind="bridge",
-                    cost=cost, provenance=provenance,
-                )
-            )
         for conv in converters_for(src, dst):
             cost, provenance = model.cost_detail(
                 f"external:{conv.name}", nnz, pair
@@ -728,42 +641,18 @@ def find_route(
     options: Optional[PlanOptions] = None,
     cost_model: Optional[CostModel] = None,
     nnz: Optional[int] = None,
-    max_hops: int = 3,
-    intermediates: Optional[Sequence[Format]] = None,
     features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
     native_ready: Optional[Callable[[Format, Format], bool]] = None,
 ) -> "ConversionPlan":
-    """Find the cheapest conversion path from ``src`` to ``dst``, as the
-    :class:`~repro.convert.plan.ConversionPlan` that runs it.
-
-    Runs Dijkstra over the format graph — nodes are ``src``, ``dst`` and
-    the registered same-order intermediates (or an explicit
-    ``intermediates`` list); edge weights come from ``cost_model`` at
-    ``nnz`` stored components, each edge taking its cheapest admitted
-    competitor (generated kernel, bridge, or registered converter — see
-    :func:`edge_candidates`).  ``features`` are the source tensor's
-    structural facts: they gate predicated converters on the first hop;
-    hops out of intermediate formats are judged optimistically (their
-    predicates are re-checked at execution time).  Non-default
-    :class:`PlanOptions` pin the plan to the direct conversion: the
-    options select scalar code shapes that bridges and competing
-    converters do not honour.
-
-    ``native_ok`` (set by the engine when a working C toolchain was
-    detected) lets edges take the compiled-C kernel, and
-    ``native_ready`` says which native kernels are built (see
-    :func:`edge_candidates`).  An edge whose cheapest competitor is an
-    unbuilt native kernel takes its cheapest built one; the plan's
-    ``_pending`` then lists the unbuilt native hops of the path that
-    would win were every kernel built, so running the plan can queue
-    their builds.
-
-    The direct conversion always exists, so the result is never empty;
-    ties go to it.  The plan is ``routed`` when it leaves the generated
-    direct path — a multi-hop chain or a bridge hop; a direct hop won by
-    a registered converter is still a direct conversion.  It is unbound
-    (``engine=None``): :meth:`ConversionEngine.route
+    """The one-hop plan for ``src -> dst``, run by the cheapest admitted
+    and built competitor of :func:`edge_candidates` (priced by
+    ``cost_model`` at ``nnz`` stored components; ``features`` gate
+    predicated converters, and ``native_ok`` / ``native_ready`` offer the
+    compiled-C kernel).  When the cheapest is the unbuilt native kernel,
+    the plan's ``_pending`` holds its hop, so a bulk run can queue the
+    build.  The plan is unbound (``engine=None``):
+    :meth:`ConversionEngine.route
     <repro.convert.engine.ConversionEngine.route>` binds the plans it
     caches.
     """
@@ -772,161 +661,43 @@ def find_route(
     src = get_format(src)
     dst = get_format(dst)
     options = options or PlanOptions()
-    model = cost_model or CostModel()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
-
-    if (
-        src.order != dst.order
-        or options.key() != PlanOptions().key()
-        or max_hops < 2
-    ):
-        nodes: List[Format] = [src, dst]
-    else:
-        if intermediates is None:
-            intermediates = _candidate_intermediates(src, dst)
-        nodes = [src] + list(intermediates) + [dst]
-    dst_index = len(nodes) - 1
-
-    #: (from, to) -> (cheapest built competitor, cheapest competitor)
-    choices: Dict[Tuple[int, int], Tuple[EdgeCandidate, EdgeCandidate]] = {}
-
-    def edge(here: int, nxt: int, built_only: bool) -> Hop:
-        choice = choices.get((here, nxt))
-        if choice is None:
-            # Only the first hop sees the source tensor's features; later
-            # hops read intermediate tensors whose structure is unknown
-            # at planning time, so their predicates are judged
-            # optimistically and re-checked against the actual
-            # intermediate at run time.
-            admitted = [
-                cand for cand in edge_candidates(
-                    nodes[here], nodes[nxt], options, model, nnz,
-                    features if here == 0 else None,
-                    native_ok and (here, nxt) == (0, dst_index), native_ready,
-                )
-                if cand.admitted
-            ]
-            # the generated kernel is always admitted and built
-            choice = (admitted[0], min(admitted, key=lambda c: c.rank))
-            choices[(here, nxt)] = choice
-        cand = choice[0] if built_only else choice[1]
-        return Hop(nodes[here], nodes[nxt], cand.kind, cand.cost,
-                   cand.provenance, cand.converter)
-
-    def cheapest(built_only: bool) -> Tuple[Hop, ...]:
-        direct = edge(0, dst_index, built_only)
-        best_hops, best_cost = (direct,), direct.cost
-        # Dijkstra with a hop budget; the graph is tiny (every registered
-        # format), so the quadratic edge scan is fine.
-        best: Dict[Tuple[int, int], float] = {(0, 0): 0.0}
-        heap: List[Tuple[float, int, int, Tuple[Hop, ...]]] = [(0.0, 0, 0, ())]
-        while len(nodes) > 2 and heap:
-            cost, node, hops_used, hops = heapq.heappop(heap)
-            if cost > best.get((node, hops_used), float("inf")):
-                continue
-            if node == dst_index:
-                if cost < best_cost - 1e-12:
-                    best_hops, best_cost = hops, cost
-                continue
-            if hops_used == max_hops or nodes[node].inverse is None:
-                continue  # out of budget, or cannot be a conversion source
-            for nxt in range(1, len(nodes)):
-                if nxt == node:
-                    continue
-                hop = edge(node, nxt, built_only)
-                step = cost + hop.cost
-                state = (nxt, hops_used + 1)
-                if step < best.get(state, float("inf")):
-                    best[state] = step
-                    heapq.heappush(heap, (step, nxt, hops_used + 1, hops + (hop,)))
-        # rates are kept per pair, so an unexplored detour hop keeps its
-        # optimistic seed: a detour priced partly from seeds never
-        # displaces a measured direct edge
-        if (
-            len(best_hops) > 1 and direct.provenance == MEASURED
-            and any(hop.provenance == SEEDED for hop in best_hops)
-        ):
-            return (direct,)
-        return best_hops
-
-    hops = cheapest(built_only=True)
-    pending: Tuple[Hop, ...] = ()
-    if any(built is not best for built, best in choices.values()):
-        pending = tuple(
-            hop for hop in cheapest(built_only=False)
-            if hop.kind == "native" and not native_ready(hop.src, hop.dst)
+    admitted = [
+        cand for cand in edge_candidates(
+            src, dst, options, cost_model, nnz, features,
+            native_ok, native_ready,
         )
+        if cand.admitted
+    ]
+    # the generated kernel is always admitted and built, and the list
+    # puts built candidates first
+    taken, best = admitted[0], min(admitted, key=lambda cand: cand.rank)
+    pending: Tuple[Hop, ...] = ()
+    if not best.built:
+        pending = (Hop(src, dst, best.kind, best.cost, best.provenance),)
     return ConversionPlan(
-        hops=hops, options=options, nnz=nnz,
-        routed=len(hops) > 1 or hops[0].kind == "bridge",
-        features=features, _pending=pending,
+        hops=(Hop(src, dst, taken.kind, taken.cost, taken.provenance,
+                  taken.converter),),
+        options=options, nnz=nnz, features=features, _pending=pending,
     )
 
 
 def rebind_endpoints(
     plan: "ConversionPlan", src: Format, dst: Format
 ) -> "ConversionPlan":
-    """The same plan with its endpoint formats swapped for ``src``/``dst``.
+    """The one-hop plan with its hop's formats swapped for ``src``/``dst``.
 
-    Routes are cached by *structural* pair, but results must be tagged
-    with the exact (possibly renamed-twin) formats the caller asked for —
-    the converter cache handles the rename per hop.  Raises ``ValueError``
-    when the endpoints are not structurally identical to the plan's.
+    Plans are cached by *structural* pair, but results must be tagged
+    with the exact (possibly renamed-twin) formats the caller asked for.
+    Raises ``ValueError`` when the plan is not one hop or the endpoints
+    are not structurally identical to the plan's.
     """
-    if structural_key(src) != structural_key(plan.src) or structural_key(
-        dst
-    ) != structural_key(plan.dst):
+    if not plan.is_direct or structural_key(src) != structural_key(
+        plan.src
+    ) or structural_key(dst) != structural_key(plan.dst):
         raise ValueError(
             f"plan {plan} does not fit the pair {src.name} -> {dst.name}"
         )
     if src is plan.src and dst is plan.dst:
         return plan
-    hops = list(plan.hops)
-    first = hops[0]
-    hops[0] = replace(first, src=src, dst=dst if len(hops) == 1 else first.dst)
-    if len(hops) > 1:
-        hops[-1] = replace(hops[-1], dst=dst)
-    return replace(plan, hops=tuple(hops))
-
-
-# ----------------------------------------------------------------------
-# route prefixes
-#
-# Two routes out of the same source tensor often share their leading
-# hops: HASH -> COO -> CSR and HASH -> COO -> DIA both pay the HASH ->
-# COO extraction.  A layer that caches hop outputs (the serving data
-# cache) can resume the second conversion at COO.  These helpers name
-# the resumable boundaries of a hop sequence and find the deepest one a
-# cache already holds.
-
-
-def route_checkpoints(hops: Sequence[Hop]) -> Tuple[Format, ...]:
-    """The formats a hop sequence materializes, in execution order.
-
-    ``checkpoints[i]`` is the tensor format after executing ``i + 1``
-    hops; the last entry is the route's destination.  Each one is a
-    point another conversion sharing this prefix can resume from.
-    """
-    return tuple(hop.dst for hop in hops)
-
-
-def longest_cached_prefix(
-    hops: Sequence[Hop], is_cached: Callable[[Format], bool]
-) -> int:
-    """The number of leading hops a cache makes skippable.
-
-    ``is_cached(fmt)`` answers whether the conversion's tensor is
-    already materialized in ``fmt``.  Checkpoints are probed deepest
-    first, so the return value ``k`` is the largest hop count whose
-    output is cached: ``k == len(hops)`` means the final result is
-    cached (nothing to execute), ``0 < k < len(hops)`` means execution
-    can resume at ``hops[k]`` from the cached intermediate, and ``0``
-    means no shared prefix — run the route in full.
-    """
-    for k in range(len(hops), 0, -1):
-        if is_cached(hops[k - 1].dst):
-            return k
-    return 0
-
-
-_register_builtin_bridges()
+    return replace(plan, hops=(replace(plan.hops[0], src=src, dst=dst),))

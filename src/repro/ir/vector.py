@@ -36,10 +36,11 @@ Because every per-level emitter reproduces its scalar counterpart's
 effect exactly, both backends produce **bit-identical output arrays** for
 every vectorizable pair — including BCSR, DCSR, CSF/COO3, HiCOO and
 skyline, none of which the old format-recognition backend handled;
-``tests/convert/test_backends.py`` asserts this.  Formats containing a
-level without the vector facet, hashed *sources* (slot gathers stay
-scalar; hashed destinations assemble in bulk via
-:func:`repro.ir.runtime.hashed_bulk_insert`), and non-default
+``tests/convert/test_backends.py`` asserts this.  Hashed levels take
+part on both sides: as a source the table compacts to its occupied
+slots, as a destination it assembles through
+:func:`repro.ir.runtime.hashed_bulk_insert`.  Formats containing a level
+without the vector facet and non-default
 :class:`~repro.convert.planner.PlanOptions` report as not vectorizable,
 and the planner falls back to the scalar backend.
 
@@ -90,8 +91,9 @@ def vectorizable(src_format, dst_format, options=None) -> bool:
     if src_format.inverse is None:
         return False
     return all(
-        level.vector_gather_capable for level in src_format.levels
-    ) and all(level.vector_capable for level in dst_format.levels)
+        level.vector_capable
+        for level in (*src_format.levels, *dst_format.levels)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +189,14 @@ class Frontier:
 
     One entry per enumerated path through the visited levels, in the
     exact depth-first order of the scalar loop nest.  ``coords`` holds
-    one coordinate array per visited level.  Positions are *not*
-    materialized: every level visits its full position space in order,
-    so the frontier's positions are always the contiguous range
-    ``[lo, hi)`` — position gathers degrade to slices (``crd[lo:hi]``,
-    ``vals[lo:hi]``) and only consumers that need explicit position
+    one coordinate array per visited level.  Positions are the
+    contiguous range ``[lo, hi)`` while every level visits its full
+    position space in order, so position gathers degrade to slices
+    (``crd[lo:hi]``) and only consumers that need explicit position
     values (banded's derived coordinate, prefix width passes) call
-    :meth:`pos_array`.
+    :meth:`pos_array`.  A level that skips positions (hashed empty
+    slots) sets ``pos`` to the kept ones; gathers then index it, and a
+    level below it that needs the range does not vectorize.
     """
 
     def __init__(self, em: VectorEmitter) -> None:
@@ -201,32 +204,53 @@ class Frontier:
         #: position range bounds, as printable scalar expressions
         self.lo: str = "0"
         self.hi: str = "1"
+        #: the kept positions, when they are not a contiguous range
+        self.pos: Optional[Var] = None
+        #: True while a padded source's explicit zeros are still to drop
+        #: (a compacting last level may drop them in its own pass)
+        self.drop_zeros: bool = False
         self.coords: List[Var] = []
 
     # -- position range ------------------------------------------------------
+    def require_range(self) -> None:
+        """Refuse (as a non-vectorizable level) once positions are kept."""
+        if self.pos is not None:
+            from ..levels.base import LevelFunctionError
+
+            raise LevelFunctionError(
+                "a level below a compacted level does not vector-iterate"
+            )
+
     def count(self) -> str:
         """Number of paths, as a printable scalar expression."""
+        self.require_range()
         if self.lo == "0":
             return self.hi
         return f"({self.hi} - {self.lo})"
 
     def at_root(self) -> bool:
-        return self.lo == "0" and self.hi == "1"
+        return self.pos is None and self.lo == "0" and self.hi == "1"
 
     def lo_plus1(self) -> str:
+        self.require_range()
         return "1" if self.lo == "0" else f"{self.lo} + 1"
 
     def hi_plus1(self) -> str:
+        self.require_range()
         return f"{self.hi} + 1"
 
     def pos_array(self, name: str = "p") -> Var:
         """Materialize the positions as an explicit int64 array."""
+        if self.pos is not None:
+            return self.pos
         return self.em.assign(
             name, f"np.arange({self.lo}, {self.hi}, dtype=np.int64)"
         )
 
     def slice(self, array: str) -> str:
-        """Gather ``array`` at the frontier's positions (a slice)."""
+        """Gather ``array`` at the frontier's positions."""
+        if self.pos is not None:
+            return f"{array}[{self.pos.name}]"
         return f"{array}[{self.lo}:{self.hi}]"
 
     def rebound(self, lo: str, hi: str, prefix: str = "lo") -> None:
@@ -249,6 +273,7 @@ class Frontier:
     def expand_fixed(self, size: Expr, slot_name: str) -> Var:
         """Expand every path by ``size`` consecutive children; returns the
         child-slot array (``0..size-1`` per parent, parent-major)."""
+        self.require_range()
         em = self.em
         size_s = em.atom(size)
         if self.at_root():
@@ -268,6 +293,7 @@ class Frontier:
         """Expand each path by its ``pos`` segment (compressed/banded):
         children of the contiguous parent range ``[lo, hi)`` tile the
         contiguous child range ``[pos[lo], pos[hi])``."""
+        self.require_range()
         if self.coords:
             reps = self.em.assign(
                 "ln",
@@ -282,10 +308,14 @@ class Frontier:
 # gather: source (or assembled-destination-prefix) levels -> streams
 
 
-def _gather_src(em: VectorEmitter, nlevels: int) -> Frontier:
-    """Enumerate stored paths of the first ``nlevels`` source levels."""
+def _gather_src(em: VectorEmitter, nlevels: int,
+                drop_zeros: bool = False) -> Frontier:
+    """Enumerate stored paths of the first ``nlevels`` source levels
+    (``drop_zeros``: see :attr:`Frontier.drop_zeros`)."""
     frontier = Frontier(em)
     for k in range(nlevels):
+        if k == nlevels - 1:
+            frontier.drop_zeros = drop_zeros
         em.ctx.src_format.levels[k].vector_iterate(em, em.ctx.src, k, frontier)
     return frontier
 
@@ -325,7 +355,7 @@ def _gather_nonzeros(em: VectorEmitter):
     from ..remap.lower import lower_remap
 
     ctx = em.ctx
-    frontier = _gather_src(em, ctx.src_format.nlevels)
+    frontier = _gather_src(em, ctx.src_format.nlevels, ctx.src_format.padded)
     vals = ctx.src_vals()
     val = em.assign("val", frontier.slice(vals.name))
 
@@ -337,8 +367,7 @@ def _gather_nonzeros(em: VectorEmitter):
     for name, expr in zip(ctx.canonical_names, lowered.coord_exprs):
         canonical.append(em.bind(name, expr))
 
-    skip_zeros = ctx.src_format.padded
-    if skip_zeros:
+    if frontier.drop_zeros:
         keep = em.assign("keep", f"np.flatnonzero({val.name})")
         filtered = []
         for var in canonical + [val]:

@@ -33,7 +33,6 @@ class BandedLevel(Level):
     vector_capable = True
     stores_explicit_zeros = True
     introduces_padding = True
-    holds_any_coordinate = False
 
     # -- vector emission ------------------------------------------------------
     def vector_iterate(self, em, view, k, frontier):

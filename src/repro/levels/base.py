@@ -25,9 +25,8 @@ coordinate remapping.  Each level implements up to four facets:
    (bulk edge insertion via ``cumsum`` over query counts), ``vector_pos``
    (per-nonzero destination positions, ``group_ranks`` in place of the
    sequenced ``yield_pos`` bump) and friends.  A level that sets
-   ``vector_capable = False`` (the default for new level types, and for
-   :class:`~repro.levels.hashed.HashedLevel`) makes every conversion
-   touching it fall back to the scalar backend.
+   ``vector_capable = False`` (the default for new level types) makes
+   every conversion touching it fall back to the scalar backend.
 
 Code generation methods receive a context object (implemented by the
 conversion planner, :mod:`repro.convert.context`) that resolves array names
@@ -83,11 +82,6 @@ class Level:
     pos_kind: str = "get"
     #: True if the level stores coordinates explicitly in a ``crd`` array.
     explicit_coords: bool = False
-    #: False if the level holds only part of its dimension (the banded
-    #: level keeps each row's band ending at the diagonal): converting an
-    #: arbitrary tensor into the format drops entries, so the router
-    #: never routes through it.
-    holds_any_coordinate: bool = True
 
     # ------------------------------------------------------------------
     # iteration facet
@@ -197,23 +191,12 @@ class Level:
     #: the vector backend, so unsupported levels fall back to scalar.
     vector_capable: bool = False
 
-    @property
-    def vector_gather_capable(self) -> bool:
-        """True if the level's *source iteration* lowers through the
-        vector backend.  Defaults to :attr:`vector_capable`; kept
-        separate because a level can assemble in bulk as a destination
-        yet gather poorly as a source (hashed: slot enumeration carries
-        every empty slot through the stream and its probe order cannot
-        compose prefix widths, so hashed sources stay on the scalar and
-        bridge paths the router already plans around)."""
-        return self.vector_capable
-
     def vector_iterate(self, em, view, k: int, frontier) -> None:
         """Expand ``frontier`` (one entry per enumerated path through
         levels ``0..k-1``) by this level's children, in the exact order of
         the scalar :meth:`emit_iteration` loop.  Appends the level's bulk
-        coordinate array to ``frontier.coords`` and updates
-        ``frontier.pos``."""
+        coordinate array to ``frontier.coords`` and updates the
+        frontier's positions."""
         raise LevelFunctionError(f"{self.name} level does not vector-iterate")
 
     def vector_edges(self, em, ctx, k: int, parents, parent_size: Expr) -> None:

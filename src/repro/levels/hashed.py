@@ -14,7 +14,12 @@ finds the coordinate or an empty slot, making insertion idempotent
 
 Iteration visits all slots and skips empties, so the level is unordered
 and not compact — the trade-offs the paper's Section 2 tables ascribe to
-hash-based storage.
+hash-based storage.  Both vector facets exist, so a hashed format
+converts in one generated hop either way: as a source the table
+compacts to its occupied slots (one ``flatnonzero`` over the parents'
+slots, ancestors expanded by a ``bincount`` of the kept slots), and as
+a destination it assembles through
+:func:`repro.ir.runtime.hashed_bulk_insert`.
 """
 
 from __future__ import annotations
@@ -41,12 +46,8 @@ class HashedLevel(Level):
     #: as a *destination*, probe chains vectorize through
     #: :func:`repro.ir.runtime.hashed_bulk_insert` — priority-claiming
     #: rounds that replay the sequential probe loop's placement bit for
-    #: bit.  As a *source* the level stays scalar
-    #: (``vector_gather_capable`` below): slot enumeration drags every
-    #: empty slot through the gathered streams and cannot compose the
-    #: prefix widths the attribute-query passes need.
+    #: bit; as a *source*, the gather compacts (:meth:`vector_iterate`)
     vector_capable = True
-    vector_gather_capable = False
     #: empty slots are materialized (values there stay zero)
     introduces_padding = True
 
@@ -82,16 +83,35 @@ class HashedLevel(Level):
 
     # -- vector emission ------------------------------------------------------
     def vector_iterate(self, em, view, k, frontier):
-        # Every slot in parent-major order, exactly the scalar loop's
-        # order.  Empty slots ride along as coordinate -1 with value 0
-        # and are dropped by the central padded-source filter (the bulk
-        # mirror of the scalar coordinate guard + nonzero guard).
-        width = view.meta(k, "W")
-        frontier.expand_fixed(width, f"s{k + 1}")
-        coord = em.assign(
-            view.coord_name(k), frontier.slice(view.array(k, "crd").name)
+        # The parents' occupied slots in slot order (the scalar loop's
+        # order and ``crd >= 0`` guard, plus its nonzero guard on the last
+        # level), so no empty slot reaches a later pass; each parent's
+        # width is the bincount of its kept slots.
+        width = em.atom(view.meta(k, "W"))
+        crd = view.array(k, "crd").name
+        frontier.require_range()
+        lo = frontier.lo
+        first = "0" if lo == "0" else f"{lo} * {width}"
+        slots = f"[{first}:{frontier.hi} * {width}]"
+        test = f"{crd}{slots} >= 0"
+        if frontier.drop_zeros:
+            vals = em.ctx.src_vals().name
+            test = f"({test}) & ({vals}{slots} != 0)"
+            frontier.drop_zeros = False
+        kept = em.assign(f"p{k + 1}", f"np.flatnonzero({test})")
+        if frontier.coords:
+            widths = em.assign(
+                "ln",
+                f"np.bincount({kept.name} // {width},"
+                f" minlength={frontier.count()})",
+            )
+            frontier.repeat_coords(widths.name)
+        if lo != "0":
+            em.emit(f"{kept.name} += {first}")
+        frontier.pos = kept
+        frontier.coords.append(
+            em.assign(view.coord_name(k), frontier.slice(crd))
         )
-        frontier.coords.append(coord)
 
     def vector_init_coords(self, em, ctx, k, parent_size):
         width = ctx.meta(k, "W")

@@ -4,8 +4,8 @@ The library converts one tensor at a time; this package turns that into
 a long-lived, multi-tenant **service**.  The moving parts:
 
 - :class:`~repro.serve.datacache.DataCache` — a content-hash LRU over
-  converted tensors; routed conversions insert every hop's output, so
-  requests sharing a route *prefix* reuse the common hops.
+  converted tensors; every executed hop's output is inserted, so a
+  repeat of a payload in any format it was converted to is a hit.
 - :class:`~repro.serve.service.ConversionService` — asyncio admission
   (per-tenant quotas), single-flight coalescing of identical in-flight
   conversions, same-pair batching, and cache-aware plan execution.

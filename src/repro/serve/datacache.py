@@ -17,13 +17,11 @@ code-shape options may not share entries).
 Because conversions in this library are **bit-identical across
 backends and routes**, one cached entry serves every way of producing it.
 
-Route-prefix sharing is the point of the key shape: a routed conversion
-inserts *every hop's output* under the original payload's digest (the
-origin digest rides along on each intermediate tensor), so after
-``HASH -> COO -> CSR`` runs, a later ``HASH -> COO -> DIA`` of the same
-payload finds the ``COO`` checkpoint and skips the shared extraction
-hop.  The insertion happens through the engine's hop-observation hook
-(:meth:`ConversionEngine.add_hop_observer
+Every executed hop's output is inserted under the original payload's
+digest (the origin digest rides along on the output tensor), so a
+``/convert`` result also serves a later ``/compute`` that consumes the
+same format, and vice versa.  The insertion happens through the
+engine's hop-observation hook (:meth:`ConversionEngine.add_hop_observer
 <repro.convert.engine.ConversionEngine.add_hop_observer>`) — see
 :meth:`DataCache.hop_observer`.
 
@@ -158,21 +156,13 @@ class DataCache:
             self._stats["hits"] += 1
             return entry[0]
 
-    def contains(self, digest: str, fmt: Format,
-                 options: Optional[PlanOptions] = None) -> bool:
-        """Whether an entry exists (no LRU touch, no hit/miss count) —
-        the probe behind route-prefix identification."""
-        key = self.key(digest, fmt, options)
-        with self._lock:
-            return key in self._entries
-
     # -- insertion -------------------------------------------------------
     def put(self, digest: str, fmt: Format, tensor: Tensor,
             options: Optional[PlanOptions] = None) -> bool:
         """Insert (or refresh) an entry; returns whether it is cached.
 
         The tensor is stamped with the origin digest so conversions
-        resumed *from* this entry keep inserting under the same payload
+        run *from* this entry keep inserting under the same payload
         key.  Entries larger than the whole budget are refused.
         """
         size = tensor_nbytes(tensor)
@@ -222,11 +212,9 @@ class DataCache:
 
         Register it with :meth:`ConversionEngine.add_hop_observer
         <repro.convert.engine.ConversionEngine.add_hop_observer>`: every
-        executed hop's output — including each intermediate of a routed
-        conversion — is inserted under the *origin* payload's digest,
-        which the output tensor inherits from the hop's input.  That is
-        the whole prefix-sharing mechanism: later conversions of the
-        same payload find the deepest checkpoint already materialized.
+        executed hop's output is inserted under the *origin* payload's
+        digest, which the output tensor inherits from the hop's input,
+        so later requests for the same payload in that format hit.
         """
 
         def observe(hop: Hop, source: Tensor, result: Tensor,

@@ -290,7 +290,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             "digest": result.digest,
             "seconds": result.seconds,
             "hops_executed": result.hops_executed,
-            "hops_skipped": result.hops_skipped,
         })
 
     def _compute(self) -> None:

@@ -120,7 +120,7 @@ class Metrics:
 
     def observe_latency(self, outcome: str, seconds: float) -> None:
         """Record a request latency under its outcome (``cached`` /
-        ``prefix`` / ``converted`` / ``coalesced``)."""
+        ``converted`` / ``coalesced``, and the ``compute_*`` family)."""
         with self._lock:
             hist = self._latency.get(outcome)
             if hist is None:

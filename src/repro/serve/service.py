@@ -8,17 +8,16 @@
       -> data cache  (full hit: answer with ZERO engine work)
       -> single-flight (identical in-flight conversion: await its future)
       -> batching    (same-pair requests grouped, run on the executor)
-      -> engine      (route-prefix resume when an intermediate is cached,
-                      full plan otherwise; every hop output lands in the
-                      data cache through the engine's hop observer)
+      -> engine      (the plan runs; its result lands in the data cache
+                      through the engine's hop observer)
 
 The event loop owns all coordination state (quota counters, in-flight
 futures, batch buckets) — only the loop thread mutates it — while the
 actual conversions run on a thread pool so the loop stays responsive.
-Conversions in this library are bit-identical across backends/routes, so
-serving from the data cache or resuming from a cached intermediate
-returns exactly the bytes a direct :meth:`engine.convert
-<repro.convert.engine.ConversionEngine.convert>` would.
+Conversions in this library are bit-identical across backends, so
+serving from the data cache returns exactly the bytes a direct
+:meth:`engine.convert <repro.convert.engine.ConversionEngine.convert>`
+would.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import numpy as np
 from ..convert.engine import ConversionEngine, default_engine
 from ..convert.plan import ConversionPlan
 from ..convert.planner import PlanOptions, structural_key
-from ..convert.router import longest_cached_prefix
 from ..formats.registry import FormatSpec, get_format
 from ..storage.tensor import Tensor
 from .datacache import DataCache, origin_digest, tensor_nbytes
@@ -82,10 +80,8 @@ class ServeResult:
 
     ``status`` says how it was satisfied: ``identity`` (already in the
     requested structure), ``cached`` (data-cache hit, zero engine work),
-    ``coalesced`` (shared an identical in-flight conversion),
-    ``prefix`` (resumed a routed plan from a cached intermediate —
-    ``hops_skipped`` of its hops never ran), or ``converted`` (full
-    plan executed).
+    ``coalesced`` (shared an identical in-flight conversion), or
+    ``converted`` (the plan executed).
     """
 
     tensor: Tensor
@@ -95,7 +91,6 @@ class ServeResult:
     digest: str
     seconds: float = 0.0
     hops_executed: int = 0
-    hops_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,9 @@ class ComputeResult:
     ``row_reduce``) or a :class:`Tensor` for materializing ops
     (``scale``).  ``status`` says how the pipeline was satisfied:
     ``coalesced`` (shared an identical in-flight pipeline), ``prefix``
-    (conversion hops resumed from a cached intermediate) or ``computed``
-    (full pipeline executed).  ``fuse`` records the planner's terminal
+    (the data cache already held the conversion hop's destination for
+    this payload, so that hop was skipped) or ``computed`` (full
+    pipeline executed).  ``fuse`` records the planner's terminal
     decision — ``fused`` means the destination format was never
     materialized.
     """
@@ -312,8 +308,7 @@ class ConversionService:
         pair = (tensor.format.name, dst.name)
         options = policy.options
         # Seed the cache with the payload itself: a later request for
-        # this payload in its *source* structure is also a hit, and the
-        # entry anchors route-prefix probes at hop index zero.
+        # this payload in its *source* structure is also a hit.
         self.cache.put(digest, tensor.format, tensor, options)
         if structural_key(tensor.format) == structural_key(dst):
             return ServeResult(tensor, "identity", pair, tenant, digest)
@@ -407,44 +402,23 @@ class ConversionService:
                 outcomes.append((job, None, exc))
         return outcomes
 
-    def _resume(self, hops, tensor: Tensor, digest: str,
-                options: Optional[PlanOptions]) -> Tuple[int, Tensor]:
-        """``(k, checkpoint)``: how many leading ``hops`` the data cache
-        makes skippable for this payload and the cached tensor execution
-        resumes from — ``(0, tensor)`` when no prefix is cached (or the
-        checkpoint was evicted between the probe and the fetch)."""
-        prefix = longest_cached_prefix(
-            hops, lambda fmt: self.cache.contains(digest, fmt, options)
-        )
-        if prefix > 0:
-            checkpoint = self.cache.get(digest, hops[prefix - 1].dst, options)
-            if checkpoint is not None:
-                return prefix, checkpoint
-        return 0, tensor
-
     def _execute_job(self, tensor: Tensor, dst, digest: str,
                      policy: TenantPolicy, tenant: str) -> ServeResult:
         pair = (tensor.format.name, dst.name)
+        cached = self.cache.get(digest, dst, policy.options)
+        if cached is not None:  # raced in since the loop-side probe
+            self.metrics.incr("data_hits")
+            return ServeResult(cached, "cached", pair, tenant, digest)
         plan = self.engine.plan(
             tensor.format, dst,
             options=policy.options, backend=policy.backend,
             nnz=tensor.nnz_stored,
             features=self.engine.features_for(tensor, policy.backend),
         )
-        skipped, current = self._resume(
-            plan.hops, tensor, digest, policy.options
-        )
-        if skipped == len(plan.hops):  # raced in since the loop-side probe
-            self.metrics.incr("data_hits")
-            return ServeResult(current, "cached", pair, tenant, digest)
-        if skipped:
-            plan = dataclasses.replace(plan, hops=plan.hops[skipped:])
-        result = self.engine.run_plan(plan, current)
-        self.metrics.incr("prefix_hits" if skipped else "full_conversions")
-        return ServeResult(
-            result, "prefix" if skipped else "converted", pair, tenant,
-            digest, hops_executed=len(plan.hops), hops_skipped=skipped,
-        )
+        result = self.engine.run_plan(plan, tensor)
+        self.metrics.incr("full_conversions")
+        return ServeResult(result, "converted", pair, tenant, digest,
+                           hops_executed=len(plan.hops))
 
     # -- fused convert-and-compute (the /compute endpoint) ---------------
     async def submit_compute(
@@ -461,10 +435,11 @@ class ConversionService:
 
         This is the conversion request path end to end: admission runs
         the same tenant quotas, the payload seeds the data cache,
-        identical in-flight pipelines coalesce on one execution, and
-        conversion hops resume from cached intermediates.  Hop outputs
-        land in the cache through the engine's hop observer exactly like
-        ``/convert`` traffic, so a ``/compute`` request warms the cache
+        identical in-flight pipelines coalesce on one execution, and the
+        conversion hop is skipped when the cache already holds its
+        destination for this payload.  Hop outputs land in the cache
+        through the engine's hop observer exactly like ``/convert``
+        traffic, so a ``/compute`` request warms the cache
         for a later ``/convert`` and vice versa.  The fusion decision
         itself is the engine's (:meth:`ConversionEngine.plan_compute
         <repro.convert.engine.ConversionEngine.plan_compute>`).
@@ -483,8 +458,8 @@ class ConversionService:
                              x, alpha, fuse) -> ComputeResult:
         digest = origin_digest(tensor)
         options = policy.options
-        # Seed the cache with the payload: later /convert or /compute
-        # requests for the same bytes anchor their prefix probes here.
+        # Seed the cache with the payload: a later /convert or /compute
+        # of the same bytes in their source structure is a hit.
         self.cache.put(digest, tensor.format, tensor, options)
         flight_key = (
             "compute", digest, str(op),
@@ -507,9 +482,9 @@ class ConversionService:
     def _execute_compute(self, tensor, op, dst, digest,
                          policy: TenantPolicy, tenant: str,
                          x, alpha, fuse) -> ComputeResult:
-        # Worker thread: plan the pipeline under the tenant's knobs,
-        # resume its conversion prefix from the data cache when an
-        # intermediate is already there, run the rest.
+        # Worker thread: plan the pipeline under the tenant's knobs, skip
+        # its conversion hop when the data cache already holds that hop's
+        # destination for this payload, run the rest.
         pair = (
             tensor.format.name,
             dst.name if dst is not None else tensor.format.name,
@@ -520,10 +495,12 @@ class ConversionService:
             nnz=tensor.nnz_stored,
             features=self.engine.features_for(tensor, policy.backend),
         )
-        skipped, current = self._resume(
-            plan.conversion_hops, tensor, digest, policy.options
-        )
-        if skipped:
+        skipped, current = 0, tensor
+        hops = plan.conversion_hops
+        cached = (self.cache.get(digest, hops[-1].dst, policy.options)
+                  if hops else None)
+        if cached is not None:
+            skipped, current = len(hops), cached
             plan = dataclasses.replace(plan, hops=plan.hops[skipped:])
             self.metrics.incr("prefix_hits")
         value = self.engine.run_compute_plan(plan, current, x=x, alpha=alpha)

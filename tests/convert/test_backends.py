@@ -44,10 +44,26 @@ from repro.storage.build import reference_build
 VECTOR_FORMATS = [COO, CSR, CSC, DIA, ELL]
 #: formerly scalar-only pairs that the per-level lowering newly vectorizes
 EXTENDED_FORMATS = [BCSR(2, 2), DCSR, HICOO(2)]
-#: the only library format without the vector-emission protocol
-#: formats that fall back to scalar as a *source* (hashed gathers stay
-#: scalar; as destinations they assemble in bulk via hashed_bulk_insert)
-FALLBACK_SOURCES = [HASH]
+
+
+class ScalarOnlyDense(DenseLevel):
+    """A dense level without the vector-emission protocol (every library
+    level has it, hashed ones included)."""
+
+    name = "dense_scalar_only"
+    vector_capable = False
+
+
+#: formats that fall back to scalar as a *source*: a CSR twin whose row
+#: level has no vector facet
+FALLBACK_SOURCES = [
+    make_format(
+        "CSR_SCALAR_ONLY",
+        "(i,j) -> (i, j)",
+        [ScalarOnlyDense(), CompressedLevel(ordered=False)],
+        inverse_text="(i,j) -> (i, j)",
+    )
+]
 
 
 def assert_tensors_bit_identical(a, b):
@@ -176,12 +192,16 @@ def test_resolve_backend_selection():
     assert resolve_backend(CSR, BCSR(2, 2), backend="vector") == "vector"
     assert resolve_backend(DCSR, CSR) == "vector"
     assert resolve_backend(COO3, CSF) == "vector"
-    # hashed assembles in bulk as a destination (hashed_bulk_insert)...
+    # hashed assembles in bulk as a destination (hashed_bulk_insert) and
+    # gathers its occupied slots in bulk as a source
     assert resolve_backend(CSR, HASH) == "vector"
-    # ...but its slot gathers stay scalar as a source
+    assert resolve_backend(HASH, CSR, backend="vector") == "vector"
+    # a level without the vector facet keeps its format on scalar
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert resolve_backend(HASH, CSR, backend="vector") == "scalar"
+        assert resolve_backend(
+            FALLBACK_SOURCES[0], CSR, backend="vector"
+        ) == "scalar"
     # ablation options select scalar code shapes: scalar only
     assert resolve_backend(COO, CSR, PlanOptions(force_unsequenced_edges=True)) == "scalar"
 
@@ -230,7 +250,9 @@ def test_renamed_format_shares_kernel_cache_entry():
 @pytest.mark.parametrize("src", FALLBACK_SOURCES, ids=lambda f: f.name)
 def test_vector_request_falls_back_to_scalar(src):
     cells, vals = _random_problem(1, 6, 6, "sparse")
-    tensor = reference_build(src, (6, 6), cells, vals)
+    tensor = make_converter(COO, src, backend="scalar")(
+        reference_build(COO, (6, 6), cells, vals)
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         converter = make_converter(src, CSR, backend="vector")

@@ -3,6 +3,7 @@ route re-planning, and robustness against malformed model files."""
 
 import json
 import random
+import warnings
 
 import pytest
 
@@ -17,16 +18,15 @@ from repro.storage.build import reference_build
 # no-scipy leg exercises the generated vector kernel instead.
 COO_CSR_KEY = "external:scipy-coo-csr" if scipy_available() else "vector"
 
-#: the HASH -> COO bridge hop's structural pair (rates are kept per pair)
-HASH_COO = (structural_key(HASH), structural_key(COO))
+#: the HASH -> CSR edge's structural pair (rates are kept per pair)
+HASH_CSR = (structural_key(HASH), structural_key(CSR))
 
 
 @pytest.fixture
 def only_generated_kernels():
     """Temporarily unregister every registered converter so the generated
     kernels win deterministically (scipy-present and -absent legs).
-    Removing only the COO->CSR competitors is not enough: the router then
-    detours COO->CSC->CSR through two seeded scipy hops."""
+    """
     from repro.convert import (
         converters_for,
         register_converter,
@@ -112,16 +112,34 @@ def test_version_bumps_on_meaningful_change_only():
 # routing uses measured costs
 
 
-def test_injected_slow_bridge_flips_the_route():
-    """The acceptance scenario: measured timings showing the bridge hop is
-    slow must flip HASH->CSR from the bridge route to direct."""
+@pytest.fixture
+def hash_csr_converter():
+    """A registered HASH -> CSR converter (the scalar kernel behind the
+    converter interface), so the edge has two competitors on every leg."""
+    from repro.convert import (
+        make_converter,
+        register_converter,
+        unregister_converter,
+    )
+
+    kernel = make_converter(HASH, CSR, backend="scalar")
+    register_converter(HASH, CSR, lambda tensor, dst: kernel(tensor),
+                       name="test-hash-csr")
+    yield "external:test-hash-csr"
+    unregister_converter(HASH, CSR, "test-hash-csr")
+
+
+def test_injected_slow_rate_flips_the_edge(hash_csr_converter):
+    """The acceptance scenario: measured timings showing the edge's
+    seeded winner is slow must flip HASH->CSR to its competitor."""
     model = CostModel(min_nnz=1)
-    assert not find_route(HASH, CSR, cost_model=model).is_direct
+    seeded = find_route(HASH, CSR, cost_model=model)
+    assert seeded.hops[0].converter == "test-hash-csr"
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 60.0, HASH_COO)  # pathological
+        model.observe(hash_csr_converter, 100_000, 60.0, HASH_CSR)
     flipped = find_route(HASH, CSR, cost_model=model)
     assert flipped.is_direct
-    assert flipped.hops[0].kind == "scalar"
+    assert flipped.backend_per_hop == ("vector",)
 
 
 def test_engine_route_explains_measured_after_enough_conversions(
@@ -141,15 +159,18 @@ def test_engine_route_explains_measured_after_enough_conversions(
     assert "measured cost" in text
 
 
-def test_engine_route_cache_invalidated_by_new_measurements():
+def test_engine_route_cache_invalidated_by_new_measurements(
+    hash_csr_converter,
+):
     model = CostModel(min_nnz=1)
     engine = ConversionEngine(cost_model=model)
     before = engine.route(HASH, CSR)
-    assert not before.is_direct  # seeded: bridge route wins
+    assert before.backend_per_hop == ("external",)  # seeded winner
     for _ in range(model.min_observations):
-        model.observe("bridge", 100_000, 60.0, HASH_COO)
+        model.observe(hash_csr_converter, 100_000, 60.0, HASH_CSR)
     after = engine.route(HASH, CSR)
-    assert after.is_direct  # cached route was dropped and re-planned
+    # the cached plan was dropped and re-planned
+    assert after.backend_per_hop == ("vector",)
 
 
 def test_convert_via_records_hop_timings():
@@ -157,10 +178,11 @@ def test_convert_via_records_hop_timings():
     # faster than the fixed per-kind overhead are otherwise discarded)
     model = CostModel(min_nnz=1, hop_overhead=0.0, external_overhead=0.0)
     engine = ConversionEngine(cost_model=model)
-    tensor = _tensor(HASH)
-    engine.route(HASH, CSR).run(tensor)
-    assert model.observation_count("bridge") == 1
-    assert model.observation_count(COO_CSR_KEY) == 1
+    engine.route(HASH, CSR).run(_tensor(HASH))
+    assert model.observation_count("vector", HASH_CSR) == 1
+    engine.route(COO, CSR).run(_tensor(COO))
+    coo_csr = (structural_key(COO), structural_key(CSR))
+    assert model.observation_count(COO_CSR_KEY, coo_csr) == 1
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +288,43 @@ def test_schema1_file_loads_its_seeds_with_one_warning(tmp_path):
     assert restored.cost_detail("vector", 100_000)[1] == SEEDED
 
 
+#: A schema-2 file as written before the bridge hop kind was deleted: a
+#: ``bridge_per_nnz`` seed and a measured HASH -> COO ``bridge`` row.
+PARENT_SCHEMA2_FILE = (
+    '{"kind": "repro-cost-model", "measured": [{"count": 3, "kind": '
+    '"bridge", "pair": [{"name": "HASH", "structural_key": ["(i, j) -> '
+    '(i, j)", "(i, j) -> (i, j)", ["dense", "hashed"], []]}, {"name": '
+    '"COO", "structural_key": ["(i, j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["compressed{\\u00acunique,\\u00acordered}", '
+    '"singleton{\\u00acordered}"], []]}], "rate": 1.95e-08}, {"count": 3, '
+    '"kind": "vector", "pair": [{"name": "COO", "structural_key": ["(i, '
+    'j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["compressed{\\u00acunique,\\u00acordered}", '
+    '"singleton{\\u00acordered}"], []]}, {"name": "CSR", '
+    '"structural_key": ["(i, j) -> (i, j)", "(i, j) -> (i, j)", ["dense", '
+    '"compressed{\\u00acordered}"], []]}], "rate": 3.95e-08}], "min_nnz": '
+    '1, "min_observations": 3, "schema": 2, "seeded": {"bridge_per_nnz": '
+    '2e-08, "compute_per_nnz": 2.5e-08, "external_overhead": 0.0002, '
+    '"external_per_nnz": 2.2e-08, "fused_per_nnz": 5e-08, "hop_overhead": '
+    '5e-05, "native_per_nnz": 1.2e-08, "scalar_per_nnz": 1.5e-06, '
+    '"vector_per_nnz": 4e-08}}'
+)
+
+
+def test_bridge_rows_of_an_older_file_load_silently(tmp_path):
+    """The deleted bridge hop kind's seed and measured row are skipped
+    without a warning; every other row loads as written."""
+    old = tmp_path / "old.json"
+    old.write_text(PARENT_SCHEMA2_FILE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        restored = CostModel.load(old)
+    assert [kind for kind, _ in restored.measured] == ["vector"]
+    coo_csr = (structural_key(COO), structural_key(CSR))
+    assert restored.cost_detail("vector", 100_000, coo_csr)[1] == MEASURED
+    assert "bridge_per_nnz" not in restored.to_dict()["seeded"]
+
+
 def test_engine_save_cost_model_and_path_constructor(tmp_path):
     # hop_overhead=0: tiny test conversions must register deterministically
     model = CostModel(min_nnz=1, hop_overhead=0.0)
@@ -324,9 +383,9 @@ def test_sub_overhead_observations_are_discarded():
     overhead alone."""
     model = CostModel(min_nnz=1)
     for _ in range(10):
-        model.observe("bridge", 100_000, model.hop_overhead / 2)
-    assert model.observation_count("bridge") == 0
-    assert model.cost_detail("bridge", 100_000_000)[1] == SEEDED
+        model.observe("vector", 100_000, model.hop_overhead / 2)
+    assert model.observation_count("vector") == 0
+    assert model.cost_detail("vector", 100_000_000)[1] == SEEDED
 
 
 def test_restored_subthreshold_entries_bump_version_at_threshold(tmp_path):

@@ -16,7 +16,7 @@ from repro.convert import (
     default_engine,
     make_converter,
 )
-from repro.formats import BCSR, COO, CSC, CSR, DIA, ELL, make_format
+from repro.formats import BCSR, COO, CSC, CSR, DIA, ELL, HASH, make_format
 from repro.ir.native import detect_toolchain
 from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
@@ -194,8 +194,9 @@ def test_warmup_compiles_route_hops():
     engine = ConversionEngine()
     engine.warmup([("HASH", "CSR")])
     compiled = engine.cache_stats()["compiles"]
-    # the routed hop COO->CSR (vector) was compiled during warmup
-    engine.make_converter("COO", "CSR", backend="vector")
+    # the route's one hop HASH->CSR (vector, or native once warmup built
+    # it) was compiled during warmup
+    engine.plan("HASH", "CSR").compile()
     assert engine.cache_stats()["compiles"] == compiled
 
 
@@ -542,6 +543,13 @@ def test_chunkable_stays_importable_from_repro_convert():
     assert chunkable(COO, CSR)
 
 
+def test_bridge_for_stays_importable_and_finds_no_bridge():
+    # ROADMAP item 2(iii): the harness imports it; no format has a bridge
+    from repro.convert import bridge_for
+
+    assert bridge_for(HASH) is None
+
+
 def test_plan_parallel_keyword_warns_and_changes_nothing():
     # ROADMAP item 2: the harness passes plan(parallel=...) for its
     # executor cells; the keyword is ignored with one DeprecationWarning
@@ -586,25 +594,47 @@ def test_hop_observer_sees_every_hop_with_timings():
 
 
 def test_hop_observer_sees_routed_intermediates():
-    from repro.formats import HASH
+    """A loaded multi-hop plan (the router plans one hop) still runs hop
+    by hop, and the observer sees its intermediate."""
+    from repro.convert import ConversionPlan, PlanOptions
+    from repro.convert.router import Hop
 
     engine = ConversionEngine()
     seen = []
     engine.add_hop_observer(
         lambda hop, src, dst, options, seconds: seen.append(
-            (hop.src.name, hop.dst.name)
+            (hop.src.name, hop.dst.name, dst.format.name)
         )
     )
     tensor = reference_build(
         HASH, (30, 30),
         [(i, (i * 7) % 30) for i in range(30)], [float(i) for i in range(30)],
     )
-    engine.convert(tensor, CSR, route="auto")
-    plan = engine.plan(HASH, CSR, nnz=tensor.nnz_stored)
-    assert len(seen) == len(plan.hops)
-    assert [pair for pair in seen] == [
-        (hop.src.name, hop.dst.name) for hop in plan.hops
-    ]
+    chain = ConversionPlan(
+        hops=(Hop(HASH, COO, "vector"), Hop(COO, CSR, "vector")),
+        options=PlanOptions(), engine=engine,
+    )
+    chain.run(tensor)
+    assert seen == [("HASH", "COO", "COO"), ("COO", "CSR", "CSR")]
+    assert engine.cache_stats()["routed_conversions"] == 1
+
+
+def test_toolchain_is_memoized_per_cc_value(monkeypatch):
+    """engine.toolchain() probes once per $CC value, not once per plan."""
+    import repro.ir.native as native
+
+    calls = []
+    monkeypatch.setattr(native, "detect_toolchain",
+                        lambda: calls.append(1) or "probed")
+    monkeypatch.setenv("CC", "/bin/false")
+    engine = ConversionEngine()
+    for _ in range(3):
+        engine.plan(COO, CSR)
+        assert engine.toolchain() == "probed"
+    assert len(calls) == 1
+    monkeypatch.setenv("CC", "cc")  # a new $CC value probes again
+    engine.toolchain()
+    assert len(calls) == 2
 
 
 def test_hop_observer_remove_and_exception_isolation():

@@ -1,6 +1,6 @@
-"""Hashed destinations vectorize: bulk open-addressing inserts.
+"""Hashed levels vectorize on both sides of a conversion.
 
-Three contracts from the HASH vectorization:
+Four contracts from the HASH vectorization:
 
 * ``hashed_bulk_insert`` places every nonzero exactly where the scalar
   probe loop would — bit-identical table and positions — on random
@@ -9,7 +9,11 @@ Three contracts from the HASH vectorization:
   backends for every vectorizable source;
 * hashed pairs are not ``chunkable``, so they never stream (placement
   depends on the global nonzero order, which chunk-local replays cannot
-  reproduce).
+  reproduce);
+* HASH→X is one generated hop on the vector and native backends,
+  bit-identical to scalar: the vector gather compacts the table to its
+  occupied nonzero slots at the level, so no empty slot reaches a later
+  pass.
 """
 
 import warnings
@@ -17,9 +21,30 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.convert import chunkable, make_converter, resolve_backend
-from repro.formats.library import COO, CSC, CSR, DIA, ELL, HASH
+from repro.compute import spmv_reference
+from repro.convert import (
+    ConversionEngine,
+    chunkable,
+    make_converter,
+    resolve_backend,
+)
+from repro.formats.format import make_format
+from repro.formats.library import (
+    BCSR,
+    COO,
+    CSC,
+    CSR,
+    DCSR,
+    DIA,
+    ELL,
+    HASH,
+    HICOO,
+    SKY,
+)
+from repro.ir.native import detect_toolchain
 from repro.ir.runtime import hashed_bulk_insert
+from repro.levels.dense import DenseLevel
+from repro.levels.hashed import HashedLevel
 from repro.storage.build import reference_build
 
 from .test_backends import assert_tensors_bit_identical
@@ -107,6 +132,130 @@ def test_hashed_pairs_stay_off_the_chunked_executor():
 
 
 def test_hashed_source_still_falls_back_to_scalar():
+    """A level below a hashed table would need the table's kept slots as
+    a contiguous range, which the compacting gather does not give: that
+    hashed source keeps the scalar kernel (HASH itself vectorizes)."""
+    from repro.levels.compressed import CompressedLevel
+
+    table_on_top = make_format(
+        "HASH_TABLE_ON_TOP",
+        "(i,j) -> (i, j)",
+        [HashedLevel(), CompressedLevel(ordered=False)],
+        inverse_text="(i,j) -> (i, j)",
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert resolve_backend(HASH, CSR, backend="vector") == "scalar"
+        assert make_converter(table_on_top, CSR,
+                              backend="vector").backend == "scalar"
+
+
+def test_hashed_source_vectorizes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no fallback warning
+        assert resolve_backend(HASH, CSR, backend="vector") == "vector"
+        assert make_converter(HASH, CSR, backend="vector").backend == "vector"
+
+
+# ----------------------------------------------------------------------
+# hashed sources: the compacting gather
+
+#: a renamed structural twin of HASH (kernels are shared structurally)
+HASH_TWIN = make_format(
+    "HASH_TWIN_GATHER",
+    "(i,j) -> (i, j)",
+    [DenseLevel(), HashedLevel()],
+    inverse_text="(i,j) -> (i, j)",
+)
+
+GATHER_TARGETS = [COO, CSR, CSC, DIA, ELL, SKY, DCSR, BCSR(2, 2), HICOO(2)]
+
+HAVE_CC = detect_toolchain() is not None
+
+
+def _hash_tables():
+    """Named HASH tables, lower triangular so SKY holds every entry."""
+    dims = (12, 10)
+    rng = np.random.default_rng(11)
+    lower = [(i, j) for i in range(dims[0]) for j in range(dims[1]) if j <= i]
+    picked = sorted(rng.choice(len(lower), 30, replace=False))
+    scattered = [lower[k] for k in picked]
+    # one full row sets W = 32 against a mean degree near 1: the table is
+    # almost all padding
+    padding_heavy = [(11, j) for j in range(dims[1])] + [
+        (i, i // 2) for i in range(0, 11, 3)
+    ]
+    zero_vals = list(rng.uniform(0.5, 1.5, len(scattered)))
+    zero_vals[::4] = [0.0] * len(zero_vals[::4])  # stored explicit zeros
+    tables = {
+        "scattered": (scattered, list(rng.uniform(0.5, 1.5, len(scattered)))),
+        "padding_heavy": (
+            padding_heavy, list(rng.uniform(0.5, 1.5, len(padding_heavy)))
+        ),
+        "empty": ([], []),
+        "explicit_zeros": (scattered, zero_vals),
+    }
+    return {
+        name: reference_build(HASH, dims, cells, vals)
+        for name, (cells, vals) in tables.items()
+    }
+
+
+HASH_TABLES = _hash_tables()
+
+
+def _as_format(tensor, fmt):
+    return type(tensor)(fmt, tensor.dims, tensor.arrays, tensor.metadata,
+                        tensor.vals)
+
+
+def test_the_tables_cover_padding_and_explicit_zeros():
+    heavy = HASH_TABLES["padding_heavy"]
+    occupied = heavy.array(1, "crd") >= 0
+    assert heavy.meta(1, "W") >= 8 * occupied.sum() / heavy.dims[0]
+    assert occupied.mean() < 0.1
+    zeros = HASH_TABLES["explicit_zeros"]
+    occupied = zeros.array(1, "crd") >= 0
+    assert (zeros.vals[occupied] == 0.0).any()
+    assert not (HASH_TABLES["empty"].array(1, "crd") >= 0).any()
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["vector", pytest.param("native", marks=pytest.mark.skipif(
+        not HAVE_CC, reason="no C toolchain"))],
+)
+@pytest.mark.parametrize("src", [HASH, HASH_TWIN], ids=lambda f: f.name)
+@pytest.mark.parametrize("dst", GATHER_TARGETS, ids=lambda f: f.name)
+def test_hash_source_bit_identical_to_scalar(dst, src, backend):
+    scalar = make_converter(src, dst, backend="scalar")
+    generated = make_converter(src, dst, backend=backend)
+    assert generated.backend == backend
+    for name, table in HASH_TABLES.items():
+        tensor = _as_format(table, src)
+        want = scalar(tensor)
+        got = generated(tensor)
+        assert got.format is dst, name
+        assert_tensors_bit_identical(want, got)
+
+
+def test_hashed_gather_compacts_at_the_level():
+    """One mask keeps the occupied nonzero slots; nothing downstream
+    filters the streams again."""
+    source = make_converter(HASH, CSR, backend="vector").source
+    assert "np.flatnonzero((A2_crd[0:N1 * A2_W] >= 0) & " in source
+    assert "np.bincount(p2 // A2_W" in source
+    assert "np.tile" not in source
+    assert "keep" not in source  # no second (padded-source) filter
+
+
+def test_fused_spmv_from_a_hash_source_takes_the_vector_gather():
+    engine = ConversionEngine()
+    x = np.random.default_rng(2).uniform(0.5, 1.5, 10)
+    for name, tensor in HASH_TABLES.items():
+        plan = engine.plan_compute(HASH, "spmv", CSR, fuse=True,
+                                   backend="vector", nnz=tensor.nnz_stored)
+        assert plan.fused and plan.backend == "vector", name
+        np.testing.assert_allclose(
+            engine.run_compute_plan(plan, tensor, x=x),
+            spmv_reference(tensor, x), rtol=1e-12, atol=0.0,
+        )

@@ -3,7 +3,7 @@ the persistent kernel cache.
 
 The core contract: ``plan.to_json()`` → a fresh engine →
 ``ConversionPlan.from_json(...).run(t)`` is bit-identical to a direct
-``convert(t, ...)`` for every vectorizable pair and every routed pair.
+``convert(t, ...)`` for every vectorizable pair and every HASH pair.
 The persistent cache holds native kernels only, so the warm-start half
 of the contract (``compiles == 0`` with ``disk_hits > 0`` on a second
 engine over the same ``cache_dir``) is asserted for a native plan.
@@ -24,6 +24,7 @@ from repro.convert import (
 from repro.convert.context import PlanError
 from repro.convert.plan import CompiledPlan, key_to_json
 from repro.convert.planner import structural_key
+from repro.convert.router import Hop
 from repro.formats import BCSR, COO, CSC, CSR, DCSR, DIA, ELL, HASH, make_format
 from repro.ir.native import detect_toolchain
 from repro.levels.compressed import CompressedLevel
@@ -79,8 +80,9 @@ def test_plan_roundtrip_every_vectorizable_pair(src, dst, tmp_path):
 
 @pytest.mark.parametrize("dst", HASH_TARGETS, ids=lambda f: f.name)
 def test_plan_roundtrip_every_routed_pair(dst, tmp_path):
+    """The router's HASH plans are one generated hop and replay too."""
     plan, _ = _roundtrip(HASH, dst, tmp_path)
-    assert plan.routed and "bridge" in plan.backend_per_hop
+    assert plan.is_direct and plan.backend_per_hop == ("vector",)
 
 
 @pytest.mark.skipif(detect_toolchain() is None, reason="no C toolchain")
@@ -97,15 +99,28 @@ def test_native_plan_roundtrip_warm_start(tmp_path):
 # plan structure and inspection
 
 
+def _two_hop_plan(engine):
+    """A multi-hop plan: the router plans one hop, a document may chain
+    several, and the executor runs any chain."""
+    return ConversionPlan(
+        hops=(Hop(HASH, COO, "vector"), Hop(COO, CSR, "vector")),
+        options=PlanOptions(), nnz=1_000, engine=engine,
+    )
+
+
 def test_plan_exposes_hops_and_backends():
     engine = ConversionEngine()
     plan = engine.plan(HASH, CSR)
     assert plan.src is HASH and plan.dst is CSR
-    assert [f.name for f in plan.formats] == ["HASH", "COO", "CSR"]
-    assert plan.backend_per_hop == ("bridge", EXT)
-    assert not plan.is_direct
-    assert plan.routed
-    assert str(plan) == "HASH -> COO -> CSR"
+    assert [f.name for f in plan.formats] == ["HASH", "CSR"]
+    assert plan.backend_per_hop == ("vector",)
+    assert plan.is_direct and not plan.routed
+    assert str(plan) == "HASH -> CSR"
+    chain = _two_hop_plan(engine)
+    assert [f.name for f in chain.formats] == ["HASH", "COO", "CSR"]
+    assert chain.backend_per_hop == ("vector", "vector")
+    assert not chain.is_direct and chain.routed
+    assert str(chain) == "HASH -> COO -> CSR"
 
 
 def test_plan_estimated_cost_scales_with_nnz():
@@ -116,13 +131,13 @@ def test_plan_estimated_cost_scales_with_nnz():
 
 def test_plan_sources_per_hop():
     engine = ConversionEngine()
-    plan = engine.plan(HASH, CSR)
-    sources = plan.sources()
-    assert sources[0] is None  # bridge: no generated code
-    if plan.hops[1].kind == "external":
-        assert sources[1] is None  # registered converter: no generated code
-    else:
-        assert "def convert_COO_to_CSR" in sources[1]
+    sources = _two_hop_plan(engine).sources()
+    assert "def convert_HASH_to_COO" in sources[0]
+    assert "def convert_COO_to_CSR" in sources[1]
+    plan = engine.plan(COO, CSR)
+    if plan.hops[0].kind == "external":
+        # registered converter: no generated code
+        assert plan.sources() == [None]
     # a pinned generated backend always has a source
     direct = engine.plan(COO, CSR, backend="vector")
     assert "def convert_COO_to_CSR" in direct.sources()[0]
@@ -130,13 +145,13 @@ def test_plan_sources_per_hop():
 
 def test_plan_explain_mentions_every_hop_and_provenance():
     engine = ConversionEngine()
-    text = engine.plan(HASH, CSR).explain()
-    assert "plan HASH -> CSR" in text
-    second_hop = (
-        "registered converter" if EXT == "external" else "bulk-numpy"
-    )
-    assert "bulk extraction" in text and second_hop in text
+    text = _two_hop_plan(engine).explain()
+    assert "plan HASH -> CSR: HASH -> COO -> CSR (2 hops," in text
+    assert "1. HASH -> COO [vector]" in text
+    assert "2. COO -> CSR [vector]" in text
     assert "seeded cost" in text
+    hop = ("registered converter" if EXT == "external" else "bulk-numpy")
+    assert hop in engine.plan(COO, CSR).explain()
 
 
 def test_plan_compile_returns_ready_runner():
@@ -184,9 +199,12 @@ def test_plan_json_schema_fields():
     data = json.loads(ConversionEngine().plan(HASH, CSR).to_json())
     assert data["schema"] == 2
     assert data["kind"] == "repro-conversion-plan"
-    assert [hop["kind"] for hop in data["hops"]] == ["bridge", EXT]
+    assert [hop["kind"] for hop in data["hops"]] == ["vector"]
+    assert data["routed"] is False
+    external = json.loads(ConversionEngine().plan(COO, CSR).to_json())
+    assert [hop["kind"] for hop in external["hops"]] == [EXT]
     if EXT == "external":
-        assert data["hops"][1]["converter"] == "scipy-coo-csr"
+        assert external["hops"][0]["converter"] == "scipy-coo-csr"
     first = data["hops"][0]["src"]
     assert first["name"] == "HASH"
     assert first["structural_key"] == key_to_json(structural_key(HASH))
@@ -216,7 +234,7 @@ def test_plan_from_json_rejects_diverged_structure():
 
 def test_plan_from_json_rejects_broken_chain_and_bad_kind():
     engine = ConversionEngine()
-    data = json.loads(engine.plan(HASH, CSR).to_json())
+    data = json.loads(_two_hop_plan(engine).to_json())
     bad_kind = json.loads(json.dumps(data))
     bad_kind["hops"][0]["kind"] = "teleport"
     with pytest.raises(PlanError):
@@ -260,7 +278,7 @@ def test_module_level_plan_shim():
 
     p = plan_fn("HASH", "CSR")
     assert isinstance(p, ConversionPlan)
-    assert p.backend_per_hop == ("bridge", EXT)
+    assert p.backend_per_hop in (("vector",), ("native",))
 
 
 def test_convert_is_a_plan_shim():
@@ -330,4 +348,44 @@ def test_chunked_plan_degrades_gracefully_without_chunked_form():
     assert out.format is CSR
     assert_tensors_bit_identical(
         out, engine.convert(tensor, CSR, backend="scalar")
+    )
+
+
+#: A HASH->DIA plan as written before the bridge hop kind was deleted: a
+#: ``bridge`` extraction to COO, then a vector COO->DIA hop.
+_BRIDGE_PLAN_JSON = (
+    '{"hops": [{"dst": {"name": "COO", "structural_key": ["(i, j) -> (i, j)", '
+    '"(i, j) -> (i, j)", ["compressed{\\u00acunique,\\u00acordered}", '
+    '"singleton{\\u00acordered}"], []]}, "kind": "bridge", "src": {"name": '
+    '"HASH", "structural_key": ["(i, j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["dense", "hashed"], []]}}, {"dst": {"name": "DIA", "structural_key": '
+    '["(i, j) -> ((j - i), i, j)", "(k, i, j) -> (i, (k + i))", ["squeezed", '
+    '"dense", "offset(1+0)"], []]}, "kind": "vector", "src": {"name": "COO", '
+    '"structural_key": ["(i, j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["compressed{\\u00acunique,\\u00acordered}", '
+    '"singleton{\\u00acordered}"], []]}}], "kind": "repro-conversion-plan", '
+    '"nnz": 5000, "options": {"disable_width_count": false, '
+    '"force_counter_arrays": false, "force_unsequenced_edges": false, '
+    '"skip_src_zeros": null}, "routed": true, "schema": 2}'
+)
+
+
+def test_bridge_plan_loads_as_a_vector_hop_and_runs():
+    """A replayed plan carrying a 'bridge' hop runs the HASH->COO vector
+    kernel in its place, then its other hops: bit-identical to scalar."""
+    from repro.convert.router import HOP_KIND_DETAIL
+
+    assert "bridge" not in HOP_KIND_DETAIL
+    engine = ConversionEngine()
+    plan = ConversionPlan.from_json(_BRIDGE_PLAN_JSON, engine=engine)
+    assert plan.backend_per_hop == ("vector", "vector")
+    assert [f.name for f in plan.formats] == ["HASH", "COO", "DIA"]
+    assert plan.routed
+    assert "def convert_HASH_to_COO" in plan.sources()[0]
+    tensor = _problem(HASH)
+    out = plan.compile()(tensor)
+    assert out.format is DIA
+    assert engine.cache_stats()["routed_conversions"] == 1
+    assert_tensors_bit_identical(
+        out, engine.convert(tensor, DIA, backend="scalar")
     )

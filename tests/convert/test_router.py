@@ -1,9 +1,9 @@
-"""Tests for multi-hop routing: route search, cost model, bridges, and
-bit-identity of every routed pair against the direct scalar conversion."""
+"""Tests for routing: every plan is one edge, priced over its competing
+implementations, and every HASH pair's plan is bit-identical to the direct
+scalar conversion."""
 
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +11,13 @@ import pytest
 import repro.__main__ as cli
 from repro.convert import (
     ConversionEngine,
-    ConversionPlan,
     CostModel,
     PlanOptions,
     find_route,
     make_converter,
     scipy_available,
 )
-from repro.convert.router import DEFAULT_ROUTE_NNZ, Hop, bridge_for
+from repro.convert.router import DEFAULT_ROUTE_NNZ
 from repro.formats import (
     BCSR,
     COO,
@@ -37,10 +36,6 @@ from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.levels.hashed import HashedLevel
 from repro.storage.build import reference_build
-
-# With scipy importable its registered converter wins the bulk COO->CSR /
-# CSR->CSC edges; the no-scipy leg keeps the generated vector kernel.
-EXT = "external" if scipy_available() else "vector"
 
 needs_cc = pytest.mark.skipif(
     detect_toolchain() is None, reason="no C toolchain"
@@ -72,14 +67,11 @@ def assert_identical(a, b):
 # route search
 
 
-def test_hash_to_csr_routes_through_coo():
+def test_hash_to_csr_is_one_vector_hop():
     route = find_route(HASH, CSR)
-    assert not route.is_direct
-    assert [fmt.name for fmt in route.formats] == ["HASH", "COO", "CSR"]
-    assert route.backend_per_hop == ("bridge", EXT)
-    assert route.routed
-    direct = find_route(HASH, CSR, max_hops=1)
-    assert sum(hop.cost for hop in route.hops) < direct.hops[0].cost
+    assert route.is_direct and not route.routed
+    assert [fmt.name for fmt in route.formats] == ["HASH", "CSR"]
+    assert route.backend_per_hop == ("vector",)
 
 
 def test_route_accepts_spec_strings():
@@ -97,10 +89,10 @@ def test_vectorizable_pairs_stay_direct():
         assert find_route(src, dst).backend_per_hop == ("vector",)
 
 
-def test_hash_to_coo_is_a_direct_bridge():
+def test_hash_to_coo_is_a_direct_vector_hop():
     route = find_route(HASH, COO)
     assert route.is_direct
-    assert route.backend_per_hop == ("bridge",)
+    assert route.backend_per_hop == ("vector",)
 
 
 def test_non_default_options_pin_direct_scalar():
@@ -123,14 +115,13 @@ def _route_explain(monkeypatch, capsys, src, dst, engine=None):
 
 
 def test_route_explain_transcript(monkeypatch, capsys):
-    """The plan's transcript, a competitor table per hop, and — for a
-    multi-hop plan — the direct edge's table: the estimate it beat."""
+    """The plan's transcript and the competitor table of its one edge."""
     text = _route_explain(monkeypatch, capsys, "HASH", "CSR")
-    assert "plan HASH -> CSR: HASH -> COO -> CSR" in text
-    assert "[bridge]" in text and f"[{EXT}" in text
-    direct = text.split("competitors for HASH -> CSR (direct edge, not "
-                        "taken):\n")[1]
-    assert direct.startswith("  generated-scalar [scalar] est 150.050 ms")
+    assert "plan HASH -> CSR: HASH -> CSR (1 hop," in text
+    assert "HASH -> CSR [vector] generated bulk-numpy routine" in text
+    table = text.split("competitors for HASH -> CSR:\n")[1]
+    assert "  generated-vector [vector] est 4.050 ms" in table
+    assert "scalar" not in text and "bridge" not in text
     direct_text = _route_explain(monkeypatch, capsys, "COO", "CSR")
     assert "(1 hop," in direct_text
     assert direct_text.count("competitors for COO -> CSR:") == 1
@@ -138,64 +129,12 @@ def test_route_explain_transcript(monkeypatch, capsys):
 
 
 def test_route_explain_names_a_vector_direct_hop(monkeypatch, capsys):
-    """A detour around a pair that lowers to vector code (the COO -> CSC
-    -> CSR route cheap external hops can win) shows the direct edge's
-    vector kernel and does not claim the pair only lowers to scalar
-    loops."""
-    engine = ConversionEngine()
-    detour = ConversionPlan(
-        hops=(Hop(COO, CSC, "external", 4.5e-4, converter="scipy-coo-csc"),
-              Hop(CSC, CSR, "external", 4.5e-4, converter="scipy-csc-csr")),
-        options=PlanOptions(), nnz=100_000, routed=True, engine=engine,
-    )
-    monkeypatch.setattr(engine, "route", lambda *args, **kwargs: detour)
-    text = _route_explain(monkeypatch, capsys, "COO", "CSR", engine)
-    direct = text.split("competitors for COO -> CSR (direct edge, not "
-                        "taken):\n")[1]
-    assert "generated-vector [vector] est 4.050 ms" in direct
+    """A pair that lowers to vector code shows its vector kernel among
+    the edge's competitors and never claims a scalar loop."""
+    text = _route_explain(monkeypatch, capsys, "COO", "DIA")
+    table = text.split("competitors for COO -> DIA:\n")[1]
+    assert "generated-vector [vector] est 4.050 ms" in table
     assert "scalar" not in text
-
-
-def _pair(src, dst):
-    from repro.convert.planner import structural_key
-
-    return (structural_key(src), structural_key(dst))
-
-
-def test_formats_that_drop_entries_are_never_intermediates():
-    """SKY keeps only each row's band up to the diagonal, so a general
-    matrix routed through it loses entries: no measured rate makes the
-    router take that detour."""
-    model = CostModel(min_nnz=1)
-    for _ in range(model.min_observations):
-        model.observe("vector", 100_000, 10.0, _pair(COO, CSR))  # slow
-        model.observe("vector", 100_000, 1e-4, _pair(COO, SKY))
-        model.observe("vector", 100_000, 1e-4, _pair(SKY, CSR))
-    route = find_route(COO, CSR, cost_model=model)
-    assert SKY not in route.formats
-
-
-def test_a_seeded_detour_never_displaces_a_measured_direct_edge():
-    """Rates are kept per pair, so an unexplored detour hop is priced at
-    its seed: it may not displace a measured direct edge, but the same
-    detour wins once its hops are measured cheaper."""
-    model = CostModel(min_nnz=1)
-    for _ in range(model.min_observations):
-        model.observe("vector", 100_000, 0.02, _pair(CSR, ELL))
-    route = find_route(CSR, ELL, cost_model=model, intermediates=[COO])
-    assert route.is_direct  # the seeded detour would price at 8.1 ms
-    for _ in range(model.min_observations):
-        model.observe("vector", 100_000, 1e-3, _pair(CSR, COO))
-        model.observe("vector", 100_000, 1e-3, _pair(COO, ELL))
-    route = find_route(CSR, ELL, cost_model=model, intermediates=[COO])
-    assert [f.name for f in route.formats] == ["CSR", "COO", "ELL"]
-
-
-def test_explicit_intermediates_restrict_the_graph():
-    route = find_route(HASH, CSR, intermediates=[DIA])
-    # no COO available: DIA cannot be reached by bridge, hops stay scalar,
-    # so the direct conversion wins
-    assert route.is_direct
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +144,12 @@ def test_explicit_intermediates_restrict_the_graph():
 def test_cost_model_orders_backends():
     model = CostModel()
     nnz = DEFAULT_ROUTE_NNZ
-    assert model.cost("bridge", nnz) < model.cost("vector", nnz)
+    assert model.cost("native", nnz) < model.cost("vector", nnz)
     assert model.cost("vector", nnz) < model.cost("scalar", nnz)
 
 
 # ----------------------------------------------------------------------
-# bit-identity: every routed pair equals the direct scalar conversion
+# bit-identity: every HASH pair's plan equals the direct scalar conversion
 
 
 HASH_TARGETS = [CSR, CSC, DIA, ELL, DCSR, BCSR(4, 4), HICOO(4), COO, SKY]
@@ -218,52 +157,56 @@ HASH_TARGETS = [CSR, CSC, DIA, ELL, DCSR, BCSR(4, 4), HICOO(4), COO, SKY]
 
 @pytest.mark.parametrize("dst", HASH_TARGETS, ids=lambda fmt: fmt.name)
 def test_routed_hash_pairs_bit_identical_to_direct_scalar(dst):
+    """The router's HASH plan is one vector hop (no extraction bridge);
+    it, and the native kernel where a compiler exists, match scalar."""
     rng = random.Random(7)
     dims = (32, 32)
     cells, vals = random_cells(rng, dims, 220, lower_triangular=dst is SKY)
     tensor = reference_build(HASH, dims, cells, vals)
     engine = ConversionEngine()
-    route = engine.route(HASH, dst)  # bulk-size default: multi-hop/bridge
-    assert "bridge" in route.backend_per_hop
-    routed = route.run(tensor)
+    route = engine.route(HASH, dst)
+    assert route.backend_per_hop == ("vector",)
     direct = make_converter(HASH, dst, backend="scalar")(tensor)
-    assert_identical(routed, direct)
+    assert_identical(route.run(tensor), direct)
+    if detect_toolchain() is not None:
+        native = engine.plan(HASH, dst, backend="native")
+        assert native.backend_per_hop == ("native",)
+        assert_identical(native.run(tensor), direct)
 
 
 def test_every_builtin_pair_routes_and_roundtrips():
-    """Route search succeeds for every ordered same-order builtin pair and
-    only hash sources leave the direct path."""
+    """Route search succeeds for every ordered same-order builtin pair,
+    and every plan is the direct edge."""
     formats = [COO, CSR, CSC, DIA, ELL, SKY, DCSR, HASH, BCSR(4, 4), HICOO(4)]
     for src in formats:
         for dst in formats:
             if src is dst:
                 continue
             route = find_route(src, dst)
-            assert route.hops[0].src is src and route.hops[-1].dst is dst
-            if src is not HASH:
-                assert route.is_direct
-                assert "bridge" not in route.backend_per_hop
+            assert route.is_direct
+            assert route.hops[0].src is src and route.hops[0].dst is dst
 
 
-def test_structural_hash_twins_share_the_bridge():
+def test_structural_hash_twins_share_one_kernel():
     twin = make_format(
         "HASHTWIN_ROUTER",
         "(i,j) -> (i, j)",
         [DenseLevel(), HashedLevel()],
         inverse_text="(i,j) -> (i, j)",
     )
-    assert bridge_for(twin) is not None
-    route = find_route(twin, CSR)
-    assert not route.is_direct
-    assert route.backend_per_hop == ("bridge", EXT)
+    engine = ConversionEngine()
+    route = engine.route(twin, CSR)
+    assert route.src is twin and route.backend_per_hop == ("vector",)
+    engine.route(HASH, CSR).compile()
+    compiles = engine.cache_stats()["compiles"]
     rng = random.Random(3)
     cells, vals = random_cells(rng, (24, 24), 150)
     tensor = reference_build(HASH, (24, 24), cells, vals)
     tensor.format = twin  # same structure, different name
-    engine = ConversionEngine()
-    routed = replace(route, engine=engine).run(tensor)
+    out = route.run(tensor)
+    assert engine.cache_stats()["compiles"] == compiles  # kernel shared
     direct = engine.make_converter(twin, CSR, backend="scalar")(tensor)
-    assert_identical(routed, direct)
+    assert_identical(out, direct)
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +219,10 @@ def test_engine_convert_auto_routes_large_hash_tensors():
     cells, vals = random_cells(rng, dims, 900)
     tensor = reference_build(HASH, dims, cells, vals)
     engine = ConversionEngine()
-    auto = engine.convert(tensor, CSR)  # hash table is large enough to route
-    assert engine.cache_stats()["routed_conversions"] == 1
+    auto = engine.convert(tensor, CSR)  # the router's one-hop plan
+    assert engine.cache_stats()["routed_conversions"] == 0
     direct = engine.convert(tensor, CSR, route="direct")
-    assert engine.cache_stats()["routed_conversions"] == 1
+    assert engine.cache_stats()["conversions"] == 2
     assert_identical(auto, direct)
 
 
@@ -288,13 +231,13 @@ def test_engine_convert_explicit_route_object():
     cells, vals = random_cells(rng, (16, 16), 60)
     tensor = reference_build(HASH, (16, 16), cells, vals)
     engine = ConversionEngine()
-    route = engine.route(HASH, CSC)  # the routed plan, bound to engine
-    assert not route.is_direct and route.engine is engine
+    route = engine.route(HASH, CSC)  # the router's plan, bound to engine
+    assert route.is_direct and route.engine is engine
     out = route.run(tensor)
     stats = engine.cache_stats()
-    assert stats["conversions"] == stats["routed_conversions"] == 1
+    assert (stats["conversions"], stats["routed_conversions"]) == (1, 0)
     assert_identical(out, engine.convert(tensor, CSC, route="direct"))
-    assert engine.cache_stats()["routed_conversions"] == 1
+    assert engine.cache_stats()["routed_conversions"] == 0
 
 
 def test_convert_via_and_route_call_count_like_convert():
@@ -315,7 +258,7 @@ def test_convert_via_and_route_call_count_like_convert():
         for counter in ("conversions", "routed_conversions",
                         "parallel_conversions"):
             assert stats[counter] == want[counter], counter
-        assert stats["conversions"] == stats["routed_conversions"] == 1
+        assert (stats["conversions"], stats["routed_conversions"]) == (1, 0)
         assert engine.pair_counts() == reference.pair_counts() == {
             ("HASH", "CSC"): 1
         }
@@ -328,8 +271,8 @@ def test_route_caching_by_structural_pair():
 
 
 def test_routed_conversion_is_faster_at_bulk_sizes():
-    """The acceptance bar: at 100k+ nnz the routed HASH->CSR conversion
-    beats the direct scalar loop (by an order of magnitude in practice;
+    """The acceptance bar: at 100k+ nnz the router's HASH->CSR plan beats
+    the direct scalar loop (by an order of magnitude in practice;
     asserted at 2x to stay robust on noisy CI runners)."""
     rng = random.Random(17)
     n, count = 1200, 100_000
@@ -337,7 +280,7 @@ def test_routed_conversion_is_faster_at_bulk_sizes():
     tensor = reference_build(HASH, (n, n), cells, vals)
     engine = ConversionEngine()
     route = engine.route(HASH, CSR, nnz=tensor.nnz_stored)
-    assert not route.is_direct
+    assert route.backend_per_hop == ("vector",)  # native is not built yet
     direct = engine.make_converter(HASH, CSR, backend="scalar")
 
     def best_of(fn, reps=2):
@@ -352,6 +295,7 @@ def test_routed_conversion_is_faster_at_bulk_sizes():
     direct_time = best_of(lambda: direct(tensor))
     assert routed_time * 2 < direct_time, (routed_time, direct_time)
     assert_identical(route.run(tensor), direct(tensor))
+    engine.shutdown()  # a queued native build must not outlive the test
 
 
 def test_route_cache_retags_renamed_twins():
@@ -404,8 +348,8 @@ def test_rebind_endpoints_validates_structure():
 
 def test_beats_direct_predicate():
     """One decision: under the auto policies the plan that runs is the
-    router's plan — a multi-hop chain, a direct bridge, a direct
-    generated kernel, a direct registered converter alike."""
+    router's plan — a generated kernel or a registered converter
+    alike."""
     engine = ConversionEngine()
     pairs = [(HASH, CSR), (HASH, COO), (COO, DIA)]
     if scipy_available():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.convert import ConversionEngine
-from repro.formats import COO, CSR, HASH
+from repro.formats import COO, CSR
 from repro.serve import (
     ConversionService,
     QuotaError,
@@ -104,18 +104,21 @@ def test_different_operands_do_not_coalesce():
 
 
 def test_compute_resumes_from_cached_conversion_prefix():
-    """A routed pipeline whose conversion hops already ran for /convert
-    resumes from the cached checkpoint instead of reconverting."""
+    """/convert COO->DIA, then /compute spmv via DIA of the same payload:
+    the data cache already holds the conversion hop's destination, so
+    the pipeline skips that hop and runs only its op."""
 
     async def body(service, engine):
-        tensor = _tensor(HASH, seed=8)
-        converted = await service.submit(tensor, "COO")
+        tensor = _tensor(seed=8)
+        converted = await service.submit(tensor, "DIA")
         assert converted.status == "converted"
+        conversions = engine.cache_stats()["conversions"]
         result = await service.submit_compute(
-            tensor, "spmv", "DIA", x=_x(seed=9)
+            tensor, "spmv", "DIA", x=_x(seed=9), fuse="materialize"
         )
         assert result.status == "prefix"
-        assert result.hops_skipped >= 1
+        assert (result.hops_skipped, result.hops_executed) == (1, 1)
+        assert engine.cache_stats()["conversions"] == conversions
         direct = ConversionEngine()
         try:
             want = direct.spmv(tensor, _x(seed=9), via="DIA",

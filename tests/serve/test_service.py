@@ -1,4 +1,4 @@
-"""ConversionService: caching, coalescing, prefix resume, quotas.
+"""ConversionService: caching, coalescing, quotas.
 
 Driven with ``asyncio.run`` directly (no async test plugin); each test
 builds its own engine so counters prove exactly what ran.
@@ -9,7 +9,7 @@ import asyncio
 import pytest
 
 from repro.convert import ConversionEngine, PlanOptions
-from repro.formats import COO, CSR, DIA, ELL, HASH, get_format
+from repro.formats import COO, CSR, DIA, ELL, get_format
 from repro.serve import ConversionService, QuotaError, TenantPolicy
 from repro.serve.datacache import tensor_nbytes
 
@@ -69,36 +69,6 @@ def test_single_flight_coalesces_concurrent_identical_requests():
         assert statuses.count("coalesced") == 7
         digests = {r.tensor.content_digest() for r in results}
         assert len(digests) == 1
-
-    _run(_with_service(body))
-
-
-def test_route_prefix_is_reused_across_destinations():
-    """HASH->CSR materializes the COO intermediate; HASH->DIA of the
-    same payload must resume from it and skip the shared hop."""
-
-    async def body(service, engine):
-        from repro.convert.planner import structural_key
-
-        tensor = _tensor(HASH, count=400, dims=(60, 60), seed=3)
-        plan_csr = engine.plan(HASH, CSR, nnz=tensor.nnz_stored)
-        plan_dia = engine.plan(HASH, DIA, nnz=tensor.nnz_stored)
-        if (len(plan_csr.hops) < 2 or len(plan_dia.hops) < 2
-                or structural_key(plan_csr.hops[0].dst)
-                != structural_key(plan_dia.hops[0].dst)):
-            pytest.skip("the pairs do not share a route prefix on this host")
-        first = await service.submit(tensor, CSR)
-        assert first.status == "converted"
-        second = await service.submit(tensor, DIA)
-        assert second.status == "prefix"
-        assert second.hops_skipped >= 1
-        # bit-identical to converting from scratch
-        fresh = ConversionEngine()
-        try:
-            direct = fresh.convert(tensor, DIA)
-        finally:
-            fresh.shutdown()
-        assert second.tensor.content_digest() == direct.content_digest()
 
     _run(_with_service(body))
 
