@@ -27,7 +27,6 @@ from .convert import (
     CompiledConversion,
     ConversionEngine,
     ConversionPlan,
-    CostModel,
     PlanError,
     PlanOptions,
     convert,
@@ -65,7 +64,6 @@ __all__ = [
     "CompiledConversion",
     "ConversionEngine",
     "ConversionPlan",
-    "CostModel",
     "Format",
     "FormatError",
     "PlanError",

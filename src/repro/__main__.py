@@ -169,14 +169,25 @@ def _cmd_convert(args) -> None:
     engine = _engine_arg(args)
     try:
         # one decision, made once: the plan engine.convert() would build
-        # for this tensor is the plan that runs and the plan reported
+        # for this tensor is the plan that runs
         plan = engine.plan(
             src_fmt, dst_fmt, backend=args.backend, route=args.route,
             nnz=tensor.nnz_stored,
             features=engine.features_for(tensor, args.backend, args.route),
         )
+        # report the hops as they executed: a filtered converter refused
+        # at run time hands its hop to the generated kernel
+        ran = []
+
+        def observer(hop, *_):
+            ran.append(hop)
+
+        engine.add_hop_observer(observer)
         start = time.perf_counter()
-        out = plan.run(tensor)
+        try:
+            out = plan.run(tensor)
+        finally:
+            engine.remove_hop_observer(observer)
     except (ValueError, PlanError) as exc:
         raise SystemExit(str(exc)) from exc
     elapsed = (time.perf_counter() - start) * 1e3
@@ -187,7 +198,7 @@ def _cmd_convert(args) -> None:
     print(f"{src_fmt.name} -> {dst_fmt.name} in {elapsed:.2f} ms")
     # the engine's own telemetry split (ConversionPlan.routed)
     how = "routed" if plan.routed else "direct"
-    print(f"  {how}: " + ", ".join(str(hop) for hop in plan.hops))
+    print(f"  {how}: " + ", ".join(str(hop) for hop in ran))
     _print_levels(out)
     print(f"  B_vals: {len(out.vals)} entries ({out.nnz} nonzero)")
     if args.cache_dir:
@@ -242,8 +253,8 @@ def _cmd_route(args) -> None:
     plan = engine.route(src_fmt, dst_fmt, nnz=args.nnz)
     if args.explain:
         print(plan.explain())
-        # competitor table: every implementation that was priced for the
-        # edge, best rank first, with its admission verdict
+        # competitor table: every implementation of the edge in ladder
+        # order, with the reason the ladder passed it over
         print(f"competitors for {plan.src.name} -> {plan.dst.name}:")
         for cand in engine.converters(plan.src, plan.dst, nnz=plan.nnz):
             print(f"  {cand.describe()}")
@@ -471,8 +482,9 @@ def _add_plan_flags(parser) -> None:
     parser.add_argument("--load", metavar="FILE", default=None,
                         help="load the plan from FILE instead of planning it")
     parser.add_argument("--nnz", type=int, default=None,
-                        help="stored-component count the plan is costed at "
-                             "(default: bulk sizes)")
+                        help="stored-component count the plan is made for; "
+                             "below 4096 no registered converter takes the "
+                             "edge (default: 100000)")
     parser.add_argument("--show-code", action="store_true",
                         help="also print the generated source of every hop")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -515,9 +527,9 @@ def main(argv=None) -> None:
                          default="auto",
                          help="lowering backend (default: auto)")
     convert.add_argument("--route", choices=["auto", "direct"], default=None,
-                         help="routing policy: auto prices the edge's "
-                              "implementations, direct runs the generated "
-                              "kernel (default: auto; an "
+                         help="routing policy: auto lets the router's ladder "
+                              "pick the edge's implementation, direct runs "
+                              "the generated kernel (default: auto; an "
                               "explicit --route auto conflicts with an "
                               "explicit non-auto --backend)")
     convert.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -549,8 +561,8 @@ def main(argv=None) -> None:
     route.add_argument("--explain", action="store_true",
                        help="print the full routing transcript")
     route.add_argument("--nnz", type=int, default=None,
-                       help="expected stored-component count the cost model "
-                            "plans for (default: bulk sizes)")
+                       help="expected stored-component count the ladder "
+                            "plans for (default: 100000)")
 
     stats = sub.add_parser("stats", help="attribute-query statistics of a file")
     stats.add_argument("input")
@@ -579,8 +591,9 @@ def main(argv=None) -> None:
                               "(omit: the op reads the source directly)")
     compute.add_argument("--fuse", choices=["auto", "fused", "materialize"],
                          default="auto",
-                         help="fusion policy (default: auto — fuse only "
-                              "when the measured cost model says it wins)")
+                         help="fusion policy (default: auto — fuse wherever "
+                              "the op can consume the source directly and "
+                              "builds no destination)")
     compute.add_argument("--backend",
                          choices=["auto", "scalar", "vector", "native"],
                          default=None, help="compute-kernel lowering backend")

@@ -13,9 +13,10 @@ lowered two ways from one description:
 
 ``engine.plan_compute(src, op, dst)`` returns a compute plan — a
 :class:`~repro.convert.plan.ConversionPlan` whose last hop runs the op —
-choosing between them with the engine's measured :class:`CostModel
-<repro.convert.router.CostModel>`; ``Tensor.spmv(x, via="CSR")`` is the
-one-line entry point.  See ``docs/fusion.md``.  ``ComputePlan`` and
+fusing whenever the op can consume the source directly and builds no
+destination (``fuse="auto"``; ``scale`` materializes, and ``fuse=False``
+pins materialize-then-compute).  ``Tensor.spmv(x,
+via="CSR")`` is the one-line entry point.  See ``docs/fusion.md``.  ``ComputePlan`` and
 ``COMPUTE_PLAN_SCHEMA`` remain importable as plain aliases of
 ``ConversionPlan`` and ``PLAN_SCHEMA``.
 """

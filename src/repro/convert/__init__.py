@@ -24,7 +24,6 @@ from .planner import (
 )
 from .request import ConversionRequest
 from .router import (
-    CostModel,
     EdgeCandidate,
     Hop,
     bridge_for,
@@ -52,7 +51,6 @@ __all__ = [
     "ConversionPlanner",
     "ConversionRequest",
     "Converter",
-    "CostModel",
     "EdgeCandidate",
     "GeneratedConversion",
     "Hop",

@@ -74,11 +74,11 @@ def convert(
 ) -> Tensor:
     """Convert ``tensor`` to ``dst_format`` with a generated routine.
 
-    ``route=None`` (default) applies the auto policy: the engine prices
-    the edge's competing implementations (generated kernels and
-    registered converters, the latter judged on the tensor's sampled
-    structural features) and runs the cheapest — the result is
-    bit-identical to the direct scalar conversion.  ``route="direct"``
+    ``route=None`` (default) applies the auto policy: the router's fixed
+    ladder picks the edge's implementation (a registered converter that
+    admits the tensor at bulk sizes, else a built native kernel, else
+    the generated kernel) — the result is bit-identical to the direct
+    scalar conversion.  ``route="direct"``
     runs the generated kernel the backend policy resolves to, matching
     the pre-engine behaviour exactly.  Passing ``route="auto"``
     *explicitly* together with an explicit non-auto ``backend`` raises

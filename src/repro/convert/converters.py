@@ -15,12 +15,12 @@ module lets any callable compete for an edge::
                        weight=1.0, name="my-coo-csr")
 
 Registered converters are keyed *structurally* (renamed twins share
-them).  At planning time the router prices every admitted competitor —
-the generated kernels and each registered converter whose
-``filter`` (if any) accepts the tensor's :class:`~repro.convert.
-features.StructuralFeatures` (read from a bounded sample) — and the
-cheapest ``cost * weight`` wins (ties break on lower weight, then name,
-so selection is deterministic).  At execution time the engine re-checks
+them).  At planning time a converter is *admitted* when its ``filter``
+(if any) accepts the tensor's :class:`~repro.convert.features.
+StructuralFeatures` (read from a bounded sample); on bulk tensors the
+router's ladder gives the edge to the admitted converter with the lowest
+``weight`` (ties break on name, so selection is deterministic), ahead of
+the generated kernels.  At execution time the engine re-checks
 a filtered winner's predicate against the actual tensor's exact
 ``sortedness >= 1.0`` fact (the other fields stay the sample's) and
 falls back to the generated kernel when it refuses, so bit-identity
@@ -76,8 +76,8 @@ ConverterFilter = Callable[[StructuralFeatures], bool]
 class Converter:
     """One registered implementation competing for a conversion edge.
 
-    ``weight`` scales the cost model's estimate when ranking competitors
-    (< 1 favours, > 1 penalizes); ``filter`` is an optional admission
+    ``weight`` orders the converters of one edge (the lowest admitted
+    one takes it at bulk sizes); ``filter`` is an optional admission
     predicate over the tensor's structural features — a converter whose
     predicate refuses never runs, and the generated kernel takes over.
     """

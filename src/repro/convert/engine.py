@@ -13,20 +13,15 @@ It owns everything the old module-level functions kept in hidden globals:
   ConversionPlan`): every conversion is decided by a plan — ``convert``
   builds and runs one — and plans can be inspected, compiled ahead of
   time, serialized and replayed;
-* an **adaptive cost model**: every executed hop's wall time feeds
-  :meth:`CostModel.observe <repro.convert.router.CostModel.observe>`, so
-  routing costs become measured on this host (persist them with
-  :meth:`save_cost_model`);
 * the **default policy** — :class:`~repro.convert.planner.PlanOptions`
   and lowering backend — applied when callers do not specify one;
 * **routing** (:mod:`repro.convert.router`): a ``route="auto"``
-  conversion is one edge, run by the cheapest of its competing
-  implementations (generated scalar / vector / native kernel or a
-  registered converter), bit-identically;
-* **background native builds**: an auto plan whose cheapest kernel is
-  an unbuilt compiled-C one runs its best built competitor and, at bulk
-  sizes, queues the build on the engine's one builder thread (see
-  :meth:`shutdown`);
+  conversion is one edge, run by the implementation a fixed ladder picks
+  (a registered converter at bulk sizes, else a built native kernel,
+  else the generated vector or scalar kernel), bit-identically;
+* **background native builds**: an auto plan whose pair has no built
+  native kernel runs the generated kernel and, at bulk sizes, queues
+  the build on the engine's one builder thread (see :meth:`shutdown`);
 * **per-pair conversion counters** and :meth:`warmup` precompilation.
 
 The module-level :func:`repro.convert.convert` / ``make_converter`` /
@@ -92,10 +87,9 @@ from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
 from .router import (
     DEFAULT_ROUTE_NNZ,
-    CostModel,
+    BULK_NNZ,
     EdgeCandidate,
     Hop,
-    _pair,
     edge_candidates,
     find_route,
     rebind_endpoints,
@@ -249,14 +243,6 @@ class ConversionEngine:
     backend:
         Default lowering backend policy (``"auto"``, ``"scalar"``,
         ``"vector"``).
-    cost_model:
-        Routing :class:`~repro.convert.router.CostModel`; defaults to the
-        seeded constants.  A path string loads one instead
-        (:meth:`CostModel.load` — a saved cost-model file restores the
-        measured rates).
-        The engine records the wall time of every executed hop back into
-        the model, so routing costs become *measured* on this host; see
-        :meth:`save_cost_model`.
     cache_dir:
         Directory of the **persistent kernel cache**.  When set, every
         native (compiled C) kernel's record (C source + calling
@@ -276,7 +262,6 @@ class ConversionEngine:
         capacity: int = 512,
         options: Optional[PlanOptions] = None,
         backend: str = "auto",
-        cost_model: Union[CostModel, str, os.PathLike, None] = None,
         cache_dir: Union[str, os.PathLike, None] = None,
     ) -> None:
         if capacity < 1:
@@ -288,9 +273,6 @@ class ConversionEngine:
         self.capacity = capacity
         self.options = options or PlanOptions()
         self.backend = backend
-        if isinstance(cost_model, (str, os.PathLike)):
-            cost_model = CostModel.load(cost_model)
-        self.cost_model = cost_model or CostModel()
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -305,13 +287,12 @@ class ConversionEngine:
         self._converters: "OrderedDict[Tuple, CompiledConversion]" = OrderedDict()
         self._routes: Dict[Tuple, ConversionPlan] = {}
         #: bumped whenever a native conversion kernel enters or leaves
-        #: the kernel cache: the router prices only built native kernels
+        #: the kernel cache: the ladder offers only built native kernels
         self._native_generation = 0
-        #: (cost-model version, converter-registry version, native
-        #: generation) the cached routes were planned at; a bump in any —
-        #: measured rates changed meaningfully, a converter was
+        #: (converter-registry version, native generation) the cached
+        #: routes were planned at; a bump in either — a converter was
         #: (un)registered, a native kernel landed — drops them all
-        self._routes_version = (self.cost_model.version, registry_version(), 0)
+        self._routes_version = (registry_version(), 0)
         #: background native builds: the FIFO of queued kernels, every
         #: key queued or building (so a kernel is queued once), keys
         #: whose build failed (those pairs stay on their Python kernels),
@@ -882,16 +863,6 @@ class ConversionEngine:
         if builder is not None and builder is not threading.current_thread():
             builder.join()
 
-    # -- cost-model persistence -----------------------------------------
-    def save_cost_model(self, path: Union[str, os.PathLike]) -> None:
-        """Persist the engine's cost model — seeds plus the rates
-        *measured* from this engine's own executed hops — as JSON.
-        ``ConversionEngine(cost_model=path)`` (or
-        :meth:`CostModel.load`) restores it, so a fresh process routes
-        with measured costs from the first conversion.
-        """
-        self.cost_model.save(path)
-
     # -- routing --------------------------------------------------------
     def route(
         self,
@@ -901,25 +872,22 @@ class ConversionEngine:
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
     ) -> ConversionPlan:
-        """The cost-optimal conversion plan for a pair — its one edge,
-        taken by the router's winning implementation
+        """The conversion plan for a pair — its one edge, taken by the
+        implementation the router's ladder picks
         (:func:`~repro.convert.router.find_route`), bound to this
         engine.  It is the plan :meth:`plan` returns under the auto
         policies, with that call's exact ``nnz`` and ``features``.
 
         ``nnz`` is the expected stored-component count (defaults to
-        ``DEFAULT_ROUTE_NNZ``); per-hop overheads decide tiny tensors.
-        ``features`` (the source tensor's
+        ``DEFAULT_ROUTE_NNZ``); below ``BULK_NNZ`` registered converters
+        do not take the edge.  ``features`` (the source tensor's
         structural facts) gate the registered competing converters —
         ``convert()`` passes them automatically.  Plans are cached per
         (structural pair, options, nnz magnitude, quantized features,
-        cost-model version, converter-registry version) — once the
-        engine's recorded hop timings change a measured rate
-        meaningfully, or a converter is (un)registered, cached routes
-        are re-planned, so decisions track this host's *measured* costs
-        and the live registry; a
-        cache entry produced for a renamed structural twin is re-tagged
-        with the requested formats.
+        toolchain, bulk or not); a converter (un)registered or a native
+        kernel landing re-plans them, so decisions track the live
+        registry and kernel cache; a cache entry produced for a renamed
+        structural twin is re-tagged with the requested formats.
 
         Example::
 
@@ -937,12 +905,9 @@ class ConversionEngine:
             max(nnz, 1).bit_length(),
             features.key() if features is not None else None,
             native_ok,
-            nnz >= self.cost_model.min_nnz,
+            nnz >= BULK_NNZ,
         )
-        version = (
-            self.cost_model.version, registry_version(),
-            self._native_generation,
-        )
+        version = (registry_version(), self._native_generation)
         with self._lock:
             if version != self._routes_version:
                 self._routes.clear()
@@ -953,7 +918,6 @@ class ConversionEngine:
                 src_format,
                 dst_format,
                 options=options,
-                cost_model=self.cost_model,
                 nnz=nnz,
                 features=features,
                 native_ok=native_ok,
@@ -976,15 +940,15 @@ class ConversionEngine:
         nnz: Optional[int] = None,
         features: Optional[StructuralFeatures] = None,
     ) -> List[EdgeCandidate]:
-        """Every competitor for the direct edge ``src -> dst``, priced by
-        this engine's cost model and sorted best rank first.
+        """Every implementation of the direct edge ``src -> dst``, in
+        the router's ladder order (the first one takes the edge).
 
         The list always contains the generated kernel; registered
-        converters (``repro.convert.register_converter``)
-        follow, each with its admission verdict against ``features``.
-        This is the introspection face of the competing-converter
-        machinery — the same candidates, costs and ordering the router
-        uses::
+        converters (``repro.convert.register_converter``) and this
+        engine's native kernel appear with their rung and, when the
+        ladder passes them over, the reason.  This is the introspection
+        face of the competing-converter machinery — the same candidates
+        and ordering the router uses::
 
             for cand in engine.converters("COO", "CSR"):
                 print(cand.describe())
@@ -994,7 +958,6 @@ class ConversionEngine:
             get_format(src_format),
             get_format(dst_format),
             options,
-            self.cost_model,
             nnz,
             features,
             native_ok=self.toolchain() is not None,
@@ -1058,32 +1021,34 @@ class ConversionEngine:
 
     def _execute_hops(self, hops: Sequence[Hop], tensor: Tensor,
                       options: PlanOptions) -> Tensor:
-        """Count one executed conversion and run its hop sequence,
-        timing each hop into the cost model — the one executor body
-        behind :meth:`run_plan`.
+        """Count one executed conversion and run its hop sequence — the
+        one executor body behind :meth:`run_plan`.
 
-        The hop executable is resolved (and, on a cold cache, compiled)
-        *before* the timer starts, so recorded rates measure conversion
-        throughput, never codegen."""
+        Hop observers see each hop as it executed (a refused converter's
+        hop reports the generated kernel that ran instead), timed only
+        while one is registered.  The hop executable is resolved (and, on
+        a cold cache, compiled) *before* the timer starts, so the timing
+        is conversion throughput, never codegen."""
         self._record_conversion(
             (hops[0].src.name, hops[-1].dst.name), routed=len(hops) > 1,
         )
         for hop in hops:
-            run, kind = self._hop_executable(hop, options, tensor)
-            nnz = tensor.nnz_stored
+            run, ran = self._hop_executable(hop, options, tensor)
+            if not self._hop_observers:
+                tensor = run(tensor)
+                continue
             started = time.perf_counter()
             source, tensor = tensor, run(tensor)
             elapsed = time.perf_counter() - started
-            self.cost_model.observe(kind, nnz, elapsed, _pair(hop))
-            self._notify_hop(hop, source, tensor, options, elapsed)
+            self._notify_hop(ran, source, tensor, options, elapsed)
         return tensor
 
     def _hop_executable(
         self, hop: Hop, options: PlanOptions,
         tensor: Optional[Tensor] = None,
-    ) -> Tuple[Callable[[Tensor], Tensor], str]:
-        """Resolve one hop to a ready callable plus the cost-model kind
-        that will actually execute.
+    ) -> Tuple[Callable[[Tensor], Tensor], Hop]:
+        """Resolve one hop to a ready callable plus the hop that will
+        actually execute.
 
         This is where bit-identity is checked exactly.  Planning reads a
         bounded feature sample, so an ``external`` hop whose converter
@@ -1104,28 +1069,27 @@ class ConversionEngine:
                 converter.admits(_exact_features(tensor))
             ):
                 dst = hop.dst
-                return (
-                    lambda t: run_converter(converter, t, dst)
-                ), f"external:{converter.name}"
+                return lambda t: run_converter(converter, t, dst), hop
             # the planner admitted this converter on a feature sample (or
             # a replayed plan pinned it) but the actual stream fails the
             # predicate: degrade to the generated kernel, which is
             # correct for any input
             kind = resolve_backend(hop.src, hop.dst, options, "auto")
-            return self.make_converter(hop.src, hop.dst, options, kind), kind
-        if hop.kind == "native":
-            if self.toolchain() is None:
-                # a replayed plan pinned the compiled backend; degrading
-                # silently would violate the plan, so fail loudly
-                raise PlanError(
-                    f"hop {hop} pins the native (compiled C) backend, but "
-                    "no working C compiler was found on this host; install "
-                    "one (or set $CC) to replay this plan, or re-plan with "
-                    "backend='auto'"
-                )
-            conv = self.make_converter(hop.src, hop.dst, options, "native")
-            return conv, conv.backend  # not "native": pair lost capability
-        return self.make_converter(hop.src, hop.dst, options, hop.kind), hop.kind
+            return (self.make_converter(hop.src, hop.dst, options, kind),
+                    Hop(hop.src, hop.dst, kind))
+        if hop.kind == "native" and self.toolchain() is None:
+            # a replayed plan pinned the compiled backend; degrading
+            # silently would violate the plan, so fail loudly
+            raise PlanError(
+                f"hop {hop} pins the native (compiled C) backend, but "
+                "no working C compiler was found on this host; install "
+                "one (or set $CC) to replay this plan, or re-plan with "
+                "backend='auto'"
+            )
+        conv = self.make_converter(hop.src, hop.dst, options, hop.kind)
+        if conv.backend != hop.kind:  # a native pair that lost capability
+            hop = Hop(hop.src, hop.dst, conv.backend)
+        return conv, hop
 
     # -- planning & conversion ------------------------------------------
     def plan(
@@ -1144,7 +1108,7 @@ class ConversionEngine:
         :class:`~repro.convert.plan.ConversionPlan`.
 
         This is exactly the decision :meth:`convert` makes — the
-        cheapest competing implementation of the edge under the auto
+        implementation the router's ladder picks under the auto
         policies, the resolved lowering backend otherwise — reified into an object
         that can be inspected (``explain()``, ``sources()``,
         ``estimated_cost()``), compiled ahead of time (``compile()``),
@@ -1206,26 +1170,23 @@ class ConversionEngine:
                  alpha: Optional[float] = None):
         """Execute a :class:`ConversionPlan` on ``tensor``.
 
-        The executed-conversion counters and per-hop cost-model
-        observations are recorded here, so ``plan.run(t)`` and
-        ``convert(t, ...)`` (which builds and runs a plan) feed the same
-        telemetry.  The tensor must be structurally in the plan's source
-        format; results are bit-identical to the direct scalar
-        conversion for every plan shape (every hop kind preserves
-        bit-identity by construction).
+        The executed-conversion counters and hop observers are fed here,
+        so ``plan.run(t)`` and ``convert(t, ...)`` (which builds and runs
+        a plan) feed the same telemetry.  The tensor must be structurally
+        in the plan's source format; results are bit-identical to the
+        direct scalar conversion for every plan shape (every hop kind
+        preserves bit-identity by construction).
 
         A compute plan (see :meth:`plan_compute`) then runs its op over
-        the converted tensor with the operand ``x`` or ``alpha``, timing
-        the terminal under its own cost-model kind (``fused`` /
-        ``compute``, which lets ``fuse="auto"`` learn), and returns a
-        dense float64 vector for reductions, a :class:`Tensor` for
-        materializing ops.
+        the converted tensor with the operand ``x`` or ``alpha``, and
+        returns a dense float64 vector for reductions, a :class:`Tensor`
+        for materializing ops.
         """
         if structural_key(tensor.format) != structural_key(plan.src):
             raise ValueError(
                 f"plan starts at {plan.src.name}, got {tensor.format.name}"
             )
-        if plan._pending and tensor.nnz_stored >= self.cost_model.min_nnz:
+        if plan._pending and tensor.nnz_stored >= BULK_NNZ:
             self._queue_native(plan._pending, plan.options)
         if plan.conversion_hops:
             tensor = self._execute_hops(
@@ -1234,7 +1195,6 @@ class ConversionEngine:
         if plan.op is None:
             return tensor
         kernel = self._op_kernel(plan)
-        started = time.perf_counter()
         if kernel is None:
             if alpha is None:
                 raise ValueError("op 'scale' needs a scalar alpha")
@@ -1245,11 +1205,6 @@ class ConversionEngine:
             )
         else:
             result = kernel(tensor, x=x, alpha=alpha)
-        elapsed = time.perf_counter() - started
-        self.cost_model.observe(
-            plan.terminal.kind, tensor.nnz_stored, elapsed,
-            _pair(plan.terminal),
-        )
         with self._lock:
             self._stats["compute_runs"] += 1
             if plan.fused:
@@ -1280,9 +1235,9 @@ class ConversionEngine:
         :class:`~repro.convert.request.ConversionRequest`.
 
         ``route=None`` (default) applies the auto policy: when the
-        backend policy is also ``"auto"``, the edge's competing
-        implementations are priced and the cheapest runs; the result is
-        bit-identical to the direct scalar conversion.
+        backend policy is also ``"auto"``, the router's ladder picks the
+        edge's implementation; the result is bit-identical to the direct
+        scalar conversion.
         ``route="direct"`` always converts directly; an **explicit**
         ``route="auto"`` combined with an explicit non-auto backend
         raises ``ValueError`` (the backend pins the direct conversion, so
@@ -1419,12 +1374,16 @@ class ConversionEngine:
         * ``compute``: the conversion materializes the destination and
           the op runs over it (materialize-then-compute).
 
-        ``fuse="auto"`` fuses only when the **measured** cost model says
-        fusion wins: the ``fused`` kind needs at least
-        ``cost_model.min_observations`` recorded timings *and* a lower
-        estimated pipeline cost than materializing — seeds alone never
-        select fusion.  ``fuse=True`` pins the fused hop (raising when
-        the op cannot consume the source), ``fuse=False`` pins
+        ``fuse="auto"`` fuses whenever the op can consume the source
+        (:func:`~repro.compute.kernels.fusable`) and builds no
+        destination: one pass that skips the destination's assembly,
+        agreeing with materializing to float tolerance (a fused kernel
+        may reassociate row sums).  An op that materializes a
+        destination (``scale``) gains nothing from fusing, and its fused
+        kernel is slower at bulk sizes than the ladder's conversion, so
+        auto materializes it.
+        ``fuse=True`` pins the fused hop (raising when the op cannot
+        consume the source), ``fuse=False`` pins
         materialize-then-compute.  Without ``dst_format`` the op consumes
         the source format directly (a single ``compute`` hop).
 
@@ -1471,29 +1430,20 @@ class ConversionEngine:
                     "(no inverse mapping or incompatible order); fusion "
                     "is not available for this pipeline"
                 )
-            materialized = replace(
-                conversion, op=op,
-                hops=conversion.hops + (Hop(dst, dst, "compute"),),
-            )
-            fused = replace(
-                conversion, op=op, hops=(Hop(src, dst, "fused"),),
-            )
-            if fuse == "auto":
-                # seeds never select fusion: require this pair's
-                # measured fused timings (and a measured win) before
-                # skipping materialization
-                model = self.cost_model
-                measured = (
-                    model.observation_count("fused", _pair(fused.terminal))
-                    >= model.min_observations
+            if fuse == "materialize" or not can_fuse or (
+                fuse == "auto" and op.needs_destination
+            ):
+                plan = replace(
+                    conversion, op=op,
+                    hops=conversion.hops + (Hop(dst, dst, "compute"),),
                 )
-                fuse = (
-                    "fused"
-                    if can_fuse and measured
-                    and fused.estimated_cost() < materialized.estimated_cost()
-                    else "materialize"
+            else:
+                # the fused hop runs no conversion kernel: nothing to
+                # build, and no ladder rung to report
+                plan = replace(
+                    conversion, op=op, hops=(Hop(src, dst, "fused"),),
+                    _pending=(), _rung="",
                 )
-            plan = fused if fuse == "fused" else materialized
         terminal = plan.terminal
         resolved = self._resolve_backend(
             terminal.src, terminal.dst if op.needs_destination else None,

@@ -79,7 +79,7 @@ class StructuralFeatures:
     def key(self) -> Tuple:
         """Quantized form for route-cache keys: coarse buckets so jitter
         in the raw numbers cannot fragment the cache, but the facts that
-        change converter admission/cost (is the stream fully sorted, how
+        change converter admission (is the stream fully sorted, how
         sorted, how skewed) still distinguish entries."""
         skew = max(self.row_skew, 1.0)
         return (

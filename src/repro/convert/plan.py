@@ -48,7 +48,7 @@ from .context import PlanError
 from .converters import converter_named
 from .features import StructuralFeatures
 from .planner import PlanOptions, structural_key
-from .router import HOP_KIND_DETAIL, Hop, _pair, key_to_json
+from .router import HOP_KIND_DETAIL, Hop, hop_cost, key_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..compute.ops import ComputeOp
@@ -111,12 +111,6 @@ def resolve_format_record(record: Dict) -> Format:
     return fmt
 
 
-def _hop_cost_kind(hop: Hop) -> str:
-    """The cost-model row a hop charges (per-converter for externals)."""
-    return f"external:{hop.converter}" if hop.kind == "external" else hop.kind
-
-
-
 @dataclass(frozen=True)
 class ConversionPlan:
     """A complete, replayable conversion decision.
@@ -148,12 +142,16 @@ class ConversionPlan:
     #: Resolved lowering backend of the terminal op's kernel.
     backend: Optional[str] = None
     engine: Optional[object] = field(default=None, repr=False, compare=False)
-    #: The native hop the router preferred but whose kernel was not built
-    #: when it planned (see :func:`~repro.convert.router.find_route`):
-    #: running the plan on at least ``cost_model.min_nnz`` stored
+    #: The native hop whose kernel was not built when the router planned
+    #: (see :func:`~repro.convert.router.find_route`): running the plan
+    #: on at least :data:`~repro.convert.router.BULK_NNZ` stored
     #: components queues its build off the request path.  Not
     #: serialized: a replayed plan runs exactly its hops.
     _pending: Tuple[Hop, ...] = field(default=(), repr=False, compare=False)
+    #: The router's ladder rung that took the edge, as ``explain()``
+    #: prints it (empty for pinned, compute and loaded plans).  Not
+    #: serialized.
+    _rung: str = field(default="", repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hops:
@@ -234,15 +232,11 @@ class ConversionPlan:
     # -- inspection ------------------------------------------------------
     def estimated_cost(self, nnz: Optional[int] = None) -> float:
         """Estimated seconds to execute the plan on ``nnz`` stored
-        components (default: the plan's own planning size).  Uses the
-        engine's cost model, so measured hop timings sharpen the estimate
-        over time."""
+        components (default: the plan's own planning size), from the
+        static per-kind rates of :data:`~repro.convert.router.HOP_RATES`.
+        No decision reads it."""
         nnz = self.nnz if nnz is None else int(nnz)
-        model = self._engine().cost_model
-        return sum(
-            model.cost(_hop_cost_kind(hop), nnz, _pair(hop))
-            for hop in self.hops
-        )
+        return sum(hop_cost(hop.kind, nnz) for hop in self.hops)
 
     def sources(self) -> List[Optional[str]]:
         """The generated source per hop, in execution order.
@@ -298,14 +292,10 @@ class ConversionPlan:
         ]
         if self.features is not None:
             lines.append(f"  structural features: {self.features.describe()}")
-        model = self._engine().cost_model
         for n, hop in enumerate(self.hops, 1):
-            cost, provenance = model.cost_detail(
-                _hop_cost_kind(hop), self.nnz, _pair(hop)
-            )
             if hop.kind == "external":
                 what = (
-                    f"registered converter {hop.converter!r} won this edge"
+                    f"registered converter {hop.converter!r} runs this edge"
                 )
             else:
                 what = HOP_KIND_DETAIL[hop.kind]
@@ -314,10 +304,9 @@ class ConversionPlan:
                          f"{hop.dst.name} never materialized)")
             elif hop.kind == "compute":
                 what += f" ({self.op.name}, {self.backend})"
-            lines.append(
-                f"  {n}. {hop} {what} "
-                f"(est {cost * 1e3:.3f} ms, {provenance} cost)"
-            )
+            lines.append(f"  {n}. {hop} {what}")
+        if self._rung:
+            lines.append(f"  {self._rung}")
         return "\n".join(lines)
 
     # -- execution -------------------------------------------------------

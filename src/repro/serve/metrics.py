@@ -7,8 +7,8 @@ and :func:`render_prometheus` as Prometheus text exposition for
 scrapers.  The snapshot folds in the engine's exact cache counters
 (:meth:`ConversionEngine.cache_stats
 <repro.convert.engine.ConversionEngine.cache_stats>`), the data cache's
-occupancy/hit counters, and the cost model's measured per-kind rates,
-so one endpoint answers "what has this process been doing".
+occupancy/hit counters and the per-pair conversion counts, so one
+endpoint answers "what has this process been doing".
 """
 
 from __future__ import annotations
@@ -153,20 +153,6 @@ class Metrics:
             doc["pairs"] = {
                 f"{src}->{dst}": count
                 for (src, dst), count in sorted(engine.pair_counts().items())
-            }
-            # one string key per (kind, pair), e.g. "native COO->CSR"
-            measured = {}
-            for record in engine.cost_model.to_dict()["measured"]:
-                label = record["kind"]
-                if record["pair"] is not None:
-                    src, dst = (side["name"] for side in record["pair"])
-                    label += f" {src}->{dst}"
-                measured[label] = {
-                    "rate": record["rate"], "count": record["count"],
-                }
-            doc["cost_model"] = {
-                "version": engine.cost_model.version,
-                "measured": measured,
             }
         if datacache is not None:
             doc["data_cache"] = datacache.stats()

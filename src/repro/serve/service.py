@@ -437,7 +437,8 @@ class ConversionService:
         the same tenant quotas, the payload seeds the data cache,
         identical in-flight pipelines coalesce on one execution, and the
         conversion hop is skipped when the cache already holds its
-        destination for this payload.  Hop outputs land in the cache
+        destination for this payload (an auto-fused pipeline then
+        materializes from that entry).  Hop outputs land in the cache
         through the engine's hop observer exactly like ``/convert``
         traffic, so a ``/compute`` request warms the cache
         for a later ``/convert`` and vice versa.  The fusion decision
@@ -484,23 +485,34 @@ class ConversionService:
                          x, alpha, fuse) -> ComputeResult:
         # Worker thread: plan the pipeline under the tenant's knobs, skip
         # its conversion hop when the data cache already holds that hop's
-        # destination for this payload, run the rest.
+        # destination for this payload, run the rest.  A cached
+        # destination beats any kernel, so an auto-fused plan whose
+        # destination is cached materializes from that entry instead.
         pair = (
             tensor.format.name,
             dst.name if dst is not None else tensor.format.name,
         )
-        plan = self.engine.plan_compute(
-            tensor.format, op, dst, fuse=fuse,
-            options=policy.options, backend=policy.backend,
-            nnz=tensor.nnz_stored,
-            features=self.engine.features_for(tensor, policy.backend),
-        )
+        features = self.engine.features_for(tensor, policy.backend)
+
+        def planned(fuse):
+            return self.engine.plan_compute(
+                tensor.format, op, dst, fuse=fuse,
+                options=policy.options, backend=policy.backend,
+                nnz=tensor.nnz_stored, features=features,
+            )
+
+        plan = planned(fuse)
         skipped, current = 0, tensor
-        hops = plan.conversion_hops
+        # a fused plan's one hop ends at the destination it never builds
+        hops = plan.hops if plan.fused and fuse == "auto" else (
+            plan.conversion_hops
+        )
         cached = (self.cache.get(digest, hops[-1].dst, policy.options)
                   if hops else None)
         if cached is not None:
-            skipped, current = len(hops), cached
+            if plan.fused:
+                plan = planned("materialize")
+            skipped, current = len(plan.conversion_hops), cached
             plan = dataclasses.replace(plan, hops=plan.hops[skipped:])
             self.metrics.incr("prefix_hits")
         value = self.engine.run_compute_plan(plan, current, x=x, alpha=alpha)

@@ -206,14 +206,14 @@ class Tensor:
         """``y = A @ x`` through the fusion planner (:mod:`repro.compute`).
 
         ``via`` names the compute format the pipeline would convert to;
-        with ``fuse="auto"`` the engine's measured cost model decides
-        whether to actually materialize it or run the **fused** kernel
-        that consumes this tensor's format directly (the intermediate's
-        arrays are then never allocated).  ``via=None`` computes in this
+        with ``fuse="auto"`` the engine runs the **fused** kernel that
+        consumes this tensor's format directly wherever the op can (the
+        intermediate's arrays are then never allocated), and
+        materializes ``via`` otherwise.  ``via=None`` computes in this
         tensor's own format; ``fuse=True`` / ``fuse=False`` pin the
         decision::
 
-            y = tensor.spmv(x)                    # cost model decides
+            y = tensor.spmv(x)                    # fused where it can be
             y = tensor.spmv(x, via="DIA", fuse=True)
         """
         if engine is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.compute import scale_reference, spmv_reference
-from repro.convert import ConversionEngine, CostModel
+from repro.convert import ConversionEngine
 from repro.formats.library import COO, CSR, DIA
 from repro.storage.build import reference_build
 
@@ -89,26 +89,6 @@ def test_compute_stats_track_fused_runs(engine, problem):
     after = engine.cache_stats()
     assert after["compute_runs"] == before["compute_runs"] + 2
     assert after["fused_runs"] == before["fused_runs"] + 1
-
-
-def test_terminal_timings_feed_the_cost_model():
-    # the cost model ignores tiny runs (min_nnz), so build a dense
-    # 70x70 problem: 4900 stored values clears the floor; hop_overhead=0
-    # so a run faster than the seeded overhead still registers
-    engine = ConversionEngine(cost_model=CostModel(hop_overhead=0.0))
-    rng = np.random.default_rng(5)
-    dims = (70, 70)
-    cells = [(i, j) for i in range(dims[0]) for j in range(dims[1])]
-    tensor = reference_build(
-        COO, dims, cells, list(rng.uniform(0.5, 1.5, len(cells)))
-    )
-    x = rng.uniform(0.5, 1.5, dims[1])
-    assert engine.cost_model.observation_count("fused") == 0
-    plan = engine.plan_compute(
-        COO, "spmv", CSR, fuse=True, nnz=tensor.nnz_stored
-    )
-    engine.run_compute_plan(plan, tensor, x=x)
-    assert engine.cost_model.observation_count("fused") == 1
 
 
 def test_native_pin_without_compiler_degrades_every_hop(monkeypatch, problem):

@@ -11,12 +11,6 @@ from repro.convert.plan import ConversionPlan
 from repro.convert.planner import structural_key
 from repro.formats.library import COO, CSR
 
-#: the structural pairs the fused (COO -> CSR) and compute (CSR) terminal
-#: hops of a COO -> spmv(CSR) pipeline record their timings under
-FUSED_PAIR = (structural_key(COO), structural_key(CSR))
-COMPUTE_PAIR = (structural_key(CSR), structural_key(CSR))
-
-
 @pytest.fixture()
 def engine():
     eng = ConversionEngine()
@@ -209,32 +203,31 @@ def test_forced_fusion_unavailable_is_loud(engine):
         "materialize"
 
 
-def test_auto_never_fuses_on_seed_rates(engine):
-    """A fresh cost model has only seeded rates; fuse='auto' must pick
-    materialize no matter how attractive the seeds look."""
-    assert engine.cost_model.observation_count("fused") == 0
-    plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
-    assert plan.fuse == "materialize"
-    assert not plan.fused
+def test_auto_fuses_iff_fusable(engine):
+    """fuse='auto' fuses exactly where the op can consume the source and
+    builds no destination, at every size, and materializes everywhere
+    else: a fused scale still assembles the destination, slower at bulk
+    sizes than the ladder's conversion."""
+    from repro.compute import fusable
+    from repro.formats import available_formats
 
-
-def test_auto_fuses_only_after_measured_win(engine):
-    model = engine.cost_model
-    # measured fused timings that clearly beat materialize-then-compute
-    for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 1e-4, FUSED_PAIR)
-        model.observe("compute", 1_000_000, 1e-2, COMPUTE_PAIR)
-    plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
-    assert plan.fuse == "fused"
-
-
-def test_auto_declines_fusion_when_measured_slower(engine):
-    model = engine.cost_model
-    for _ in range(model.min_observations):
-        model.observe("fused", 1_000_000, 10.0, FUSED_PAIR)  # measured awful
-        model.observe("compute", 1_000_000, 1e-6, COMPUTE_PAIR)
-    plan = engine.plan_compute(COO, "spmv", CSR, fuse="auto", nnz=1_000_000)
-    assert plan.fuse == "materialize"
+    formats = [fmt for fmt in available_formats().values() if fmt.order == 2]
+    seen = set()
+    for src in formats:
+        for dst in formats:
+            if structural_key(src) == structural_key(dst):
+                continue
+            for op in ("spmv", "row_reduce", "scale"):
+                for nnz in (236, 1_000_000):
+                    plan = engine.plan_compute(src, op, dst, nnz=nnz)
+                    can = fusable(src, op, dst)
+                    want = can and op != "scale"
+                    assert plan.fused == want, (src.name, dst.name, op, nnz)
+                    assert plan.fuse == ("fused" if want else "materialize")
+                    seen.add((op, can, want))
+    # the table covers both outcomes, and a fusable scale that materializes
+    assert {(op, True, True) for op in ("spmv", "row_reduce")} <= seen
+    assert ("scale", True, False) in seen and ("spmv", False, False) in seen
 
 
 def test_bad_fuse_value_rejected(engine):

@@ -83,15 +83,13 @@ def _swap_past_the_sample(row, col):
     return row, col
 
 
-def _recorded_kinds(engine, monkeypatch):
-    """The cost-model kind of every hop ``engine`` executes from now on."""
+def _recorded_kinds(engine):
+    """The kind of every hop ``engine`` executes from now on, as its hop
+    observers see it run (``external:<name>`` for a registered
+    converter)."""
     kinds = []
-    real = engine.cost_model.observe
-    monkeypatch.setattr(
-        engine.cost_model, "observe",
-        lambda kind, nnz, seconds, pair=None: kinds.append(kind) or real(
-            kind, nnz, seconds, pair),
-    )
+    engine.add_hop_observer(lambda hop, *_: kinds.append(
+        f"external:{hop.converter}" if hop.converter else hop.kind))
     return kinds
 
 
@@ -347,9 +345,10 @@ def test_predicate_rejecting_all_falls_back_to_generated(engine):
         features = sample_features(coo)
         cands = engine.converters(COO, CSR, nnz=1_000_000, features=features)
         rejected = [c for c in cands if c.name == "rejects-all"]
-        assert rejected and not rejected[0].admitted
+        assert rejected[0].verdict == "rejected by predicate"
         # rejected candidates sort after every admitted one
-        assert all(c.admitted for c in cands[: cands.index(rejected[0])])
+        assert not any(c.verdict == "rejected by predicate"
+                       for c in cands[: cands.index(rejected[0])])
         out = engine.convert(coo, CSR)
         ref = engine.convert(coo, CSR, backend="scalar", route="direct")
         _assert_bit_identical(out, ref)
@@ -404,9 +403,7 @@ def test_runtime_recheck_falls_back_when_predicate_refuses(engine):
         unregister_converter(COO, CSR, "sorted-only")
 
 
-def test_inversion_the_sample_skips_is_caught_at_execution(
-    engine, monkeypatch
-):
+def test_inversion_the_sample_skips_is_caught_at_execution(engine):
     """Past the sample bound the planner may admit a sortedness-filtered
     converter on a stream whose only inversion the sample never read;
     the exact check where the hop runs refuses it and the generated
@@ -420,7 +417,7 @@ def test_inversion_the_sample_skips_is_caught_at_execution(
         plan = engine.plan(COO, CSR, nnz=tensor.nnz_stored,
                            features=features)
         assert plan.hops[0].converter == "sorted-only"
-        kinds = _recorded_kinds(engine, monkeypatch)
+        kinds = _recorded_kinds(engine)
         ref = engine.convert(tensor, CSR, backend="scalar")
         del kinds[:]
         _assert_bit_identical(plan.run(tensor), ref)
@@ -456,7 +453,7 @@ def test_exact_pass_runs_once_and_only_for_filtered_converters(
     where present) with no exact pass; a sorted COO->CSR through a
     filtered converter takes one pass, memoized on the tensor."""
     passes = count_exact_passes(monkeypatch)
-    kinds = _recorded_kinds(engine, monkeypatch)
+    kinds = _recorded_kinds(engine)
     dims, row, col = _bulk_rows()
     assert len(row) >= 100_000
     coo = _bulk_coo(row, col, dims)

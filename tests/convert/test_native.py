@@ -27,9 +27,9 @@ from repro.convert.engine import ConversionEngine
 from repro.convert.native import native_capable, plan_native
 from repro.convert.plan import ConversionPlan
 from repro.convert.converters import scipy_available
-from repro.convert.planner import PlanOptions, structural_key
+from repro.convert.planner import PlanOptions
 from repro.convert.context import PlanError
-from repro.convert.router import CostModel
+from repro.convert.router import BULK_NNZ
 from repro.formats.library import (
     BCSR,
     COO,
@@ -294,57 +294,41 @@ def test_compiler_fingerprint_mismatch_is_a_cache_miss(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# cost model & routing
-
-
-def test_cost_model_native_seed_roundtrips(tmp_path):
-    model = CostModel(native_per_nnz=3.3e-8)
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = CostModel.load(path)
-    assert loaded.native_per_nnz == 3.3e-8
-    assert loaded.cost_detail("native", 10_000)[1] == "seeded"
+# routing
 
 
 @needs_cc
-def test_auto_routing_gates_native_on_measured_observations(engine):
-    """Native competes on its seed against the generated kernels but runs
-    only once built; against a registered converter it competes only on
-    its pair's measured rate.  Planning never starts the compiler."""
+def test_auto_routing_gates_native_on_its_build(engine):
+    """Native is the ladder's second rung: listed unbuilt at bulk sizes
+    (its build is what a bulk run queues), taken once built, and never
+    ahead of a registered converter that admits a bulk tensor.  Planning
+    never starts the compiler."""
     nnz = 2_000_000
     fresh = ConversionEngine()
     try:
         native = fresh.converters(COO, DIA, nnz=nnz)[1]
-        assert (native.name, native.provenance, native.built) == (
-            "generated-native", "seeded", False)
+        assert (native.name, native.rung, native.verdict) == (
+            "generated-native", 2, "not built")
         assert "(not built)" in native.describe()
         plan = fresh.plan(COO, DIA, nnz=nnz)
         assert plan.backend_per_hop == ("vector",)
         assert [hop.kind for hop in plan._pending] == ["native"]
-        # below min_nnz an unbuilt kernel is not offered: no run queues it
-        small = fresh.cost_model.min_nnz - 1
+        # below BULK_NNZ an unbuilt kernel is not offered: no run queues it
+        small = BULK_NNZ - 1
         assert "generated-native" not in [
             c.name for c in fresh.converters(COO, DIA, nnz=small)]
         assert fresh.cache_stats()["native_compiles"] == 0
 
         fresh.warmup([(COO, DIA)])
         first = fresh.converters(COO, DIA, nnz=nnz)[0]
-        assert (first.name, first.built) == ("generated-native", True)
+        assert (first.name, first.verdict) == ("generated-native", "")
         assert fresh.plan(COO, DIA, nnz=nnz).backend_per_hop == ("native",)
 
-        pair = (structural_key(COO), structural_key(CSR))
         names = [c.name for c in fresh.converters(COO, CSR, nnz=nnz)]
         assert ("generated-native" in names) == (not scipy_available()), (
-            "a seed alone must not displace a registered converter"
+            "an unbuilt native kernel is not queued where a registered "
+            "converter takes the edge"
         )
-        for _ in range(fresh.cost_model.min_observations):
-            fresh.cost_model.observe("native", nnz, 0.004, pair)
-        candidates = {
-            c.name: c for c in fresh.converters(COO, CSR, nnz=nnz)
-        }
-        native = candidates["generated-native"]
-        assert native.kind == "native"
-        assert native.provenance == "measured"
     finally:
         fresh.shutdown()
 
@@ -352,8 +336,6 @@ def test_auto_routing_gates_native_on_measured_observations(engine):
 def test_no_toolchain_hosts_never_offer_native(no_compiler):
     eng = ConversionEngine()
     try:
-        for _ in range(eng.cost_model.min_observations):
-            eng.cost_model.observe("native", 2_000_000, seconds=0.004)
         names = [c.name for c in eng.converters(COO, CSR, nnz=2_000_000)]
         assert "generated-native" not in names
     finally:
@@ -652,61 +634,6 @@ def test_cold_engine_runs_python_first_then_native_once_built():
 
 
 @needs_cc
-def test_bulk_replay_settles_the_cost_model(monkeypatch):
-    """Replaying the nine bulk pairs, rates kept per (kind, pair) publish
-    once and then stay put: over rounds 3-8 the cost-model version moves
-    at most once and no plan changes.  Hop timings come from a steady
-    per-(kind, pair) clock, so this checks pricing, not host noise — a
-    rate kept per kind would drift whenever the pair changes."""
-    import zlib
-
-    eng = ConversionEngine()
-    model = eng.cost_model
-    per_nnz = {"native": 6e-9, "vector": 6e-8, "scalar": 2e-6,
-               "bridge": 1.5e-8, "external": 8e-9, "compute": 1.2e-8,
-               "fused": 4e-8}
-    real = model.observe
-
-    def steady(kind, nnz, seconds, pair=None):
-        spread = 1 + zlib.crc32(repr((kind, pair)).encode()) % 4
-        overhead = (model.external_overhead if kind.startswith("external")
-                    else model.hop_overhead)
-        rate = per_nnz[kind.split(":")[0]] * spread
-        real(kind, nnz, overhead + rate * nnz, pair)
-
-    monkeypatch.setattr(model, "observe", steady)
-    coo, unsorted = _stencil_coo(), _stencil_coo(shuffled=True)
-    cases = [(coo, CSR), (unsorted, CSR)] + [
-        (t, dst) for t, dst in _bulk_sources()]
-    csr = cases[3][0]
-    cases.insert(2, (csr, CSC))
-    x = np.ones(coo.dims[1])
-    try:
-        eng.warmup([(t.format, dst) for t, dst in cases])
-        versions, plans = [model.version], []
-        for _ in range(8):
-            eng.convert(unsorted, CSR)  # its build is the only one queued
-            assert eng._builds_idle.wait(120)
-            row = []
-            for tensor, dst in cases:
-                plan = eng.plan(tensor.format, dst, nnz=tensor.nnz_stored,
-                                features=eng.features_for(tensor))
-                plan.run(tensor)
-                row.append(plan.backend_per_hop)
-            eng.spmv(coo, x)
-            versions.append(model.version)
-            plans.append(row)
-        assert versions[8] - versions[3] <= 1, versions
-        assert all(row == plans[3] for row in plans[3:]), plans
-        # the unsorted COO -> CSR settles where the sorted one does:
-        # scipy's unfiltered delegate where present, else native
-        settled = ("external",) if scipy_available() else ("native",)
-        assert plans[-1][1] == plans[-1][0] == settled
-    finally:
-        eng.shutdown()
-
-
-@needs_cc
 def test_concurrent_shutdowns_with_a_build_pending_return():
     eng = ConversionEngine()
     sources = _bulk_sources()
@@ -788,12 +715,12 @@ def _builders():
 
 
 def test_small_conversions_queue_no_build():
-    """Below ``min_nnz`` auto never queues a build (236 stored
+    """Below ``BULK_NNZ`` auto never queues a build (236 stored
     components, the small_inmem size), so no builder thread starts."""
     eng = ConversionEngine()
     before = _builders()
     coo = _stencil_coo(n=50, m=6)
-    assert coo.nnz_stored == 236 < eng.cost_model.min_nnz
+    assert coo.nnz_stored == 236 < BULK_NNZ
     hashed = eng.convert(coo, HASH, backend="scalar")
     for tensor in (coo, hashed):
         eng.convert(tensor, CSR)

@@ -143,15 +143,17 @@ def test_plan_sources_per_hop():
     assert "def convert_COO_to_CSR" in direct.sources()[0]
 
 
-def test_plan_explain_mentions_every_hop_and_provenance():
+def test_plan_explain_mentions_every_hop_and_rung():
     engine = ConversionEngine()
     text = _two_hop_plan(engine).explain()
     assert "plan HASH -> CSR: HASH -> COO -> CSR (2 hops," in text
     assert "1. HASH -> COO [vector]" in text
     assert "2. COO -> CSR [vector]" in text
-    assert "seeded cost" in text
+    assert "ladder rung" not in text  # a hand-built plan had no router
+    routed = engine.plan(COO, CSR).explain()
     hop = ("registered converter" if EXT == "external" else "bulk-numpy")
-    assert hop in engine.plan(COO, CSR).explain()
+    assert hop in routed
+    assert ("ladder rung 1:" if EXT == "external" else "ladder rung 3:") in routed
 
 
 def test_plan_compile_returns_ready_runner():

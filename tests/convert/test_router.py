@@ -1,5 +1,5 @@
-"""Tests for routing: every plan is one edge, priced over its competing
-implementations, and every HASH pair's plan is bit-identical to the direct
+"""Tests for routing: every plan is one edge, whose implementation a fixed
+ladder picks, and every HASH pair's plan is bit-identical to the direct
 scalar conversion."""
 
 import random
@@ -11,13 +11,15 @@ import pytest
 import repro.__main__ as cli
 from repro.convert import (
     ConversionEngine,
-    CostModel,
     PlanOptions,
+    converters_for,
     find_route,
     make_converter,
+    resolve_backend,
     scipy_available,
 )
-from repro.convert.router import DEFAULT_ROUTE_NNZ
+from repro.convert.native import native_capable
+from repro.convert.router import BULK_NNZ
 from repro.formats import (
     BCSR,
     COO,
@@ -120,7 +122,7 @@ def test_route_explain_transcript(monkeypatch, capsys):
     assert "plan HASH -> CSR: HASH -> CSR (1 hop," in text
     assert "HASH -> CSR [vector] generated bulk-numpy routine" in text
     table = text.split("competitors for HASH -> CSR:\n")[1]
-    assert "  generated-vector [vector] est 4.050 ms" in table
+    assert "  generated-vector [vector] weight 1 (rung 3)" in table
     assert "scalar" not in text and "bridge" not in text
     direct_text = _route_explain(monkeypatch, capsys, "COO", "CSR")
     assert "(1 hop," in direct_text
@@ -133,19 +135,88 @@ def test_route_explain_names_a_vector_direct_hop(monkeypatch, capsys):
     the edge's competitors and never claims a scalar loop."""
     text = _route_explain(monkeypatch, capsys, "COO", "DIA")
     table = text.split("competitors for COO -> DIA:\n")[1]
-    assert "generated-vector [vector] est 4.050 ms" in table
+    assert "generated-vector [vector] weight 1 (rung 3)" in table
     assert "scalar" not in text
 
 
 # ----------------------------------------------------------------------
-# cost model
+# the ladder
 
 
-def test_cost_model_orders_backends():
-    model = CostModel()
-    nnz = DEFAULT_ROUTE_NNZ
-    assert model.cost("native", nnz) < model.cost("vector", nnz)
-    assert model.cost("vector", nnz) < model.cost("scalar", nnz)
+def _same_order_pairs():
+    from repro.formats import available_formats
+
+    formats = list(available_formats().values())
+    return [(src, dst) for src in formats for dst in formats
+            if src is not dst and src.order == dst.order]
+
+
+def test_every_pair_follows_the_ladder():
+    """Every registered same-order pair, at a small and a bulk size,
+    with and without a toolchain, with its native kernel built or not:
+    (1) at bulk sizes the lowest-weight admitted converter, (2) else a
+    built native kernel, (3) else the generated kernel; an unbuilt
+    native kernel is queued exactly at bulk sizes, with a toolchain, for
+    a capable pair no converter takes."""
+    pairs = _same_order_pairs()
+    assert len(pairs) > 50
+    rungs = set()
+    for src, dst in pairs:
+        convs = sorted(converters_for(src, dst),
+                       key=lambda conv: (conv.weight, conv.name))
+        generated = resolve_backend(src, dst, PlanOptions(), "auto")
+        capable = native_capable(src, dst)
+        for nnz in (236, 1_000_000):
+            for native_ok in (False, True):
+                for built in (False, True):
+                    plan = find_route(
+                        src, dst, nnz=nnz, native_ok=native_ok,
+                        native_ready=lambda s, d, b=built: b,
+                    )
+                    bulk = nnz >= BULK_NNZ
+                    if bulk and convs:
+                        want, rung = ("external", convs[0].name), 1
+                    elif native_ok and built:
+                        want, rung = ("native", None), 2
+                    else:
+                        want, rung = (generated, None), 3
+                    hop = plan.hops[0]
+                    case = (src.name, dst.name, nnz, native_ok, built)
+                    assert plan.is_direct, case
+                    assert (hop.kind, hop.converter) == want, case
+                    assert plan._rung.startswith(f"ladder rung {rung}:"), case
+                    queued = (native_ok and not built and bulk and capable
+                              and not convs)
+                    assert [h.kind for h in plan._pending] == (
+                        ["native"] if queued else []), case
+                    rungs.add(rung)
+    assert rungs == ({1, 2, 3} if scipy_available() else {2, 3})
+
+
+def test_bulk_conversions_leave_the_plan_unchanged():
+    """A ladder has nothing to learn: 20 bulk COO->CSR / COO->DIA
+    conversions on one engine (native kernels built first where a
+    compiler exists) leave engine.plan(...) exactly as it was."""
+    rng = random.Random(41)
+    cells, vals = random_cells(rng, (160, 160), BULK_NNZ + 904)
+    coo = reference_build(COO, (160, 160), cells, vals)
+    assert coo.nnz_stored >= BULK_NNZ
+    engine = ConversionEngine()
+    try:
+        engine.warmup([(COO, CSR), (COO, DIA)])
+
+        def plans():
+            return [engine.plan(COO, dst, nnz=coo.nnz_stored,
+                                features=engine.features_for(coo))
+                    for dst in (CSR, DIA)]
+
+        before = plans()
+        for n in range(20):
+            engine.convert(coo, (CSR, DIA)[n % 2])
+            assert plans() == before, n
+        assert engine._builds_idle.is_set()
+    finally:
+        engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -359,24 +430,18 @@ def test_beats_direct_predicate():
 
 
 @needs_cc
-def test_measured_native_wins_plan_and_runs():
-    """Once a pair's native kernel is measured and built the router may
-    pick it, and plan() runs what the router picked (it used to
-    re-resolve a generated backend); the native run is bit-identical to
-    scalar."""
-    from repro.convert.planner import structural_key
-
+def test_built_native_wins_plan_and_runs():
+    """Once a pair's native kernel is built the ladder's second rung
+    takes the edge wherever no registered converter does (at every size),
+    and plan() runs what the router picked; the native run is
+    bit-identical to scalar."""
     engine = ConversionEngine()
-    model = engine.cost_model
-    pairs = [(HASH, CSR), (CSR, CSC)]
-    for src, dst in pairs:
-        for _ in range(model.min_observations):
-            model.observe("native", 1_000_000, 0.002,
-                          (structural_key(src), structural_key(dst)))
-    engine.warmup(pairs)  # builds the kernels the router now prefers
+    pairs = [(HASH, CSR), (COO, DIA)]
+    engine.warmup(pairs)  # builds the native kernels
     rng = random.Random(31)
     cells, vals = random_cells(rng, (40, 40), 300)
     for src, dst in pairs:
+        assert engine.plan(src, dst, nnz=300).backend_per_hop == ("native",)
         plan = engine.plan(src, dst)
         assert plan.backend_per_hop == ("native",), (src, dst)
         assert not plan.routed

@@ -130,6 +130,34 @@ def test_compute_resumes_from_cached_conversion_prefix():
     _run(_with_service(body))
 
 
+def test_auto_compute_resumes_from_cached_destination():
+    """Under the default fuse="auto" a fusable spmv runs fused, but once
+    /convert has cached the destination for this payload, the pipeline
+    materializes from that entry instead of re-running from the source."""
+
+    async def body(service, engine):
+        tensor, x = _tensor(seed=11), _x(seed=12)
+        fresh = await service.submit_compute(tensor, "spmv", "CSR", x=x)
+        assert (fresh.status, fresh.fuse) == ("computed", "fused")
+        other = _tensor(seed=13)
+        converted = await service.submit(other, "CSR")
+        assert converted.status == "converted"
+        conversions = engine.cache_stats()["conversions"]
+        result = await service.submit_compute(other, "spmv", "CSR", x=x)
+        assert (result.status, result.fuse) == ("prefix", "materialize")
+        assert (result.hops_skipped, result.hops_executed) == (1, 1)
+        assert engine.cache_stats()["conversions"] == conversions
+        assert service.metrics.counters()["prefix_hits"] == 1
+        direct = ConversionEngine()
+        try:
+            want = direct.spmv(other, x, via="CSR", fuse=False)
+        finally:
+            direct.shutdown()
+        np.testing.assert_allclose(result.result, want, rtol=1e-9)
+
+    _run(_with_service(body))
+
+
 def test_compute_scale_returns_tensor_and_seeds_cache():
     async def body(service, engine):
         tensor = _tensor(seed=10)

@@ -33,7 +33,7 @@ def count_exact_passes(monkeypatch):
 @contextlib.contextmanager
 def sorted_only_converter(src="COO", dst="CSR", name="sorted-only"):
     """Register, for the block's duration, a converter with a ``filter``
-    (``sortedness >= 1.0``) that outbids every other implementation
+    (``sortedness >= 1.0``) that heads the ladder's first rung
     (weight 1e-9) and runs the generated vector kernel; yields the list
     each tensor it converts is appended to.  The builtins carry no
     filter, so this is what puts feature sampling and the

@@ -103,6 +103,27 @@ def test_convert_reports_the_hop_that_ran(tmp_path, capsys):
         assert "registered converter 'sorted-only'" in out
 
 
+def test_convert_reports_a_converter_refused_at_run_time(tmp_path, capsys):
+    """A 120k-entry COO file with one in-row swap that the feature
+    sample skips: the plan takes the filtered converter, the exact check
+    where its hop runs refuses it, and the generated kernel runs.  The
+    verb reports the hop that ran, not the planned ``external`` one."""
+    from .convert.test_converters import _bulk_rows, _swap_past_the_sample
+
+    dims, row, col = _bulk_rows()
+    row, col = _swap_past_the_sample(row, col)
+    assert len(row) == 120_000
+    path = tmp_path / "swap.mtx"
+    write_matrix_market(path, dims, list(zip(row.tolist(), col.tolist())),
+                        [1.0] * len(row))
+    with sorted_only_converter() as calls:
+        main(["convert", str(path), "--to", "CSR"])
+    out = capsys.readouterr().out
+    assert calls == []
+    assert "sorted-only" not in out
+    assert "  direct: COO -> CSR [vector]" in out
+
+
 def test_unreadable_input_is_a_one_line_exit(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -156,7 +177,7 @@ def test_route_command_explain(capsys):
     main(["route", "HASH", "CSR", "--explain"])
     out = capsys.readouterr().out
     assert "plan HASH -> CSR: HASH -> CSR (1 hop," in out
-    # the competitor table lists every priced implementation of the edge
+    # the competitor table lists every implementation of the edge
     assert out.count("competitors for HASH -> CSR:") == 1
     assert "generated-vector [vector]" in out
     assert "direct edge" not in out and "bridge" not in out
@@ -194,7 +215,7 @@ def test_plan_command(capsys):
     out = capsys.readouterr().out
     assert "plan HASH -> CSR: HASH -> CSR (1 hop," in out
     assert "1. HASH -> CSR [" in out
-    assert "seeded cost" in out or "measured cost" in out
+    assert "  ladder rung " in out
 
 
 def test_plan_command_json_save_load(tmp_path, capsys):
