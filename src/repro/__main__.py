@@ -173,10 +173,9 @@ def _cmd_convert(args) -> None:
         plan = engine.plan(
             src_fmt, dst_fmt, backend=args.backend, route=args.route,
             nnz=tensor.nnz_stored,
-            features=engine.features_for(tensor, args.backend, args.route),
         )
-        # report the hops as they executed: a filtered converter refused
-        # at run time hands its hop to the generated kernel
+        # report the hops as they executed: a native hop whose kernel
+        # cannot be built runs the generated fallback
         ran = []
 
         def observer(hop, *_):

@@ -8,11 +8,11 @@ from .converters import (
     converters_for,
     register_converter,
     run_converter,
+    sample_features,
     scipy_available,
     unregister_converter,
 )
 from .engine import ConversionEngine, default_engine, set_default_engine
-from .features import StructuralFeatures, default_features, sample_features
 from .plan import PLAN_SCHEMA, CompiledPlan, ConversionPlan
 from .planner import (
     BACKENDS,
@@ -59,7 +59,6 @@ __all__ = [
     "QueryResultHandle",
     "StreamPlanError",
     "StreamedConversion",
-    "StructuralFeatures",
     "VerificationError",
     "bridge_for",
     "chunkable",
@@ -67,7 +66,6 @@ __all__ = [
     "converter_named",
     "converters_for",
     "default_engine",
-    "default_features",
     "edge_candidates",
     "find_route",
     "generated_source",

@@ -75,9 +75,8 @@ def convert(
     """Convert ``tensor`` to ``dst_format`` with a generated routine.
 
     ``route=None`` (default) applies the auto policy: the router's fixed
-    ladder picks the edge's implementation (a registered converter that
-    admits the tensor at bulk sizes, else a built native kernel, else
-    the generated kernel) — the result is bit-identical to the direct
+    ladder picks the edge's implementation (a registered converter at
+    bulk sizes, else a built native kernel, else the generated kernel) — the result is bit-identical to the direct
     scalar conversion.  ``route="direct"``
     runs the generated kernel the backend policy resolves to, matching
     the pre-engine behaviour exactly.  Passing ``route="auto"``
@@ -105,7 +104,7 @@ def plan(
 
     The returned :class:`~repro.convert.plan.ConversionPlan` is the
     reified decision ``convert()`` would make — inspect it
-    (``explain()``, ``sources()``, ``estimated_cost()``), compile it
+    (``explain()``, ``sources()``), compile it
     ahead of time, run it, or serialize it (``to_json()``) and replay it
     in another process with ``ConversionPlan.from_json``.
 

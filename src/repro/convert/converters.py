@@ -11,32 +11,24 @@ module lets any callable compete for an edge::
         ...
 
     register_converter("COO", "CSR", my_coo_to_csr,
-                       filter=lambda f: f.sortedness >= 1.0,
                        weight=1.0, name="my-coo-csr")
 
 Registered converters are keyed *structurally* (renamed twins share
-them).  At planning time a converter is *admitted* when its ``filter``
-(if any) accepts the tensor's :class:`~repro.convert.features.
-StructuralFeatures` (read from a bounded sample); on bulk tensors the
-router's ladder gives the edge to the admitted converter with the lowest
-``weight`` (ties break on name, so selection is deterministic), ahead of
-the generated kernels.  At execution time the engine re-checks
-a filtered winner's predicate against the actual tensor's exact
-``sortedness >= 1.0`` fact (the other fields stay the sample's) and
-falls back to the generated kernel when it refuses, so bit-identity
-never depends on a planning-time guess.  Features are sampled only for
-a source that some filtered converter leaves
-(:func:`has_filtered_converter`); unfiltered converters cost nothing of
-the kind.
+them).  Whether a converter competes is a host fact, settled once when
+it is registered: a converter that needs a condition of the host (a
+library, a CPU feature) is registered inside an ``if`` on that
+condition, and nothing about the data is asked later.  On bulk tensors
+the router's ladder gives the edge to the registered converter with the
+lowest ``weight`` (ties break on name, so selection is deterministic),
+ahead of the generated kernels, and the engine runs it on every tensor
+of the source format.
 
 When scipy's compiled kernels are present, four scipy-delegated
-converters register themselves for the matrix compression edges, with
-no filter: whether they exist is a host fact, settled once at
-registration.  ``_sparsetools.coo_tocsr`` (COO -> CSR/CSC) and
-``csr_tocsc`` (CSR <-> CSC) are stable counting sorts that neither sort
-within a slice nor sum duplicates, so stream order and explicit zeros
-survive and the result is bit-identical to the generated kernels on any
-stream, sorted or not.
+converters register themselves for the matrix compression edges.
+``_sparsetools.coo_tocsr`` (COO -> CSR/CSC) and ``csr_tocsc`` (CSR <->
+CSC) are stable counting sorts that neither sort within a slice nor sum
+duplicates, so stream order and explicit zeros survive and the result
+is bit-identical to the generated kernels on any stream, sorted or not.
 """
 
 from __future__ import annotations
@@ -51,53 +43,54 @@ import numpy as np
 from ..formats.format import Format, FormatError
 from ..formats.registry import FormatSpec, get_format
 from ..storage.tensor import Tensor
-from .features import StructuralFeatures
 from .planner import structural_key
 
 __all__ = [
     "Converter",
     "converter_named",
     "converters_for",
-    "has_filtered_converter",
     "register_converter",
     "run_converter",
+    "sample_features",
     "scipy_available",
     "unregister_converter",
 ]
 
 #: Converter callables take ``(tensor, dst_format)`` and return a
 #: :class:`Tensor` stored in ``dst_format`` (or a structural twin; the
-#: runner retags).  Filters take :class:`StructuralFeatures` -> bool.
+#: runner retags).
 ConverterFunc = Callable[[Tensor, Format], Tensor]
-ConverterFilter = Callable[[StructuralFeatures], bool]
 
 
 @dataclass(frozen=True)
 class Converter:
     """One registered implementation competing for a conversion edge.
 
-    ``weight`` orders the converters of one edge (the lowest admitted
-    one takes it at bulk sizes); ``filter`` is an optional admission
-    predicate over the tensor's structural features — a converter whose
-    predicate refuses never runs, and the generated kernel takes over.
+    ``weight`` orders the converters of one edge (the lowest one takes
+    it at bulk sizes).
     """
 
     name: str
     src: Format
     dst: Format
     func: ConverterFunc = field(repr=False, compare=False)
-    filter: Optional[ConverterFilter] = field(
-        default=None, repr=False, compare=False
-    )
     weight: float = 1.0
 
-    def admits(self, features: Optional[StructuralFeatures]) -> bool:
-        """Whether this converter may run for a tensor with ``features``
-        (``None`` — e.g. planning without a tensor — admits predicated
-        converters optimistically; execution re-checks)."""
-        if self.filter is None or features is None:
-            return True
-        return bool(self.filter(features))
+    # -- inert stubs: the benchmark harness still calls these two names
+    # and passes ``features=`` (ROADMAP item 2(iii) deletes them all, as
+    # it does router.bridge_for).  Admission is a host fact settled at
+    # registration, so a registered converter admits every tensor and
+    # there are no features to sample; ConversionRequest.build,
+    # engine.route, engine.plan and engine.plan_compute accept and
+    # ignore ``features=None`` for the same reason.
+    def admits(self, features=None) -> bool:
+        """Always ``True``."""
+        return True
+
+
+def sample_features(tensor) -> None:
+    """Always ``None`` (see the comment above :meth:`Converter.admits`)."""
+    return None
 
 
 _LOCK = threading.Lock()
@@ -107,9 +100,6 @@ _CONVERTERS: Dict[Tuple, Dict[str, Converter]] = {}
 #: their route-cache key so cached routes never outlive the registry
 #: state they were planned against
 _REGISTRY_VERSION = 0
-#: structural source keys that at least one converter with a ``filter``
-#: leaves: only those sources need their features sampled
-_FILTERED_SOURCES: frozenset = frozenset()
 
 
 def registry_version() -> int:
@@ -123,21 +113,9 @@ def _pair_key(src: Format, dst: Format) -> Tuple:
 
 
 def _registry_changed() -> None:
-    """Advance the registry version and recompute the filtered sources;
-    the caller holds ``_LOCK``."""
-    global _REGISTRY_VERSION, _FILTERED_SOURCES
+    """Advance the registry version; the caller holds ``_LOCK``."""
+    global _REGISTRY_VERSION
     _REGISTRY_VERSION += 1
-    _FILTERED_SOURCES = frozenset(
-        key[0] for key, table in _CONVERTERS.items()
-        if any(c.filter is not None for c in table.values())
-    )
-
-
-def has_filtered_converter(src: Format) -> bool:
-    """Whether some registered converter out of ``src`` (structurally)
-    has a ``filter``: the one case in which a tensor's features decide
-    anything.  A set lookup, so the hot path can ask on every call."""
-    return structural_key(src) in _FILTERED_SOURCES
 
 
 def register_converter(
@@ -145,7 +123,6 @@ def register_converter(
     dst: FormatSpec,
     func: ConverterFunc,
     *,
-    filter: Optional[ConverterFilter] = None,
     weight: float = 1.0,
     name: Optional[str] = None,
 ) -> Converter:
@@ -154,8 +131,10 @@ def register_converter(
     ``src``/``dst`` are :class:`Format` objects or registry spec strings
     (``"CSR"``, ``"BCSR4x4"``...).  ``func(tensor, dst_format)`` must
     return the converted tensor **bit-identical to the direct scalar
-    conversion** for every tensor its ``filter`` admits — the router
-    freely substitutes it for the generated kernel.  Returns the
+    conversion** for every tensor of ``src`` — the router freely
+    substitutes it for the generated kernel.  A converter that only
+    holds on some hosts is registered inside an ``if`` on that host
+    fact; there is no per-tensor admission.  Returns the
     :class:`Converter` record; registering a second converter under the
     same ``name`` for the same structural pair raises ``ValueError``
     (unregister the old one first).
@@ -164,8 +143,6 @@ def register_converter(
     dst = get_format(dst)
     if not callable(func):
         raise TypeError(f"converter func must be callable, got {func!r}")
-    if filter is not None and not callable(filter):
-        raise TypeError(f"converter filter must be callable, got {filter!r}")
     try:
         weight = float(weight)
     except (TypeError, ValueError):
@@ -174,8 +151,7 @@ def register_converter(
         raise ValueError(f"converter weight must be > 0, got {weight!r}")
     label = name or getattr(func, "__name__", None) or "converter"
     converter = Converter(
-        name=str(label), src=src, dst=dst, func=func, filter=filter,
-        weight=weight,
+        name=str(label), src=src, dst=dst, func=func, weight=weight,
     )
     key = _pair_key(src, dst)
     with _LOCK:
@@ -303,8 +279,8 @@ def _transpose_compressed(csr_tocsc, tensor: Tensor, dst: Format,
 
 def _register_builtin_converters() -> None:
     """Register each scipy delegate whose compiled kernel this host's
-    scipy exposes in ``scipy.sparse._sparsetools``.  That is a host
-    fact, settled once here, so the delegates carry no data filter."""
+    scipy exposes in ``scipy.sparse._sparsetools``: a host fact, settled
+    once here."""
     try:
         from scipy.sparse import _sparsetools as tools
     except ImportError:

@@ -80,9 +80,7 @@ from .planner import (
     structural_key,
 )
 from .context import PlanError
-from .converters import (converter_named, has_filtered_converter,
-                         registry_version, run_converter)
-from .features import StructuralFeatures, _exact_features, sample_features
+from .converters import converter_named, registry_version, run_converter
 from .plan import ConversionPlan, key_to_json
 from .request import ConversionRequest
 from .router import (
@@ -151,11 +149,6 @@ def _codegen_fingerprint() -> str:
                         digest.update(b"?")
             _CODEGEN_FINGERPRINT = digest.hexdigest()
     return _CODEGEN_FINGERPRINT
-
-# Validation of the route/backend knobs lives in ConversionRequest
-# (repro.convert.request); this re-export keeps the historical import
-# path working.
-from .request import ROUTE_MODES  # noqa: E402,F401
 
 
 @dataclass
@@ -870,22 +863,20 @@ class ConversionEngine:
         dst_format: FormatSpec,
         options: Optional[PlanOptions] = None,
         nnz: Optional[int] = None,
-        features: Optional[StructuralFeatures] = None,
+        features: None = None,  # inert; see Converter.admits
     ) -> ConversionPlan:
         """The conversion plan for a pair — its one edge, taken by the
         implementation the router's ladder picks
         (:func:`~repro.convert.router.find_route`), bound to this
         engine.  It is the plan :meth:`plan` returns under the auto
-        policies, with that call's exact ``nnz`` and ``features``.
+        policies, with that call's exact ``nnz``.
 
         ``nnz`` is the expected stored-component count (defaults to
         ``DEFAULT_ROUTE_NNZ``); below ``BULK_NNZ`` registered converters
-        do not take the edge.  ``features`` (the source tensor's
-        structural facts) gate the registered competing converters —
-        ``convert()`` passes them automatically.  Plans are cached per
-        (structural pair, options, nnz magnitude, quantized features,
-        toolchain, bulk or not); a converter (un)registered or a native
-        kernel landing re-plans them, so decisions track the live
+        do not take the edge.  Plans are cached per (structural pair,
+        options, nnz magnitude, toolchain, bulk or not); a converter
+        (un)registered or a native kernel landing re-plans them, so
+        decisions track the live
         registry and kernel cache; a cache entry produced for a renamed
         structural twin is re-tagged with the requested formats.
 
@@ -903,7 +894,6 @@ class ConversionEngine:
             structural_key(dst_format),
             options.key(),
             max(nnz, 1).bit_length(),
-            features.key() if features is not None else None,
             native_ok,
             nnz >= BULK_NNZ,
         )
@@ -919,7 +909,6 @@ class ConversionEngine:
                 dst_format,
                 options=options,
                 nnz=nnz,
-                features=features,
                 native_ok=native_ok,
                 native_ready=self._native_ready(options),
             ), engine=self)
@@ -938,7 +927,6 @@ class ConversionEngine:
         dst_format: FormatSpec,
         options: Optional[PlanOptions] = None,
         nnz: Optional[int] = None,
-        features: Optional[StructuralFeatures] = None,
     ) -> List[EdgeCandidate]:
         """Every implementation of the direct edge ``src -> dst``, in
         the router's ladder order (the first one takes the edge).
@@ -959,7 +947,6 @@ class ConversionEngine:
             get_format(dst_format),
             options,
             nnz,
-            features,
             native_ok=self.toolchain() is not None,
             native_ready=self._native_ready(options),
         )
@@ -1024,16 +1011,17 @@ class ConversionEngine:
         """Count one executed conversion and run its hop sequence — the
         one executor body behind :meth:`run_plan`.
 
-        Hop observers see each hop as it executed (a refused converter's
-        hop reports the generated kernel that ran instead), timed only
-        while one is registered.  The hop executable is resolved (and, on
-        a cold cache, compiled) *before* the timer starts, so the timing
+        Hop observers see each hop as it executed (a native hop whose
+        pair lost its compiled kernel reports the kernel that ran
+        instead), timed only while one is registered.  The hop
+        executable is resolved (and, on a cold cache, compiled)
+        *before* the timer starts, so the timing
         is conversion throughput, never codegen."""
         self._record_conversion(
             (hops[0].src.name, hops[-1].dst.name), routed=len(hops) > 1,
         )
         for hop in hops:
-            run, ran = self._hop_executable(hop, options, tensor)
+            run, ran = self._hop_executable(hop, options)
             if not self._hop_observers:
                 tensor = run(tensor)
                 continue
@@ -1045,18 +1033,11 @@ class ConversionEngine:
 
     def _hop_executable(
         self, hop: Hop, options: PlanOptions,
-        tensor: Optional[Tensor] = None,
     ) -> Tuple[Callable[[Tensor], Tensor], Hop]:
         """Resolve one hop to a ready callable plus the hop that will
-        actually execute.
-
-        This is where bit-identity is checked exactly.  Planning reads a
-        bounded feature sample, so an ``external`` hop whose converter
-        has a ``filter`` rechecks it against ``tensor``'s exact facts
-        (one fused pass over the stream, memoized on the tensor, only
-        when the sample cannot already decide); a refused converter runs
-        the generated kernel instead.  An unfiltered converter admits
-        every tensor and costs no pass."""
+        actually execute.  An ``external`` hop always runs its pinned
+        converter: a registered converter takes every tensor of its
+        source format."""
         if hop.kind == "external":
             converter = converter_named(hop.src, hop.dst, hop.converter or "")
             if converter is None:
@@ -1065,18 +1046,8 @@ class ConversionEngine:
                     "not registered on this host; register it "
                     "(repro.convert.register_converter) or re-plan"
                 )
-            if converter.filter is None or tensor is None or (
-                converter.admits(_exact_features(tensor))
-            ):
-                dst = hop.dst
-                return lambda t: run_converter(converter, t, dst), hop
-            # the planner admitted this converter on a feature sample (or
-            # a replayed plan pinned it) but the actual stream fails the
-            # predicate: degrade to the generated kernel, which is
-            # correct for any input
-            kind = resolve_backend(hop.src, hop.dst, options, "auto")
-            return (self.make_converter(hop.src, hop.dst, options, kind),
-                    Hop(hop.src, hop.dst, kind))
+            dst = hop.dst
+            return lambda t: run_converter(converter, t, dst), hop
         if hop.kind == "native" and self.toolchain() is None:
             # a replayed plan pinned the compiled backend; degrading
             # silently would violate the plan, so fail loudly
@@ -1102,26 +1073,24 @@ class ConversionEngine:
         route: Optional[str] = None,
         parallel: Optional[object] = None,
         nnz: Optional[int] = None,
-        features: Optional[StructuralFeatures] = None,
+        features: None = None,  # inert; see Converter.admits
     ) -> ConversionPlan:
         """The full conversion decision for a pair, as a first-class
         :class:`~repro.convert.plan.ConversionPlan`.
 
         This is exactly the decision :meth:`convert` makes — the
         implementation the router's ladder picks under the auto
-        policies, the resolved lowering backend otherwise — reified into an object
-        that can be inspected (``explain()``, ``sources()``,
-        ``estimated_cost()``), compiled ahead of time (``compile()``),
-        executed (``run(tensor)``) and serialized (``to_json()`` /
+        policies, the resolved lowering backend otherwise — reified into
+        an object that can be inspected (``explain()``, ``sources()``),
+        compiled ahead of time (``compile()``), executed
+        (``run(tensor)``) and serialized (``to_json()`` /
         ``ConversionPlan.from_json``) for replay in another process or
         on another host.  Under the auto policies (``backend`` and
         ``route`` both auto) it is :meth:`route`'s plan — the router's
         winner is the plan that runs, never second-guessed here;
         ``route="direct"`` or a pinned backend resolves one generated
         hop.  The knobs are validated through
-        :class:`~repro.convert.request.ConversionRequest`; ``features``
-        (sampled automatically by :meth:`convert`) let predicated
-        converters compete on the tensor's actual structure.
+        :class:`~repro.convert.request.ConversionRequest`.
 
         ``parallel`` is ignored: it selected the deleted chunked
         executor, and a non-``None`` value raises a
@@ -1144,26 +1113,22 @@ class ConversionEngine:
             )
         request = ConversionRequest.build(
             src_format, dst_format,
-            options=options, backend=backend, route=route,
-            nnz=nnz, features=features,
+            options=options, backend=backend, route=route, nnz=nnz,
             default_options=self.options, default_backend=self.backend,
         )
         src_format, dst_format = request.src, request.dst
         options, backend, nnz = request.options, request.backend, request.nnz
-        features = request.features
         if request.route == "auto" and backend == "auto":
-            found = self.route(
-                src_format, dst_format, options=options,
-                nnz=nnz, features=features,
-            )
-            if found.nnz == nnz and found.features is features:
+            found = self.route(src_format, dst_format, options=options,
+                               nnz=nnz)
+            if found.nnz == nnz:
                 return found  # a same-sized repeat: nothing to replace
-            return replace(found, nnz=nnz, features=features)
+            return replace(found, nnz=nnz)
         resolved = self._resolve_backend(src_format, dst_format, options,
                                          backend)
         return ConversionPlan(
             hops=(Hop(src_format, dst_format, resolved),),
-            options=options, nnz=nnz, features=features, engine=self,
+            options=options, nnz=nnz, engine=self,
         )
 
     def run_plan(self, plan: ConversionPlan, tensor: Tensor, x=None,
@@ -1225,11 +1190,9 @@ class ConversionEngine:
     ) -> Tensor:
         """Convert ``tensor`` to ``dst_format`` (object or spec string).
 
-        This is a thin shim over the plan API: it samples the tensor's
-        :class:`~repro.convert.features.StructuralFeatures` where a
-        filtered converter could read them (:meth:`features_for`), builds
-        the :class:`~repro.convert.plan.ConversionPlan` for the pair at
-        the tensor's actual stored size and runs it (see :meth:`plan` /
+        This is a thin shim over the plan API: it builds the
+        :class:`~repro.convert.plan.ConversionPlan` for the pair at the
+        tensor's actual stored size and runs it (see :meth:`plan` /
         :meth:`run_plan`).  The ``backend``/``route`` knobs are
         validated together through
         :class:`~repro.convert.request.ConversionRequest`.
@@ -1248,32 +1211,8 @@ class ConversionEngine:
             tensor.format, get_format(dst_format),
             options=options, backend=backend, route=route,
             nnz=tensor.nnz_stored,
-            features=self.features_for(tensor, backend, route),
         )
         return self.run_plan(plan, tensor)
-
-    def features_for(
-        self,
-        tensor: Tensor,
-        backend: Optional[str] = None,
-        route: Optional[str] = None,
-    ) -> Optional[StructuralFeatures]:
-        """``tensor``'s structural features if a request with these knobs
-        can use them, else ``None`` (nothing is sampled).
-
-        Only a registered converter's ``filter`` reads features, on a
-        plan's first hop.  So they are sampled under the auto policies
-        alone — ``backend`` (``None``: the engine default) and ``route``
-        both auto — and only when some filtered converter leaves the
-        tensor's format (``has_filtered_converter``, a set lookup).  The
-        sample is exact only for streams it covers whole; a predicate it
-        admits is rechecked exactly on the actual tensor when its
-        ``external`` hop runs (:meth:`_hop_executable`).
-        """
-        if ((backend or self.backend) == "auto" and route in (None, "auto")
-                and has_filtered_converter(tensor.format)):
-            return sample_features(tensor)
-        return None
 
     def convert_file(self, src_path, dst_format: FormatSpec, out_dir, *,
                      chunk_nnz: Optional[int] = None,
@@ -1358,7 +1297,7 @@ class ConversionEngine:
         options: Optional[PlanOptions] = None,
         backend: Optional[str] = None,
         nnz: Optional[int] = None,
-        features: Optional[StructuralFeatures] = None,
+        features: None = None,  # inert; see Converter.admits
     ) -> ConversionPlan:
         """The full fused-pipeline decision for ``op`` over a format: a
         :class:`ConversionPlan` whose last hop runs the op.
@@ -1396,7 +1335,7 @@ class ConversionEngine:
         op = get_op(op)
         request = ConversionRequest.build(
             src_format, dst_format if dst_format is not None else src_format,
-            options=options, backend=backend, nnz=nnz, features=features,
+            options=options, backend=backend, nnz=nnz,
             default_options=self.options, default_backend=self.backend,
         )
         src, dst, options = request.src, request.dst, request.options
@@ -1416,12 +1355,11 @@ class ConversionEngine:
                 )
             plan = ConversionPlan(
                 hops=(Hop(src, dst, "compute"),), options=options,
-                nnz=request.nnz, features=features, op=op, engine=self,
+                nnz=request.nnz, op=op, engine=self,
             )
         else:
             conversion = self.plan(
-                src, dst, options=options, backend=backend,
-                nnz=request.nnz, features=features,
+                src, dst, options=options, backend=backend, nnz=request.nnz,
             )
             can_fuse = fusable(src, op, dst, options)
             if fuse == "fused" and not can_fuse:
@@ -1471,7 +1409,6 @@ class ConversionEngine:
             tensor.format, "spmv",
             get_format(via) if via is not None else None,
             fuse=fuse, backend=backend, nnz=tensor.nnz_stored,
-            features=self.features_for(tensor, backend),
         )
         return self.run_plan(plan, tensor, x=x)
 

@@ -5,9 +5,8 @@ plan that produces it a public object instead of an engine internal.
 :meth:`ConversionEngine.plan <repro.convert.engine.ConversionEngine.plan>`
 returns a :class:`ConversionPlan` — the full decision the engine would
 make for a ``convert()`` call (route hops, lowering backend per hop) —
-which can be inspected (:meth:`~
-ConversionPlan.explain`, :meth:`~ConversionPlan.sources`,
-:meth:`~ConversionPlan.estimated_cost`), compiled ahead of time
+which can be inspected (:meth:`~ConversionPlan.explain`,
+:meth:`~ConversionPlan.sources`), compiled ahead of time
 (:meth:`~ConversionPlan.compile`), executed (:meth:`~ConversionPlan.run`),
 and serialized (:meth:`~ConversionPlan.to_json` /
 :meth:`~ConversionPlan.from_json`)::
@@ -46,9 +45,8 @@ from ..formats.registry import UnknownFormatError, get_format
 from ..storage.tensor import Tensor
 from .context import PlanError
 from .converters import converter_named
-from .features import StructuralFeatures
 from .planner import PlanOptions, structural_key
-from .router import HOP_KIND_DETAIL, Hop, hop_cost, key_to_json
+from .router import HOP_KIND_DETAIL, Hop, key_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..compute.ops import ComputeOp
@@ -57,11 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: changes; loaders reject plans from a newer schema with a clear error.
 #: Schema 2 (competing converters): hop records may carry ``kind:
 #: "external"`` plus a ``converter`` name pinning the registered
-#: implementation, and plans may record the structural ``features`` the
-#: decision was made against.  Schema-1 documents still load.  ``native``
-#: hops ride on schema 2: they add an enum value, not a layout change, so
-#: plans without native hops stay interchangeable with older readers
-#: (which reject a native hop loudly as an unknown kind).  Schema 3 adds
+#: implementation.  Schema-1 documents still load, and so do documents
+#: that record the structural ``features`` of older writers (ignored).
+#: ``native`` hops ride on schema 2: they add an enum value, not a layout
+#: change, so plans without native hops stay interchangeable with older
+#: readers (which reject a native hop loudly as an unknown kind).  Schema 3 adds
 #: the terminal op of a compute plan (``op`` / ``backend`` / ``fuse`` and
 #: the ``fused`` / ``compute`` hop kinds).  The writer stamps the oldest
 #: schema that expresses the plan — 2 without an op, 3 with one — so
@@ -118,7 +116,7 @@ class ConversionPlan:
     ``hops`` is the executed sequence: the router plans one hop, and a
     loaded document may chain several; ``options`` the
     :class:`PlanOptions` every generated hop honours; ``nnz`` the
-    stored-component count the plan was costed at.  Instances are immutable; ``engine`` is the
+    stored-component count the plan was made for.  Instances are immutable; ``engine`` is the
     :class:`~repro.convert.engine.ConversionEngine` that compiles and
     runs the hops (``None``: the process default engine at call time).
 
@@ -134,9 +132,6 @@ class ConversionPlan:
     hops: Tuple[Hop, ...]
     options: PlanOptions
     nnz: int = 0
-    #: Structural features of the tensor the plan was decided against
-    #: (None when planned from a bare nnz).
-    features: Optional[StructuralFeatures] = None
     #: The op the terminal hop runs (None: a conversion plan).
     op: Optional["ComputeOp"] = None
     #: Resolved lowering backend of the terminal op's kernel.
@@ -230,14 +225,6 @@ class ConversionPlan:
         return default_engine()
 
     # -- inspection ------------------------------------------------------
-    def estimated_cost(self, nnz: Optional[int] = None) -> float:
-        """Estimated seconds to execute the plan on ``nnz`` stored
-        components (default: the plan's own planning size), from the
-        static per-kind rates of :data:`~repro.convert.router.HOP_RATES`.
-        No decision reads it."""
-        nnz = self.nnz if nnz is None else int(nnz)
-        return sum(hop_cost(hop.kind, nnz) for hop in self.hops)
-
     def sources(self) -> List[Optional[str]]:
         """The generated source per hop, in execution order.
 
@@ -287,11 +274,8 @@ class ConversionPlan:
         lines = [
             f"plan {self.src.name} -> {target}: {path} "
             f"({len(self.hops)} hop{'s' if len(self.hops) != 1 else ''}, "
-            f"est {self.estimated_cost() * 1e3:.3f} ms at {self.nnz} "
-            "stored components)"
+            f"planned at {self.nnz} stored components)"
         ]
-        if self.features is not None:
-            lines.append(f"  structural features: {self.features.describe()}")
         for n, hop in enumerate(self.hops, 1):
             if hop.kind == "external":
                 what = (
@@ -314,8 +298,9 @@ class ConversionPlan:
         """Compile (or disk-load) every generated hop — and a compute
         plan's op kernel — now and return a ready-to-run handle, so the
         first :meth:`run` pays no compile.  An ``external`` hop warms
-        the generated kernel it falls back to when its predicate refuses
-        the tensor at run time."""
+        the generated kernel the ladder gives its edge below
+        :data:`~repro.convert.router.BULK_NNZ`, so a warmed pair compiles
+        nothing at any size."""
         engine = self._engine()
         for hop in self.conversion_hops:
             kind = "auto" if hop.kind == "external" else hop.kind
@@ -356,8 +341,6 @@ class ConversionPlan:
             "nnz": self.nnz,
             "routed": self.routed,
         }
-        if self.features is not None:
-            data["features"] = self.features.to_dict()
         if self.op is not None:
             data.update(op=self.op.name, backend=self.backend, fuse=self.fuse)
         return data
@@ -387,7 +370,9 @@ class ConversionPlan:
         ``workers`` count it ran with is checked and ignored.  So do plans
         written before the bridge hop kind's deletion: a ``bridge`` hop
         (HASH -> COO) runs as the ``vector`` hop of the same pair, and
-        the recorded ``routed`` flag is ignored (it is derived).
+        the recorded ``routed`` flag is ignored (it is derived).  A
+        ``features`` record, written before per-tensor admission was
+        deleted, is ignored too.
         """
         if not isinstance(data, dict) or "hops" not in data:
             raise PlanError("not a serialized plan")
@@ -457,19 +442,12 @@ class ConversionPlan:
                 raise ValueError(
                     f"workers and nnz must be >= 0, got {workers}, {nnz}"
                 )
-            recorded = data.get("features")
-            features = (
-                StructuralFeatures.from_dict(recorded)
-                if isinstance(recorded, dict)
-                else None
-            )
         except (TypeError, ValueError, KeyError) as exc:
             raise PlanError(f"malformed plan fields: {exc}") from exc
         return cls(
             hops=tuple(hops),
             options=options,
             nnz=nnz,
-            features=features,
             op=op,
             backend=backend,
             engine=engine,

@@ -32,7 +32,6 @@ from typing import Optional
 from ..formats.format import Format
 from ..formats.registry import FormatSpec, get_format
 from .context import PlanError
-from .features import StructuralFeatures
 from .planner import BACKENDS, PlanOptions
 from .router import DEFAULT_ROUTE_NNZ
 
@@ -57,7 +56,6 @@ class ConversionRequest:
     route: str
     route_explicit: bool
     nnz: int
-    features: Optional[StructuralFeatures] = None
 
     @classmethod
     def build(
@@ -69,7 +67,7 @@ class ConversionRequest:
         backend: Optional[str] = None,
         route: Optional[str] = None,
         nnz: Optional[int] = None,
-        features: Optional[StructuralFeatures] = None,
+        features: None = None,  # inert; see Converter.admits
         default_options: Optional[PlanOptions] = None,
         default_backend: str = "auto",
     ) -> "ConversionRequest":
@@ -118,9 +116,7 @@ class ConversionRequest:
             )
 
         if nnz is None:
-            nnz = (
-                features.nnz if features is not None else DEFAULT_ROUTE_NNZ
-            )
+            nnz = DEFAULT_ROUTE_NNZ
         try:
             nnz = int(nnz)
         except (TypeError, ValueError):
@@ -134,5 +130,4 @@ class ConversionRequest:
             route=route,
             route_explicit=route_explicit,
             nnz=nnz,
-            features=features,
         )

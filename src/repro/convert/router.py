@@ -8,8 +8,8 @@ registered ``external`` converter (:mod:`repro.convert.converters`).
 Like the paper, the router never prices them; it walks a fixed ladder
 and the first rung that applies takes the edge:
 
-1. at ``nnz >= BULK_NNZ``, the admitted registered converter with the
-   lowest ``weight`` (ties break on name);
+1. at ``nnz >= BULK_NNZ``, the registered converter with the lowest
+   ``weight`` (ties break on name);
 2. else the pair's native kernel, if it is built;
 3. else the generated kernel :func:`~repro.convert.planner.resolve_backend`
    picks (vector where the pair lowers to it, scalar otherwise).
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from ..formats.format import Format
 from ..formats.registry import FormatSpec, get_format
 from .converters import converters_for
-from .features import StructuralFeatures
 from .planner import PlanOptions, resolve_backend, structural_key
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -48,26 +47,6 @@ DEFAULT_ROUTE_NNZ = 100_000
 #: Below it, the library-boundary marshalling of a converter outweighs
 #: its kernel, and a build would not pay back.
 BULK_NNZ = 4096
-
-#: Static estimate of one hop of each kind: ``(seconds per stored
-#: component, fixed seconds per hop)``.  Only ``estimated_cost()`` reads
-#: it; no routing or fusion decision does.
-HOP_RATES = {
-    "scalar": (1.5e-6, 5.0e-5),
-    "vector": (4.0e-8, 5.0e-5),
-    "native": (1.2e-8, 5.0e-5),
-    "external": (2.2e-8, 2.0e-4),
-    "fused": (5.0e-8, 5.0e-5),
-    "compute": (2.5e-8, 5.0e-5),
-}
-
-
-def hop_cost(kind: str, nnz: int) -> float:
-    """Estimated seconds of one hop of ``kind`` over ``nnz`` stored
-    components (:data:`HOP_RATES`)."""
-    per_nnz, fixed = HOP_RATES[kind]
-    return per_nnz * max(int(nnz), 0) + fixed
-
 
 #: The verdict of a native candidate whose kernel is not built yet.
 NOT_BUILT = "not built"
@@ -128,10 +107,9 @@ class EdgeCandidate:
     """One implementation of a single conversion edge, on its ladder rung.
 
     ``rank`` is the ladder order: rung, then weight, then name.  A
-    candidate with a ``verdict`` is passed over — its predicate refused
-    the tensor's features, its native kernel is not built, or the tensor
-    is below :data:`BULK_NNZ` for a registered converter — and the edge
-    goes to the first candidate without one.
+    candidate with a ``verdict`` is passed over — its native kernel is
+    not built, or the tensor is below :data:`BULK_NNZ` for a registered
+    converter — and the edge goes to the first candidate without one.
     """
 
     name: str
@@ -158,7 +136,6 @@ def edge_candidates(
     dst: FormatSpec,
     options: Optional[PlanOptions] = None,
     nnz: Optional[int] = None,
-    features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
     native_ready: Optional[Callable[[Format, Format], bool]] = None,
 ) -> List[EdgeCandidate]:
@@ -172,7 +149,7 @@ def edge_candidates(
     ``native_ready(src, dst)`` says whether it is built (without it,
     every one counts as built).  An unbuilt kernel is listed only where
     a run would queue its build: at bulk sizes, for a pair it supports,
-    when no registered converter admits the tensor.  The generated
+    when no registered converter takes the edge.  The generated
     kernel (rung 3) is always listed and always taken last.  Listing
     never invokes the C compiler.
     """
@@ -184,9 +161,7 @@ def edge_candidates(
     out = []
     if options.key() == PlanOptions().key():
         for conv in converters_for(src, dst):
-            verdict = "rejected by predicate" if not conv.admits(
-                features
-            ) else ("" if bulk else f"below {BULK_NNZ} stored components")
+            verdict = "" if bulk else f"below {BULK_NNZ} stored components"
             out.append(EdgeCandidate(
                 name=conv.name, kind="external", rung=1,
                 weight=conv.weight, converter=conv.name, verdict=verdict,
@@ -195,11 +170,9 @@ def edge_candidates(
         from .native import native_capable
 
         built = native_ready is None or native_ready(src, dst)
-        # at bulk sizes a converter without a verdict admits the tensor
-        if built or (
-            bulk and native_capable(src, dst, options)
-            and all(cand.verdict for cand in out)
-        ):
+        # at bulk sizes a registered converter (any in ``out``) takes
+        # the edge, so an unbuilt kernel is listed only without one
+        if built or (bulk and not out and native_capable(src, dst, options)):
             out.append(EdgeCandidate(
                 name="generated-native", kind="native", rung=2,
                 verdict="" if built else NOT_BUILT,
@@ -217,8 +190,7 @@ def _rung_reason(candidates: List[EdgeCandidate]) -> str:
     taken = candidates[0]
     if taken.rung == 1:
         why = (f"registered converter {taken.name!r}, the lowest-weight "
-               f"one admitting the tensor at >= {BULK_NNZ} stored "
-               "components")
+               f"one, at >= {BULK_NNZ} stored components")
     elif taken.rung == 2:
         why = "the pair's native kernel is built"
     else:
@@ -236,13 +208,12 @@ def find_route(
     dst: FormatSpec,
     options: Optional[PlanOptions] = None,
     nnz: Optional[int] = None,
-    features: Optional[StructuralFeatures] = None,
     native_ok: bool = False,
     native_ready: Optional[Callable[[Format, Format], bool]] = None,
 ) -> "ConversionPlan":
     """The one-hop plan for ``src -> dst``, run by the first candidate
-    of :func:`edge_candidates` (``features`` gate predicated converters,
-    and ``native_ok`` / ``native_ready`` offer the compiled-C kernel).
+    of :func:`edge_candidates` (``native_ok`` / ``native_ready`` offer
+    the compiled-C kernel).
     When the ladder lists the unbuilt native kernel, the plan's
     ``_pending`` holds its hop, so a bulk run queues the build.  The plan
     is unbound (``engine=None``): :meth:`ConversionEngine.route
@@ -256,7 +227,7 @@ def find_route(
     options = options or PlanOptions()
     nnz = DEFAULT_ROUTE_NNZ if nnz is None else int(nnz)
     candidates = edge_candidates(
-        src, dst, options, nnz, features, native_ok, native_ready,
+        src, dst, options, nnz, native_ok, native_ready,
     )
     taken = candidates[0]
     pending = tuple(
@@ -265,7 +236,7 @@ def find_route(
     )
     return ConversionPlan(
         hops=(Hop(src, dst, taken.kind, taken.converter),),
-        options=options, nnz=nnz, features=features, _pending=pending,
+        options=options, nnz=nnz, _pending=pending,
         _rung=_rung_reason(candidates),
     )
 

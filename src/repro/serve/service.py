@@ -413,7 +413,6 @@ class ConversionService:
             tensor.format, dst,
             options=policy.options, backend=policy.backend,
             nnz=tensor.nnz_stored,
-            features=self.engine.features_for(tensor, policy.backend),
         )
         result = self.engine.run_plan(plan, tensor)
         self.metrics.incr("full_conversions")
@@ -492,13 +491,12 @@ class ConversionService:
             tensor.format.name,
             dst.name if dst is not None else tensor.format.name,
         )
-        features = self.engine.features_for(tensor, policy.backend)
 
         def planned(fuse):
             return self.engine.plan_compute(
                 tensor.format, op, dst, fuse=fuse,
                 options=policy.options, backend=policy.backend,
-                nnz=tensor.nnz_stored, features=features,
+                nnz=tensor.nnz_stored,
             )
 
         plan = planned(fuse)

@@ -18,9 +18,7 @@ import numpy as np
 from ..formats.format import Format, FormatError
 from ..remap.evaluate import apply_remap_once, CounterState
 
-#: Instance attribute holding the memoized :meth:`Tensor.content_digest`
-#: (same rebind-invalidation pattern as the structural-feature cache in
-#: :mod:`repro.convert.features`).
+#: Instance attribute holding the memoized :meth:`Tensor.content_digest`.
 _DIGEST_ATTR = "_repro_content_digest"
 
 
@@ -94,8 +92,7 @@ class Tensor:
         structural format key).
 
         The result is memoized on the instance, keyed by the identities
-        of the component arrays (the same rebind-invalidation pattern as
-        the structural-feature cache): rebinding different arrays
+        of the component arrays: rebinding different arrays
         invalidates the memo, but mutating an array *in place* does not
         — callers that rewrite arrays in place should drop the
         ``_repro_content_digest`` attribute.

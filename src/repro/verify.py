@@ -10,9 +10,9 @@ results array-for-array.  The ``fused`` column additionally checks the
 fused convert-and-compute pipeline (:mod:`repro.compute`): SpMV through
 the destination, computed with and without materializing it, within
 float tolerance.  The ``auto`` column runs the plan auto would pick for
-a bulk-sized tensor with the case's sampled features, on the case and
-on its sorted-order twin: the only column that reaches the external
-converters and their execution-time exact check.  On a mismatch it
+a bulk-sized tensor on the case itself: the only column that reaches
+the registered external converters, on sorted and unsorted streams
+alike.  On a mismatch it
 prints a single ``REPRO:`` line that reproduces the failure
 deterministically:
 
@@ -255,8 +255,7 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
     ``({backend: problems}, ran)``: the backends that disagreed with
     scalar, and which of the ``external`` / ``native`` hop kinds the
     ``auto`` column ran.  An unsorted case also adds ``unsorted``, and
-    ``unsorted-external`` when the case itself (not its sorted twin)
-    ran an external hop."""
+    ``unsorted-external`` when it ran an external hop."""
     from .convert.streamed import streamable
     from .io.stream import write_stream
     from .storage.build import reference_build
@@ -294,51 +293,32 @@ def _run_case(engine, src, dst, case: TensorCase, backends: Sequence[str],
     ran: Set[str] = set()
     if "auto" in backends:
         problems, ran = _check_auto(engine, dst, tensor, reference)
-        order = sorted(range(case.nnz), key=case.cells.__getitem__)
-        if order != list(range(case.nnz)):
+        if case.cells != sorted(case.cells):
             ran.add("unsorted")
             if "external" in ran:
                 ran.add("unsorted-external")
-            # the same cells in sorted stream order, so sortedness-gated
-            # converters (registered by a user) get admitted too
-            twin = reference_build(
-                src, case.dims, [case.cells[i] for i in order],
-                [case.vals[i] for i in order],
-            )
-            twin_problems, twin_ran = _check_auto(
-                engine, dst, twin,
-                engine.convert(twin, dst, backend="scalar"),
-            )
-            problems += [f"sorted twin: {p}" for p in twin_problems]
-            ran |= twin_ran
         if problems:
             failures["auto"] = problems
     return failures, ran
 
 
 def _check_auto(engine, dst, tensor, reference) -> Tuple[List[str], Set[str]]:
-    """The plan auto runs for a bulk-sized tensor with ``tensor``'s
-    sampled features, run on ``tensor`` itself.
+    """The plan auto runs for a bulk-sized tensor, run on ``tensor``.
 
     At fuzz sizes the router never picks an external converter, so the
-    plan is made at ``nnz=1_000_000``: its ``external`` hops then meet
-    the execution-time exact check on real, small streams, and its
-    ``native`` hops (where the pair's kernel is built) run against
-    scalar.  Returns the differences from ``reference`` and which of
-    ``external`` and ``native`` ran, as the engine's hop observers saw
-    the hops execute (a converter refused at execution reports the
-    generated kernel that ran instead).
+    plan is made at ``nnz=1_000_000``: its ``external`` hops then run on
+    real, small streams, and its ``native`` hops (where the pair's
+    kernel is built) run against scalar.  Returns the differences from
+    ``reference`` and which of ``external`` and ``native`` ran, as the
+    engine's hop observers saw the hops execute.
     """
-    from .convert import sample_features
-
     ran: Set[str] = set()
 
     def observe(hop, source, result, options, seconds):
         if hop.kind in ("native", "external"):
             ran.add(hop.kind)
 
-    plan = engine.plan(tensor.format, dst, nnz=1_000_000,
-                       features=sample_features(tensor))
+    plan = engine.plan(tensor.format, dst, nnz=1_000_000)
     engine.add_hop_observer(observe)
     try:
         out = plan.run(tensor)

@@ -1,5 +1,5 @@
 """Competing converters: the registration API, the scipy-delegated
-builtins, predicate admission, runtime fallback, and plan pinning."""
+builtins, ladder selection, and plan pinning."""
 
 import random
 
@@ -12,19 +12,16 @@ from repro.convert import (
     PlanError,
     converter_named,
     converters_for,
-    default_features,
     register_converter,
     run_converter,
-    sample_features,
     scipy_available,
     unregister_converter,
 )
-from repro.convert import features as features_module
 from repro.formats import COO, CSC, CSR, FormatError
 from repro.storage.build import reference_build
 from repro.storage.tensor import Tensor
 
-from ..support import count_exact_passes, sorted_only_converter
+from ..support import leading_converter
 from ..support.tensorgen import random_tensor_case
 
 needs_scipy = pytest.mark.skipif(
@@ -55,7 +52,7 @@ def _unsorted_coo(count=80, dims=(24, 24), seed=5):
 
 def _bulk_rows(rows=2000, per_row=60):
     """Row-major sorted coordinates with ``per_row`` entries in every
-    row: far more adjacent pairs than the feature sample reads."""
+    row, well above ``BULK_NNZ``."""
     row = np.repeat(np.arange(rows, dtype=np.int64), per_row)
     col = np.tile(np.arange(0, 2 * per_row, 2, dtype=np.int64), rows)
     return (rows, 2 * per_row), row, col
@@ -68,19 +65,6 @@ def _bulk_coo(row, col, dims):
         {(0, "pos"): np.array([0, nnz]), (0, "crd"): row, (1, "crd"): col},
         {}, np.arange(1.0, nnz + 1.0),
     )
-
-
-def _swap_past_the_sample(row, col):
-    """``(row, col)`` with one adjacent in-row swap at a pair the
-    strided feature sample never reads."""
-    row, col = row.copy(), col.copy()
-    cells = features_module._sample(len(row))
-    # pair i lies strictly between the first two sampled runs
-    i = int(cells[0, -1] + cells[1, 0]) // 2
-    while row[i] != row[i + 1]:
-        i += 1
-    col[i], col[i + 1] = col[i + 1], col[i]
-    return row, col
 
 
 def _recorded_kinds(engine):
@@ -140,7 +124,6 @@ def test_scipy_builtins_bit_identical_on_admitted_streams(
     )
     converter = converter_named(src, dst, name)
     assert converter is not None
-    assert converter.admits(sample_features(tensor))
     out = run_converter(converter, tensor, dst)
     ref = engine.convert(tensor, dst, backend="scalar", route="direct")
     _assert_bit_identical(out, ref)
@@ -148,16 +131,12 @@ def test_scipy_builtins_bit_identical_on_admitted_streams(
 
 @needs_scipy
 def test_scipy_coo_compressors_bit_identical_on_unsorted_streams(engine):
-    """scipy's ``coo_tocsr`` is a stable counting sort, so the COO
-    delegates carry no filter: a shuffled stream is admitted and comes
-    out bit-identical to the direct scalar conversion, run alone and
-    through the engine."""
+    """scipy's ``coo_tocsr`` is a stable counting sort, so a shuffled
+    stream comes out of the COO delegates bit-identical to the direct
+    scalar conversion, run alone and through the engine."""
     unsorted = _unsorted_coo()
-    features = sample_features(unsorted)
-    assert features.sortedness < 1.0
     for dst, name in ((CSR, "scipy-coo-csr"), (CSC, "scipy-coo-csc")):
         converter = converter_named(COO, dst, name)
-        assert converter.filter is None and converter.admits(features)
         ref = engine.convert(unsorted, dst, backend="scalar", route="direct")
         _assert_bit_identical(run_converter(converter, unsorted, dst), ref)
         _assert_bit_identical(engine.convert(unsorted, dst), ref)
@@ -193,7 +172,7 @@ def _coo_stream(seed):
 @needs_scipy
 @pytest.mark.parametrize("seed", range(40))
 def test_scipy_coo_delegates_match_scalar_on_any_stream(engine, seed):
-    """Property: the unfiltered COO delegates are bit-identical to the
+    """Property: the COO delegates are bit-identical to the
     scalar kernel on every stream shape, sorted or not."""
     tensor = _coo_stream(seed)
     for dst, name in ((CSR, "scipy-coo-csr"), (CSC, "scipy-coo-csc")):
@@ -231,17 +210,8 @@ def test_no_coo_delegate_without_the_compiled_kernel(monkeypatch):
     finally:
         for c in builtins:
             unregister_converter(c.src, c.dst, c.name)
-            register_converter(c.src, c.dst, c.func, filter=c.filter,
-                               weight=c.weight, name=c.name)
-
-
-@needs_scipy
-def test_csr_csc_builtins_unpredicated():
-    for src, dst, name in (
-        (CSR, CSC, "scipy-csr-csc"),
-        (CSC, CSR, "scipy-csc-csr"),
-    ):
-        assert converter_named(src, dst, name).filter is None
+            register_converter(c.src, c.dst, c.func, weight=c.weight,
+                               name=c.name)
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +221,6 @@ def test_csr_csc_builtins_unpredicated():
 def test_register_validates_arguments():
     with pytest.raises(TypeError, match="must be callable"):
         register_converter(COO, CSR, "not-a-function")
-    with pytest.raises(TypeError, match="filter must be callable"):
-        register_converter(COO, CSR, lambda t, d: t, filter="nope")
     for bad_weight in (0, -1.0, "heavy"):
         with pytest.raises(ValueError, match="weight"):
             register_converter(COO, CSR, lambda t, d: t, weight=bad_weight)
@@ -326,35 +294,7 @@ def test_run_converter_rejects_bad_results(engine):
 
 
 # ----------------------------------------------------------------------
-# admission and selection
-
-
-def test_predicate_rejecting_all_falls_back_to_generated(engine):
-    calls = []
-
-    def never(tensor, dst):  # pragma: no cover - must not run
-        calls.append(1)
-        raise AssertionError("predicate-rejected converter ran")
-
-    register_converter(
-        COO, CSR, never, filter=lambda f: False, weight=1e-9,
-        name="rejects-all",
-    )
-    try:
-        coo = _sorted_coo()
-        features = sample_features(coo)
-        cands = engine.converters(COO, CSR, nnz=1_000_000, features=features)
-        rejected = [c for c in cands if c.name == "rejects-all"]
-        assert rejected[0].verdict == "rejected by predicate"
-        # rejected candidates sort after every admitted one
-        assert not any(c.verdict == "rejected by predicate"
-                       for c in cands[: cands.index(rejected[0])])
-        out = engine.convert(coo, CSR)
-        ref = engine.convert(coo, CSR, backend="scalar", route="direct")
-        _assert_bit_identical(out, ref)
-        assert not calls
-    finally:
-        unregister_converter(COO, CSR, "rejects-all")
+# selection
 
 
 def test_weight_ties_break_deterministically_on_name(engine):
@@ -366,16 +306,11 @@ def test_weight_ties_break_deterministically_on_name(engine):
     register_converter(COO, CSR, ident, weight=1e-6, name="zz-tied")
     register_converter(COO, CSR, ident, weight=1e-6, name="aa-tied")
     try:
-        features = default_features(1_000_000)
-        cands = engine.converters(
-            COO, CSR, nnz=1_000_000, features=features
-        )
+        cands = engine.converters(COO, CSR, nnz=1_000_000)
         tied = [c for c in cands if c.name.endswith("-tied")]
         assert [c.name for c in tied] == ["aa-tied", "zz-tied"]
         assert tied[0].rank < tied[1].rank  # name is the final tiebreak
-        plan = engine.plan(
-            COO, CSR, nnz=1_000_000, features=features
-        )
+        plan = engine.plan(COO, CSR, nnz=1_000_000)
         assert plan.hops[0].kind == "external"
         assert plan.hops[0].converter == "aa-tied"
     finally:
@@ -383,76 +318,10 @@ def test_weight_ties_break_deterministically_on_name(engine):
         unregister_converter(COO, CSR, "aa-tied")
 
 
-def test_runtime_recheck_falls_back_when_predicate_refuses(engine):
-    def sorted_only(tensor, dst):  # pragma: no cover - must not run
-        raise AssertionError("ran on a stream its predicate refuses")
-
-    register_converter(
-        COO, CSR, sorted_only, filter=lambda f: f.sortedness >= 1.0,
-        weight=1e-9, name="sorted-only",
-    )
-    try:
-        # plan optimistically, without a tensor: default features admit
-        plan = engine.plan(COO, CSR, nnz=1_000_000)
-        assert plan.hops[0].converter == "sorted-only"
-        unsorted = _unsorted_coo()
-        out = plan.run(unsorted)  # recheck refuses -> generated kernel
-        ref = engine.convert(unsorted, CSR, backend="scalar", route="direct")
-        _assert_bit_identical(out, ref)
-    finally:
-        unregister_converter(COO, CSR, "sorted-only")
-
-
-def test_inversion_the_sample_skips_is_caught_at_execution(engine):
-    """Past the sample bound the planner may admit a sortedness-filtered
-    converter on a stream whose only inversion the sample never read;
-    the exact check where the hop runs refuses it and the generated
-    kernel runs."""
-    dims, row, col = _bulk_rows()
-    tensor = _bulk_coo(*_swap_past_the_sample(row, col), dims)
-    with sorted_only_converter() as calls:
-        features = sample_features(tensor)
-        assert features.nnz - 1 > features_module._SAMPLE_PAIRS
-        assert features.sortedness == 1.0  # the sample saw no inversion
-        plan = engine.plan(COO, CSR, nnz=tensor.nnz_stored,
-                           features=features)
-        assert plan.hops[0].converter == "sorted-only"
-        kinds = _recorded_kinds(engine)
-        ref = engine.convert(tensor, CSR, backend="scalar")
-        del kinds[:]
-        _assert_bit_identical(plan.run(tensor), ref)
-        _assert_bit_identical(engine.convert(tensor, CSR), ref)
-    assert len(kinds) == 2 and calls == []
-    assert "external:sorted-only" not in kinds
-    assert set(kinds) <= {"scalar", "vector", "native"}
-
-
-def test_predicate_is_rechecked_exactly_past_the_sample(engine):
-    def sorted_only(tensor, dst):  # pragma: no cover - must not run
-        raise AssertionError("ran on a stream its predicate refuses")
-
-    register_converter(
-        COO, CSR, sorted_only, filter=lambda f: f.sortedness >= 1.0,
-        weight=1e-9, name="sorted-only",
-    )
-    try:
-        dims, row, col = _bulk_rows()
-        tensor = _bulk_coo(*_swap_past_the_sample(row, col), dims)
-        assert sample_features(tensor).sortedness == 1.0
-        out = engine.convert(tensor, CSR)
-        ref = engine.convert(tensor, CSR, backend="scalar")
-        _assert_bit_identical(out, ref)
-    finally:
-        unregister_converter(COO, CSR, "sorted-only")
-
-
-def test_exact_pass_runs_once_and_only_for_filtered_converters(
-    engine, monkeypatch
-):
-    """Auto CSR->CSC and COO->CSR run unfiltered hops (scipy's delegates
-    where present) with no exact pass; a sorted COO->CSR through a
-    filtered converter takes one pass, memoized on the tensor."""
-    passes = count_exact_passes(monkeypatch)
+def test_bulk_auto_runs_the_registered_converters(engine):
+    """Auto CSR->CSC and COO->CSR at bulk sizes run scipy's delegates
+    where present, else the generated kernels; a converter registered
+    with a lower weight then takes COO->CSR on every call."""
     kinds = _recorded_kinds(engine)
     dims, row, col = _bulk_rows()
     assert len(row) >= 100_000
@@ -464,21 +333,19 @@ def test_exact_pass_runs_once_and_only_for_filtered_converters(
     engine.convert(coo, CSR)
     if scipy_available():
         assert kinds == ["external:scipy-csr-csc", "external:scipy-coo-csr"]
-    assert len(kinds) == 2 and passes == []
-    with sorted_only_converter() as calls:
+    assert len(kinds) == 2
+    with leading_converter() as calls:
         engine.convert(coo, CSR)
         engine.convert(coo, CSR)
-    assert kinds[2:] == ["external:sorted-only"] * 2
+    assert kinds[2:] == ["external:test-converter"] * 2
     assert calls == [coo, coo]
-    assert passes == [coo]
 
 
 @needs_scipy
 def test_fuzz_auto_column_reaches_the_external_converters(tmp_path):
     """At fuzz sizes only the ``auto`` column (a bulk-sized plan run on
-    the case) reaches scipy's COO compressors: an unsorted case runs
-    through them itself (and its sorted-order twin too), and every run
-    matches scalar."""
+    the case) reaches scipy's COO compressors: sorted and unsorted
+    cases run through them, and every run matches scalar."""
     from repro.verify import _run_case
 
     engine = ConversionEngine()
@@ -494,18 +361,18 @@ def test_fuzz_auto_column_reaches_the_external_converters(tmp_path):
 
 
 def test_compile_warms_the_external_hop_fallback(engine):
-    """An external hop's plan compiles the generated kernel it falls back
-    to, so a stream the predicate refuses compiles nothing at run time."""
-    with sorted_only_converter() as calls:
+    """An external hop's plan compiles the generated kernel the ladder
+    gives the edge below ``BULK_NNZ``, so a small conversion after it
+    compiles nothing."""
+    with leading_converter() as calls:
         plan = engine.plan(COO, CSR)
-        assert plan.hops[0].converter == "sorted-only"
+        assert plan.hops[0].converter == "test-converter"
         plan.compile()
         compiles = engine.cache_stats()["compiles"]
-        unsorted = _unsorted_coo()
-        out = plan.run(unsorted)  # predicate refuses -> generated fallback
-        engine.convert(unsorted, CSR)
+        small = _unsorted_coo()
+        out = engine.convert(small, CSR)
     assert engine.cache_stats()["compiles"] == compiles and calls == []
-    ref = engine.convert(unsorted, CSR, backend="scalar", route="direct")
+    ref = engine.convert(small, CSR, backend="scalar", route="direct")
     _assert_bit_identical(out, ref)
 
 
@@ -521,9 +388,7 @@ def test_replayed_plan_requires_the_pinned_converter(engine):
 
     register_converter(COO, CSR, ident, weight=1e-9, name="pin-me")
     try:
-        plan = engine.plan(
-            COO, CSR, nnz=1_000_000, features=default_features(1_000_000)
-        )
+        plan = engine.plan(COO, CSR, nnz=1_000_000)
         assert plan.hops[0].converter == "pin-me"
         payload = plan.to_json()
     finally:

@@ -11,10 +11,14 @@ import pytest
 import repro
 from repro.convert import (
     ConversionEngine,
+    ConversionPlan,
+    PlanError,
     PlanOptions,
     convert,
+    converters_for,
     default_engine,
     make_converter,
+    register_converter,
 )
 from repro.formats import BCSR, COO, CSC, CSR, DIA, ELL, HASH, make_format
 from repro.ir.native import detect_toolchain
@@ -22,11 +26,7 @@ from repro.levels.compressed import CompressedLevel
 from repro.levels.dense import DenseLevel
 from repro.storage.build import reference_build
 
-from ..support import (
-    count_exact_passes,
-    count_feature_samples,
-    sorted_only_converter,
-)
+from ..support import leading_converter
 
 
 HAVE_CC = detect_toolchain() is not None
@@ -200,71 +200,10 @@ def test_warmup_compiles_route_hops():
     assert engine.cache_stats()["compiles"] == compiled
 
 
-def test_pinned_requests_sample_no_features(monkeypatch):
-    """Features only price candidates under the auto policies: with a
-    filtered converter out of COO, a pinned backend (given or the engine
-    default) or route="direct" samples nothing, an auto conversion
-    samples once."""
-    calls = count_feature_samples(monkeypatch)
-    engine = ConversionEngine()
-    tensor = small_coo()
-    with sorted_only_converter():
-        for knobs in ({"backend": "scalar"}, {"backend": "vector"},
-                      {"route": "direct"}):
-            engine.convert(tensor, DIA, **knobs)
-        ConversionEngine(backend="scalar").convert(tensor, DIA)
-        assert engine.features_for(tensor, "vector") is None
-        assert calls == []
-        engine.convert(tensor, DIA)
-    assert len(calls) == 1
 
 
-def test_builtins_alone_sample_no_features_and_take_no_exact_pass(
-    monkeypatch,
-):
-    """No builtin converter has a filter, so an auto conversion out of
-    COO samples no features and takes no exact pass, at any size; a
-    filtered converter out of COO turns the sample back on for that
-    source only, and unregistering it turns it off again."""
-    samples = count_feature_samples(monkeypatch)
-    passes = count_exact_passes(monkeypatch)
-    engine = ConversionEngine()
-    rows = np.repeat(np.arange(500, dtype=np.int64), 20)
-    cols = np.tile(np.arange(20, dtype=np.int64), 500)
-    bulk = repro.Tensor(
-        COO, (500, 20),
-        {(0, "pos"): np.array([0, len(rows)]), (0, "crd"): rows,
-         (1, "crd"): cols}, {}, np.ones(len(rows)),
-    )
-    for tensor in (small_coo(), bulk):
-        for dst in (CSR, DIA):
-            engine.convert(tensor, dst)
-    assert samples == [] and passes == []
-    csr = engine.convert(bulk, CSR)
-    with sorted_only_converter():
-        assert engine.features_for(csr) is None
-        assert engine.features_for(bulk) is not None
-    assert engine.features_for(bulk) is None
 
 
-def test_pinned_requests_take_no_exact_pass(monkeypatch):
-    """Pinned backends and route="direct" run generated hops only, so
-    neither the planning sample nor the execution-time exact check
-    runs, even for a pair with a filtered converter."""
-    samples = count_feature_samples(monkeypatch)
-    passes = count_exact_passes(monkeypatch)
-    engine = ConversionEngine()
-    rows = np.repeat(np.arange(500, dtype=np.int64), 20)
-    cols = np.tile(np.arange(20, dtype=np.int64), 500)
-    tensor = repro.Tensor(
-        COO, (500, 20),
-        {(0, "pos"): np.array([0, len(rows)]), (0, "crd"): rows,
-         (1, "crd"): cols}, {}, np.ones(len(rows)),
-    )
-    for knobs in ({"backend": "scalar"}, {"backend": "vector"},
-                  {"route": "direct"}):
-        engine.convert(tensor, CSR, **knobs)
-    assert samples == [] and passes == []
 
 
 # ----------------------------------------------------------------------
@@ -570,6 +509,90 @@ def test_parallel_conversions_counter_reads_zero():
     stats = engine.cache_stats()
     assert stats["conversions"] == 2
     assert stats["parallel_conversions"] == 0
+
+
+def test_admission_stubs_stay_inert():
+    # ROADMAP item 2(iii): the harness calls sample_features and
+    # converter.admits and passes features=None to four planning calls
+    from repro.convert import ConversionRequest, sample_features
+    from repro.formats import available_formats
+
+    engine = ConversionEngine()
+    coo = small_coo()
+    assert sample_features(coo) is None
+    formats = list(available_formats().values())
+    with leading_converter():
+        registered = [conv for src in formats for dst in formats
+                      for conv in converters_for(src, dst)]
+        assert "test-converter" in {conv.name for conv in registered}
+        assert all(conv.admits(None) for conv in registered)
+    request = ConversionRequest.build(COO, CSR, nnz=5, features=None)
+    assert request == ConversionRequest.build(COO, CSR, nnz=5)
+    for nnz in (5, 1_000_000):
+        assert engine.route(COO, CSR, nnz=nnz, features=None) == (
+            engine.route(COO, CSR, nnz=nnz))
+        assert engine.plan(COO, CSR, nnz=nnz, features=None) == (
+            engine.plan(COO, CSR, nnz=nnz))
+        assert engine.plan_compute(
+            COO, "spmv", CSR, nnz=nnz, features=None,
+        ) == engine.plan_compute(COO, "spmv", CSR, nnz=nnz)
+
+
+#: A plan document as writers before the deletion of per-tensor
+#: admission wrote it: the structural ``features`` of the planned tensor
+#: ride beside the hops.
+_PLAN_WITH_FEATURES = (
+    '{"features": {"density": 0.15, "nnz": 3, "row_skew": '
+    '1.3333333333333333, "sortedness": 1.0}, "hops": [{"dst": {"name": '
+    '"CSR", "structural_key": ["(i, j) -> (i, j)", "(i, j) -> (i, j)", '
+    '["dense", "compressed{\\u00acordered}"], []]}, "kind": "vector", '
+    '"src": {"name": "COO", "structural_key": ["(i, j) -> (i, j)", '
+    '"(i, j) -> (i, j)", ["compressed{\\u00acunique,\\u00acordered}", '
+    '"singleton{\\u00acordered}"], []]}}], "kind": '
+    '"repro-conversion-plan", "nnz": 3, "options": '
+    '{"disable_width_count": false, "force_counter_arrays": false, '
+    '"force_unsequenced_edges": false, "skip_src_zeros": null}, '
+    '"routed": false, "schema": 2}'
+)
+
+
+def test_plan_document_with_features_loads_and_runs_bit_identically():
+    engine = ConversionEngine()
+    plan = ConversionPlan.from_json(_PLAN_WITH_FEATURES, engine=engine)
+    assert plan == engine.plan(COO, CSR, backend="vector", nnz=3)
+    assert "features" not in plan.to_dict()
+    coo = small_coo()
+    out = plan.run(coo)
+    ref = engine.convert(coo, CSR, backend="scalar")
+    assert set(out.arrays) == set(ref.arrays)
+    for key, arr in ref.arrays.items():
+        assert out.arrays[key].dtype == arr.dtype
+        assert np.array_equal(out.arrays[key], arr)
+    assert np.array_equal(out.vals, ref.vals)
+
+
+def test_register_converter_takes_no_filter():
+    # admission is a host fact: wrap the registration in an ``if``
+    with pytest.raises(TypeError, match="filter"):
+        register_converter(COO, CSR, lambda t, d: t, filter=lambda f: True,
+                           name="filtered")
+    assert "filtered" not in {
+        conv.name for conv in converters_for(COO, CSR)}
+
+
+def test_external_hop_runs_its_converter_or_raises():
+    # a pinned converter takes every tensor; unregistered, the replay
+    # fails loudly instead of running another implementation
+    engine = ConversionEngine()
+    with leading_converter() as calls:
+        plan = engine.plan(COO, CSR, nnz=1_000_000)
+        assert plan.hops[0].converter == "test-converter"
+        unsorted = reference_build(
+            COO, (4, 5), [(3, 0), (0, 1), (2, 3)], [3.0, 1.0, 2.0])
+        plan.run(unsorted)
+        assert calls == [unsorted]
+    with pytest.raises(PlanError, match="test-converter"):
+        plan.run(unsorted)
 
 
 # ----------------------------------------------------------------------

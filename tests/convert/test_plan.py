@@ -123,12 +123,6 @@ def test_plan_exposes_hops_and_backends():
     assert str(chain) == "HASH -> COO -> CSR"
 
 
-def test_plan_estimated_cost_scales_with_nnz():
-    engine = ConversionEngine()
-    plan = engine.plan(COO, CSR)
-    assert plan.estimated_cost(10_000) < plan.estimated_cost(10_000_000)
-
-
 def test_plan_sources_per_hop():
     engine = ConversionEngine()
     sources = _two_hop_plan(engine).sources()

@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro.convert import ConversionEngine, ConversionRequest, PlanError
-from repro.convert.features import default_features
 from repro.convert.request import ROUTE_MODES
 from repro.convert.router import DEFAULT_ROUTE_NNZ, find_route
 from repro.formats import COO, CSR
@@ -87,12 +86,11 @@ def test_explicit_route_object_passes_through():
 
 
 # ----------------------------------------------------------------------
-# nnz and features
+# nnz
 
 
-def test_nnz_falls_back_to_features_then_default():
-    assert _build(features=default_features(777)).nnz == 777
-    assert _build(nnz=42, features=default_features(777)).nnz == 42
+def test_nnz_falls_back_to_default():
+    assert _build(nnz=42).nnz == 42
     assert _build().nnz == DEFAULT_ROUTE_NNZ
     with pytest.raises(ValueError, match="nnz must be an integer"):
         _build(nnz="lots")

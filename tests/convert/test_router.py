@@ -206,8 +206,7 @@ def test_bulk_conversions_leave_the_plan_unchanged():
         engine.warmup([(COO, CSR), (COO, DIA)])
 
         def plans():
-            return [engine.plan(COO, dst, nnz=coo.nnz_stored,
-                                features=engine.features_for(coo))
+            return [engine.plan(COO, dst, nnz=coo.nnz_stored)
                     for dst in (CSR, DIA)]
 
         before = plans()

@@ -13,7 +13,6 @@ from repro.formats import COO, CSR, DIA, ELL, get_format
 from repro.serve import ConversionService, QuotaError, TenantPolicy
 from repro.serve.datacache import tensor_nbytes
 
-from ..support import count_feature_samples, sorted_only_converter
 from ..support.tensorgen import serve_tensor
 
 
@@ -169,24 +168,6 @@ def test_tenant_options_isolate_cache_variants():
                 == default_result.tensor.content_digest())
 
     _run(_with_service(body))
-
-
-def test_pinned_tenant_backend_samples_no_features(monkeypatch):
-    """A tenant pinned to a backend never walks the ladder, so its
-    conversions sample no structural features; with a filtered
-    converter out of COO, the default tenant's auto conversion samples
-    once."""
-    calls = count_feature_samples(monkeypatch)
-
-    async def body(service, engine):
-        service.set_policy(TenantPolicy(name="pinned", backend="scalar"))
-        await service.submit(_tensor(seed=43), DIA, tenant="pinned")
-        assert calls == []
-        await service.submit(_tensor(seed=44), DIA)
-        assert len(calls) == 1
-
-    with sorted_only_converter():
-        _run(_with_service(body))
 
 
 def test_health_and_snapshot_shapes():

@@ -9,7 +9,7 @@ from repro.convert import scipy_available
 from repro.io import write_matrix_market
 from repro.ir.native import detect_toolchain
 
-from .support import count_feature_samples, sorted_only_converter
+from .support import leading_converter
 
 # With scipy importable its registered converter wins the bulk COO->CSR
 # edge; the no-scipy leg keeps the generated vector kernel.
@@ -77,51 +77,28 @@ def _bulk_coo_mtx(path, swap):
 
 
 def test_convert_reports_the_hop_that_ran(tmp_path, capsys):
-    """One out-of-order row fails a filtered converter's sortedness
-    predicate, so the engine runs the next implementation: scipy's
-    unfiltered delegate, or the generated vector kernel without scipy.
-    The verb must report that hop and that source: it used to route a
-    second time *without* the tensor's features and print the filtered
-    converter."""
+    """The verb reports the hop that ran and its source: scipy's
+    delegate, or the generated vector kernel without scipy, and a
+    lower-weight registered converter on sorted and unsorted input
+    alike once one is registered."""
     unsorted = _bulk_coo_mtx(tmp_path / "unsorted.mtx", swap=True)
     ordered = _bulk_coo_mtx(tmp_path / "sorted.mtx", swap=False)
-    with sorted_only_converter() as calls:
-        main(["convert", unsorted, "--to", "CSR", "--show-code"])
-        out = capsys.readouterr().out
-        assert calls == []
-        assert "routed:" not in out and "sorted-only" not in out
-        if EXT == "external":
-            assert "direct: COO -> CSR [external:scipy-coo-csr]" in out
-            assert "registered converter 'scipy-coo-csr'" in out
-        else:
-            assert "direct: COO -> CSR [vector]" in out
-            assert "def convert_COO_to_CSR__vector" in out
-        main(["convert", ordered, "--to", "CSR", "--show-code"])
-        out = capsys.readouterr().out
-        assert len(calls) == 1
-        assert "direct: COO -> CSR [external:sorted-only]" in out
-        assert "registered converter 'sorted-only'" in out
-
-
-def test_convert_reports_a_converter_refused_at_run_time(tmp_path, capsys):
-    """A 120k-entry COO file with one in-row swap that the feature
-    sample skips: the plan takes the filtered converter, the exact check
-    where its hop runs refuses it, and the generated kernel runs.  The
-    verb reports the hop that ran, not the planned ``external`` one."""
-    from .convert.test_converters import _bulk_rows, _swap_past_the_sample
-
-    dims, row, col = _bulk_rows()
-    row, col = _swap_past_the_sample(row, col)
-    assert len(row) == 120_000
-    path = tmp_path / "swap.mtx"
-    write_matrix_market(path, dims, list(zip(row.tolist(), col.tolist())),
-                        [1.0] * len(row))
-    with sorted_only_converter() as calls:
-        main(["convert", str(path), "--to", "CSR"])
+    main(["convert", unsorted, "--to", "CSR", "--show-code"])
     out = capsys.readouterr().out
-    assert calls == []
-    assert "sorted-only" not in out
-    assert "  direct: COO -> CSR [vector]" in out
+    assert "routed:" not in out
+    if EXT == "external":
+        assert "direct: COO -> CSR [external:scipy-coo-csr]" in out
+        assert "registered converter 'scipy-coo-csr'" in out
+    else:
+        assert "direct: COO -> CSR [vector]" in out
+        assert "def convert_COO_to_CSR__vector" in out
+    with leading_converter() as calls:
+        for path in (unsorted, ordered):
+            main(["convert", path, "--to", "CSR", "--show-code"])
+            out = capsys.readouterr().out
+            assert "direct: COO -> CSR [external:test-converter]" in out
+            assert "registered converter 'test-converter'" in out
+    assert len(calls) == 2
 
 
 def test_unreadable_input_is_a_one_line_exit(tmp_path, capsys):
@@ -160,17 +137,6 @@ def test_route_command(capsys):
     # one hop: the vector kernel, or the native one once this process
     # has built it
     assert out.strip() in ("HASH -> CSR (vector)", "HASH -> CSR (native)")
-
-
-def test_convert_samples_features_only_under_auto(mtx, capsys, monkeypatch):
-    calls = count_feature_samples(monkeypatch)
-    with sorted_only_converter():
-        main(["convert", mtx, "--to", "DIA", "--backend", "scalar"])
-        main(["convert", mtx, "--to", "DIA", "--route", "direct"])
-        assert calls == []
-        main(["convert", mtx, "--to", "DIA"])
-        assert len(calls) == 1
-    capsys.readouterr()
 
 
 def test_route_command_explain(capsys):
